@@ -33,17 +33,12 @@ from . import quadrature as quad
 from .errors import (
     DegenerateBoundary,
     DimensionMismatch,
-    EmptyImage,
     InvariantViolation,
-    NonConvergentTail,
     RegularityViolation,
     WrongMode,
 )
-from .gridfn import LayerSamples, PiecewiseGridFunction, SpectralImage
 from .problem import FULL_AXIS
-from .transform import _chunks, _n_workers, _normalize_x_points
-
-_FLAGGABLE = (RegularityViolation, DegenerateBoundary)
+from .transform import _spectral_forward, _spectral_inverse
 
 AXIS_INVERSION_CONSTANT = 1.0 / (math.pi * 1j)
 
@@ -74,8 +69,10 @@ def _family_value(coeff, q, center, xs, order=0):
     return a * up + b * dn
 
 
-def _w_matrix(q):
-    return np.array([[1.0, 1.0], [1j * q, -1j * q]], dtype=complex)
+def _w_matrix(q, s=0.0):
+    """Values (row 0) and derivatives (row 1) of exp(+i q s) and exp(-i q s)."""
+    up, dn = np.exp(1j * q * s), np.exp(-1j * q * s)
+    return np.array([[up, dn], [1j * q * up, -1j * q * dn]], dtype=complex)
 
 
 def build_axis_basis(config, lam, rcond_floor=linalg.RCOND_FLOOR):
@@ -107,16 +104,7 @@ def build_axis_basis(config, lam, rcond_floor=linalg.RCOND_FLOOR):
     p_coef = [None] * L
     p_coef[L - 1] = (np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex))
     for i in range(L - 2, -1, -1):
-        lk = config.layers[i].right
-        s = lk - centers[i + 1]
-        qn = q[i + 1]
-        wn = np.array(
-            [
-                [np.exp(1j * qn * s), np.exp(-1j * qn * s)],
-                [1j * qn * np.exp(1j * qn * s), -1j * qn * np.exp(-1j * qn * s)],
-            ],
-            dtype=complex,
-        )
+        wn = _w_matrix(q[i + 1], config.layers[i].right - centers[i + 1])
         m1 = pencil(i, 1)
         m2 = pencil(i, 2)
         sol = np.linalg.solve(m1, m2 @ wn @ np.column_stack(p_coef[i + 1]))
@@ -127,20 +115,11 @@ def build_axis_basis(config, lam, rcond_floor=linalg.RCOND_FLOOR):
     q_coef = [None] * L
     q_coef[0] = (np.array([0.0, 1.0], dtype=complex), np.array([1.0, 0.0], dtype=complex))
     for i in range(L - 1):
-        lk = config.layers[i].right
         vals = _w_matrix(q[i]) @ np.column_stack(q_coef[i])   # left side, s = 0
         m1 = pencil(i, 1)
         m2 = pencil(i, 2)
         right_vals = np.linalg.solve(m2, m1 @ vals)
-        s = lk - centers[i + 1]
-        qn = q[i + 1]
-        wn = np.array(
-            [
-                [np.exp(1j * qn * s), np.exp(-1j * qn * s)],
-                [1j * qn * np.exp(1j * qn * s), -1j * qn * np.exp(-1j * qn * s)],
-            ],
-            dtype=complex,
-        )
+        wn = _w_matrix(q[i + 1], config.layers[i].right - centers[i + 1])
         coef = np.linalg.solve(wn, right_vals)
         q_coef[i + 1] = (coef[:, 0].copy(), coef[:, 1].copy())
 
@@ -231,63 +210,18 @@ def scalar_axis_forward(config, f, spec, lambdas=None, n_workers=None):
     if f.r != 1:
         raise DimensionMismatch("full-axis transform is scalar", block="input")
 
-    canonical = lambdas is None
-    if canonical:
-        grid = quad.lambda_grid(config, spec)
-        lams = grid.nodes
-    else:
-        lams = np.asarray(lambdas, dtype=float).ravel()
-        if lams.size == 0:
-            raise EmptyImage("no spectral points requested")
-        if np.any(lams <= 0):
-            raise InvariantViolation("spectral points must be positive")
-
     rules = quad.xi_rules(config, spec)
-    weighted_f = [
-        (ws * f.values_on(m, xs)[:, 0] if xs.size else np.empty(0))
-        for m, (xs, ws) in enumerate(rules)
-    ]
+    weighted_f = [ws * f.values_on(m, xs)[:, 0] for m, (xs, ws) in enumerate(rules)]
 
-    values = np.full((lams.size, 2), np.nan, dtype=complex)
-    flagged = []
-
-    def do_row(i):
-        lam = lams[i]
-        try:
-            ab = build_axis_basis(config, lam)
-        except _FLAGGABLE as exc:
-            flagged.append((i, lam, f"{type(exc).__name__}: {exc}"))
-            return
+    def row(_i, lam):
+        ab = build_axis_basis(config, lam)
         total = np.zeros(2, dtype=complex)
         for m, (xs, _ws) in enumerate(rules):
-            if xs.size == 0:
-                continue
-            ustar = axis_u_star_on_layer(ab, m, xs)
-            total += ustar.T @ weighted_f[m]
-        values[i] = total
+            if xs.size:
+                total += axis_u_star_on_layer(ab, m, xs).T @ weighted_f[m]
+        return total
 
-    workers = _n_workers(n_workers)
-    if workers == 1:
-        for i in range(lams.size):
-            do_row(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rng: [do_row(i) for i in rng], _chunks(lams.size, workers)))
-
-    if flagged and len(flagged) == lams.size:
-        raise RegularityViolation(
-            f"every spectral point is degenerate; first: {flagged[0][2]}",
-            lam=flagged[0][1],
-        )
-
-    meta = {"canonical": canonical, "flagged": sorted(flagged)}
-    if canonical:
-        meta["weights"] = grid.weights
-        meta["n_panels"] = grid.n_panels
-        meta["order"] = grid.order
-    return SpectralImage(lambdas=lams, values=values, meta=meta)
+    return _spectral_forward(config, spec, lambdas, n_workers, 2, row)
 
 
 def scalar_axis_inverse(config, image, x_points, spec, n_workers=None):
@@ -299,71 +233,8 @@ def scalar_axis_inverse(config, image, x_points, spec, n_workers=None):
         raise DimensionMismatch(
             f"full-axis image must have two branches, got {image.k}", block="image"
         )
-    grid = quad.lambda_grid(config, spec)
-    if image.lambdas.size != grid.nodes.size or not np.allclose(
-        image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
-    ):
-        raise InvariantViolation(
-            "image is not sampled on the canonical spectral grid of this problem and "
-            "quadrature spec; regenerate it with scalar_axis_forward under the same spec"
-        )
-
-    keep = np.all(np.isfinite(image.values.real) & np.isfinite(image.values.imag), axis=1)
-    lams = image.lambdas[keep]
-    fhat = image.values[keep]
-    wlam = grid.weights[keep]
-    if lams.size == 0:
-        raise EmptyImage("all image rows are flagged")
-
-    per_layer = _normalize_x_points(config, x_points, spec)
-    acc = [np.zeros((lams.size, xs.size), dtype=complex) for xs in per_layer]
-
-    def do_row(i):
-        ab = build_axis_basis(config, lams[i])
-        for m, xs in enumerate(per_layer):
-            if xs.size == 0:
-                continue
-            acc[m][i] = axis_u_on_layer(ab, m, xs) @ fhat[i]
-
-    workers = _n_workers(n_workers)
-    if workers == 1:
-        for i in range(lams.size):
-            do_row(i)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rng: [do_row(i) for i in rng], _chunks(lams.size, workers)))
-
-    taus = spec.tau_schedule
-    damped = []
-    for tau in taus:
-        coeff = wlam * lams * np.exp(-tau * lams)
-        damped.append([AXIS_INVERSION_CONSTANT * (coeff @ a) for a in acc])
-
-    for a, b_ in zip(damped, damped[1:]):
-        gap = max(
-            (float(np.max(np.abs(x - y))) if np.size(x) else 0.0) for x, y in zip(a, b_)
-        )
-        if gap > spec.tail_tolerance:
-            raise NonConvergentTail(
-                f"successive tau-damped inversion integrals differ by {gap:.3g} "
-                f"(> {spec.tail_tolerance})"
-            )
-
-    layers_out = []
-    tau_err = 0.0
-    for m, xs in enumerate(per_layer):
-        if xs.size == 0:
-            layers_out.append(LayerSamples(x=np.empty(0), values=np.zeros((0, 1), complex)))
-            continue
-        limit, err = quad.neville_to_zero(taus, [d[m] for d in damped])
-        tau_err = max(tau_err, float(np.max(err)) if np.size(err) else 0.0)
-        layers_out.append(LayerSamples(x=xs, values=np.asarray(limit).reshape(-1, 1)))
-
-    meta = {
-        "tau_error_estimate": tau_err,
-        "dropped_rows": np.where(~keep)[0].tolist(),
-        "junction_abscissae": [config.left_end] + list(config.junctions),
-    }
-    return PiecewiseGridFunction(layers=layers_out, traces={}, meta=meta)
+    return _spectral_inverse(
+        config, image, x_points, spec, n_workers, AXIS_INVERSION_CONSTANT,
+        lambda lam: build_axis_basis(config, lam),
+        lambda ab, m, xs: axis_u_on_layer(ab, m, xs)[:, None, :],
+    )

@@ -24,7 +24,7 @@ from .gridfn import (
     write_image_csv,
     _fmt,
 )
-from .problem import FULL_AXIS, SEMI_AXIS
+from .problem import FULL_AXIS
 
 
 def _add_common(p, need_config=True):
@@ -247,30 +247,10 @@ def dispatch(args):
 
     if cmd == "roundtrip":
         f = _load_input(args.input, config, spec, args.samples)
-        if config.mode == FULL_AXIS:
-            image = ax.scalar_axis_forward(config, f, spec)
-            window = [ls.x[np.abs(ls.x) <= spec.x_max * (1 + 1e-12)] for ls in f.layers]
-            recon = ax.scalar_axis_inverse(config, image, window, spec)
-            diffs, l2 = [], 0.0
-            for m, xs in enumerate(window):
-                ref = f.values_on(m, xs)
-                d = recon.layers[m].values - ref
-                sup = float(np.max(np.abs(d))) if xs.size else 0.0
-                if xs.size >= 2:
-                    l2 += float(np.trapezoid(np.sum(np.abs(d) ** 2, 1), xs))
-                diffs.append(sup)
-                print(f"layer {m + 1}: sup {sup:.3e}")
-            print(f"total: L2 {np.sqrt(l2):.3e}   sup {max(diffs):.3e}")
-            if args.output:
-                write_function_csv(recon, args.output)
-            return 0
         report = tr.roundtrip_report(config, f, spec)
         print(report)
         if args.output:
-            image = tr.forward_transform(config, f, spec)
-            window = [ls.x[ls.x <= spec.x_max * (1 + 1e-12)] for ls in f.layers]
-            recon = tr.inverse_transform(config, image, window, spec)
-            write_function_csv(recon, args.output)
+            write_function_csv(report.reconstruction, args.output)
         return 0
 
     if cmd == "identity":

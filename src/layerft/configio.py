@@ -95,6 +95,18 @@ def _matrix(value, r, name):
     )
 
 
+def _quad_number(value, name, integral=False):
+    """A finite quadrature number (an integer where integral is set)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise ParseError(f"quadrature.{name}: cannot read {value!r} as a number") from None
+    if not math.isfinite(x) or (integral and x != int(x)):
+        kind = "integer" if integral else "number"
+        raise ParseError(f"quadrature.{name}: expected a finite {kind}, got {value!r}")
+    return int(x) if integral else x
+
+
 def _require_map(value, name):
     if not isinstance(value, dict):
         raise ParseError(f"section {name!r} must be a mapping")
@@ -237,11 +249,11 @@ def parse_config(source):
         if key == "tau_schedule":
             if not isinstance(val, list) or not val:
                 raise ParseError("quadrature.tau_schedule must be a nonempty list")
-            kwargs[key] = tuple(float(v) for v in val)
+            kwargs[key] = tuple(_quad_number(v, "tau_schedule") for v in val)
         elif key in ("lambda_steps", "xi_quadrature_order"):
-            kwargs[key] = int(val)
+            kwargs[key] = _quad_number(val, key, integral=True)
         else:
-            kwargs[key] = float(val)
+            kwargs[key] = _quad_number(val, key)
     spec = QuadratureSpec(**kwargs)
 
     config = ProblemConfig(

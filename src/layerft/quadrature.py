@@ -10,9 +10,10 @@ order per panel keeps the rule in its convergent regime:
   * spatial axis: within layer m the kernels oscillate at most at rate
     ||q_m(lam_max)||_2, so panels are capped at half a period there.
 
-The improper spectral integral of the inversion formula is computed with an
-exponential damping factor exp(-tau lam) on a decreasing schedule of tau
-values and extrapolated to tau = 0 with a Neville table.
+The improper spectral integral of every inversion formula (semi-axis, full
+axis, radial) is computed by damped_limit: an exponential damping factor
+exp(-tau lam) on a decreasing schedule of tau values, extrapolated to
+tau = 0 with a Neville table.
 """
 
 import math
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import basis as _basis
-from .errors import InvariantViolation
+from .errors import InvariantViolation, NonConvergentTail
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,13 @@ class QuadratureSpec:
         self.validate()
 
     def validate(self):
+        for name in ("lambda_min", "lambda_max", "x_max", "tail_tolerance"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantViolation(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("lambda_steps", "xi_quadrature_order"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value == int(value)):
+                raise InvariantViolation(f"{name} must be an integer, got {value}")
         if not 0 < self.lambda_min < self.lambda_max:
             raise InvariantViolation(
                 f"need 0 < lambda_min < lambda_max, got [{self.lambda_min}, {self.lambda_max}]"
@@ -60,6 +68,8 @@ class QuadratureSpec:
         taus = self.tau_schedule
         if len(taus) < 2:
             raise InvariantViolation("tau_schedule needs at least two entries")
+        if not all(math.isfinite(t) for t in taus):
+            raise InvariantViolation("tau_schedule entries must be finite")
         if any(t <= 0 for t in taus) or any(a <= b for a, b in zip(taus, taus[1:])):
             raise InvariantViolation("tau_schedule must be positive and strictly decreasing")
         if self.tail_tolerance <= 0:
@@ -106,20 +116,25 @@ def oscillation_rate(config, lam_max):
     )
 
 
-def lambda_grid(config, spec):
-    """Composite Gauss-Legendre grid over [lambda_min, lambda_max].
+def spectral_grid(spec, cap):
+    """Composite Gauss-Legendre grid over [lambda_min, lambda_max], panels <= cap.
 
-    The panel cap pi / (4 x_max s_rate) keeps each panel under a quarter
-    period of the worst oscillation exp(i lam s_rate x_max); the per-panel
-    order is then chosen so the total node count tracks lambda_steps.
+    The per-panel order is chosen so the total node count tracks lambda_steps.
     """
-    s_rate = oscillation_rate(config, spec.lambda_max) / spec.lambda_max
-    cap = math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12))
-    span = spec.lambda_max - spec.lambda_min
-    n_panels = max(1, math.ceil(span / cap))
+    n_panels = max(1, math.ceil((spec.lambda_max - spec.lambda_min) / cap))
     order = int(min(24, max(2, math.floor(spec.lambda_steps / n_panels + 0.5))))
     nodes, weights = composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order)
     return LambdaGrid(nodes=nodes, weights=weights, n_panels=n_panels, order=order)
+
+
+def lambda_grid(config, spec):
+    """Canonical spectral grid of (config, spec).
+
+    The panel cap pi / (4 x_max s_rate) keeps each panel under a quarter
+    period of the worst oscillation exp(i lam s_rate x_max).
+    """
+    s_rate = oscillation_rate(config, spec.lambda_max) / spec.lambda_max
+    return spectral_grid(spec, math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12)))
 
 
 def xi_rules(config, spec):
@@ -171,3 +186,28 @@ def neville_to_zero(taus, values):
         prev_first = table[1]
     err = np.abs(limit - prev_first)
     return limit, err
+
+
+def damped_limit(spec, lams, coeff, samples):
+    """tau -> 0 limit of sum over l of coeff[l] exp(-tau lams[l]) samples[l].
+
+    coeff is real and samples has the spectral axis first.  The damped sums
+    at every level of spec.tau_schedule come from one real (levels x nodes)
+    matrix product with a real view of the complex samples; two successive
+    levels differing by more than spec.tail_tolerance anywhere raise
+    NonConvergentTail.  Returns (limit, err) shaped like samples[0], with
+    err the Neville estimate of neville_to_zero.
+    """
+    taus = spec.tau_schedule
+    damping = np.exp(np.multiply.outer(taus, -lams))
+    damping *= coeff
+    flat = np.ascontiguousarray(samples, dtype=complex).reshape(lams.size, -1)
+    damped = (damping @ flat.view(float)).view(complex)
+    gap = float(np.abs(damped[1:] - damped[:-1]).max(initial=0.0))
+    if gap > spec.tail_tolerance:
+        raise NonConvergentTail(
+            f"successive tau-damped inversion integrals differ by {gap:.3g} "
+            f"(> {spec.tail_tolerance}); spectral tail not integrable at this resolution"
+        )
+    limit, err = neville_to_zero(taus, damped)
+    return limit.reshape(samples.shape[1:]), err.reshape(samples.shape[1:])

@@ -10,10 +10,10 @@ with nu = (n - 2)/2, and the value at the origin is recovered by
 
     f(0) = integral over lam > 0 of lam^(n/2) image(lam) dlam,
 
-computed with exp(-tau lam) damping and Neville extrapolation like the
-one-dimensional inversion.  The pair is exact: for the unit Gaussian the
-image is exp(-lam^2/2) scaled by lam^nu factors and the inversion integral
-evaluates to 1 in closed form for every n.
+computed by quadrature.damped_limit, the exp(-tau lam) damping and Neville
+extrapolation shared with the one-dimensional inversions.  The pair is
+exact: for the unit Gaussian the image is exp(-lam^2/2) scaled by lam^nu
+factors and the inversion integral evaluates to 1 in closed form for every n.
 
 poisson_halfspace integrates radial boundary data against the half-space
 kernel c_n x (|y - eta|^2 + x^2)^(-(n+1)/2), c_n = Gamma((n+1)/2)/pi^((n+1)/2),
@@ -32,14 +32,9 @@ import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.special import ellipe
 
-from .errors import (
-    InvariantViolation,
-    NonConvergentTail,
-    NonpositiveHeight,
-    UnsupportedDimension,
-)
+from .errors import InvariantViolation, NonpositiveHeight, UnsupportedDimension
 from .gridfn import SpectralImage
-from .quadrature import composite_gauss, neville_to_zero
+from .quadrature import composite_gauss, damped_limit, spectral_grid
 
 BESSEL_CROSSOVER = 12.0
 _SERIES_TERMS = 40
@@ -170,16 +165,12 @@ def forward_nd(profile, lam, order=12):
 def forward_nd_image(profile, spec):
     """Image of profile on a composite spectral grid, ready for inverse_nd."""
     n = _check_dimension(profile.n)
-    cap = math.pi / (4.0 * profile.rho_max)
-    span = spec.lambda_max - spec.lambda_min
-    n_panels = max(1, math.ceil(span / cap))
-    order = int(min(24, max(2, math.floor(spec.lambda_steps / n_panels + 0.5))))
-    nodes, weights = composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order)
-    values = forward_nd(profile, nodes)
+    grid = spectral_grid(spec, math.pi / (4.0 * profile.rho_max))
+    values = forward_nd(profile, grid.nodes)
     return SpectralImage(
-        lambdas=nodes,
+        lambdas=grid.nodes,
         values=values[:, None].astype(complex),
-        meta={"weights": weights, "dimension": n, "rho_max": profile.rho_max},
+        meta={"weights": grid.weights, "dimension": n, "rho_max": profile.rho_max},
     )
 
 
@@ -199,7 +190,6 @@ def inverse_nd(image, spec, n=None):
             )
     n = _check_dimension(n)
     lams = image.lambdas
-    vals = image.values[:, 0]
     weights = image.meta.get("weights")
     if weights is None:
         if lams.size < 2:
@@ -213,15 +203,8 @@ def inverse_nd(image, spec, n=None):
     else:
         weights = np.asarray(weights, dtype=float)
 
-    base = weights * lams ** (0.5 * n) * vals
-    damped = [complex(np.sum(base * np.exp(-tau * lams))) for tau in spec.tau_schedule]
-    for a, b in zip(damped, damped[1:]):
-        if abs(a - b) > spec.tail_tolerance:
-            raise NonConvergentTail(
-                f"successive tau-damped radial inversions differ by {abs(a - b):.3g}"
-            )
-    limit, _err = neville_to_zero(spec.tau_schedule, damped)
-    return complex(limit)
+    limit, _err = damped_limit(spec, lams, weights * lams ** (0.5 * n), image.values[:, :1])
+    return complex(limit[0])
 
 
 # --- half-space Poisson integral --------------------------------------------

@@ -16,13 +16,16 @@ QuadratureSpec tau schedule and Neville-extrapolated to tau = 0.
 
 Both directions use the canonical composite Gauss-Legendre grid of the
 (config, spec) pair; the inverse refuses images sampled elsewhere, because
-its quadrature weights are tied to that grid.
+its quadrature weights are tied to that grid.  _spectral_forward and
+_spectral_inverse own that grid, the loop over spectral points with its
+worker pool, flagging and the damped inversion for the semi-axis and the
+full-axis pair (axis.py) alike; each geometry supplies only its kernels.
 """
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     EmptyImage,
     InvariantViolation,
-    NonConvergentTail,
     OutOfDomain,
     RegularityViolation,
     WrongMode,
@@ -55,11 +57,113 @@ def _n_workers(n_workers):
         return 1
 
 
-def _chunks(n, k):
-    """Split range(n) into at most k contiguous chunks."""
-    k = min(max(1, k), max(1, n))
-    edges = np.linspace(0, n, k + 1).astype(int)
-    return [range(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+def _for_each_row(do_row, n, n_workers):
+    """Run do_row(i) for i in range(n), in contiguous chunks over the worker pool."""
+    workers = min(_n_workers(n_workers), max(1, n))
+    if workers == 1:
+        for i in range(n):
+            do_row(i)
+        return
+    edges = np.linspace(0, n, workers + 1).astype(int)
+    chunks = [range(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda rng: [do_row(i) for i in rng], chunks))
+
+
+def _spectral_forward(config, spec, lambdas, n_workers, width, row):
+    """Image rows row(i, lam), each of length width, on a spectral grid.
+
+    The grid is the canonical one of (config, spec), or the explicit
+    positive abscissae lambdas (no weights, not canonical).  A row whose
+    kernels are degenerate is flagged: it stays NaN and meta["flagged"]
+    records (index, lam, reason); if every row is flagged the first
+    RegularityViolation is re-raised.
+    """
+    canonical = lambdas is None
+    if canonical:
+        grid = quad.lambda_grid(config, spec)
+        lams = grid.nodes
+    else:
+        lams = np.asarray(lambdas, dtype=float).ravel()
+        if lams.size == 0:
+            raise EmptyImage("no spectral points requested")
+        if np.any(lams <= 0):
+            raise InvariantViolation("spectral points must be positive")
+
+    values = np.full((lams.size, width), np.nan, dtype=complex)
+    flagged = []
+
+    def do_row(i):
+        try:
+            values[i] = row(i, lams[i])
+        except _FLAGGABLE as exc:
+            flagged.append((i, lams[i], f"{type(exc).__name__}: {exc}"))
+
+    _for_each_row(do_row, lams.size, n_workers)
+    if len(flagged) == lams.size:
+        raise RegularityViolation(
+            f"every spectral point is degenerate; first: {flagged[0][2]}",
+            lam=flagged[0][1],
+        )
+
+    meta = {"canonical": canonical, "flagged": sorted(flagged)}
+    if canonical:
+        meta["weights"] = grid.weights
+        meta["n_panels"] = grid.n_panels
+        meta["order"] = grid.order
+    return SpectralImage(lambdas=lams, values=values, meta=meta)
+
+
+def _spectral_inverse(config, image, x_points, spec, n_workers, constant, build, u_on_layer):
+    """constant * integral over lam > 0 of lam u(x, lam) image(lam) at x_points.
+
+    build(lam) returns the kernel data at one spectral point and
+    u_on_layer(b, m, xs) the kernel on layer m, shape (N, r, image.k).  The
+    image must sit on the canonical grid of (config, spec); NaN (flagged)
+    rows are left out of the quadrature and reported in meta["dropped_rows"].
+    The improper integral is damped and extrapolated by quad.damped_limit.
+    """
+    grid = quad.lambda_grid(config, spec)
+    if image.lambdas.size != grid.nodes.size or not np.allclose(
+        image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
+    ):
+        forward = "forward_transform" if config.mode == SEMI_AXIS else "scalar_axis_forward"
+        raise InvariantViolation(
+            "image is not sampled on the canonical spectral grid of this problem and "
+            f"quadrature spec; regenerate it with {forward} under the same spec"
+        )
+
+    keep = np.all(np.isfinite(image.values), axis=1)
+    lams = image.lambdas[keep]
+    if lams.size == 0:
+        raise EmptyImage("all image rows are flagged")
+    fhat = constant * image.values[keep]
+
+    per_layer = _normalize_x_points(config, x_points, spec)
+    edges = np.cumsum([0] + [xs.size for xs in per_layer])
+
+    # acc[i_lam, i_x, :] = constant * u(x, lam) @ image(lam), layers side by side
+    acc = np.zeros((lams.size, edges[-1], config.r), dtype=complex)
+
+    def do_row(i):
+        b = build(lams[i])
+        for m, xs in enumerate(per_layer):
+            if xs.size:
+                acc[i, edges[m]:edges[m + 1]] = u_on_layer(b, m, xs) @ fhat[i]
+
+    _for_each_row(do_row, lams.size, n_workers)
+    limit, err = quad.damped_limit(spec, lams, grid.weights[keep] * lams, acc)
+
+    layers_out = [
+        LayerSamples(x=xs, values=limit[a:b])
+        for xs, a, b in zip(per_layer, edges[:-1], edges[1:])
+    ]
+    meta = {
+        "tau_error_estimate": float(np.max(err, initial=0.0)),
+        "dropped_rows": np.flatnonzero(~keep).tolist(),
+        "junction_abscissae": [config.left_end] + list(config.junctions),
+    }
+    return PiecewiseGridFunction(layers=layers_out, traces={}, meta=meta)
 
 
 def _junction_traces(config, f):
@@ -87,17 +191,6 @@ def forward_transform(config, f, spec, lambdas=None, n_workers=None):
             f"function has {f.r} components, problem has r = {config.r}", block="input"
         )
 
-    canonical = lambdas is None
-    if canonical:
-        grid = quad.lambda_grid(config, spec)
-        lams = grid.nodes
-    else:
-        lams = np.asarray(lambdas, dtype=float).ravel()
-        if lams.size == 0:
-            raise EmptyImage("no spectral points requested")
-        if np.any(lams <= 0):
-            raise InvariantViolation("spectral points must be positive")
-
     rules = quad.xi_rules(config, spec)
     weighted_f = []
     for m, (xs, ws) in enumerate(rules):
@@ -115,27 +208,18 @@ def forward_transform(config, f, spec, lambdas=None, n_workers=None):
     g2 = [iface.lambda_sq_part(2) for iface in config.interfaces]
 
     order = spec.xi_quadrature_order
-    values = np.full((lams.size, config.r), np.nan, dtype=complex)
-    tails = np.zeros(lams.size)
-    flagged = []
+    tails = {}
 
-    def do_row(i):
-        lam = lams[i]
-        try:
-            b = bas.build_basis(config, lam)
-        except _FLAGGABLE as exc:
-            flagged.append((i, lam, f"{type(exc).__name__}: {exc}"))
-            return
+    def row(i, lam):
+        b = bas.build_basis(config, lam)
         total = np.zeros(config.r, dtype=complex)
         for m, (xs, _ws) in enumerate(rules):
             if xs.size == 0:
                 continue
             ustar = bas.u_star_on_layer(b, m, xs)
-            total += np.einsum("nij,nj->i", ustar, weighted_f[m], optimize=True)
+            total += np.einsum("nij,nj->i", ustar, weighted_f[m])
             if m == len(rules) - 1:
-                tail = np.einsum(
-                    "nij,nj->i", ustar[-order:], weighted_f[m][-order:], optimize=True
-                )
+                tail = np.einsum("nij,nj->i", ustar[-order:], weighted_f[m][-order:])
                 tails[i] = np.linalg.norm(tail)
         total += boundary_term
         for k in range(1, config.n_layers):
@@ -144,32 +228,11 @@ def forward_transform(config, f, spec, lambdas=None, n_workers=None):
             wk = bas.w_on_layer(b, k - 1, [lk])[0]
             vk = linalg.right_solve(wk, m1)
             total += vk @ (g2[k - 1] @ tr_right[k - 1] - g1[k - 1] @ tr_left[k - 1])
-        values[i] = total
+        return total
 
-    workers = _n_workers(n_workers)
-    if workers == 1:
-        for i in range(lams.size):
-            do_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rng: [do_row(i) for i in rng], _chunks(lams.size, workers)))
-
-    if flagged and len(flagged) == lams.size:
-        raise RegularityViolation(
-            f"every spectral point is degenerate; first: {flagged[0][2]}",
-            lam=flagged[0][1],
-        )
-
-    meta = {
-        "canonical": canonical,
-        "xi_tail_estimate": float(np.nanmax(tails)) if lams.size else 0.0,
-        "flagged": sorted(flagged),
-    }
-    if canonical:
-        meta["weights"] = grid.weights
-        meta["n_panels"] = grid.n_panels
-        meta["order"] = grid.order
-    return SpectralImage(lambdas=lams, values=values, meta=meta)
+    image = _spectral_forward(config, spec, lambdas, n_workers, config.r, row)
+    image.meta["xi_tail_estimate"] = float(np.nanmax([0.0, *tails.values()]))
+    return image
 
 
 INVERSION_CONSTANT = -1.0 / (math.pi * 1j)
@@ -218,81 +281,10 @@ def inverse_transform(config, image, x_points, spec, n_workers=None):
         raise DimensionMismatch(
             f"image has {image.k} components, problem has r = {config.r}", block="image"
         )
-    grid = quad.lambda_grid(config, spec)
-    if image.lambdas.size != grid.nodes.size or not np.allclose(
-        image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
-    ):
-        raise InvariantViolation(
-            "image is not sampled on the canonical spectral grid of this problem and "
-            "quadrature spec; regenerate it with forward_transform under the same spec"
-        )
-
-    keep = np.all(np.isfinite(image.values.real) & np.isfinite(image.values.imag), axis=1)
-    dropped = np.where(~keep)[0]
-    lams = image.lambdas[keep]
-    fhat = image.values[keep]
-    wlam = grid.weights[keep]
-    if lams.size == 0:
-        raise EmptyImage("all image rows are flagged")
-
-    per_layer = _normalize_x_points(config, x_points, spec)
-
-    # accumulate T[m][i_lam, i_x, :] = u(x, lam) @ image(lam)
-    acc = [np.zeros((lams.size, xs.size, config.r), dtype=complex) for xs in per_layer]
-
-    def do_row(i):
-        b = bas.build_basis(config, lams[i])
-        for m, xs in enumerate(per_layer):
-            if xs.size == 0:
-                continue
-            uvals = bas.u_on_layer(b, m, xs)
-            acc[m][i] = np.einsum("nij,j->ni", uvals, fhat[i], optimize=True)
-
-    workers = _n_workers(n_workers)
-    if workers == 1:
-        for i in range(lams.size):
-            do_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda rng: [do_row(i) for i in rng], _chunks(lams.size, workers)))
-
-    taus = spec.tau_schedule
-    damped = []
-    for tau in taus:
-        coeff = wlam * lams * np.exp(-tau * lams)
-        damped.append(
-            [INVERSION_CONSTANT * np.einsum("l,lnr->nr", coeff, a, optimize=True)
-             if a.size else np.zeros((0, config.r), dtype=complex) for a in acc]
-        )
-
-    for a, b_ in zip(damped, damped[1:]):
-        gap = max(
-            (float(np.max(np.abs(x - y))) if x.size else 0.0) for x, y in zip(a, b_)
-        )
-        if gap > spec.tail_tolerance:
-            raise NonConvergentTail(
-                f"successive tau-damped inversion integrals differ by {gap:.3g} "
-                f"(> {spec.tail_tolerance}); spectral tail not integrable at this resolution"
-            )
-
-    layers_out = []
-    tau_err = 0.0
-    for m, xs in enumerate(per_layer):
-        if xs.size == 0:
-            layers_out.append(
-                LayerSamples(x=np.empty(0), values=np.zeros((0, config.r), dtype=complex))
-            )
-            continue
-        limit, err = quad.neville_to_zero(taus, [d[m] for d in damped])
-        tau_err = max(tau_err, float(np.max(err)))
-        layers_out.append(LayerSamples(x=xs, values=limit))
-
-    meta = {
-        "tau_error_estimate": tau_err,
-        "dropped_rows": dropped.tolist(),
-        "junction_abscissae": [config.left_end] + list(config.junctions),
-    }
-    return PiecewiseGridFunction(layers=layers_out, traces={}, meta=meta)
+    return _spectral_inverse(
+        config, image, x_points, spec, n_workers, INVERSION_CONSTANT,
+        lambda lam: bas.build_basis(config, lam), lambda b, m, xs: bas.u_on_layer(b, m, xs),
+    )
 
 
 @dataclass(frozen=True)
@@ -306,6 +298,7 @@ class RoundtripReport:
     l2_input: float
     tau_error_estimate: float
     n_flagged: int
+    reconstruction: PiecewiseGridFunction = field(repr=False, compare=False)
 
     @property
     def l2_relative(self):
@@ -325,16 +318,24 @@ class RoundtripReport:
 
 
 def roundtrip_report(config, f, spec, n_workers=None):
-    """Transform f forward, invert, and report reconstruction errors."""
-    image = forward_transform(config, f, spec, n_workers=n_workers)
-    window = [
-        ls.x[ls.x <= spec.x_max * (1 + 1e-12)] for ls in f.layers
-    ]
-    recon = inverse_transform(config, image, window, spec, n_workers=n_workers)
+    """Transform f forward, invert, and report reconstruction errors.
+
+    Serves both geometries; the report carries the reconstruction on the
+    sample abscissae of f within |x| <= x_max.
+    """
+    if config.mode == SEMI_AXIS:
+        forward, inverse = forward_transform, inverse_transform
+    else:
+        from . import axis  # imported here: axis imports this module
+
+        forward, inverse = axis.scalar_axis_forward, axis.scalar_axis_inverse
+    image = forward(config, f, spec, n_workers=n_workers)
+    window = [ls.x[np.abs(ls.x) <= spec.x_max * (1 + 1e-12)] for ls in f.layers]
+    recon = inverse(config, image, window, spec, n_workers=n_workers)
 
     l2s, sups = [], []
     l2_in_sq = 0.0
-    for m, (ls, xs) in enumerate(zip(f.layers, window)):
+    for m, xs in enumerate(window):
         ref = f.values_on(m, xs) if xs.size else np.zeros((0, config.r), dtype=complex)
         diff = recon.layers[m].values - ref
         if xs.size >= 2:
@@ -354,4 +355,5 @@ def roundtrip_report(config, f, spec, n_workers=None):
         l2_input=math.sqrt(l2_in_sq),
         tau_error_estimate=recon.meta["tau_error_estimate"],
         n_flagged=len(image.meta.get("flagged", ())),
+        reconstruction=recon,
     )

@@ -1,12 +1,20 @@
+import csv
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import yaml
 
+from layerft import axis as ax
+from layerft import catalog as cat
+from layerft import cli
+from layerft import transform as tr
 from layerft.configio import emit_config, parse_config
 from layerft.errors import DimensionMismatch, InvariantViolation, ParseError
 from layerft.problem import Interface
+from layerft.quadrature import QuadratureSpec
 
 from conftest import config_path
 
@@ -102,6 +110,31 @@ boundary: {beta0: 0.0}
 """
     with pytest.raises(InvariantViolation):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tail_tolerance", ".nan"),
+        ("tau_schedule", "[1.0e-2, .nan]"),
+        ("lambda_steps", ".nan"),
+        ("lambda_steps", "100.5"),
+        ("x_max", ".inf"),
+    ],
+)
+def test_nonfinite_or_fractional_quadrature_rejected(tmp_path, key, value):
+    text = (
+        "problem: {r: 1}\nlayers: [{left: 0.0, right: inf, a2: 1.0}]\n"
+        f"boundary: {{dirichlet: true}}\nquadrature: {{{key}: {value}}}\n"
+    )
+    with pytest.raises(ParseError):
+        parse_config(text)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert cli.main(["emit", "--config", str(bad)]) == 3
+    parsed = yaml.safe_load(value)
+    with pytest.raises(InvariantViolation):
+        QuadratureSpec(**{key: tuple(parsed) if isinstance(parsed, list) else parsed})
 
 
 def test_yaml_error_carries_location():
@@ -245,3 +278,35 @@ def test_cli_tau_flag_parses(tmp_path):
     r = run_cli("forward", "--config", config_path("sine"), "--input", "gauss_bump",
                 "--output", str(tmp_path / "o.csv"), "--tau", "oops")
     assert r.returncode == 3
+
+
+@pytest.mark.parametrize("name", ["twolayer", "fullaxis_twolayer"])
+def test_cli_roundtrip_writes_reconstruction(tmp_path, monkeypatch, name):
+    cfg, spec = parse_config(config_path(name))
+    spec = dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
+    module, attr = (tr, "forward_transform") if cfg.mode == "semi-axis" else (ax, "scalar_axis_forward")
+    forward = getattr(module, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    out = tmp_path / "recon.csv"
+    rc = cli.main(["roundtrip", "--config", config_path(name), "--input", "gauss_bump",
+                   "--lambda-max", "10", "--lambda-steps", "200", "--output", str(out)])
+    assert rc == 0
+    assert len(calls) == 1
+
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max,
+                             samples_per_layer=401)
+    recon = tr.roundtrip_report(cfg, f, spec).reconstruction
+    with open(out, newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["trace_side"] == ""]
+    x = np.concatenate([ls.x for ls in recon.layers])
+    values = np.concatenate([ls.values[:, 0] for ls in recon.layers])
+    assert np.array_equal([float(row["x"]) for row in rows], x)
+    assert np.array_equal([complex(float(row["re_1"]), float(row["im_1"])) for row in rows], values)
+    reference = np.concatenate([f.values_on(m, ls.x)[:, 0] for m, ls in enumerate(recon.layers)])
+    assert np.max(np.abs(values - reference)) <= 1e-2

@@ -4,12 +4,15 @@ import os
 import numpy as np
 import pytest
 
+from layerft import axis as ax
 from layerft import catalog as cat
+from layerft import radial as rad
 from layerft import transform as tr
 from layerft.errors import (
     DimensionMismatch,
     EmptyImage,
     InvariantViolation,
+    NonConvergentTail,
     RegularityViolation,
     WrongMode,
 )
@@ -20,9 +23,20 @@ from layerft.gridfn import (
     write_image_csv,
 )
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet
-from layerft.quadrature import lambda_grid
+from layerft.quadrature import QuadratureSpec, lambda_grid
 
 from conftest import odd_gaussian_deriv, odd_gaussian_function
+
+
+def geometry_pair(load, geometry):
+    """(config, spec, f, forward, inverse, window) for one geometry of the driver."""
+    if geometry == "semi-axis":
+        cfg, spec = load("sine")
+        f = odd_gaussian_function()
+        return cfg, spec, f, tr.forward_transform, tr.inverse_transform, (0.0, 6.0)
+    cfg, spec = load("fullaxis_twolayer")
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
+    return cfg, spec, f, ax.scalar_axis_forward, ax.scalar_axis_inverse, (-6.0, 6.0)
 
 
 def test_forward_matches_classical_sine_image(load):
@@ -41,13 +55,13 @@ def test_roundtrip_single_layer(load):
     assert rep.n_flagged == 0
 
 
-def test_inverse_requires_matching_grid(load):
-    cfg, spec = load("sine")
-    f = odd_gaussian_function()
-    img = tr.forward_transform(cfg, f, spec)
+@pytest.mark.parametrize("geometry", ["semi-axis", "full-axis"])
+def test_inverse_requires_matching_grid(load, geometry):
+    cfg, spec, f, forward, inverse, (lo, hi) = geometry_pair(load, geometry)
+    img = forward(cfg, f, spec)
     clipped = dataclasses.replace(img, lambdas=img.lambdas[:-1], values=img.values[:-1])
     with pytest.raises(InvariantViolation):
-        tr.inverse_transform(cfg, clipped, [np.linspace(0, 5, 8)], spec)
+        inverse(cfg, clipped, np.linspace(lo, 5, 8), spec)
 
 
 def test_forward_on_explicit_lambda_grid(load):
@@ -219,17 +233,47 @@ def test_empty_image_rejected(load):
         tr.inverse_transform(cfg, nan_img, [np.linspace(0, 3, 5)], spec)
 
 
-def test_inverse_reports_dropped_rows(load):
-    cfg, spec = load("sine")
+@pytest.mark.parametrize("geometry", ["semi-axis", "full-axis"])
+def test_inverse_reports_dropped_rows(load, geometry):
+    cfg, spec, f, forward, inverse, (lo, hi) = geometry_pair(load, geometry)
     spec = dataclasses.replace(spec, lambda_steps=150, lambda_max=12.0)
-    f = odd_gaussian_function()
-    img = tr.forward_transform(cfg, f, spec)
+    img = forward(cfg, f, spec)
     vals = img.values.copy()
     vals[7] = np.nan
     marked = dataclasses.replace(img, values=vals)
-    xs = np.linspace(0.0, 6.0, 61)
-    recon = tr.inverse_transform(cfg, marked, [xs], spec)
+    xs = np.linspace(lo, hi, 61)
+    recon = inverse(cfg, marked, xs, spec)
     assert recon.meta["dropped_rows"] == [7]
     # one dropped quadrature node barely perturbs the reconstruction
-    clean = tr.inverse_transform(cfg, img, [xs], spec)
-    assert np.max(np.abs(recon.layers[0].values - clean.layers[0].values)) <= 1e-2
+    clean = inverse(cfg, img, xs, spec)
+    for a, b in zip(recon.layers, clean.layers):
+        assert np.max(np.abs(a.values - b.values), initial=0.0) <= 1e-2
+
+
+@pytest.mark.parametrize("case", ["twolayer", "fullaxis_twolayer", "radial_n3"])
+def test_tail_guard_raises_nonconvergent_tail(load, case):
+    # at this resolution successive damping levels differ by about 1e-2; a
+    # tail tolerance far below that must trip the guard in every geometry
+    if case == "radial_n3":
+        spec = QuadratureSpec(lambda_max=10.0, lambda_steps=200)
+        prof = rad.RadialProfile(n=3, fn=lambda rho: np.exp(-0.5 * rho**2), rho_max=30.0)
+        img = rad.forward_nd_image(prof, spec)
+
+        def invert(s):
+            return rad.inverse_nd(img, s)
+    else:
+        cfg, spec = load(case)
+        spec = dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
+        f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
+        forward, inverse = (
+            (tr.forward_transform, tr.inverse_transform) if cfg.mode == "semi-axis"
+            else (ax.scalar_axis_forward, ax.scalar_axis_inverse)
+        )
+        img = forward(cfg, f, spec)
+
+        def invert(s):
+            return inverse(cfg, img, np.linspace(0.0, 4.0, 9), s)
+
+    invert(spec)
+    with pytest.raises(NonConvergentTail):
+        invert(dataclasses.replace(spec, tail_tolerance=1e-12))
