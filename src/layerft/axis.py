@@ -202,7 +202,7 @@ def symmetry_defect(ab, xs):
     return float(np.max(np.abs(n - n.T)) / scale)
 
 
-def scalar_axis_forward(config, f, spec, lambdas=None, n_workers=None):
+def scalar_axis_forward(config, f, spec, lambdas=None):
     """Two-branch image of a scalar function on the full axis."""
     if config.mode != FULL_AXIS:
         raise WrongMode("scalar_axis_forward needs a full-axis problem; "
@@ -221,10 +221,10 @@ def scalar_axis_forward(config, f, spec, lambdas=None, n_workers=None):
                 total += axis_u_star_on_layer(ab, m, xs).T @ weighted_f[m]
         return total
 
-    return _spectral_forward(config, spec, lambdas, n_workers, 2, row)
+    return _spectral_forward(config, spec, lambdas, 2, row)
 
 
-def scalar_axis_inverse(config, image, x_points, spec, n_workers=None):
+def scalar_axis_inverse(config, image, x_points, spec):
     """Reconstruct a scalar function on the full axis from its two-branch image."""
     if config.mode != FULL_AXIS:
         raise WrongMode("scalar_axis_inverse needs a full-axis problem; "
@@ -234,7 +234,7 @@ def scalar_axis_inverse(config, image, x_points, spec, n_workers=None):
             f"full-axis image must have two branches, got {image.k}", block="image"
         )
     return _spectral_inverse(
-        config, image, x_points, spec, n_workers, AXIS_INVERSION_CONSTANT,
+        config, image, x_points, spec, AXIS_INVERSION_CONSTANT,
         lambda lam: build_axis_basis(config, lam),
         lambda ab, m, xs: axis_u_on_layer(ab, m, xs)[:, None, :],
     )

@@ -1,11 +1,13 @@
 """Kernel families for layered problems on the semi-axis.
 
 Within layer m the building blocks are the bounded exponential families
-exp(+/- i q_m (x - c_m)) with q_m = principal_sqrt(a2_m^{-1} (lam^2 E + g2_m)).
-Each layer is centered at its own junction (c_m = right endpoint for interior
-layers, c = l_n for the unbounded tail layer) so the recursion below never
-evaluates a matrix exponential at large argument and the tail layer carries
-the reference normalization exactly.
+exp(+/- i q_m (x - c_m)), where q_m = V diag(mu) V^{-1} with mu > 0 squares
+to a2_m^{-1} (lam^2 E + g2_m) and comes from one eigh (compute_wavenumber),
+so every exponential is diagonal in V.  Each layer is centered at its own
+junction (c_m = right endpoint for interior layers, c = l_n for the
+unbounded tail layer) so the recursion below never evaluates a matrix
+exponential at large argument and the tail layer carries the reference
+normalization exactly.
 
 Two r x r matrix solution families Phi (normalized to exp(+iq(x - l_n)) in
 the tail) and Psi (normalized to exp(-iq(x - l_n))) are propagated from the
@@ -26,10 +28,17 @@ construction.  The dual kernel is carried by the row function
 
     w(x) = (Phi0, Psi0) Omega(x)^{-1},     Omega = [[Phi, Psi], [Phi', Psi']],
 
-through u*(x) = w_2(x) a2^{-1}; w obeys w' = (w_2 q^2, -w_1), so u* solves the
-formally adjoint equation exactly, satisfies the a2-weighted dual junction
-relations w^(k) M_1k^{-1} = w^(k+1) M_2k^{-1}, and w(l_0) reproduces the
-boundary coefficient row identically.
+through u*(x) = w_2(x) a2^{-1}.  On layer m, Omega(x) = [[E, E], [iq, -iq]]
+diag(e^{iqs}, e^{-iqs}) coef with s = x - c_m, so with (G_1, G_2) =
+(Phi0, Psi0) coef^{-1}
+
+    w(x) = 1/2 (G_1 e^{-iqs} + G_2 e^{iqs}, (G_1 e^{-iqs} - G_2 e^{iqs}) (iq)^{-1}):
+
+one solve per layer, after which w costs what u costs.  w obeys
+w' = (w_2 q^2, -w_1), so u* solves the formally adjoint equation exactly,
+satisfies the a2-weighted dual junction relations
+w^(k) M_1k^{-1} = w^(k+1) M_2k^{-1}, and w(l_0) reproduces the boundary
+coefficient row identically.
 """
 
 from dataclasses import dataclass
@@ -47,23 +56,30 @@ from .errors import (
 from .linalg import RCOND_FLOOR
 from .problem import SEMI_AXIS
 
-_EIG_COND_MAX = 1e10
+
+def _wavenumber_eig(a2, g2, lam):
+    """(mu, V, V^{-1}) with a2^{-1} (lam^2 E + g2) = V diag(mu^2) V^{-1}, mu > 0.
+
+    With a2 = L L^H, L^{-1} (lam^2 E + g2) L^{-H} = U diag(mu^2) U^H is
+    Hermitian positive-definite; V = L^{-H} U and V^{-1} = U^H L^H.
+    """
+    chol = np.linalg.cholesky(a2)
+    chol_inv = np.linalg.inv(chol)
+    mu2, u = np.linalg.eigh(chol_inv @ (lam**2 * np.eye(a2.shape[0]) + g2) @ chol_inv.conj().T)
+    return np.sqrt(mu2), chol_inv.conj().T @ u, u.conj().T @ chol.conj().T
 
 
 def compute_wavenumber(layer, lam):
     """Principal square root q = sqrt(a2^{-1} (lam^2 E + g2)) for one layer.
 
-    The spectrum of a2^{-1}(lam^2 E + g2) is that of the Hermitian positive-
-    definite a^{-1}(lam^2 E + g2)a^{-1}, so the principal branch is always
-    defined for lam > 0 and q has positive real eigenvalues.
+    For lam > 0 the spectrum is positive and real (_wavenumber_eig).
     """
     if lam <= 0:
         raise InvariantViolation(f"spectral parameter must be positive, got {lam}")
-    a2 = np.asarray(layer.a2, dtype=complex)
-    g2 = np.asarray(layer.g2, dtype=complex)
-    r = a2.shape[0]
-    m = np.linalg.solve(a2, lam**2 * np.eye(r) + g2)
-    return linalg.principal_sqrt(m)
+    mu, v, vinv = _wavenumber_eig(
+        np.asarray(layer.a2, dtype=complex), np.asarray(layer.g2, dtype=complex), lam
+    )
+    return (v * mu) @ vinv
 
 
 @dataclass
@@ -72,10 +88,9 @@ class _LayerKernels:
 
     q: np.ndarray          # r x r wavenumber block
     q2: np.ndarray         # a2^{-1} (lam^2 E + g2), exact (not q @ q)
-    a2: np.ndarray
     a2inv: np.ndarray
     center: float
-    eig: tuple             # (mu, V, Vinv) or None when badly conditioned
+    eig: tuple             # (mu, V, Vinv): q = V diag(mu) Vinv, mu > 0
     coef: np.ndarray       # 2r x 2r [[C+, D+], [C-, D-]]: columns Phi | Psi
 
 
@@ -103,21 +118,11 @@ class SpectralBasisAtLambda:
         return c[:r, :r], c[r:, :r], c[:r, r:], c[r:, r:]
 
 
-def _eig_cache(q):
-    mu, v = np.linalg.eig(q)
-    if np.linalg.cond(v) > _EIG_COND_MAX:
-        return None
-    return mu, v, np.linalg.inv(v)
-
-
 def _exp_iqs(ld, s, sign):
     """exp(sign * i * q * s_i) for each s_i, shape (N, r, r)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if ld.eig is not None:
-        mu, v, vinv = ld.eig
-        phases = np.exp(sign * 1j * mu[None, :] * s[:, None])
-        return np.einsum("ij,nj,jk->nik", v, phases, vinv, optimize=True)
-    return np.stack([linalg.matrix_exp(sign * 1j * ld.q * si) for si in s])
+    mu, v, vinv = ld.eig
+    return (v * np.exp(sign * 1j * mu * s[:, None])[:, None, :]) @ vinv
 
 
 def _omega_stack(ld, xs, r):
@@ -155,17 +160,14 @@ def build_basis(config, lam, rcond_floor=RCOND_FLOOR):
     for m, layer in enumerate(config.layers):
         a2 = np.asarray(layer.a2, dtype=complex)
         g2 = np.asarray(layer.g2, dtype=complex)
-        q2 = np.linalg.solve(a2, lam**2 * E + g2)
-        q = linalg.principal_sqrt(q2)
-        center = layer.right if m < L - 1 else layer.left
+        mu, v, vinv = _wavenumber_eig(a2, g2, lam)
         lds.append(
             _LayerKernels(
-                q=q,
-                q2=q2,
-                a2=a2,
+                q=(v * mu) @ vinv,
+                q2=np.linalg.solve(a2, lam**2 * E + g2),
                 a2inv=np.linalg.inv(a2),
-                center=center,
-                eig=_eig_cache(q),
+                center=layer.right if m < L - 1 else layer.left,
+                eig=(mu, v, vinv),
                 coef=np.eye(2 * r, dtype=complex),
             )
         )
@@ -238,22 +240,25 @@ def u_on_layer(basis, m, xs, order=0):
 
 
 def w_on_layer(basis, m, xs, rcond_floor=RCOND_FLOOR):
-    """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m: (N, r, 2r)."""
+    """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m: (N, r, 2r).
+
+    Closed form of the module docstring.  Omega(x) is singular exactly when
+    coef is, so rcond(coef) is the one gate.
+    """
     r = basis.r
-    omega = _omega_stack(basis.layers[m], xs, r)
-    sv = np.linalg.svd(omega, compute_uv=False)
-    rc = sv[:, -1] / np.where(sv[:, 0] > 0, sv[:, 0], 1.0)
-    bad = np.where((rc < rcond_floor) | ~np.isfinite(rc))[0]
-    if bad.size:
-        xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-        raise OmegaSingular(
-            f"fundamental matrix numerically singular at x = {xs_arr[bad[0]]}, "
-            f"lam = {basis.lam} (rcond {rc[bad[0]]:.2e})"
-        )
-    func_row = np.hstack([basis.phi0, basis.psi0])
-    rhs = np.broadcast_to(func_row.T, omega.shape[:1] + (2 * r, r))
-    wt = np.linalg.solve(omega.transpose(0, 2, 1), rhs)
-    return wt.transpose(0, 2, 1)
+    ld = basis.layers[m]
+    mu, v, vinv = ld.eig
+    g = linalg.right_solve(
+        np.hstack([basis.phi0, basis.psi0]), ld.coef, rcond_floor, err=OmegaSingular,
+        context=f"fundamental matrix of layer {m} at lam = {basis.lam}",
+    )
+    s = np.atleast_1d(np.asarray(xs, dtype=float)) - ld.center
+    em = (g[:, :r] @ v) * np.exp(-1j * mu * s[:, None])[:, None, :]
+    ep = (g[:, r:] @ v) * np.exp(1j * mu * s[:, None])[:, None, :]
+    w = np.empty((s.size, r, 2 * r), dtype=complex)
+    w[:, :, :r] = (em + ep) @ (0.5 * vinv)
+    w[:, :, r:] = (em - ep) @ (vinv / (2j * mu[:, None]))
+    return w
 
 
 def u_star_on_layer(basis, m, xs, order=0):

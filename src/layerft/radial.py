@@ -204,6 +204,11 @@ def inverse_nd(image, spec, n=None):
         weights = np.asarray(weights, dtype=float)
 
     limit, _err = damped_limit(spec, lams, weights * lams ** (0.5 * n), image.values[:, :1])
+    if not np.isfinite(limit[0]):
+        # a non-finite row defeats the tail guard (NaN compares false); find it only now
+        bad = np.flatnonzero(~np.isfinite(image.values[:, 0]))
+        where = f"image row {bad[0]} (lam = {lams[bad[0]]:.6g})" if bad.size else "the damped sum"
+        raise InvariantViolation(f"radial inversion: {where} is not finite")
     return complex(limit[0])
 
 

@@ -17,14 +17,12 @@ QuadratureSpec tau schedule and Neville-extrapolated to tau = 0.
 Both directions use the canonical composite Gauss-Legendre grid of the
 (config, spec) pair; the inverse refuses images sampled elsewhere, because
 its quadrature weights are tied to that grid.  _spectral_forward and
-_spectral_inverse own that grid, the loop over spectral points with its
-worker pool, flagging and the damped inversion for the semi-axis and the
-full-axis pair (axis.py) alike; each geometry supplies only its kernels.
+_spectral_inverse own that grid, the loop over spectral points, flagging
+and the damped inversion for the semi-axis and the full-axis pair (axis.py)
+alike; each geometry supplies only its kernels.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,30 +45,7 @@ from .problem import SEMI_AXIS
 _FLAGGABLE = (RegularityViolation, DegenerateBoundary)
 
 
-def _n_workers(n_workers):
-    if n_workers is not None:
-        return max(1, int(n_workers))
-    env = os.environ.get("LAYERFT_WORKERS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def _for_each_row(do_row, n, n_workers):
-    """Run do_row(i) for i in range(n), in contiguous chunks over the worker pool."""
-    workers = min(_n_workers(n_workers), max(1, n))
-    if workers == 1:
-        for i in range(n):
-            do_row(i)
-        return
-    edges = np.linspace(0, n, workers + 1).astype(int)
-    chunks = [range(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda rng: [do_row(i) for i in rng], chunks))
-
-
-def _spectral_forward(config, spec, lambdas, n_workers, width, row):
+def _spectral_forward(config, spec, lambdas, width, row):
     """Image rows row(i, lam), each of length width, on a spectral grid.
 
     The grid is the canonical one of (config, spec), or the explicit
@@ -92,21 +67,18 @@ def _spectral_forward(config, spec, lambdas, n_workers, width, row):
 
     values = np.full((lams.size, width), np.nan, dtype=complex)
     flagged = []
-
-    def do_row(i):
+    for i, lam in enumerate(lams):
         try:
-            values[i] = row(i, lams[i])
+            values[i] = row(i, lam)
         except _FLAGGABLE as exc:
-            flagged.append((i, lams[i], f"{type(exc).__name__}: {exc}"))
-
-    _for_each_row(do_row, lams.size, n_workers)
+            flagged.append((i, lam, f"{type(exc).__name__}: {exc}"))
     if len(flagged) == lams.size:
         raise RegularityViolation(
             f"every spectral point is degenerate; first: {flagged[0][2]}",
             lam=flagged[0][1],
         )
 
-    meta = {"canonical": canonical, "flagged": sorted(flagged)}
+    meta = {"canonical": canonical, "flagged": flagged}
     if canonical:
         meta["weights"] = grid.weights
         meta["n_panels"] = grid.n_panels
@@ -114,7 +86,7 @@ def _spectral_forward(config, spec, lambdas, n_workers, width, row):
     return SpectralImage(lambdas=lams, values=values, meta=meta)
 
 
-def _spectral_inverse(config, image, x_points, spec, n_workers, constant, build, u_on_layer):
+def _spectral_inverse(config, image, x_points, spec, constant, build, u_on_layer):
     """constant * integral over lam > 0 of lam u(x, lam) image(lam) at x_points.
 
     build(lam) returns the kernel data at one spectral point and
@@ -144,14 +116,11 @@ def _spectral_inverse(config, image, x_points, spec, n_workers, constant, build,
 
     # acc[i_lam, i_x, :] = constant * u(x, lam) @ image(lam), layers side by side
     acc = np.zeros((lams.size, edges[-1], config.r), dtype=complex)
-
-    def do_row(i):
-        b = build(lams[i])
+    for i, lam in enumerate(lams):
+        b = build(lam)
         for m, xs in enumerate(per_layer):
             if xs.size:
                 acc[i, edges[m]:edges[m + 1]] = u_on_layer(b, m, xs) @ fhat[i]
-
-    _for_each_row(do_row, lams.size, n_workers)
     limit, err = quad.damped_limit(spec, lams, grid.weights[keep] * lams, acc)
 
     layers_out = [
@@ -175,7 +144,7 @@ def _junction_traces(config, f):
     return left, right
 
 
-def forward_transform(config, f, spec, lambdas=None, n_workers=None):
+def forward_transform(config, f, spec, lambdas=None):
     """Transform a sampled function; returns its image on the canonical grid.
 
     lambdas overrides the spectral abscissae (no weights are attached and the
@@ -230,7 +199,7 @@ def forward_transform(config, f, spec, lambdas=None, n_workers=None):
             total += vk @ (g2[k - 1] @ tr_right[k - 1] - g1[k - 1] @ tr_left[k - 1])
         return total
 
-    image = _spectral_forward(config, spec, lambdas, n_workers, config.r, row)
+    image = _spectral_forward(config, spec, lambdas, config.r, row)
     image.meta["xi_tail_estimate"] = float(np.nanmax([0.0, *tails.values()]))
     return image
 
@@ -266,7 +235,7 @@ def _normalize_x_points(config, x_points, spec):
     return per_layer
 
 
-def inverse_transform(config, image, x_points, spec, n_workers=None):
+def inverse_transform(config, image, x_points, spec):
     """Reconstruct a function from its image on the canonical spectral grid.
 
     x_points is either a flat array (points are routed to layers, junction
@@ -282,7 +251,7 @@ def inverse_transform(config, image, x_points, spec, n_workers=None):
             f"image has {image.k} components, problem has r = {config.r}", block="image"
         )
     return _spectral_inverse(
-        config, image, x_points, spec, n_workers, INVERSION_CONSTANT,
+        config, image, x_points, spec, INVERSION_CONSTANT,
         lambda lam: bas.build_basis(config, lam), lambda b, m, xs: bas.u_on_layer(b, m, xs),
     )
 
@@ -317,7 +286,7 @@ class RoundtripReport:
         return "\n".join(lines)
 
 
-def roundtrip_report(config, f, spec, n_workers=None):
+def roundtrip_report(config, f, spec):
     """Transform f forward, invert, and report reconstruction errors.
 
     Serves both geometries; the report carries the reconstruction on the
@@ -329,9 +298,9 @@ def roundtrip_report(config, f, spec, n_workers=None):
         from . import axis  # imported here: axis imports this module
 
         forward, inverse = axis.scalar_axis_forward, axis.scalar_axis_inverse
-    image = forward(config, f, spec, n_workers=n_workers)
+    image = forward(config, f, spec)
     window = [ls.x[np.abs(ls.x) <= spec.x_max * (1 + 1e-12)] for ls in f.layers]
-    recon = inverse(config, image, window, spec, n_workers=n_workers)
+    recon = inverse(config, image, window, spec)
 
     l2s, sups = [], []
     l2_in_sq = 0.0

@@ -1,6 +1,9 @@
 """Shared fixtures plus a terminal summary line per acceptance criterion."""
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ from layerft.configio import parse_config
 from layerft.gridfn import LayerSamples, PiecewiseGridFunction
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 _acceptance_outcome = {}
 _acceptance_doc = {}
@@ -17,6 +21,14 @@ _acceptance_doc = {}
 
 def config_path(name):
     return str(CONFIG_DIR / f"{name}.cfg")
+
+
+def run_cli(*args):
+    """Run `python -m layerft args` on this checkout's src/, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "layerft", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,6 @@ contractual — do not loosen them to make a failing build green.
 """
 
 import dataclasses
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -30,7 +28,7 @@ from layerft.errors import (
 from layerft.problem import Layer, ProblemConfig, dirichlet, ideal_contact
 from layerft.quadrature import lambda_grid
 
-from conftest import config_path, odd_gaussian_function
+from conftest import config_path, odd_gaussian_function, run_cli
 
 SWEEP = np.linspace(0.1, 20.0, 40)
 
@@ -112,11 +110,9 @@ def test_criterion_04_regularity_gate(load, tmp_path):
     with pytest.raises(RegularityViolation):
         tr.forward_transform(cfg, f, spec, lambdas=np.array([0.7, 1.9]))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "layerft", "forward",
-         "--config", config_path("singular"), "--input", "gauss_bump",
-         "--output", str(tmp_path / "img.csv"), "--lambda-steps", "50"],
-        capture_output=True, text=True, timeout=300,
+    proc = run_cli(
+        "forward", "--config", config_path("singular"), "--input", "gauss_bump",
+        "--output", str(tmp_path / "img.csv"), "--lambda-steps", "50",
     )
     assert proc.returncode == 4
 

@@ -99,6 +99,43 @@ def test_wavenumber_relation_is_exact(load):
         assert np.max(np.abs(lhs - (lam**2 * np.eye(2) + layer.g2))) <= 1e-12 * lam**2
 
 
+def random_psd(rng, r, rank):
+    m = rng.normal(size=(r, rank)) + 1j * rng.normal(size=(r, rank))
+    return m @ m.conj().T
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_hermitian_wavenumber_squares_back(r):
+    # a2 HPD and g2 PSD (full rank, rank-deficient, zero) need not commute
+    rng = np.random.default_rng(7 + r)
+    for rank in sorted({0, r - 1, r}):
+        for lam in (1e-4, 3e-2, 0.7, 5.0, 40.0):
+            a2 = random_psd(rng, r, r) + 0.1 * np.eye(r)
+            g2 = random_psd(rng, r, rank)
+            q = bas.compute_wavenumber(Layer(left=0.0, right=1.0, a2=a2, g2=g2), lam)
+            q2 = np.linalg.solve(a2, lam**2 * np.eye(r) + g2)
+            assert np.linalg.norm(q @ q - q2) <= 1e-12 * np.linalg.norm(q2)
+            mu = np.linalg.eigvals(q)
+            assert np.max(np.abs(mu.imag)) <= 1e-9 * np.max(np.abs(mu))
+            assert np.min(mu.real) > 0
+
+
+@pytest.mark.parametrize("name", ["threelayer_r2", "lambda_interface"])
+def test_dual_row_function_matches_definition(load, name):
+    # oracle: w = (Phi0, Psi0) Omega^{-1} solved node by node
+    cfg, _ = load(name)
+    for lam in (0.05, 3.3, 11.9):
+        b = bas.build_basis(cfg, lam)
+        func_row = np.hstack([b.phi0, b.psi0])
+        for m, layer in enumerate(cfg.layers):
+            right = layer.right if np.isfinite(layer.right) else layer.left + 4.0
+            xs = np.linspace(layer.left, right, 13)
+            omega = bas._omega_stack(b.layers[m], xs, cfg.r)
+            ref = np.linalg.solve(omega.transpose(0, 2, 1), func_row.T).transpose(0, 2, 1)
+            w = bas.w_on_layer(b, m, xs)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_singular_interface_raises(load):
     cfg, _ = load("singular")
     with pytest.raises(RegularityViolation) as exc:

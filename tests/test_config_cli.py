@@ -1,7 +1,5 @@
 import csv
 import dataclasses
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,7 +14,7 @@ from layerft.errors import DimensionMismatch, InvariantViolation, ParseError
 from layerft.problem import Interface
 from layerft.quadrature import QuadratureSpec
 
-from conftest import config_path
+from conftest import config_path, run_cli
 
 ALL_CONFIGS = [
     "sine",
@@ -28,11 +26,6 @@ ALL_CONFIGS = [
     "singular",
     "lambda_interface",
 ]
-
-
-def run_cli(*args, env=None):
-    cmd = [sys.executable, "-m", "layerft", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
 
 
 @pytest.mark.parametrize("name", ALL_CONFIGS)
@@ -240,22 +233,6 @@ def test_cli_emit_roundtrip(tmp_path):
     assert r.returncode == 0, r.stderr
     cfg, _ = parse_config(str(out))
     assert cfg.r == 2 and cfg.n_layers == 3
-
-
-def test_cli_workers_env_deterministic(tmp_path):
-    import os
-
-    base = dict(os.environ)
-    outs = []
-    for workers in ("1", "4"):
-        env = dict(base, LAYERFT_WORKERS=workers)
-        out = tmp_path / f"img{workers}.csv"
-        r = run_cli("forward", "--config", config_path("twolayer"), "--input",
-                    "gauss_bump", "--output", str(out),
-                    "--lambda-steps", "300", "--lambda-max", "15", env=env)
-        assert r.returncode == 0, r.stderr
-        outs.append(out.read_text())
-    assert outs[0] == outs[1]
 
 
 def test_cli_poisson_table(tmp_path):

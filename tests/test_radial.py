@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -126,4 +128,14 @@ def test_single_point_image_needs_weights(spec):
 
     img = SpectralImage(lambdas=np.array([1.0]), values=np.array([[1.0]]), meta={"dimension": 3})
     with pytest.raises(InvariantViolation):
+        rad.inverse_nd(img, spec)
+
+
+def test_nonfinite_image_row_rejected(spec):
+    # a NaN row makes every tail-gap comparison false; it must not come back as nan
+    img = rad.forward_nd_image(
+        gaussian_profile(3), dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
+    )
+    img.values[5, 0] = np.nan
+    with pytest.raises(InvariantViolation, match="image row 5 "):
         rad.inverse_nd(img, spec)

@@ -1,5 +1,4 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -183,17 +182,7 @@ def test_function_csv_roundtrip_preserves_traces(tmp_path, load):
         assert np.allclose(back.traces[key], arr)
 
 
-def test_worker_pool_is_deterministic(load):
-    cfg, spec = load("twolayer")
-    spec = dataclasses.replace(spec, lambda_steps=200, lambda_max=10.0)
-    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
-    serial = tr.forward_transform(cfg, f, spec, n_workers=1)
-    pooled = tr.forward_transform(cfg, f, spec, n_workers=4)
-    assert np.array_equal(serial.values, pooled.values)
-
-
-def test_worker_env_variable(load, monkeypatch):
-    monkeypatch.setenv("LAYERFT_WORKERS", "3")
+def test_forward_matches_sine_image_on_coarse_grid(load):
     cfg, spec = load("sine")
     spec = dataclasses.replace(spec, lambda_steps=100, lambda_max=8.0)
     f = odd_gaussian_function()
