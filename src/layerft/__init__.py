@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     RegularityViolation,
     Singular,
+    SizeLimitExceeded,
     SpectrumOnCut,
     UnstableStep,
     UnsupportedDimension,
@@ -92,6 +93,7 @@ __all__ = [
     "OverflowRisk",
     "ParseError",
     "Singular",
+    "SizeLimitExceeded",
     "PiecewiseGridFunction",
     "ProblemConfig",
     "QuadratureSpec",

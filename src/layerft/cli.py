@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 bad problem
-description, 4 regularity violation at a junction.
+description (including a transform past quadrature.MAX_TRANSFORM_SIZE),
+4 regularity violation at a junction, 5 internal error (an exception that is
+not a LayerFTError; one line on stderr instead of a traceback).
 """
 
 import argparse
 import dataclasses
 import sys
+import traceback
 
 import numpy as np
 
@@ -316,6 +319,11 @@ def main(argv=None):
     except LayerFTError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: one line naming where it was raised
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        print(f"internal error: {type(exc).__name__}: {exc} "
+              f"({where.filename}:{where.lineno})", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ class InvariantViolation(ConfigError):
     """
 
 
+class SizeLimitExceeded(ConfigError):
+    """The requested transform is larger than quadrature.MAX_TRANSFORM_SIZE."""
+
+
 class NonSquare(LayerFTError):
     """A matrix function was handed a non-square matrix."""
 

@@ -99,11 +99,15 @@ def right_solve(b, a, rcond_floor=RCOND_FLOOR, err=Singular, context=""):
 
 
 def rcond(a):
-    """Reciprocal 2-norm condition number (exact SVD; matrices here are tiny)."""
+    """Reciprocal 2-norm condition number (exact SVD; matrices here are tiny).
+
+    A stack (..., n, n) gives one value per matrix from one batched SVD.
+    """
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s.shape[-1] == 0:
         return 0.0
-    return float(s[-1] / s[0])
+    rc = s[..., -1] / np.where(s[..., 0] == 0.0, np.inf, s[..., 0])
+    return float(rc) if rc.ndim == 0 else rc
 
 
 def block2x2(a, b, c, d):

@@ -16,6 +16,7 @@ has the same structure with a single row.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -94,32 +95,33 @@ class Interface:
     def _side(self, kind, j, s):
         return getattr(self, f"{kind}{j}{s}")
 
+    @cached_property
+    def _parts(self):
+        """Read-only 2r x 2r blocks {(kind, side)}, assembled once per interface."""
+        parts = {}
+        for s in (1, 2):
+            for kind, (v, d) in (("free", ("beta", "alpha")), ("sq", ("gamma", "delta"))):
+                blk = linalg.block2x2(self._side(v, 1, s), self._side(d, 1, s),
+                                      self._side(v, 2, s), self._side(d, 2, s))
+                blk.flags.writeable = False
+                parts[kind, s] = blk
+        return parts
+
     def lambda_free_part(self, s):
         """[[beta_1s, alpha_1s], [beta_2s, alpha_2s]] acting on (value; derivative)."""
-        return linalg.block2x2(
-            self._side("beta", 1, s), self._side("alpha", 1, s),
-            self._side("beta", 2, s), self._side("alpha", 2, s),
-        )
+        return self._parts["free", s]
 
     def lambda_sq_part(self, s):
         """[[gamma_1s, delta_1s], [gamma_2s, delta_2s]] — the lam^2 coefficient."""
-        return linalg.block2x2(
-            self._side("gamma", 1, s), self._side("delta", 1, s),
-            self._side("gamma", 2, s), self._side("delta", 2, s),
-        )
+        return self._parts["sq", s]
 
     def pencil(self, s, lam):
-        """M_s(lam) = lambda_free_part + lam^2 * lambda_sq_part for side s."""
-        return self.lambda_free_part(s) + lam**2 * self.lambda_sq_part(s)
+        """M_s(lam) = lambda_free_part + lam^2 * lambda_sq_part; stacked for an array lam."""
+        return self.lambda_free_part(s) + np.multiply.outer(np.square(lam), self.lambda_sq_part(s))
 
     @property
     def is_lambda_free(self):
-        for kind in ("gamma", "delta"):
-            for j in (1, 2):
-                for s in (1, 2):
-                    if np.any(self._side(kind, j, s) != 0):
-                        return False
-        return True
+        return not (np.any(self.lambda_sq_part(1)) or np.any(self.lambda_sq_part(2)))
 
 
 def ideal_contact(a2_left, a2_right):
@@ -156,10 +158,10 @@ class Boundary:
             _block(getattr(self, key), r, f"{name}.{key}")
 
     def value_row(self, lam):
-        return self.beta0 + lam**2 * self.gamma0
+        return self.beta0 + np.multiply.outer(np.square(lam), self.gamma0)
 
     def deriv_row(self, lam):
-        return self.alpha0 + lam**2 * self.delta0
+        return self.alpha0 + np.multiply.outer(np.square(lam), self.delta0)
 
     @property
     def is_lambda_free(self):

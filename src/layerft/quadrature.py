@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import basis as _basis
-from .errors import InvariantViolation, NonConvergentTail
+from .errors import InvariantViolation, NonConvergentTail, SizeLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -116,45 +116,83 @@ def oscillation_rate(config, lam_max):
     )
 
 
+def _grid_layout(spec, cap):
+    """(n_panels, order) of the composite grid of spectral_grid, without its nodes."""
+    n_panels = max(1, math.ceil((spec.lambda_max - spec.lambda_min) / cap))
+    order = int(min(24, max(2, math.floor(spec.lambda_steps / n_panels + 0.5))))
+    return n_panels, order
+
+
 def spectral_grid(spec, cap):
     """Composite Gauss-Legendre grid over [lambda_min, lambda_max], panels <= cap.
 
     The per-panel order is chosen so the total node count tracks lambda_steps.
     """
-    n_panels = max(1, math.ceil((spec.lambda_max - spec.lambda_min) / cap))
-    order = int(min(24, max(2, math.floor(spec.lambda_steps / n_panels + 0.5))))
+    n_panels, order = _grid_layout(spec, cap)
     nodes, weights = composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order)
     return LambdaGrid(nodes=nodes, weights=weights, n_panels=n_panels, order=order)
 
 
-def lambda_grid(config, spec):
-    """Canonical spectral grid of (config, spec).
-
-    The panel cap pi / (4 x_max s_rate) keeps each panel under a quarter
-    period of the worst oscillation exp(i lam s_rate x_max).
-    """
+def _lambda_cap(config, spec):
+    """Panel cap pi / (4 x_max s_rate): a quarter period of exp(i lam s_rate x_max)."""
     s_rate = oscillation_rate(config, spec.lambda_max) / spec.lambda_max
-    return spectral_grid(spec, math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12)))
+    return math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12))
+
+
+def lambda_grid(config, spec):
+    """Canonical spectral grid of (config, spec); panels are capped by _lambda_cap."""
+    return spectral_grid(spec, _lambda_cap(config, spec))
+
+
+def _xi_layout(config, spec):
+    """Per-layer (a, b, n_panels) of xi_rules, clipped to |x| <= x_max; None when empty."""
+    layout = []
+    for layer in config.layers:
+        rate = np.linalg.norm(_basis.compute_wavenumber(layer, spec.lambda_max), 2)
+        a = max(layer.left, -spec.x_max)
+        b = min(layer.right, spec.x_max)
+        cap = math.pi / max(rate, 1e-12)
+        layout.append((a, b, max(1, math.ceil((b - a) / cap))) if b > a else None)
+    return layout
 
 
 def xi_rules(config, spec):
     """Per-layer spatial rules, clipped to |x| <= x_max.
 
     Returns a list of (nodes, weights) pairs, one per layer; a layer lying
-    entirely beyond the truncation radius gets an empty rule.
+    entirely beyond the truncation radius gets an empty rule.  Panels are
+    capped at half a period of the layer's fastest oscillation.
     """
-    rules = []
-    for layer in config.layers:
-        rate = np.linalg.norm(_basis.compute_wavenumber(layer, spec.lambda_max), 2)
-        a = max(layer.left, -spec.x_max)
-        b = min(layer.right, spec.x_max)
-        if b <= a:
-            rules.append((np.empty(0), np.empty(0)))
-            continue
-        cap = math.pi / max(rate, 1e-12)
-        n_panels = max(1, math.ceil((b - a) / cap))
-        rules.append(composite_gauss(a, b, n_panels, spec.xi_quadrature_order))
-    return rules
+    return [
+        composite_gauss(*lay, spec.xi_quadrature_order) if lay else (np.empty(0), np.empty(0))
+        for lay in _xi_layout(config, spec)
+    ]
+
+
+# Largest (lambda nodes) x (spatial points) x r^2 a transform takes on.  The
+# spectral contraction costs about that many multiply-adds and twice as many
+# sines and cosines per r, so at the limit a transform runs for minutes.
+MAX_TRANSFORM_SIZE = 10**9
+
+
+def check_size(config, spec, n_points=None):
+    """Refuse a transform of more than MAX_TRANSFORM_SIZE (SizeLimitExceeded).
+
+    The size is max(lambda_steps, canonical lambda nodes) x n_points x r^2,
+    with n_points defaulting to the spatial nodes of xi_rules.  Every count
+    comes from the spec alone, so nothing large is allocated before the check.
+    """
+    n_lambda = max(spec.lambda_steps, math.prod(_grid_layout(spec, _lambda_cap(config, spec))))
+    if n_points is None:
+        n_points = sum(lay[2] for lay in _xi_layout(config, spec) if lay)
+        n_points *= spec.xi_quadrature_order
+    size = n_lambda * n_points * config.r**2
+    if size > MAX_TRANSFORM_SIZE:
+        raise SizeLimitExceeded(
+            f"transform size {n_lambda} lambda nodes x {n_points} points x r^2 = {size:.3g} "
+            f"exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_steps, x_max or the "
+            "number of evaluation points"
+        )
 
 
 def neville_to_zero(taus, values):
@@ -188,26 +226,37 @@ def neville_to_zero(taus, values):
     return limit, err
 
 
-def damped_limit(spec, lams, coeff, samples):
-    """tau -> 0 limit of sum over l of coeff[l] exp(-tau lams[l]) samples[l].
+def damping_matrix(spec, lams, coeff):
+    """coeff[l] exp(-tau lams[l]) at every tau of spec.tau_schedule: real (levels, nodes)."""
+    damping = np.exp(np.multiply.outer(spec.tau_schedule, -lams))
+    damping *= coeff
+    return damping
 
-    coeff is real and samples has the spectral axis first.  The damped sums
-    at every level of spec.tau_schedule come from one real (levels x nodes)
-    matrix product with a real view of the complex samples; two successive
-    levels differing by more than spec.tail_tolerance anywhere raise
-    NonConvergentTail.  Returns (limit, err) shaped like samples[0], with
+
+def tau_limit(spec, damped):
+    """tau -> 0 limit of damped sums given at every level of spec.tau_schedule.
+
+    Two successive levels differing by more than spec.tail_tolerance anywhere
+    raise NonConvergentTail.  Returns (limit, err) shaped like damped[0], with
     err the Neville estimate of neville_to_zero.
     """
-    taus = spec.tau_schedule
-    damping = np.exp(np.multiply.outer(taus, -lams))
-    damping *= coeff
-    flat = np.ascontiguousarray(samples, dtype=complex).reshape(lams.size, -1)
-    damped = (damping @ flat.view(float)).view(complex)
     gap = float(np.abs(damped[1:] - damped[:-1]).max(initial=0.0))
     if gap > spec.tail_tolerance:
         raise NonConvergentTail(
             f"successive tau-damped inversion integrals differ by {gap:.3g} "
             f"(> {spec.tail_tolerance}); spectral tail not integrable at this resolution"
         )
-    limit, err = neville_to_zero(taus, damped)
+    return neville_to_zero(spec.tau_schedule, damped)
+
+
+def damped_limit(spec, lams, coeff, samples):
+    """tau -> 0 limit of sum over l of coeff[l] exp(-tau lams[l]) samples[l].
+
+    coeff is real and samples has the spectral axis first.  The damped sums
+    at every level come from one real (levels x nodes) matrix product with a
+    real view of the complex samples, then go through tau_limit.
+    """
+    flat = np.ascontiguousarray(samples, dtype=complex).reshape(lams.size, -1)
+    damped = (damping_matrix(spec, lams, coeff) @ flat.view(float)).view(complex)
+    limit, err = tau_limit(spec, damped)
     return limit.reshape(samples.shape[1:]), err.reshape(samples.shape[1:])

@@ -17,9 +17,17 @@ QuadratureSpec tau schedule and Neville-extrapolated to tau = 0.
 Both directions use the canonical composite Gauss-Legendre grid of the
 (config, spec) pair; the inverse refuses images sampled elsewhere, because
 its quadrature weights are tied to that grid.  _spectral_forward and
-_spectral_inverse own that grid, the loop over spectral points, flagging
-and the damped inversion for the semi-axis and the full-axis pair (axis.py)
-alike; each geometry supplies only its kernels.
+_spectral_inverse own that grid, flagging and the damped inversion for the
+semi-axis and the full-axis pair (axis.py) alike; each geometry supplies
+only its kernels, for every spectral point at once.
+
+There is no loop over spectral points: basis.build_batch builds the whole
+grid at once, and every kernel is per-lam coefficients times e^{+-i mu s}
+with real mu (the full axis is the scalar case V = 1, mu = q).  Both
+directions are then real matrix products with cos/sin(mu s) over every
+(x, lam, k): _moments sums over x (forward), _damped_sums over (lam, k)
+with the exp(-tau lam) damping folded in (inverse), in chunks of points
+whose phase arrays stay within _CHUNK_BYTES.
 """
 
 import math
@@ -28,10 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import basis as bas
-from . import linalg
 from . import quadrature as quad
 from .errors import (
-    DegenerateBoundary,
     DimensionMismatch,
     EmptyImage,
     InvariantViolation,
@@ -42,17 +48,65 @@ from .errors import (
 from .gridfn import LayerSamples, PiecewiseGridFunction, SpectralImage
 from .problem import SEMI_AXIS
 
-_FLAGGABLE = (RegularityViolation, DegenerateBoundary)
+# Memory of one real (points x (lam, k)) phase array of the contractions.
+_CHUNK_BYTES = 1 << 20
 
 
-def _spectral_forward(config, spec, lambdas, width, row):
-    """Image rows row(i, lam), each of length width, on a spectral grid.
+def _x_chunks(n_x, n_cols):
+    """Slices of the spatial points whose (points x n_cols) phases fit _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (8 * max(n_cols, 1)))
+    return [slice(a, a + step) for a in range(0, n_x, step)]
+
+
+def _moments(mu, s, g):
+    """(F+, F-) with F+-[lam, k] = sum over x of e^{+-i mu[lam, k] s_x} g_x.
+
+    mu (N, rho) real, s (Nx,) offsets from the layer center, g (Nx, c):
+    two (N, rho, c) arrays from real matrix products with cos and sin.
+    """
+    n, rho = mu.shape
+    gr = np.ascontiguousarray(g, dtype=complex).view(float)
+    cg = np.zeros((n * rho, gr.shape[1]))
+    sg = np.zeros_like(cg)
+    for sl in _x_chunks(s.size, n * rho):
+        theta = np.multiply.outer(s[sl], mu.ravel())
+        cg += np.cos(theta).T @ gr[sl]
+        sg += np.sin(theta).T @ gr[sl]
+    cg = cg.view(complex).reshape(n, rho, -1)
+    sg = sg.view(complex).reshape(n, rho, -1)
+    return cg + 1j * sg, cg - 1j * sg
+
+
+def _damped_sums(mu, s, plus, minus, damping):
+    """sum over (lam, k) of damping[t, lam] (e^{i mu s} plus + e^{-i mu s} minus)[lam, k].
+
+    mu (N, rho) real, s (Nx,), plus and minus (N, rho, c), damping (T, N);
+    returns (T, Nx, c): every damping level from one pair of real matrix
+    products with cos and sin per chunk of points.
+    """
+    t = damping.shape[0]
+    n, rho, c = plus.shape
+    w = damping[:, :, None, None]
+
+    def fold(a):
+        return np.ascontiguousarray((w * a).transpose(1, 2, 0, 3)).reshape(n * rho, -1).view(float)
+
+    wc, ws = fold(plus + minus), fold(1j * (plus - minus))
+    out = np.empty((s.size, t * c), dtype=complex)
+    for sl in _x_chunks(s.size, n * rho):
+        theta = np.multiply.outer(s[sl], mu.ravel())
+        out[sl] = (np.cos(theta) @ wc + np.sin(theta) @ ws).view(complex)
+    return out.reshape(s.size, t, c).transpose(1, 0, 2)
+
+
+def _spectral_forward(config, spec, lambdas, rows):
+    """Image rows(lams) -> (values (N, width), flags) on a spectral grid.
 
     The grid is the canonical one of (config, spec), or the explicit
-    positive abscissae lambdas (no weights, not canonical).  A row whose
-    kernels are degenerate is flagged: it stays NaN and meta["flagged"]
-    records (index, lam, reason); if every row is flagged the first
-    RegularityViolation is re-raised.
+    positive abscissae lambdas (no weights, not canonical).  flags maps the
+    index of each point whose kernels are degenerate to its error: that row
+    is set to NaN and meta["flagged"] records (index, lam, reason); if every
+    row is flagged the first RegularityViolation is re-raised.
     """
     canonical = lambdas is None
     if canonical:
@@ -65,13 +119,9 @@ def _spectral_forward(config, spec, lambdas, width, row):
         if np.any(lams <= 0):
             raise InvariantViolation("spectral points must be positive")
 
-    values = np.full((lams.size, width), np.nan, dtype=complex)
-    flagged = []
-    for i, lam in enumerate(lams):
-        try:
-            values[i] = row(i, lam)
-        except _FLAGGABLE as exc:
-            flagged.append((i, lam, f"{type(exc).__name__}: {exc}"))
+    values, flags = rows(lams)
+    flagged = [(i, lams[i], f"{type(exc).__name__}: {exc}") for i, exc in sorted(flags.items())]
+    values[sorted(flags)] = np.nan
     if len(flagged) == lams.size:
         raise RegularityViolation(
             f"every spectral point is degenerate; first: {flagged[0][2]}",
@@ -86,15 +136,18 @@ def _spectral_forward(config, spec, lambdas, width, row):
     return SpectralImage(lambdas=lams, values=values, meta=meta)
 
 
-def _spectral_inverse(config, image, x_points, spec, constant, build, u_on_layer):
+def _spectral_inverse(config, image, x_points, spec, constant, families):
     """constant * integral over lam > 0 of lam u(x, lam) image(lam) at x_points.
 
-    build(lam) returns the kernel data at one spectral point and
-    u_on_layer(b, m, xs) the kernel on layer m, shape (N, r, image.k).  The
-    image must sit on the canonical grid of (config, spec); NaN (flagged)
-    rows are left out of the quadrature and reported in meta["dropped_rows"].
-    The improper integral is damped and extrapolated by quad.damped_limit.
+    families(lams, fhat) gives per layer (mu, center, plus, minus) with
+    u(x, lam) fhat(lam) = sum over k of e^{i mu_k s} plus[k] + e^{-i mu_k s} minus[k]
+    at s = x - center (shapes as in _damped_sums).  The image must sit on the
+    canonical grid of (config, spec); NaN (flagged) rows are left out of the
+    quadrature and reported in meta["dropped_rows"].  The quadrature and
+    exp(-tau lam) weights fold into _damped_sums; quad.tau_limit extrapolates.
     """
+    quad.check_size(config, spec, sum(map(np.size, x_points))
+                    if isinstance(x_points, (list, tuple)) else np.size(x_points))
     grid = quad.lambda_grid(config, spec)
     if image.lambdas.size != grid.nodes.size or not np.allclose(
         image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
@@ -113,15 +166,12 @@ def _spectral_inverse(config, image, x_points, spec, constant, build, u_on_layer
 
     per_layer = _normalize_x_points(config, x_points, spec)
     edges = np.cumsum([0] + [xs.size for xs in per_layer])
-
-    # acc[i_lam, i_x, :] = constant * u(x, lam) @ image(lam), layers side by side
-    acc = np.zeros((lams.size, edges[-1], config.r), dtype=complex)
-    for i, lam in enumerate(lams):
-        b = build(lam)
-        for m, xs in enumerate(per_layer):
-            if xs.size:
-                acc[i, edges[m]:edges[m + 1]] = u_on_layer(b, m, xs) @ fhat[i]
-    limit, err = quad.damped_limit(spec, lams, grid.weights[keep] * lams, acc)
+    damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
+    damped = np.concatenate([
+        _damped_sums(mu, xs - center, plus, minus, damping)
+        for xs, (mu, center, plus, minus) in zip(per_layer, families(lams, fhat))
+    ], axis=1)
+    limit, err = quad.tau_limit(spec, damped)
 
     layers_out = [
         LayerSamples(x=xs, values=limit[a:b])
@@ -160,11 +210,9 @@ def forward_transform(config, f, spec, lambdas=None):
             f"function has {f.r} components, problem has r = {config.r}", block="input"
         )
 
+    quad.check_size(config, spec)
     rules = quad.xi_rules(config, spec)
-    weighted_f = []
-    for m, (xs, ws) in enumerate(rules):
-        vals = f.values_on(m, xs)
-        weighted_f.append(ws[:, None] * vals)
+    weighted_f = [ws[:, None] * f.values_on(m, xs) for m, (xs, ws) in enumerate(rules)]
 
     # boundary term (independent of the spectral parameter)
     bnd = config.boundary
@@ -176,31 +224,43 @@ def forward_transform(config, f, spec, lambdas=None):
     g1 = [iface.lambda_sq_part(1) for iface in config.interfaces]
     g2 = [iface.lambda_sq_part(2) for iface in config.interfaces]
 
+    r = config.r
     order = spec.xi_quadrature_order
-    tails = {}
+    tails = [0.0]
 
-    def row(i, lam):
-        b = bas.build_basis(config, lam)
-        total = np.zeros(config.r, dtype=complex)
+    def rows(lams):
+        b = bas.build_batch(config, lams)
+        gs = [bas.dual_coef(b, m) for m in range(config.n_layers)]
+
+        def dual_sum(m, sl):
+            # sum over the xi nodes sl of layer m of u*(xi) f(xi) w(xi), with
+            # u* = [(G_1 V) e^{-i mu s} - (G_2 V) e^{i mu s}] K, K = V^{-1} a2^{-1} / (2 i mu)
+            ld = b.layers[m]
+            fp, fm = _moments(ld.mu, rules[m][0][sl] - ld.center, weighted_f[m][sl])
+            kk = (ld.vinv / (2j * ld.mu[:, :, None])) @ ld.a2inv
+            ym = (kk * fm).sum(axis=-1)[..., None]
+            yp = (kk * fp).sum(axis=-1)[..., None]
+            return (gs[m][..., :r] @ ld.v @ ym - gs[m][..., r:] @ ld.v @ yp)[..., 0]
+
+        total = np.zeros((lams.size, r), dtype=complex)
         for m, (xs, _ws) in enumerate(rules):
-            if xs.size == 0:
-                continue
-            ustar = bas.u_star_on_layer(b, m, xs)
-            total += np.einsum("nij,nj->i", ustar, weighted_f[m])
-            if m == len(rules) - 1:
-                tail = np.einsum("nij,nj->i", ustar[-order:], weighted_f[m][-order:])
-                tails[i] = np.linalg.norm(tail)
+            if xs.size:
+                total += dual_sum(m, slice(None))
+                if m == len(rules) - 1:
+                    tail = np.linalg.norm(dual_sum(m, slice(-order, None)), axis=1)
+                    tails.extend(np.delete(tail, sorted(b.flags)))
         total += boundary_term
         for k in range(1, config.n_layers):
-            lk = config.junction(k)
-            m1 = config.interfaces[k - 1].pencil(1, lam)
-            wk = bas.w_on_layer(b, k - 1, [lk])[0]
-            vk = linalg.right_solve(wk, m1)
+            ld = b.layers[k - 1]
+            wk = bas.dual_rows(gs[k - 1], ld, np.exp(1j * ld.mu * (config.junction(k) - ld.center)))
+            m1 = config.interfaces[k - 1].pencil(1, lams)
+            m1[sorted(b.flags)] = np.eye(2 * r)
+            vk = np.linalg.solve(m1.swapaxes(-1, -2), wk.swapaxes(-1, -2)).swapaxes(-1, -2)
             total += vk @ (g2[k - 1] @ tr_right[k - 1] - g1[k - 1] @ tr_left[k - 1])
-        return total
+        return total, b.flags
 
-    image = _spectral_forward(config, spec, lambdas, config.r, row)
-    image.meta["xi_tail_estimate"] = float(np.nanmax([0.0, *tails.values()]))
+    image = _spectral_forward(config, spec, lambdas, rows)
+    image.meta["xi_tail_estimate"] = float(np.nanmax(tails))
     return image
 
 
@@ -250,10 +310,26 @@ def inverse_transform(config, image, x_points, spec):
         raise DimensionMismatch(
             f"image has {image.k} components, problem has r = {config.r}", block="image"
         )
-    return _spectral_inverse(
-        config, image, x_points, spec, INVERSION_CONSTANT,
-        lambda lam: bas.build_basis(config, lam), lambda b, m, xs: bas.u_on_layer(b, m, xs),
-    )
+    return _spectral_inverse(config, image, x_points, spec, INVERSION_CONSTANT,
+                             lambda lams, fhat: _semi_axis_families(config, lams, fhat))
+
+
+def _semi_axis_families(config, lams, fhat):
+    """Per-layer (mu, center, plus, minus) of u(x, lam) fhat(lam) for _spectral_inverse.
+
+    u fhat = V (e^{i mu s} P fhat + e^{-i mu s} M fhat) (basis.plus_minus), so
+    plus[lam, k, j] = V[lam, j, k] (P fhat)[lam, k] and minus alike.
+    """
+    b = bas.build_batch(config, lams)
+    if b.flags:
+        raise b.flags[min(b.flags)]
+    families = []
+    for m, ld in enumerate(b.layers):
+        vt = ld.v.swapaxes(-1, -2)
+        p, mm = bas.plus_minus(b, m)
+        families.append((ld.mu, ld.center, vt * (p @ fhat[:, :, None]),
+                         vt * (mm @ fhat[:, :, None])))
+    return families
 
 
 @dataclass(frozen=True)

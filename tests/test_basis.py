@@ -10,6 +10,7 @@ from layerft.errors import (
     WrongMode,
 )
 from layerft.problem import Layer, ProblemConfig, dirichlet
+from layerft.quadrature import lambda_grid
 
 SWEEP = np.linspace(0.1, 20.0, 40)
 
@@ -134,6 +135,22 @@ def test_dual_row_function_matches_definition(load, name):
             ref = np.linalg.solve(omega.transpose(0, 2, 1), func_row.T).transpose(0, 2, 1)
             w = bas.w_on_layer(b, m, xs)
             assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "name", ["sine", "twolayer", "r2diag", "threelayer_r2", "lambda_interface"]
+)
+def test_batch_matches_pointwise_build(load, name):
+    # every canonical node of one batched build against build_basis there
+    cfg, spec = load(name)
+    lams = lambda_grid(cfg, spec).nodes
+    batch = bas.build_batch(cfg, lams)
+    assert not batch.flags
+    for i, lam in enumerate(lams):
+        b = bas.build_basis(cfg, lam)
+        pairs = [(ld.coef[i], ref.coef) for ld, ref in zip(batch.layers, b.layers)]
+        for got, ref in pairs + [(batch.phi0_inv[i], b.phi0_inv)]:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_singular_interface_raises(load):

@@ -287,3 +287,22 @@ def test_cli_roundtrip_writes_reconstruction(tmp_path, monkeypatch, name):
     assert np.array_equal([complex(float(row["re_1"]), float(row["im_1"])) for row in rows], values)
     reference = np.concatenate([f.values_on(m, ls.x)[:, 0] for m, ls in enumerate(recon.layers)])
     assert np.max(np.abs(values - reference)) <= 1e-2
+
+
+def test_cli_oversized_transform_exits_3(tmp_path):
+    argv = ["forward", "--config", config_path("sine"), "--input", "gauss_bump",
+            "--output", str(tmp_path / "img.csv"), "--lambda-steps", str(10**9)]
+    assert cli.main(argv) == 3
+
+
+def test_cli_internal_error_exits_5(tmp_path, monkeypatch, capsys):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(tr, "forward_transform", broken)
+    argv = ["forward", "--config", config_path("sine"), "--input", "gauss_bump",
+            "--output", str(tmp_path / "img.csv")]
+    assert cli.main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "RuntimeError: boom" in err

@@ -1,13 +1,16 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
 
 from layerft import axis as ax
+from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import radial as rad
 from layerft import transform as tr
 from layerft.errors import (
+    ConfigError,
     DimensionMismatch,
     EmptyImage,
     InvariantViolation,
@@ -117,8 +120,8 @@ def test_positive_g2_inverts_on_its_spectral_band():
     assert np.max(np.abs(recon + band - vals)) <= 1e-4  # band completes it
 
 
-def test_flagged_rows_are_dropped_by_inverse(load):
-    # a value row scaled by (1 - lam^2/4) on both sides degenerates at lam = 2
+def singular_at_two(load):
+    """twolayer with a value row scaled by (1 - lam^2/4) on both sides: degenerate at lam = 2."""
     cfg_t, spec = load("twolayer")
     blocks = {n: np.zeros((1, 1)) for n in Interface.BLOCK_NAMES}
     blocks.update(
@@ -126,7 +129,11 @@ def test_flagged_rows_are_dropped_by_inverse(load):
         gamma11=-0.25 * np.eye(1), gamma12=-0.25 * np.eye(1),
         alpha21=np.eye(1), alpha22=2.0 * np.eye(1),
     )
-    cfg = dataclasses.replace(cfg_t, interfaces=(Interface(**blocks),))
+    return dataclasses.replace(cfg_t, interfaces=(Interface(**blocks),)), spec
+
+
+def test_flagged_rows_are_dropped_by_inverse(load):
+    cfg, spec = singular_at_two(load)
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.0, width=0.4), cfg, spec.x_max)
     lams = np.array([1.0, 2.0, 3.0, 4.0])
     img = tr.forward_transform(cfg, f, spec, lambdas=lams)
@@ -134,6 +141,18 @@ def test_flagged_rows_are_dropped_by_inverse(load):
     assert "singular" in img.meta["flagged"][0][2]
     assert np.all(np.isnan(img.values[1].real))
     assert not np.any(np.isnan(np.delete(img.values, 1, axis=0).real))
+
+
+def test_batch_flags_singular_point_without_raising(load):
+    # the exactly singular pencil at lam = 2 is masked before the stacked solves
+    cfg, _ = singular_at_two(load)
+    batch = bas.build_batch(cfg, [1.0, 2.0, 3.0, 4.0])
+    assert list(batch.flags) == [1]
+    assert isinstance(batch.flags[1], RegularityViolation)
+    assert "singular" in str(batch.flags[1])
+    for i in (0, 2, 3):
+        b = bas.build_basis(cfg, batch.lam[i])
+        assert np.allclose(batch.phi0_inv[i], b.phi0_inv, rtol=1e-13, atol=0.0)
 
 
 def test_all_flagged_reraises(load):
@@ -266,3 +285,50 @@ def test_tail_guard_raises_nonconvergent_tail(load, case):
     invert(spec)
     with pytest.raises(NonConvergentTail):
         invert(dataclasses.replace(spec, tail_tolerance=1e-12))
+
+
+def transform_pair(cfg):
+    if cfg.mode == "semi-axis":
+        return tr.forward_transform, tr.inverse_transform
+    return ax.scalar_axis_forward, ax.scalar_axis_inverse
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("name", ["threelayer_r2", "fullaxis_twolayer"])
+def test_results_independent_of_chunk_size(load, monkeypatch, name):
+    # 1-point, 7-point and whole-array chunks of the spatial contraction
+    cfg, spec = load(name)
+    spec = dataclasses.replace(spec, lambda_max=8.0, lambda_steps=100)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
+    forward, inverse = transform_pair(cfg)
+    window = [ls.x[np.abs(ls.x) <= spec.x_max] for ls in f.layers]
+    phases_per_point = 8 * lambda_grid(cfg, spec).nodes.size * cfg.r
+    results = []
+    for budget in (1, 7 * phases_per_point, 1 << 62):
+        monkeypatch.setattr(tr, "_CHUNK_BYTES", budget)
+        img = forward(cfg, f, spec)
+        recon = inverse(cfg, img, window, spec)
+        results.append((img.values, np.concatenate([ls.values for ls in recon.layers])))
+    for img, rec in results[:2]:
+        assert _rel(results[2][0], img) <= 1e-13
+        assert _rel(results[2][1], rec) <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["sine", "fullaxis_twolayer"])
+@pytest.mark.parametrize("update", [{"lambda_steps": 10**9}, {"x_max": 1e12}])
+def test_oversized_transform_fails_fast(load, name, update):
+    # refused from the spec alone, before any grid or kernel is built
+    cfg, spec = load(name)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
+    forward, inverse = transform_pair(cfg)
+    img = forward(cfg, f, dataclasses.replace(spec, lambda_max=4.0, lambda_steps=40))
+    huge = dataclasses.replace(spec, **update)
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        forward(cfg, f, huge)
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        inverse(cfg, img, np.linspace(0.0, 4.0, 201), huge)
+    assert time.perf_counter() - t0 < 1.0
