@@ -215,14 +215,10 @@ def dispatch(args):
             for m, xs in enumerate(pts):
                 if xs.size == 0:
                     continue
-                uu = bas.u_on_layer(b, m, xs)
-                ss = bas.u_star_on_layer(b, m, xs)
-                for i, x in enumerate(xs):
-                    row = [_fmt(x)]
-                    for mat in (uu[i], ss[i]):
-                        for v in mat.ravel():
-                            row += [_fmt(v.real), _fmt(v.imag)]
-                    fh.write(",".join(row) + "\n")
+                # one row per x: x, then Re/Im of u and of u* entry by entry
+                kernels = [np.ascontiguousarray(k(b, m, xs).reshape(xs.size, r * r)).view(float)
+                           for k in (bas.u_on_layer, bas.u_star_on_layer)]
+                np.savetxt(fh, np.column_stack([xs, *kernels]), fmt="%.17g", delimiter=",")
         print(f"kernel tables at lambda = {args.lam} written to {args.output}")
         return 0
 

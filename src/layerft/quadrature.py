@@ -82,17 +82,20 @@ def _leggauss(order):
     return x, w
 
 
+def panel_gauss(edges, order):
+    """Gauss-Legendre nodes and weights on the panels between sorted edges, (panels, order)."""
+    xr, wr = _leggauss(order)
+    half = 0.5 * (edges[1:] - edges[:-1])          # (P,)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * xr, half[:, None] * wr
+
+
 def composite_gauss(a, b, n_panels, order):
     """Nodes and weights of an n_panels-panel Gauss-Legendre rule on [a, b]."""
     if b <= a or n_panels < 1:
         return np.empty(0), np.empty(0)
-    xr, wr = _leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])          # (P,)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    weights = (half[:, None] * wr[None, :]).ravel()
-    return nodes, weights
+    nodes, weights = panel_gauss(np.linspace(a, b, n_panels + 1), order)
+    return nodes.ravel(), weights.ravel()
 
 
 @dataclass(frozen=True)

@@ -15,30 +15,42 @@ extrapolation shared with the one-dimensional inversions.  The pair is
 exact: for the unit Gaussian the image is exp(-lam^2/2) scaled by lam^nu
 factors and the inversion integral evaluates to 1 in closed form for every n.
 
-poisson_halfspace integrates radial boundary data against the half-space
-kernel c_n x (|y - eta|^2 + x^2)^(-(n+1)/2), c_n = Gamma((n+1)/2)/pi^((n+1)/2),
-using closed-form angular reductions for n = 2 (complete elliptic integral)
-and n = 3 (rational), and Gauss-Legendre in the polar angle for n >= 4.
+Bessel values come from a power series for z < 12 and, beyond, from the
+large-argument expansion J_nu(z)/z^nu = sqrt(2/pi) z^(-nu-1/2) Re[exp(iz)
+sum_{j<12} gamma_j z^-j] (exact for half-integer nu).  forward_nd takes every
+lam at once, in row chunks within transform._CHUNK_BYTES.  On its uniform
+panels rho = c_q + h t_k, exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k),
+so the expansion separates: all z >= 12 entries reduce to one product E @ B,
+B[:, j] = base rho^(-nu-1/2-j), and only z < 12 entries take the series.
 
-Bessel values come from a power series for |z| < 12 and the large-argument
-asymptotic expansion (6 terms of P and Q) beyond; for half-integer orders
-the asymptotic series terminates and is exact.
+poisson_halfspace integrates radial boundary data against the half-space
+kernel c_n x (|y - eta|^2 + x^2)^(-(n+1)/2), c_n = Gamma((n+1)/2)/pi^((n+1)/2).
+With a = rho^2 + |y|^2 + x^2, b = 2|y| rho, the angular integral has one
+closed form for every n, integral_0^pi sin^(n-2)t (a - b cos t)^(-(n+1)/2) dt
+= B((n-1)/2, 1/2) a^(-(n+1)/2) 2F1((n+1)/4, (n+3)/4; n/2; (b/a)^2), taken
+after Euler's transformation so that the peak at rho = |y| comes from
+a - b = (rho - |y|)^2 + x^2 without cancellation.  The rho integral runs on
+Gauss-Legendre panels graded at |y| +- x 2^k, at most 0.5 wide up to cut,
+then on the tail rho = cut/s, graded toward s = 0.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.special import ellipe
+from scipy.special import hyp2f1
 
+from . import transform as _tr
 from .errors import InvariantViolation, NonpositiveHeight, UnsupportedDimension
 from .gridfn import SpectralImage
-from .quadrature import composite_gauss, damped_limit, spectral_grid
+from .quadrature import _leggauss, damped_limit, panel_gauss, spectral_grid
 
 BESSEL_CROSSOVER = 12.0
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 6
+# Bytes of forward_nd work arrays per (lam, rho) entry: 32 for the phase, z and
+# the ratios, about as much again for the series temporaries of bessel_ratio.
+_ENTRY_BYTES = 64
 
 
 def _bessel_series(nu, z):
@@ -53,21 +65,18 @@ def _bessel_series(nu, z):
     return total
 
 
+def _asymptotic_coefficients(nu):
+    """gamma_j = exp(-i phi) i^j prod_{k<=j} (4nu^2 - (2k-1)^2) / (8k), phi = (nu/2 + 1/4) pi."""
+    gamma = np.full(2 * _ASYMPTOTIC_TERMS, np.exp(-1j * (0.5 * nu + 0.25) * math.pi))
+    for j in range(1, gamma.size):
+        gamma[j] = gamma[j - 1] * 1j * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j)
+    return gamma
+
+
 def _bessel_asymptotic(nu, z):
     """Large-argument expansion; exact for half-integer nu (series terminates)."""
-    mu = 4.0 * nu * nu
-    inv8z = 1.0 / (8.0 * z)
-    a = np.ones_like(z)
-    p = np.ones_like(z)
-    q = np.zeros_like(z)
-    for j in range(1, 2 * _ASYMPTOTIC_TERMS):
-        a = a * (mu - (2 * j - 1) ** 2) * inv8z / j
-        if j % 2 == 1:
-            q += (-1.0) ** ((j - 1) // 2) * a
-        else:
-            p += (-1.0) ** (j // 2) * a
-    chi = z - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * z)) * (p * np.cos(chi) - q * np.sin(chi))
+    series = np.polynomial.polynomial.polyval(1.0 / z, _asymptotic_coefficients(nu))
+    return np.sqrt(2.0 / (math.pi * z)) * np.real(np.exp(1j * z) * series)
 
 
 def bessel_j(nu, z):
@@ -125,8 +134,8 @@ class RadialProfile:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        if self.rho_max <= 0:
-            raise InvariantViolation("rho_max must be positive")
+        if not (math.isfinite(self.rho_max) and self.rho_max > 0):
+            raise InvariantViolation(f"rho_max must be positive and finite, got {self.rho_max}")
 
     def __call__(self, rho):
         return np.asarray(self.fn(np.asarray(rho, dtype=float)), dtype=float)
@@ -140,25 +149,38 @@ def _check_dimension(n):
     return int(n)
 
 
-def _forward_const(n):
-    return 2.0 ** (1.0 - 0.5 * n) / math.gamma(0.5 * n)
-
-
 def forward_nd(profile, lam, order=12):
     """Radial transform of profile at the origin, for scalar or array lam."""
     n = _check_dimension(profile.n)
     nu = 0.5 * (n - 2)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if np.any(lam_arr <= 0):
-        raise InvariantViolation("spectral points must be positive")
+    if not np.all((lam_arr > 0) & (lam_arr < np.inf)):
+        raise InvariantViolation("spectral points must be positive and finite")
     rate = max(1.0, float(lam_arr.max()))
     n_panels = max(1, math.ceil(profile.rho_max * rate / math.pi))
-    nodes, weights = composite_gauss(0.0, profile.rho_max, n_panels, order)
+    edges = np.linspace(0.0, profile.rho_max, n_panels + 1)
+    nodes, weights = (a.ravel() for a in panel_gauss(edges, order))
     base = weights * nodes ** (n - 1) * profile(nodes)
-    const = _forward_const(n)
+    centers = 0.5 * (edges[1:] + edges[:-1])
+    offsets = 0.5 * profile.rho_max / n_panels * _leggauss(order)[0]
+    gamma = _asymptotic_coefficients(nu)
+    far = rate * nodes >= BESSEL_CROSSOVER      # the nodes some lam takes asymptotically
+    cols = np.zeros((nodes.size, gamma.size), dtype=complex)
+    cols[far] = base[far, None] * nodes[far, None] ** (-(nu + 0.5) - np.arange(gamma.size))
     vals = np.empty(lam_arr.size)
-    for i, la in enumerate(lam_arr):
-        vals[i] = const * la**nu * float(base @ bessel_ratio(nu, la * nodes))
+    step = max(1, _tr._CHUNK_BYTES // (_ENTRY_BYTES * nodes.size))
+    for lo in range(0, lam_arr.size, step):
+        la = lam_arr[lo:lo + step]
+        z = np.multiply.outer(la, nodes)
+        small = z < BESSEL_CROSSOVER
+        ratio = np.zeros_like(z)
+        ratio[small] = bessel_ratio(nu, z[small])
+        phase = (np.exp(1j * np.multiply.outer(la, centers))[:, :, None]
+                 * np.exp(1j * np.multiply.outer(la, offsets))[:, None, :]).reshape(z.shape)
+        phase[small] = 0.0
+        asym = np.polynomial.polynomial.polyval(1.0 / la, ((phase @ cols) * gamma).T, tensor=False)
+        vals[lo:lo + step] = la**nu * (ratio @ base) + np.sqrt(2.0 / (math.pi * la)) * asym.real
+    vals *= 2.0 ** (1.0 - 0.5 * n) / math.gamma(0.5 * n)
     return float(vals[0]) if np.ndim(lam) == 0 else vals
 
 
@@ -214,72 +236,45 @@ def inverse_nd(image, spec, n=None):
 
 # --- half-space Poisson integral --------------------------------------------
 
-
-def _poisson_c(n):
-    return math.gamma(0.5 * (n + 1)) / math.pi ** (0.5 * (n + 1))
-
-
-def _sphere_area(k):
-    """Surface measure of the unit sphere S^k in R^(k+1)."""
-    return 2.0 * math.pi ** (0.5 * (k + 1)) / math.gamma(0.5 * (k + 1))
+_POISSON_ORDER = 16     # Gauss-Legendre order of every Poisson panel
+_POISSON_WIDTH = 0.5    # widest panel below cut
+_TAIL_LEVELS = 8        # tail panels [2^-(k+1), 2^-k] in s = cut / rho, then [0, 2^-8]
 
 
-def _angular_factor(n, a, b):
-    """integral over [0, pi] of sin^(n-2)t (a - b cos t)^(-(n+1)/2) dt, n >= 4."""
-    nodes, weights = composite_gauss(0.0, math.pi, 1, 200)
-    s = np.sin(nodes) ** (n - 2)
-    return float(np.sum(weights * s * (a - b * np.cos(nodes)) ** (-0.5 * (n + 1))))
+def _poisson_edges(x, y, cut):
+    """Panel edges on [0, cut]: graded around rho = y at scale x, none wider than 0.5."""
+    steps = x * 2.0 ** np.arange(math.floor(math.log2(_POISSON_WIDTH) - math.log2(x)) + 1)
+    edges = np.unique(np.clip(np.concatenate(([0.0, y, cut], y - steps, y + steps)), 0.0, cut))
+    count = np.ceil(np.diff(edges) / _POISSON_WIDTH).astype(int)
+    sub = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    starts = np.repeat(edges[:-1], count) + sub * np.repeat(np.diff(edges) / count, count)
+    return np.append(starts, cut)
 
 
 def poisson_halfspace(profile, x, y=0.0):
     """Harmonic extension of radial boundary data to height x at offset |y|.
 
-    Uses exact angular reductions for n = 2 and n = 3; higher dimensions do a
-    Gauss-Legendre polar-angle integral per radial point.  The radial
-    integral runs to infinity (the kernel decays algebraically, so bounded
-    data integrates fine).
+    The closed-form angular factor of every n (module docstring) on panels
+    over [0, cut] and the mapped tail: the radial integral runs to infinity
+    (the kernel decays algebraically, so bounded data integrates fine).
     """
     n = _check_dimension(profile.n)
+    x, y = float(x), abs(float(y))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvariantViolation(f"height and offset must be finite, got x = {x}, |y| = {y}")
     if x <= 0:
         raise NonpositiveHeight(f"height must be positive, got x = {x}")
-    y = abs(float(y))
-
-    if n == 2:
-
-        def integrand(rho):
-            a = rho * rho + y * y + x * x
-            b = 2.0 * y * rho
-            m = 2.0 * b / (a + b)
-            return (
-                float(profile(rho))
-                * 4.0
-                * rho
-                * ellipe(m)
-                / ((a - b) * math.sqrt(a + b))
-            )
-
-        prefactor = x / (2.0 * math.pi)
-    elif n == 3:
-
-        def integrand(rho):
-            am = (y - rho) ** 2 + x * x
-            ap = (y + rho) ** 2 + x * x
-            return float(profile(rho)) * rho * rho / (am * ap)
-
-        prefactor = 4.0 * x / math.pi
-    else:
-        area = _sphere_area(n - 2)
-        cn = _poisson_c(n)
-
-        def integrand(rho):
-            a = rho * rho + y * y + x * x
-            b = 2.0 * y * rho
-            return float(profile(rho)) * rho ** (n - 1) * _angular_factor(n, a, b)
-
-        prefactor = cn * x * area
-
     cut = max(profile.rho_max, 10.0 * x, 2.0 * y + 10.0, 20.0)
-    pts = sorted({p for p in (y - 5 * x, y, y + 5 * x) if 0.0 < p < cut})
-    head, _ = _quad(integrand, 0.0, cut, points=pts or None, limit=300)
-    tail, _ = _quad(integrand, cut, np.inf, limit=200)
-    return prefactor * (head + tail)
+    head, head_w = panel_gauss(_poisson_edges(x, y, cut), _POISSON_ORDER)
+    s, tail_w = panel_gauss(np.append(0.0, 2.0 ** -np.arange(_TAIL_LEVELS, -1, -1)), _POISSON_ORDER)
+    rho, weights = np.append(head, cut / s), np.append(head_w, cut * tail_w / (s * s))
+    a = rho * rho + y * y + x * x
+    # rho^(n-1) a^((3-n)/2) 2F1(...) / ((a - b)(a + b)) with rho^2/a <= 1 carrying the powers
+    kernel = (
+        rho * rho * (rho * rho / a) ** (0.5 * (n - 3))
+        * hyp2f1(0.25 * (n - 1), 0.25 * (n - 3), 0.5 * n, (2.0 * y * rho / a) ** 2)
+        / (((rho - y) ** 2 + x * x) * ((rho + y) ** 2 + x * x))
+    )
+    # c_n |S^(n-2)| B((n-1)/2, 1/2) = 2 Gamma((n+1)/2) / (sqrt(pi) Gamma(n/2))
+    norm = 2.0 * math.exp(math.lgamma(0.5 * (n + 1)) - math.lgamma(0.5 * n)) / math.sqrt(math.pi)
+    return norm * x * float(np.sum(weights * profile(rho) * kernel))

@@ -306,3 +306,38 @@ def test_cli_internal_error_exits_5(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "RuntimeError: boom" in err
+
+
+@pytest.mark.parametrize("flag", [("--heights", "nan"), ("--heights", "inf"),
+                                  ("--radii", "inf"), ("--rho-max", "nan")])
+def test_cli_poisson_nonfinite_input_exits_3(monkeypatch, capsys, flag):
+    from layerft import radial as rad
+
+    def no_panels(*_args, **_kwargs):
+        raise AssertionError("a Poisson panel was built for non-finite input")
+
+    monkeypatch.setattr(rad, "panel_gauss", no_panels)
+    argv = ["poisson", "--dim", "4", "--input", "gauss_bump:center=0,width=2",
+            "--heights", "0.5", *flag]
+    assert cli.main(argv) == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_basis_table_matches_per_value_format(tmp_path):
+    from layerft import basis as bas
+    from layerft.gridfn import _fmt
+
+    out = tmp_path / "bas.csv"
+    assert cli.main(["basis", "--config", config_path("threelayer_r2"), "--lambda", "0.7",
+                     "--output", str(out), "--samples", "41"]) == 0
+    config, spec = parse_config(config_path("threelayer_r2"))
+    b = bas.build_basis(config, 0.7)
+    lines = []
+    for m, layer in enumerate(config.layers):
+        xs = np.linspace(max(layer.left, -spec.x_max), min(layer.right, spec.x_max), 41)
+        for x, u, us in zip(xs, bas.u_on_layer(b, m, xs), bas.u_star_on_layer(b, m, xs)):
+            row = [_fmt(x)]
+            for v in (*u.ravel(), *us.ravel()):
+                row += [_fmt(v.real), _fmt(v.imag)]
+            lines.append(",".join(row))
+    assert out.read_text().splitlines()[1:] == lines

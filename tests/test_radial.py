@@ -1,16 +1,23 @@
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
 from layerft import radial as rad
+from layerft import transform as tr
 from layerft.errors import (
     InvariantViolation,
     NonpositiveHeight,
     UnsupportedDimension,
 )
-from layerft.quadrature import QuadratureSpec
+from layerft.quadrature import QuadratureSpec, composite_gauss
+
+from conftest import SRC_DIR
 
 
 @pytest.fixture(scope="module")
@@ -83,8 +90,9 @@ def test_forward_scalar_and_array_lambda(spec):
     arr = rad.forward_nd(prof, lam)
     scl = np.array([rad.forward_nd(prof, v) for v in lam])
     assert np.allclose(arr, scl, atol=1e-14)
-    with pytest.raises(InvariantViolation):
-        rad.forward_nd(prof, -1.0)
+    for bad in (-1.0, np.nan, np.inf, np.array([0.5, np.nan])):
+        with pytest.raises(InvariantViolation):
+            rad.forward_nd(prof, bad)
 
 
 def test_poisson_mass_normalization():
@@ -139,3 +147,84 @@ def test_nonfinite_image_row_rejected(spec):
     img.values[5, 0] = np.nan
     with pytest.raises(InvariantViolation, match="image row 5 "):
         rad.inverse_nd(img, spec)
+
+
+def per_lambda_forward(profile, lams, order=12):
+    """The per-row loop forward_nd replaces: bessel_ratio on each lam row."""
+    n, nu = profile.n, 0.5 * (profile.n - 2)
+    n_panels = max(1, math.ceil(profile.rho_max * max(1.0, lams.max()) / math.pi))
+    nodes, weights = composite_gauss(0.0, profile.rho_max, n_panels, order)
+    base = weights * nodes ** (n - 1) * profile(nodes)
+    const = 2.0 ** (1.0 - 0.5 * n) / math.gamma(0.5 * n)
+    return np.array([const * la**nu * (base @ rad.bessel_ratio(nu, la * nodes)) for la in lams])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_forward_matches_per_lambda_reference(n):
+    prof = gaussian_profile(n, w=3.0)
+    lams = rad.forward_nd_image(prof, QuadratureSpec(lambda_max=12.0, lambda_steps=400)).lambdas
+    ref = per_lambda_forward(prof, lams)
+    assert np.max(np.abs(rad.forward_nd(prof, lams) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_forward_independent_of_chunk_size(monkeypatch, rows):
+    prof = gaussian_profile(5, w=3.0)
+    lams = np.linspace(0.05, 12.0, 101)
+    default = rad.forward_nd(prof, lams)
+    n_rho = 12 * math.ceil(prof.rho_max * lams.max() / math.pi)
+    monkeypatch.setattr(tr, "_CHUNK_BYTES", rad._ENTRY_BYTES * n_rho * (rows or lams.size))
+    assert np.max(np.abs(rad.forward_nd(prof, lams) - default)) <= 1e-14 * np.max(np.abs(default))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_poisson_constant_data_near_boundary(n):
+    ones = rad.RadialProfile(n=n, fn=np.ones_like, rho_max=200.0)
+    for y in (0.0, 0.9, 2.5):
+        assert rad.poisson_halfspace(ones, 1e-3, y) == pytest.approx(1.0, abs=1e-8)
+
+
+def quad_poisson(profile, x, y):
+    """Nested scipy.integrate.quad over rho and the polar angle: an independent oracle."""
+    from scipy.integrate import quad
+
+    n = profile.n
+    c_n = sp.gamma((n + 1) / 2) / np.pi ** ((n + 1) / 2)
+    sphere = 2 * np.pi ** ((n - 1) / 2) / sp.gamma((n - 1) / 2)     # |S^(n-2)|
+
+    def integrand(rho):
+        a, b = rho * rho + y * y + x * x, 2 * y * rho
+        angular = quad(lambda t: np.sin(t) ** (n - 2) * (a - b * np.cos(t)) ** (-(n + 1) / 2),
+                       0, np.pi, epsabs=0, epsrel=1e-12, limit=400)[0]
+        return float(profile(rho)) * rho ** (n - 1) * angular
+
+    pts = sorted({p for p in (y - 5 * x, y - x, y, y + x, y + 5 * x) if 0 < p < 40})
+    head = quad(integrand, 0, 40, points=pts or None, epsabs=0, epsrel=1e-12, limit=500)[0]
+    tail = quad(integrand, 40, np.inf, epsabs=0, epsrel=1e-12, limit=200)[0]
+    return c_n * sphere * x * (head + tail)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_poisson_gaussian_matches_quad_oracle(n):
+    g = rad.RadialProfile(n=n, fn=lambda rho: np.exp(-(rho**2) / 2), rho_max=30.0)
+    for x, y in ((1e-3, 0.9), (0.1, 0.0), (0.7, 2.5)):
+        assert rad.poisson_halfspace(g, x, y) == pytest.approx(quad_poisson(g, x, y), abs=1e-9)
+
+
+def test_nonfinite_poisson_inputs_rejected():
+    for rho_max in (np.nan, np.inf):
+        with pytest.raises(InvariantViolation, match="finite"):
+            rad.RadialProfile(n=3, fn=np.ones_like, rho_max=rho_max)
+    g = gaussian_profile(4)
+    for x, y in ((np.nan, 0.0), (np.inf, 0.0), (0.5, np.nan), (0.5, -np.inf)):
+        with pytest.raises(InvariantViolation, match="finite"):
+            rad.poisson_halfspace(g, x, y)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    code = "import sys, layerft; print(sorted(m for m in sys.modules if 'scipy.integrate' in m))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
