@@ -238,9 +238,11 @@ def dispatch(args):
         pts = _per_layer_points(config, spec, args.samples)
         recon = _inverse(config, image, pts, spec)
         write_function_csv(recon, args.output)
+        dropped = recon.meta["dropped_rows"]
         print(
             f"reconstruction written to {args.output} "
             f"(tau error estimate {recon.meta['tau_error_estimate']:.2e})"
+            + (f" ({len(dropped)} non-finite image rows dropped)" if dropped else "")
         )
         return 0
 

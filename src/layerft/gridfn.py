@@ -23,10 +23,10 @@ write/read cycle reproduces every float64 bit-exactly.
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DimensionMismatch,
@@ -129,6 +129,8 @@ class PiecewiseGridFunction:
                 raise InvariantViolation(
                     f"layer {m} has only {ls.x.size} samples; spline resampling needs >= 4"
                 )
+            from scipy.interpolate import CubicSpline
+
             sp = CubicSpline(ls.x, ls.values, axis=0)
             self._splines[m] = sp
         return sp
@@ -329,10 +331,13 @@ def read_function_csv(path, config):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
             try:
-                x = float(row[0])
-                vec = [complex(float(row[1 + 2 * j]), float(row[2 + 2 * j])) for j in range(r)]
+                nums = [float(cell) for cell in row[: 1 + 2 * r]]
             except ValueError as exc:
                 raise ParseError(f"{path}:{ln}: {exc}") from None
+            if not all(map(math.isfinite, nums)):
+                raise ParseError(f"{path}:{ln}: non-finite number in {row[: 1 + 2 * r]}")
+            x = nums[0]
+            vec = [complex(re, im) for re, im in zip(nums[1::2], nums[2::2])]
             side = row[-2].strip()
             if side == "":
                 xs.append(x)

@@ -8,7 +8,6 @@ condition-estimate gates for solves.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvariantViolation, NonSquare, OverflowRisk, Singular, SpectrumOnCut
 
@@ -50,7 +49,9 @@ def principal_sqrt(m):
         raise SpectrumOnCut(
             f"principal_sqrt: eigenvalue {bad:.6g} lies on the closed negative real axis"
         )
-    return np.asarray(sla.sqrtm(a), dtype=complex)
+    from scipy.linalg import sqrtm
+
+    return np.asarray(sqrtm(a), dtype=complex)
 
 
 def matrix_exp(m, max_norm=4096.0):
@@ -64,7 +65,9 @@ def matrix_exp(m, max_norm=4096.0):
     nrm = float(np.linalg.norm(a, 2)) if a.size else 0.0
     if nrm > max_norm:
         raise OverflowRisk(f"matrix_exp: ||m||_2 = {nrm:.3g} exceeds {max_norm:.3g}")
-    return np.asarray(sla.expm(a), dtype=complex)
+    from scipy.linalg import expm
+
+    return np.asarray(expm(a), dtype=complex)
 
 
 def solve_linear(a, b, rcond_floor=RCOND_FLOOR, err=Singular, context=""):

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from . import transform as tr
 from .errors import (
@@ -403,107 +401,68 @@ def fd_reference(config, f0, t, dx, dt, x_max=12.0):
     offsets = np.cumsum([0] + [g.size for g in grids])
     total = offsets[-1] * r
 
-    lil_im = sp.lil_matrix((total, total), dtype=complex)
-    lil_ex = sp.lil_matrix((total, total), dtype=complex)
+    # COO triplets of the implicit (im) and explicit (ex) Crank-Nicolson matrices
+    im, ex = [], []
+    comp = np.arange(r)
+    eye = np.eye(r)
 
-    # PDE rows (Crank-Nicolson) on interior nodes; endpoints carry conditions
-    for m, g in enumerate(grids):
-        h = g[1] - g[0]
-        a2 = np.asarray(config.layers[m].a2, dtype=complex)
-        g2 = np.asarray(config.layers[m].g2, dtype=complex)
-        base = offsets[m]
-        n = g.size
-        half = 0.5 * step
-        for i in range(n):
-            row0 = (base + i) * r
-            if not 0 < i < n - 1:
-                for c in range(r):
-                    lil_im[row0 + c, row0 + c] = 1.0
-                continue
-            for c in range(r):
-                lil_im[row0 + c, row0 + c] = 1.0
-                lil_ex[row0 + c, row0 + c] = 1.0
-            for off, wgt in ((i - 1, 1.0 / h**2), (i, -2.0 / h**2), (i + 1, 1.0 / h**2)):
-                col0 = (base + off) * r
-                for a_ in range(r):
-                    for b_ in range(r):
-                        v = half * wgt * a2[a_, b_]
-                        if v != 0:
-                            lil_im[row0 + a_, col0 + b_] -= v
-                            lil_ex[row0 + a_, col0 + b_] += v
-            for a_ in range(r):
-                for b_ in range(r):
-                    v = half * g2[a_, b_]
-                    if v != 0:
-                        lil_im[row0 + a_, row0 + b_] -= v
-                        lil_ex[row0 + a_, row0 + b_] += v
+    def add(trip, row_nodes, col_nodes, mat):
+        """Add the r x r block mat (or one block per node pair) at the node pairs."""
+        rows = np.reshape(row_nodes, (-1, 1, 1)) * r + comp[:, None]
+        cols = np.reshape(col_nodes, (-1, 1, 1)) * r + comp
+        trip.append([a.ravel() for a in np.broadcast_arrays(rows, cols, mat)])
 
-    def clear_rows(row0, count):
-        for rr in range(row0, row0 + count):
-            lil_im.rows[rr] = []
-            lil_im.data[rr] = []
-            lil_ex.rows[rr] = []
-            lil_ex.data[rr] = []
-
-    def one_sided_cols(g, base, at_start):
-        h = g[1] - g[0]
+    def one_sided(g, base, at_start):
+        """Nodes and weights of the second-order one-sided first derivative."""
+        w = np.array([-3.0, 4.0, -1.0]) / (2 * (g[1] - g[0]))
         if at_start:
-            return [(base + 0, -3.0 / (2 * h)), (base + 1, 4.0 / (2 * h)),
-                    (base + 2, -1.0 / (2 * h))]
-        n = g.size
-        return [(base + n - 1, 3.0 / (2 * h)), (base + n - 2, -4.0 / (2 * h)),
-                (base + n - 3, 1.0 / (2 * h))]
+            return base + np.arange(3), w[:, None, None]
+        return base + g.size - 1 - np.arange(3), -w[:, None, None]
 
-    def put(row, node, mat_row):
-        for j in range(r):
-            if mat_row[j] != 0:
-                lil_im[row, node * r + j] += mat_row[j]
+    # PDE rows on interior nodes; the endpoint rows carry the conditions below
+    half = 0.5 * step
+    for m, g in enumerate(grids):
+        a2h2 = np.asarray(config.layers[m].a2, dtype=complex) / (g[1] - g[0]) ** 2
+        g2 = np.asarray(config.layers[m].g2, dtype=complex)
+        nodes = offsets[m] + np.arange(1, g.size - 1)
+        add(im, nodes, nodes, eye)
+        add(ex, nodes, nodes, eye)
+        for off, blk in ((-1, a2h2), (0, g2 - 2.0 * a2h2), (1, a2h2)):
+            add(im, nodes, nodes + off, -half * blk)
+            add(ex, nodes, nodes + off, half * blk)
 
     # boundary rows at l_0
     bnd = config.boundary
-    row0 = 0
-    clear_rows(0, r)
-    dcols = one_sided_cols(grids[0], offsets[0], True)
-    for i in range(r):
-        put(row0 + i, offsets[0], bnd.beta0[i])
-        for node, wgt in dcols:
-            put(row0 + i, node, wgt * bnd.alpha0[i])
+    add(im, 0, 0, bnd.beta0)
+    nodes, w = one_sided(grids[0], 0, True)
+    add(im, 0, nodes, w * bnd.alpha0)
 
-    # junction rows: replace the two endpoint node rows (left end, right start)
+    # junction rows: the left layer's last node and the right layer's first node
     for k in range(1, config.n_layers):
-        gl, gr = grids[k - 1], grids[k]
-        bl, br = offsets[k - 1], offsets[k]
         iface = config.interfaces[k - 1]
-        b1 = iface.lambda_free_part(1)
-        b2 = iface.lambda_free_part(2)
-        left_node = bl + gl.size - 1
-        right_node = br
-        clear_rows(left_node * r, r)
-        clear_rows(right_node * r, r)
-        dl = one_sided_cols(gl, bl, False)
-        dr = one_sided_cols(gr, br, True)
-        for j in range(2):                      # the two condition rows
-            target = (left_node if j == 0 else right_node) * r
-            for i in range(r):
-                row = target + i
-                # + side-1 terms
-                put(row, left_node, b1[j * r + i, :r])
-                for node, wgt in dl:
-                    put(row, node, wgt * b1[j * r + i, r:])
-                # - side-2 terms
-                put(row, right_node, -b2[j * r + i, :r])
-                for node, wgt in dr:
-                    put(row, node, -wgt * b2[j * r + i, r:])
+        b1, b2 = iface.lambda_free_part(1), iface.lambda_free_part(2)
+        left, right = offsets[k] - 1, offsets[k]
+        dl = one_sided(grids[k - 1], offsets[k - 1], False)
+        dr = one_sided(grids[k], offsets[k], True)
+        for target, rows in ((left, slice(0, r)), (right, slice(r, 2 * r))):
+            add(im, target, left, b1[rows, :r])
+            add(im, target, dl[0], dl[1] * b1[rows, r:])
+            add(im, target, right, -b2[rows, :r])
+            add(im, target, dr[0], -dr[1] * b2[rows, r:])
 
     # far-end truncation
-    last_node = offsets[-1] - 1
-    clear_rows(last_node * r, r)
-    for i in range(r):
-        lil_im[last_node * r + i, last_node * r + i] = 1.0
+    add(im, offsets[-1] - 1, offsets[-1] - 1, eye)
 
-    a_im = lil_im.tocsc()
-    a_ex = lil_ex.tocsr()
-    solver = splu(a_im)
+    def assemble(trip, fmt):
+        i, j, v = (np.concatenate(part) for part in zip(*trip))
+        keep = v != 0
+        return fmt((v[keep], (i[keep], j[keep])), shape=(total, total), dtype=complex)
+
+    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse.linalg import splu
+
+    solver = splu(assemble(im, csc_matrix))
+    a_ex = assemble(ex, csr_matrix)
 
     u = np.concatenate([f0.values_on(m, g).ravel() for m, g in enumerate(grids)])
     for _ in range(n_steps):

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from . import transform as _tr
 from .errors import InvariantViolation, NonpositiveHeight, UnsupportedDimension
@@ -268,6 +267,8 @@ def poisson_halfspace(profile, x, y=0.0):
     head, head_w = panel_gauss(_poisson_edges(x, y, cut), _POISSON_ORDER)
     s, tail_w = panel_gauss(np.append(0.0, 2.0 ** -np.arange(_TAIL_LEVELS, -1, -1)), _POISSON_ORDER)
     rho, weights = np.append(head, cut / s), np.append(head_w, cut * tail_w / (s * s))
+    from scipy.special import hyp2f1
+
     a = rho * rho + y * y + x * x
     # rho^(n-1) a^((3-n)/2) 2F1(...) / ((a - b)(a + b)) with rho^2/a <= 1 carrying the powers
     kernel = (

@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from layerft import catalog as cat
 from layerft import operator as op
@@ -184,3 +186,79 @@ def test_fd_reference_gates(load):
     f2 = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg_axis, 12.0)
     with pytest.raises(WrongMode):
         op.fd_reference(cfg_axis, f2, 0.05, 0.01, 2.5e-5, x_max=12.0)
+
+
+def entrywise_fd(config, f0, t, dx, dt, x_max):
+    """The Crank-Nicolson oracle assembled entry by entry into dense matrices."""
+    r = config.r
+    n_steps = max(1, math.ceil(t / dt - 1e-12))
+    half = 0.5 * t / n_steps
+    grids = []
+    for layer in config.layers:
+        b = min(layer.right, x_max)
+        grids.append(np.linspace(layer.left, b, max(4, int(round((b - layer.left) / dx)) + 1)))
+    offsets = np.cumsum([0] + [g.size for g in grids])
+    im = np.zeros((offsets[-1] * r, offsets[-1] * r), dtype=complex)
+    ex = np.zeros_like(im)
+
+    def d1(m, at_start):
+        """One-sided second-order first derivative at an end of layer m: (node, weight)."""
+        h = grids[m][1] - grids[m][0]
+        if at_start:
+            return [(offsets[m], -3.0 / (2 * h)), (offsets[m] + 1, 4.0 / (2 * h)),
+                    (offsets[m] + 2, -1.0 / (2 * h))]
+        end = offsets[m + 1] - 1
+        return [(end, 3.0 / (2 * h)), (end - 1, -4.0 / (2 * h)), (end - 2, 1.0 / (2 * h))]
+
+    def put(row, node, vec):
+        im[row, node * r:(node + 1) * r] += vec
+
+    for m, layer in enumerate(config.layers):
+        h = grids[m][1] - grids[m][0]
+        for i in range(offsets[m] + 1, offsets[m + 1] - 1):
+            for a in range(r):
+                im[i * r + a, i * r + a] += 1.0
+                ex[i * r + a, i * r + a] += 1.0
+                for node, w in ((i - 1, 1.0 / h**2), (i, -2.0 / h**2), (i + 1, 1.0 / h**2)):
+                    for b in range(r):
+                        v = half * (w * layer.a2[a, b] + (node == i) * layer.g2[a, b])
+                        im[i * r + a, node * r + b] -= v
+                        ex[i * r + a, node * r + b] += v
+    bnd = config.boundary
+    for i in range(r):
+        put(i, 0, bnd.beta0[i])
+        for node, w in d1(0, True):
+            put(i, node, w * bnd.alpha0[i])
+    for k in range(1, config.n_layers):
+        b1 = config.interfaces[k - 1].lambda_free_part(1)
+        b2 = config.interfaces[k - 1].lambda_free_part(2)
+        left, right = offsets[k] - 1, offsets[k]
+        for j, target in enumerate((left, right)):
+            for i in range(r):
+                row, c = target * r + i, j * r + i
+                put(row, left, b1[c, :r])
+                put(row, right, -b2[c, :r])
+                for node, w in d1(k - 1, False):
+                    put(row, node, w * b1[c, r:])
+                for node, w in d1(k, True):
+                    put(row, node, -w * b2[c, r:])
+    last = offsets[-1] - 1
+    for i in range(r):
+        im[last * r + i, last * r + i] = 1.0
+    lu = lu_factor(im)
+    u = np.concatenate([f0.values_on(m, g).ravel() for m, g in enumerate(grids)])
+    for _ in range(n_steps):
+        u = lu_solve(lu, ex @ u)
+    return u
+
+
+@pytest.mark.parametrize("name", ["r2diag", "threelayer_r2"])
+def test_fd_reference_matches_entrywise_assembly(load, name):
+    cfg, _spec = load(name)
+    f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=2.0, width=0.5), cfg, 5.0,
+                              amplitudes=[1.0, 0.7])
+    args = (0.01, 0.05, 5e-4, 5.0)
+    fd = op.fd_reference(cfg, f0, *args)
+    got = np.concatenate([ls.values.ravel() for ls in fd.layers])
+    ref = entrywise_fd(cfg, f0, *args)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
