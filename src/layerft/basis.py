@@ -1,4 +1,4 @@
-"""Kernel families for layered problems on the semi-axis.
+"""Kernel families for layered problems on the semi-axis and the full axis.
 
 Within layer m the building blocks are the bounded exponential families
 exp(+/- i q_m (x - c_m)), where q_m = V diag(mu) V^{-1} with mu > 0 squares
@@ -46,7 +46,9 @@ build_batch runs all of this for a whole spectral grid at once: one
 Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
 recursion as batched solves on (N, 2r, 2r) and every condition gate as one
 batched SVD.  Degenerate points are flagged, not raised; build_basis is
-its one-point view.
+its one-point view.  Everything before the boundary functionals is
+_build_families, which also builds the full axis's P families (axis.py);
+its step _coef_from_stack also runs axis.py's left-to-right sweep.
 """
 
 from dataclasses import dataclass, replace
@@ -175,20 +177,38 @@ def _omega_stack(ld, xs, r):
     return np.concatenate([_family(ld, s, a, b, 0), _family(ld, s, a, b, 1)], axis=-2)
 
 
-def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
-    """Backward-propagate the kernel families of a semi-axis problem at every lam at once.
+def _coef_from_stack(ld, y, s=0.0):
+    """Coefficients [C+; C-] of the family whose stack (F; F') at offset s is y.
 
-    Wavenumbers, junction recursion and regularity gates run as stacked
-    array operations over lams.  A point failing a gate is recorded in the
-    flags of the result, with the error build_basis raises there, and its
-    pencils and boundary functionals are replaced by the identity so that
-    the stacked solves stay regular.
+    C+- = 1/2 e^{-+iqs} (y_1 -+ i q^{-1} y_2), with q^{-1} and e^{-+iqs}
+    taken in the eigenbasis (no solve); s = 0 skips the phases.
     """
-    if config.mode != SEMI_AXIS:
-        raise WrongMode(
-            "build_basis serves semi-axis problems; full-axis kernels live in the "
-            "scalar axis transform"
-        )
+    r = ld.mu.shape[-1]
+    corr = 1j * (ld.v / ld.mu[..., None, :]) @ (ld.vinv @ y[..., r:, :])   # i q^{-1} y_2
+    lo, hi = y[..., :r, :] - corr, y[..., :r, :] + corr
+    if s:
+        ph = np.exp(-1j * ld.mu * s)[..., None]
+        lo, hi = ld.v @ (ph * (ld.vinv @ lo)), ld.v @ (np.conj(ph) * (ld.vinv @ hi))
+    return 0.5 * np.concatenate([lo, hi], axis=-2)
+
+
+def _gate(blocks, flags, lams, rcond_floor, make_error):
+    """Flag the points whose blocks fail the rcond gate; flagged blocks become the identity."""
+    for i in np.flatnonzero(linalg.rcond(blocks) < rcond_floor):
+        flags.setdefault(int(i), make_error(lams[i]))
+    if flags:
+        blocks[list(flags)] = np.eye(blocks.shape[-1])
+
+
+def _build_families(config, lams, rcond_floor):
+    """Wavenumbers and the backward junction sweep at every lam, for either geometry.
+
+    Returns (layers, pencils, flags): per-layer _LayerKernels stacked over
+    lams, whose coef holds the families normalized to the identity in the
+    last layer; the gated junction pencils (M_1, M_2) per junction; and the
+    flags of the points whose pencils fail the gate.  The tail layer is
+    centered at its left end, or at 0 when that is -inf (one-layer full axis).
+    """
     lams = np.asarray(lams, dtype=float).ravel()
     if np.any(lams <= 0):
         raise InvariantViolation(
@@ -200,14 +220,10 @@ def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
     n = lams.size
     flags = {}
 
-    def gate(blocks, make_error):
-        for i in np.flatnonzero(linalg.rcond(blocks) < rcond_floor):
-            flags.setdefault(int(i), make_error(lams[i]))
-        if flags:
-            blocks[list(flags)] = np.eye(blocks.shape[-1])
-
+    tail = config.layers[-1].left
+    centers = [layer.right for layer in config.layers[:-1]] + [tail if np.isfinite(tail) else 0.0]
     lds = []
-    for m, layer in enumerate(config.layers):
+    for layer, center in zip(config.layers, centers):
         a2 = np.asarray(layer.a2, dtype=complex)
         g2 = np.asarray(layer.g2, dtype=complex)
         mu, v, vinv = _wavenumber_eig(a2, g2, lams)
@@ -216,26 +232,46 @@ def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
                 mu=mu, v=v, vinv=vinv,
                 q2=np.linalg.solve(a2, np.multiply.outer(np.square(lams), np.eye(r)) + g2),
                 a2inv=np.linalg.inv(a2),
-                center=layer.right if m < L - 1 else layer.left,
+                center=center,
                 coef=np.broadcast_to(np.eye(2 * r, dtype=complex), (n, 2 * r, 2 * r)),
             )
         )
 
     # backward junction sweep: last layer keeps the identity coefficients
+    pencils = [None] * (L - 1)
     for i in range(L - 2, -1, -1):
         k = i + 1                          # junction number, abscissa l_k
         omega_next = _omega_stack(lds[i + 1], config.layers[i].right, r)
         iface = config.interfaces[i]
         m1, m2 = iface.pencil(1, lams), iface.pencil(2, lams)
         for side, j, blk in (("right", 2, m2), ("left", 1, m1)):
-            gate(blk, lambda lam: RegularityViolation(
+            _gate(blk, flags, lams, rcond_floor, lambda lam: RegularityViolation(
                 f"junction {k}: {side}-side condition block M_{j}({lam}) is singular",
                 lam=lam, junction=k,
             ))
-        y = np.linalg.solve(m1, m2 @ omega_next)
-        ld = lds[i]
-        corr = 1j * (ld.v / ld.mu[:, None, :]) @ (ld.vinv @ y[:, r:, :])   # i q^{-1} y_2
-        ld.coef = 0.5 * np.concatenate([y[:, :r, :] - corr, y[:, :r, :] + corr], axis=1)
+        pencils[i] = m1, m2
+        lds[i].coef = _coef_from_stack(lds[i], np.linalg.solve(m1, m2 @ omega_next))
+    return lds, pencils, flags
+
+
+def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
+    """Backward-propagate the kernel families of a semi-axis problem at every lam at once.
+
+    _build_families runs the wavenumbers, junction recursion and pencil
+    gates as stacked array operations over lams; this adds the boundary
+    functionals.  A point failing a gate is recorded in the flags of the
+    result, with the error build_basis raises there, and its pencils and
+    boundary functionals are replaced by the identity so that the stacked
+    solves stay regular.
+    """
+    if config.mode != SEMI_AXIS:
+        raise WrongMode(
+            "build_basis serves semi-axis problems; full-axis kernels live in the "
+            "scalar axis transform"
+        )
+    lams = np.asarray(lams, dtype=float).ravel()
+    lds, _pencils, flags = _build_families(config, lams, rcond_floor)
+    r = config.r
 
     bnd = config.boundary
     bnd_row = np.concatenate([bnd.value_row(lams), bnd.deriv_row(lams)], axis=-1)
@@ -243,7 +279,7 @@ def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
     phi0 = func_row[:, :, :r].copy()
     psi0 = func_row[:, :, r:].copy()
     for name, blk in (("Phi", phi0), ("Psi", psi0)):
-        gate(blk, lambda lam: DegenerateBoundary(
+        _gate(blk, flags, lams, rcond_floor, lambda lam: DegenerateBoundary(
             f"boundary functional of the {name} family is singular at lam = {lam}", lam=lam,
         ))
 

@@ -13,7 +13,6 @@ import traceback
 
 import numpy as np
 
-from . import axis as ax
 from . import catalog as cat
 from . import operator as op
 from . import radial as rad
@@ -27,7 +26,6 @@ from .gridfn import (
     write_image_csv,
     _fmt,
 )
-from .problem import FULL_AXIS
 
 
 def _add_common(p, need_config=True):
@@ -147,18 +145,6 @@ def _per_layer_points(config, spec, samples):
     return pts
 
 
-def _forward(config, f, spec):
-    if config.mode == FULL_AXIS:
-        return ax.scalar_axis_forward(config, f, spec)
-    return tr.forward_transform(config, f, spec)
-
-
-def _inverse(config, image, pts, spec):
-    if config.mode == FULL_AXIS:
-        return ax.scalar_axis_inverse(config, image, pts, spec)
-    return tr.inverse_transform(config, image, pts, spec)
-
-
 def _floats(text, name):
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
@@ -224,7 +210,8 @@ def dispatch(args):
 
     if cmd == "forward":
         f = _load_input(args.input, config, spec, args.samples)
-        image = _forward(config, f, spec)
+        forward, _ = tr.transform_pair(config)
+        image = forward(config, f, spec)
         write_image_csv(image, args.output)
         flagged = image.meta.get("flagged", [])
         print(
@@ -236,7 +223,8 @@ def dispatch(args):
     if cmd == "inverse":
         image = read_image_csv(args.input)
         pts = _per_layer_points(config, spec, args.samples)
-        recon = _inverse(config, image, pts, spec)
+        _, inverse = tr.transform_pair(config)
+        recon = inverse(config, image, pts, spec)
         write_function_csv(recon, args.output)
         dropped = recon.meta["dropped_rows"]
         print(
@@ -275,14 +263,7 @@ def dispatch(args):
                   "depend on the spectral parameter", file=sys.stderr)
             args.fd_check = False
         if args.fd_check:
-            fd_dt = args.fd_dt
-            if fd_dt is None:
-                eigmax = max(
-                    float(np.max(np.linalg.eigvalsh(0.5 * (l.a2 + l.a2.conj().T)).real))
-                    for l in config.layers
-                )
-                fd_dt = 0.999 * args.fd_dx**2 / (2.0 * eigmax)
-            fd = op.fd_reference(config, f0, args.time, args.fd_dx, fd_dt, x_max=spec.x_max)
+            fd = op.fd_reference(config, f0, args.time, args.fd_dx, args.fd_dt, x_max=spec.x_max)
             pts = [ls.x for ls in fd.layers]
             u = op.solve_heat(config, f0, args.time, pts, spec)
             gap = max(

@@ -236,12 +236,16 @@ def read_image_csv(path):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
             try:
-                lams.append(float(row[0]))
-                vals.append(
-                    [complex(float(row[1 + 2 * j]), float(row[2 + 2 * j])) for j in range(k)]
-                )
+                nums = [float(cell) for cell in row]
             except ValueError as exc:
                 raise ParseError(f"{path}:{ln}: {exc}") from None
+            re, im = nums[1::2], nums[2::2]
+            # write_image_csv gives a flagged row nan,0 in every component
+            flagged = all(map(math.isnan, re)) and not any(im)
+            if not math.isfinite(nums[0]) or not (flagged or all(map(math.isfinite, nums))):
+                raise ParseError(f"{path}:{ln}: non-finite number in {row}")
+            lams.append(nums[0])
+            vals.append([complex(a, b) for a, b in zip(re, im)])
     if not lams:
         raise EmptyImage(f"{path}: no image rows")
     return SpectralImage(np.array(lams), np.array(vals), meta={"source": str(path)})

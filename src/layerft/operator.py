@@ -359,13 +359,14 @@ def solve_heat(config, f0, t, x_points, spec, compat_tol=1e-5):
     return tr.inverse_transform(config, image.decayed(t), x_points, spec)
 
 
-def fd_reference(config, f0, t, dx, dt, x_max=12.0):
+def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     """Crank-Nicolson oracle for the heat flow on truncated per-layer grids.
 
     Junction and boundary conditions replace the PDE rows at the joined
     endpoints, with derivatives taken by one-sided second-order stencils;
     the far end carries a homogeneous Dirichlet truncation at x_max.  Only
-    spectral-parameter-free conditions are meaningful here.
+    spectral-parameter-free conditions are meaningful here.  dt defaults
+    to 0.999 times the resolution bound dx^2 / (2 max-eig a2).
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("fd_reference serves the semi-axis problem")
@@ -383,6 +384,8 @@ def fd_reference(config, f0, t, dx, dt, x_max=12.0):
         for l in config.layers
     )
     bound = dx * dx / (2.0 * eigmax)
+    if dt is None:
+        dt = 0.999 * bound
     if dt > bound * (1 + 1e-12):
         raise UnstableStep(
             f"dt = {dt} exceeds the resolution bound dx^2/(2 max-eig a2) = {bound:.3e}"

@@ -362,18 +362,22 @@ class RoundtripReport:
         return "\n".join(lines)
 
 
+def transform_pair(config):
+    """The (forward, inverse) transforms of the geometry of config."""
+    if config.mode == SEMI_AXIS:
+        return forward_transform, inverse_transform
+    from . import axis  # imported here: axis imports this module
+
+    return axis.scalar_axis_forward, axis.scalar_axis_inverse
+
+
 def roundtrip_report(config, f, spec):
     """Transform f forward, invert, and report reconstruction errors.
 
     Serves both geometries; the report carries the reconstruction on the
     sample abscissae of f within |x| <= x_max.
     """
-    if config.mode == SEMI_AXIS:
-        forward, inverse = forward_transform, inverse_transform
-    else:
-        from . import axis  # imported here: axis imports this module
-
-        forward, inverse = axis.scalar_axis_forward, axis.scalar_axis_inverse
+    forward, inverse = transform_pair(config)
     image = forward(config, f, spec)
     window = [ls.x[np.abs(ls.x) <= spec.x_max * (1 + 1e-12)] for ls in f.layers]
     recon = inverse(config, image, window, spec)

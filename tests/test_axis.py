@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from layerft import axis as ax
+from layerft import basis as bas
 from layerft import catalog as cat
+from layerft import cli
 from layerft.errors import (
     ConfigError,
     DegenerateBoundary,
@@ -167,3 +169,57 @@ def test_reflectionless_junction_degenerates():
     from layerft.errors import LayerFTError
 
     assert isinstance(exc.value, LayerFTError)
+
+
+def three_layer_axis():
+    """Full axis whose first junction is not ideal contact: F(l-) = 1.5 G(l+), 0.3 F + F' = 2 G'."""
+    E = np.eye(1)
+    Z = np.zeros((1, 1))
+    blocks = {n: Z for n in Interface.BLOCK_NAMES}
+    blocks.update(beta11=E, beta21=0.3 * E, alpha21=E, beta12=1.5 * E, alpha22=2 * E)
+    return ProblemConfig(
+        r=1, mode="full-axis",
+        layers=(
+            Layer(left=-np.inf, right=-0.5, a2=E, g2=0.2 * E),
+            Layer(left=-0.5, right=1.0, a2=2.25 * E, g2=Z),
+            Layer(left=1.0, right=np.inf, a2=0.7 * E, g2=0.1 * E),
+        ),
+        interfaces=(Interface(**blocks), ideal_contact(2.25 * E, 0.7 * E)),
+    )
+
+
+@pytest.mark.parametrize("lam", [0.3, 2.1, 7.5])
+def test_three_layer_sweeps_meet_junction_conditions(lam):
+    cfg = three_layer_axis()
+    b = ax.build_axis_basis(cfg, lam)
+    for k, iface in enumerate(cfg.interfaces, start=1):
+        lk = cfg.junction(k)
+        for layers in (b.layers, b.q_layers):       # P and Q families
+            left = iface.pencil(1, lam) @ bas._omega_stack(layers[k - 1], [lk], 1)[0]
+            right = iface.pencil(2, lam) @ bas._omega_stack(layers[k], [lk], 1)[0]
+            assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(right)
+
+    # Q- and Q+ start in the left layer as exp(-/+ i q (x - l_1))
+    xs = np.linspace(-6.0, -0.5, 9)
+    q, s = np.sqrt(lam**2 + 0.2), xs - b.centers[0]
+    qq = bas._omega_stack(b.q_layers[0], xs, 1)[:, 0]
+    assert np.max(np.abs(qq - np.column_stack([np.exp(-1j * q * s), np.exp(1j * q * s)]))) <= 1e-12
+
+    pts = np.array([-4.0, -1.2, -0.5, 0.1, 0.9, 1.0, 3.5])
+    assert ax.symmetry_defect(b, pts) <= 1e-12
+
+
+def test_cli_singular_full_axis_pencil_exits_4(tmp_path):
+    cfg = tmp_path / "singular_axis.cfg"
+    cfg.write_text(
+        "problem: {r: 1, mode: full-axis}\n"
+        "layers:\n"
+        "  - {left: -inf, right: 0.5, a2: 1.0}\n"
+        "  - {left: 0.5, right: inf, a2: 2.0}\n"
+        "interfaces:\n"
+        "  - {}\n"
+    )
+    argv = ["forward", "--config", str(cfg), "--input", "gauss_bump",
+            "--output", str(tmp_path / "img.csv"), "--lambda-steps", "50"]
+    assert cli.main(argv) == 4
+    assert not (tmp_path / "img.csv").exists()

@@ -227,3 +227,19 @@ def test_random_two_layer_configs_stay_regular():
         )
         lam = rng.uniform(0.1, 15.0)
         assert max_residual(bas.build_basis(cfg, lam)) <= 1e-10
+
+
+def test_coef_from_stack_inverts_omega_stack_off_center():
+    # the full-axis Q sweep reads coefficients at s != 0; the semi-axis never does
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        a2, g2 = a @ a.conj().T + np.eye(2), g @ g.conj().T
+        lams = rng.uniform(0.1, 8.0, size=6)
+        mu, v, vinv = bas._wavenumber_eig(a2, g2, lams)
+        coef = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        ld = bas._LayerKernels(mu=mu, v=v, vinv=vinv, q2=None, a2inv=None, center=0.4, coef=coef)
+        s = rng.uniform(-3.0, 3.0)
+        back = bas._coef_from_stack(ld, bas._omega_stack(ld, 0.4 + s, 2), s)
+        assert np.max(np.abs(back - coef)) <= 1e-12 * np.max(np.abs(coef))

@@ -107,3 +107,55 @@ def test_corrupted_csv_fuzz(tmp_path, valid, data):
         flagged = re.search(r"\((\d+) flagged\)", stdout)
         nonfinite = sum(not finite(row) for row in written[1:])
         assert nonfinite <= (int(flagged.group(1)) if flagged else 0)
+
+
+def inverse_csv(path, out, config=CONFIG):
+    return run(["inverse", "--config", config, "--input", path, "--output", out,
+                "--samples", "11", *SPEC])
+
+
+@pytest.fixture(scope="module")
+def valid_r2(tmp_path_factory):
+    """The image CSV of a two-component problem."""
+    image_csv = str(tmp_path_factory.mktemp("csv_r2") / "image.csv")
+    rc, _out, err = run(["forward", "--config", config_path("r2diag"), "--input", "gauss_bump",
+                         "--output", image_csv, *SPEC])
+    assert rc == 0, err
+    return read_rows(image_csv)
+
+
+@pytest.mark.parametrize("token, cell", [
+    (token, cell) for token in ["nan", "inf", "-inf", "1e400"] for cell in (0, 1, 2)
+    if (token, cell) != ("nan", 1)     # nan in re_1 next to im_1 = 0 is a flagged row
+])
+def test_nonfinite_image_cell_is_parse_error(tmp_path, valid, token, cell):
+    rows = [list(row) for row in valid["image"]]
+    rows[5][cell] = token
+    path, out = str(tmp_path / "bad.csv"), tmp_path / "f.csv"
+    write_rows(path, rows)
+    rc, _out, err = inverse_csv(path, str(out))
+    assert rc == 3
+    assert f"{path}:6: non-finite number" in err
+    assert not out.exists()
+
+
+def test_single_component_nan_is_parse_error(tmp_path, valid_r2):
+    rows = [list(row) for row in valid_r2]
+    rows[5][1:3] = ["nan", "0"]
+    path, out = str(tmp_path / "bad.csv"), tmp_path / "f.csv"
+    write_rows(path, rows)
+    rc, _out, err = inverse_csv(path, str(out), config_path("r2diag"))
+    assert rc == 3
+    assert f"{path}:6: non-finite number" in err
+    assert not out.exists()
+
+
+def test_flagged_image_row_is_dropped_and_reported(tmp_path, valid_r2):
+    rows = [list(row) for row in valid_r2]
+    rows[5][1:] = ["nan", "0", "nan", "0"]
+    path, out = str(tmp_path / "flagged.csv"), str(tmp_path / "f.csv")
+    write_rows(path, rows)
+    rc, stdout, err = inverse_csv(path, out, config_path("r2diag"))
+    assert rc == 0, err
+    assert "(1 non-finite image rows dropped)" in stdout
+    assert all(map(finite, read_rows(out)[1:]))

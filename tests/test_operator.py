@@ -262,3 +262,14 @@ def test_fd_reference_matches_entrywise_assembly(load, name):
     got = np.concatenate([ls.values.ravel() for ls in fd.layers])
     ref = entrywise_fd(cfg, f0, *args)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fd_reference_default_step_is_just_under_the_bound(load):
+    cfg, _ = load("sine")
+    f0 = odd_gaussian_function()
+    dx = 0.08
+    eigmax = max(float(np.max(np.linalg.eigvalsh(layer.a2).real)) for layer in cfg.layers)
+    explicit = op.fd_reference(cfg, f0, 0.02, dx, 0.999 * dx * dx / (2.0 * eigmax), x_max=8.0)
+    default = op.fd_reference(cfg, f0, 0.02, dx, x_max=8.0)
+    assert default.meta == explicit.meta
+    assert np.array_equal(default.layers[0].values, explicit.layers[0].values)
