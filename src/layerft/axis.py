@@ -26,9 +26,10 @@ The wavenumbers, pencil gates and the backward sweep are the semi-axis
 ones (basis._build_families), whose families, the identity in the last
 layer, are P; so in the tail T is the Q coefficients themselves.  What is
 full-axis is kept here: the Q sweep, the connection and the Wronskian.
-build_axis_basis is the one-point view of _axis_families; the transforms
-contract the families through transform._moments and _damped_sums, the
-scalar case V = 1, mu = q of the semi-axis kernels.
+build_axis_basis is the one-point view of _axis_families.  Both branches
+are basis.Family objects: the row u with lp = lm = 1 and the P coefficient
+rows on the right (row_family), the column u* with -Q/(c w) on the left;
+the shared drivers of transform.py contract them.
 """
 
 import math
@@ -38,14 +39,13 @@ import numpy as np
 
 from . import basis as bas
 from . import linalg
-from . import quadrature as quad
 from .errors import (
     DegenerateBoundary,
     DimensionMismatch,
     WrongMode,
 )
 from .problem import FULL_AXIS
-from .transform import _moments, _spectral_forward, _spectral_inverse
+from .transform import _spectral_forward, _spectral_inverse
 
 AXIS_INVERSION_CONSTANT = 1.0 / (math.pi * 1j)
 
@@ -122,9 +122,19 @@ def build_axis_basis(config, lam, rcond_floor=linalg.RCOND_FLOOR):
     )
 
 
+def row_family(ld):
+    """(F_1(x), F_2(x)) of a layer whose coef columns are the families F: a 1 x 2 Family.
+
+    lp = lm = 1 and rp, rm are the rows of coef (the exp(+iqs), exp(-iqs)
+    coefficients); for the P families this is the row kernel u.
+    """
+    one = np.ones_like(ld.coef[..., :1, :1])
+    return bas.Family(ld.mu, ld.center, one, ld.coef[..., :1, :], one, ld.coef[..., 1:, :])
+
+
 def axis_u_on_layer(ab, m, xs, order=0):
     """Row kernel (P+(x), P-(x)) on layer m, or its derivative (order 1): shape (N, 2)."""
-    return bas._omega_stack(ab.layers[m], xs, 1)[:, order]
+    return row_family(ab.layers[m]).at(np.atleast_1d(xs), order)[:, 0]
 
 
 def symmetry_defect(ab, xs):
@@ -137,7 +147,7 @@ def symmetry_defect(ab, xs):
     xs = np.asarray(xs, dtype=float)
     idx = [ab.config.layer_index(float(x)) for x in xs]
     pp = np.array([axis_u_on_layer(ab, m, [x])[0] for m, x in zip(idx, xs)])
-    qq = np.array([bas._omega_stack(ab.q_layers[m], [x], 1)[0, 0] for m, x in zip(idx, xs)])
+    qq = np.array([row_family(ab.q_layers[m]).at([x])[0, 0] for m, x in zip(idx, xs)])
     n = -np.outer(pp[:, 0], qq[:, 0]) / ab.c2 - np.outer(pp[:, 1], qq[:, 1]) / ab.d1
     scale = max(np.max(np.abs(n)), 1e-300)
     return float(np.max(np.abs(n - n.T)) / scale)
@@ -151,22 +161,18 @@ def scalar_axis_forward(config, f, spec, lambdas=None):
     if f.r != 1:
         raise DimensionMismatch("full-axis transform is scalar", block="input")
 
-    quad.check_size(config, spec)
-    rules = quad.xi_rules(config, spec)
-    weighted_f = [ws[:, None] * f.values_on(m, xs) for m, (xs, ws) in enumerate(rules)]
-
-    def rows(lams):
+    def kernels(lams):
         p, q, cd, omega, flags = _axis_families(config, lams)
-        total = np.zeros((lams.size, 2), dtype=complex)
-        for m, (xs, _ws) in enumerate(rules):
-            if xs.size:
-                # u* branches (-Q-/(c2 w), -Q+/(d1 w)) on layer m
-                qs = -q[m].coef / (cd[:, None, :] * omega[:, m, None, None])
-                fp, fm = _moments(p[m].mu, xs - p[m].center, weighted_f[m])
-                total += qs[:, 0] * fp[:, 0] + qs[:, 1] * fm[:, 0]
-        return total, flags
+        one = np.ones((lams.size, 1, 1))
+        columns = []
+        for m, (pm, qm) in enumerate(zip(p, q)):
+            # u* branches (-Q-/(c2 w), -Q+/(d1 w)) on layer m: a 2 x 1 Family
+            qs = -qm.coef / (cd[:, None, :] * omega[:, m, None, None])
+            columns.append(bas.Family(pm.mu, pm.center, qs[:, 0, :, None], one,
+                                      qs[:, 1, :, None], one))
+        return columns, 0.0, flags
 
-    return _spectral_forward(config, spec, lambdas, rows)
+    return _spectral_forward(config, f, spec, lambdas, kernels)
 
 
 def scalar_axis_inverse(config, image, x_points, spec):
@@ -179,11 +185,8 @@ def scalar_axis_inverse(config, image, x_points, spec):
             f"full-axis image must have two branches, got {image.k}", block="image"
         )
 
-    def families(lams, fhat):
+    def kernels(lams):
         p, *_, flags = _axis_families(config, lams)
-        if flags:
-            raise flags[min(flags)]
-        return [(ld.mu, ld.center, ld.coef[:, :1] @ fhat[:, :, None],
-                 ld.coef[:, 1:] @ fhat[:, :, None]) for ld in p]
+        return [row_family(ld) for ld in p], flags
 
-    return _spectral_inverse(config, image, x_points, spec, AXIS_INVERSION_CONSTANT, families)
+    return _spectral_inverse(config, image, x_points, spec, AXIS_INVERSION_CONSTANT, kernels)

@@ -38,9 +38,15 @@ one solve per layer, after which w costs what u costs.  w obeys
 w' = (w_2 q^2, -w_1), so u* solves the formally adjoint equation exactly,
 satisfies the a2-weighted dual junction relations
 w^(k) M_1k^{-1} = w^(k+1) M_2k^{-1}, and w(l_0) reproduces the boundary
-coefficient row identically.  In the eigenbasis u = V (e^{i mu s} P +
-e^{-i mu s} M) with P = V^{-1} (C+ Phi0^{-1} - D+ Psi0^{-1}) and M alike
-(plus_minus), so both kernels are per-lam coefficients times e^{+-i mu s}.
+coefficient row identically.
+
+Every kernel is therefore a Family lp diag(e^{i mu s}) rp + lm diag(e^{-i mu s})
+rm: u with lp = lm = V and rp, rm = V^{-1} (C+- Phi0^{-1} - D+- Psi0^{-1})
+(primal_family), u* with lp = -G_2 V, lm = G_1 V and rp = rm = K =
+(2 i mu)^{-1} V^{-1} a2^{-1} (dual_family), and w = (-u*' a2, u* a2); the
+full-axis branches (axis.py) are Families too.  Family.at is the one place a
+kernel evaluates e^{+-i mu s}, and _wavenumber_eig the one gate every lam
+passes: it must be positive with a finite, nonzero square.
 
 build_batch runs all of this for a whole spectral grid at once: one
 Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
@@ -73,10 +79,19 @@ def _wavenumber_eig(a2, g2, lams):
     With a2 = L L^H, L^{-1} (lam^2 E + g2) L^{-H} = U diag(mu^2) U^H is
     Hermitian positive-definite; V = L^{-H} U and V^{-1} = U^H L^H.  One
     Cholesky factor serves every lam; the eigh is batched, shapes (N, r[, r]).
+    Every spectral parameter passes here: one that is not positive with a
+    finite, nonzero square raises InvariantViolation.
     """
+    lams = np.asarray(lams, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        lam2 = np.square(lams)
+    bad = ~((lams > 0) & (lam2 > 0) & (lam2 < np.inf))
+    if bad.any():
+        raise InvariantViolation(f"spectral parameter {lams[bad][0]} is not positive with a "
+                                 "finite, nonzero square")
     chol = np.linalg.cholesky(a2)
     chol_inv = np.linalg.inv(chol)
-    pencil = np.multiply.outer(np.square(lams), np.eye(a2.shape[0])) + g2
+    pencil = np.multiply.outer(lam2, np.eye(a2.shape[0])) + g2
     mu2, u = np.linalg.eigh(chol_inv @ pencil @ chol_inv.conj().T)
     return np.sqrt(mu2), chol_inv.conj().T @ u, u.conj().swapaxes(-1, -2) @ chol.conj().T
 
@@ -86,12 +101,41 @@ def compute_wavenumber(layer, lam):
 
     For lam > 0 the spectrum is positive and real (_wavenumber_eig).
     """
-    if lam <= 0:
-        raise InvariantViolation(f"spectral parameter must be positive, got {lam}")
     mu, v, vinv = _wavenumber_eig(
         np.asarray(layer.a2, dtype=complex), np.asarray(layer.g2, dtype=complex), [lam]
     )
     return (v[0] * mu[0]) @ vinv[0]
+
+
+@dataclass
+class Family:
+    """K(x) = lp diag(e^{i mu s}) rp + lm diag(e^{-i mu s}) rm with s = x - center.
+
+    mu (..., rho) real, lp and lm (..., a, rho), rp and rm (..., rho, b): one
+    spectral point, or stacked over lam on axis 0.
+    """
+
+    mu: np.ndarray
+    center: float
+    lp: np.ndarray
+    rp: np.ndarray
+    lm: np.ndarray
+    rm: np.ndarray
+
+    def at(self, xs, order=0):
+        """d^order K / dx^order at each x of an (Nx,) xs, or per lam of a stacked K at one x."""
+        if order not in (0, 1, 2):
+            raise InvariantViolation(f"unsupported derivative order {order}")
+        ep = np.exp(1j * self.mu * (np.asarray(xs, dtype=float)[..., None] - self.center))
+        em = np.conj(ep)
+        if order:
+            ep, em = ep * (1j * self.mu) ** order, em * (-1j * self.mu) ** order
+        # one matrix product where a factor is shared: u, Omega (lp is lm), u* (rp is rm)
+        if self.lp is self.lm:
+            return self.lp @ (ep[..., :, None] * self.rp + em[..., :, None] * self.rm)
+        if self.rp is self.rm:
+            return (self.lp * ep[..., None, :] + self.lm * em[..., None, :]) @ self.rp
+        return (self.lp * ep[..., None, :]) @ self.rp + (self.lm * em[..., None, :]) @ self.rm
 
 
 @dataclass
@@ -106,13 +150,13 @@ class _LayerKernels:
     center: float
     coef: np.ndarray       # (..., 2r, 2r) [[C+, D+], [C-, D-]]: columns Phi | Psi
 
-    @property
-    def q(self):
-        return (self.v * self.mu[..., None, :]) @ self.vinv
-
     def at(self, i):
         return replace(self, mu=self.mu[i], v=self.v[i], vinv=self.vinv[i], q2=self.q2[i],
                        coef=self.coef[i])
+
+    def family(self, plus, minus):
+        """The Family V (e^{i mu s} V^{-1} plus + e^{-i mu s} V^{-1} minus) of this layer."""
+        return Family(self.mu, self.center, self.v, self.vinv @ plus, self.v, self.vinv @ minus)
 
 
 @dataclass
@@ -157,24 +201,10 @@ class SpectralBasisBatch(SpectralBasisAtLambda):
         )
 
 
-def _family(ld, s, a, b, order):
-    """V (e^{i mu s} a + e^{-i mu s} b) or its x-derivative (order 1).
-
-    One row block per s of an (Nx,) array s, or one per lam of a stacked ld
-    at a scalar s.
-    """
-    ep = np.exp(1j * ld.mu * np.asarray(s, dtype=float)[..., None])[..., None]
-    em = np.conj(ep)
-    if order == 1:
-        ep, em = 1j * ld.mu[..., None] * ep, -1j * ld.mu[..., None] * em
-    return ld.v @ (ep * a + em * b)
-
-
 def _omega_stack(ld, xs, r):
     """Omega(x) = [[Phi, Psi], [Phi', Psi']] at each x, or at one x for a stacked ld."""
-    s = np.asarray(xs, dtype=float) - ld.center
-    a, b = ld.vinv @ ld.coef[..., :r, :], ld.vinv @ ld.coef[..., r:, :]
-    return np.concatenate([_family(ld, s, a, b, 0), _family(ld, s, a, b, 1)], axis=-2)
+    fam = ld.family(ld.coef[..., :r, :], ld.coef[..., r:, :])
+    return np.concatenate([fam.at(xs, 0), fam.at(xs, 1)], axis=-2)
 
 
 def _coef_from_stack(ld, y, s=0.0):
@@ -210,11 +240,6 @@ def _build_families(config, lams, rcond_floor):
     centered at its left end, or at 0 when that is -inf (one-layer full axis).
     """
     lams = np.asarray(lams, dtype=float).ravel()
-    if np.any(lams <= 0):
-        raise InvariantViolation(
-            f"spectral parameter must be positive, got {lams[np.argmax(lams <= 0)]}"
-        )
-
     r = config.r
     L = config.n_layers
     n = lams.size
@@ -310,38 +335,25 @@ def build_basis(config, lam, rcond_floor=RCOND_FLOOR):
 # --- kernel evaluation ------------------------------------------------------
 
 
-def plus_minus(basis, m):
-    """(P, M) of layer m with u = V (e^{i mu s} P + e^{-i mu s} M), s = x - center.
-
-    P = V^{-1} (C+ Phi0^{-1} - D+ Psi0^{-1}) and M alike with (C-, D-); one
-    point or stacked like basis.
-    """
+def primal_family(basis, m):
+    """u on layer m as a Family (module docstring), one point or stacked like basis."""
     r = basis.r
     ld = basis.layers[m]
     # two products, then the difference: for real coefficients M = -conj(P)
     # exactly, so u is exactly imaginary as Phi Phi0^{-1} - Psi Psi0^{-1} is
     cb = ld.coef[..., :r] @ basis.phi0_inv - ld.coef[..., r:] @ basis.psi0_inv
-    return ld.vinv @ cb[..., :r, :], ld.vinv @ cb[..., r:, :]
+    return ld.family(cb[..., :r, :], cb[..., r:, :])
 
 
-def u_on_layer(basis, m, xs, order=0):
-    """Primal kernel u (or a derivative) on layer m at abscissae xs: (N, r, r)."""
-    if order not in (0, 1, 2):
-        raise InvariantViolation(f"unsupported derivative order {order}")
-    ld = basis.layers[m]
-    s = np.atleast_1d(np.asarray(xs, dtype=float)) - ld.center
-    u = _family(ld, s, *plus_minus(basis, m), order % 2)
-    return -ld.q2 @ u if order == 2 else u
-
-
-def dual_coef(basis, m, rcond_floor=RCOND_FLOOR):
-    """G = (Phi0, Psi0) coef^{-1} of layer m, one point or stacked like basis.
+def dual_family(basis, m, rcond_floor=RCOND_FLOOR):
+    """u* = w_2 a2^{-1} on layer m as a Family (module docstring), like primal_family.
 
     Omega(x) is singular exactly when coef is, so rcond(coef) is the one gate
     (OmegaSingular).  Placeholder slices of flagged points are regular too.
     """
-    coef = basis.layers[m].coef
-    rc = np.atleast_1d(linalg.rcond(coef))
+    r = basis.r
+    ld = basis.layers[m]
+    rc = np.atleast_1d(linalg.rcond(ld.coef))
     bad = np.flatnonzero(~(rc >= rcond_floor))
     if bad.size:
         raise OmegaSingular(
@@ -349,45 +361,30 @@ def dual_coef(basis, m, rcond_floor=RCOND_FLOOR):
             f"reciprocal condition {rc[bad[0]]:.3g} below floor"
         )
     row = np.concatenate([basis.phi0, basis.psi0], axis=-1)
-    return np.linalg.solve(coef.swapaxes(-1, -2), row.swapaxes(-1, -2)).swapaxes(-1, -2)
+    g = np.linalg.solve(ld.coef.swapaxes(-1, -2), row.swapaxes(-1, -2)).swapaxes(-1, -2)
+    k = (ld.vinv / (2j * ld.mu[..., :, None])) @ ld.a2inv
+    return Family(ld.mu, ld.center, -(g[..., r:] @ ld.v), k, g[..., :r] @ ld.v, k)
 
 
-def dual_rows(g, ld, phase):
-    """w = 1/2 (G_1 e^{-iqs} + G_2 e^{iqs}, (G_1 e^{-iqs} - G_2 e^{iqs}) (iq)^{-1}).
-
-    phase = e^{i mu s}, shape (..., r) broadcasting against g (..., r, 2r).
-    """
-    r = ld.mu.shape[-1]
-    em = (g[..., :r] @ ld.v) * np.conj(phase)[..., None, :]
-    ep = (g[..., r:] @ ld.v) * phase[..., None, :]
-    return np.concatenate(
-        [(em + ep) @ (0.5 * ld.vinv), (em - ep) @ (ld.vinv / (2j * ld.mu[..., :, None]))],
-        axis=-1,
-    )
-
-
-def w_on_layer(basis, m, xs, rcond_floor=RCOND_FLOOR):
-    """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m: (N, r, 2r).
-
-    Closed form of the module docstring (dual_coef, dual_rows).
-    """
-    ld = basis.layers[m]
-    s = np.atleast_1d(np.asarray(xs, dtype=float)) - ld.center
-    return dual_rows(dual_coef(basis, m, rcond_floor), ld, np.exp(1j * ld.mu * s[:, None]))
+def u_on_layer(basis, m, xs, order=0):
+    """Primal kernel u (or a derivative) on layer m at abscissae xs: (N, r, r)."""
+    return primal_family(basis, m).at(np.atleast_1d(xs), order)
 
 
 def u_star_on_layer(basis, m, xs, order=0):
     """Dual kernel u* (or a derivative) on layer m at abscissae xs: (N, r, r)."""
-    r = basis.r
-    ld = basis.layers[m]
-    w = w_on_layer(basis, m, xs)
-    if order == 0:
-        return w[:, :, r:] @ ld.a2inv
-    if order == 1:
-        return -w[:, :, :r] @ ld.a2inv
-    if order == 2:
-        return -w[:, :, r:] @ (ld.q2 @ ld.a2inv)
-    raise InvariantViolation(f"unsupported derivative order {order}")
+    return dual_family(basis, m).at(np.atleast_1d(xs), order)
+
+
+def row_function(fam, a2, xs):
+    """w = (-u*' a2, u* a2) (w_1 = -w_2') from the dual family u* of a layer, as Family.at."""
+    return np.concatenate([-fam.at(xs, 1) @ a2, fam.at(xs) @ a2], axis=-1)
+
+
+def w_on_layer(basis, m, xs, rcond_floor=RCOND_FLOOR):
+    """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m: (N, r, 2r)."""
+    fam = dual_family(basis, m, rcond_floor)
+    return row_function(fam, basis.config.layers[m].a2, np.atleast_1d(xs))
 
 
 def eval_u(basis, x, order=0):

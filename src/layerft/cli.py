@@ -15,6 +15,7 @@ import numpy as np
 
 from . import catalog as cat
 from . import operator as op
+from . import quadrature as quad
 from . import radial as rad
 from . import transform as tr
 from .configio import emit_config, parse_config
@@ -40,6 +41,13 @@ def _add_common(p, need_config=True):
                    help="Gauss-Legendre order of the spatial panels")
 
 
+def _samples(text):
+    """argparse type of every --samples flag: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="layerft",
@@ -51,32 +59,32 @@ def build_parser():
     _add_common(p)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--samples", type=int, default=201, help="points per layer")
+    p.add_argument("--samples", type=_samples, default=201, help="points per layer")
 
     p = sub.add_parser("forward", help="transform a function to its spectral image")
     _add_common(p)
     p.add_argument("--input", required=True,
                    help="function CSV or catalog profile (e.g. gauss_bump:center=2)")
     p.add_argument("--output", required=True, help="image CSV")
-    p.add_argument("--samples", type=int, default=401)
+    p.add_argument("--samples", type=_samples, default=401)
 
     p = sub.add_parser("inverse", help="reconstruct a function from an image")
     _add_common(p)
     p.add_argument("--input", required=True, help="image CSV")
     p.add_argument("--output", required=True, help="function CSV")
-    p.add_argument("--samples", type=int, default=201, help="points per layer")
+    p.add_argument("--samples", type=_samples, default=201, help="points per layer")
 
     p = sub.add_parser("roundtrip", help="forward + inverse, report reconstruction error")
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="optional reconstruction CSV")
-    p.add_argument("--samples", type=int, default=401)
+    p.add_argument("--samples", type=_samples, default=401)
 
     p = sub.add_parser("identity", help="check the operational multiplication identity")
     _add_common(p)
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="optional residual CSV")
-    p.add_argument("--samples", type=int, default=401)
+    p.add_argument("--samples", type=_samples, default=401)
     p.add_argument("--no-boundary-term", action="store_true",
                    help="drop the boundary brace from the right-hand side")
 
@@ -85,7 +93,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--output", required=True, help="solution CSV")
-    p.add_argument("--samples", type=int, default=401)
+    p.add_argument("--samples", type=_samples, default=401)
     p.add_argument("--fd-check", action="store_true",
                    help="also run the finite-difference oracle and report the gap")
     p.add_argument("--fd-dx", type=float, default=0.01)
@@ -131,6 +139,7 @@ def _load_problem(args):
 
 def _load_input(text, config, spec, samples):
     if cat.is_profile_reference(text):
+        quad.check_size(config, spec)       # before sampling out to x_max
         profile = cat.parse_profile(text)
         return cat.to_grid_function(profile, config, spec.x_max, samples_per_layer=samples)
     return read_function_csv(text, config)

@@ -186,8 +186,8 @@ class SpectralImage:
 
     def decayed(self, t):
         """Image of the heat semigroup at time t: multiply by exp(-lam^2 t)."""
-        if t < 0:
-            raise InvariantViolation(f"negative time {t}")
+        if not (math.isfinite(t) and t >= 0):
+            raise InvariantViolation(f"time must be finite and nonnegative, got {t}")
         factor = np.exp(-self.lambdas**2 * t)
         meta = dict(self.meta)
         meta["heat_time"] = meta.get("heat_time", 0.0) + t

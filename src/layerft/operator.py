@@ -25,12 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature as quad
 from . import transform as tr
 from .errors import (
     ConjugationViolated,
     GridTooCoarse,
     InvariantViolation,
     MissingTraces,
+    SizeLimitExceeded,
     UnstableStep,
     WrongMode,
 )
@@ -342,8 +344,8 @@ def solve_heat(config, f0, t, x_points, spec, compat_tol=1e-5):
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("solve_heat serves the semi-axis problem")
-    if t < 0:
-        raise InvariantViolation(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(t) and t >= 0):
+        raise InvariantViolation(f"time must be finite and nonnegative, got {t}")
     res = lambda_split_residuals(config, f0)
     scale = max(1.0, f0.sup_norm())
     worst = max(
@@ -375,8 +377,11 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
             "fd_reference needs spectral-parameter-free boundary and junction "
             "conditions; this problem couples them to the spectral parameter"
         )
-    if t <= 0:
-        raise InvariantViolation(f"time must be positive, got {t}")
+    for name, value in (("time", t), ("dx", dx), ("x_max", x_max), ("dt", dt)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise InvariantViolation(f"{name} must be finite and positive, got {value}")
+    if not x_max >= config.layers[-1].left + dx:
+        raise InvariantViolation(f"x_max = {x_max} must lie at least dx inside the last layer")
 
     r = config.r
     eigmax = max(
@@ -391,16 +396,19 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
             f"dt = {dt} exceeds the resolution bound dx^2/(2 max-eig a2) = {bound:.3e}"
         )
 
+    # nodes x r x steps as floats, before any grid (dt is 0 if dx^2 underflows)
+    ends = [(float(layer.left), float(min(layer.right, x_max))) for layer in config.layers]
+    steps = max(1.0, t / dt if dt else math.inf)
+    size = sum(max(4.0, (b - a) / dx + 1) for a, b in ends) * r * steps
+    if size > quad.MAX_TRANSFORM_SIZE:
+        raise SizeLimitExceeded(
+            f"finite-difference oracle of {size:.3g} nodes x r x steps exceeds the limit "
+            f"{quad.MAX_TRANSFORM_SIZE:.0e}; raise dx or dt, or lower t or x_max"
+        )
     n_steps = max(1, math.ceil(t / dt - 1e-12))
     step = t / n_steps
 
-    # per-layer grids
-    grids = []
-    for layer in config.layers:
-        a = layer.left
-        b = min(layer.right, x_max)
-        n = max(4, int(round((b - a) / dx)) + 1)
-        grids.append(np.linspace(a, b, n))
+    grids = [np.linspace(a, b, max(4, int(round((b - a) / dx)) + 1)) for a, b in ends]
     offsets = np.cumsum([0] + [g.size for g in grids])
     total = offsets[-1] * r
 

@@ -11,9 +11,9 @@ order per panel keeps the rule in its convergent regime:
     ||q_m(lam_max)||_2, so panels are capped at half a period there.
 
 The improper spectral integral of every inversion formula (semi-axis, full
-axis, radial) is computed by damped_limit: an exponential damping factor
-exp(-tau lam) on a decreasing schedule of tau values, extrapolated to
-tau = 0 with a Neville table.
+axis, radial) is damped by exp(-tau lam) on a decreasing schedule of tau
+values (damping_matrix) and extrapolated to tau = 0 with a Neville table
+(tau_limit).
 """
 
 import math
@@ -189,12 +189,13 @@ def check_size(config, spec, n_points=None):
     if n_points is None:
         n_points = sum(lay[2] for lay in _xi_layout(config, spec) if lay)
         n_points *= spec.xi_quadrature_order
+    n_lambda, n_points = float(n_lambda), float(n_points)     # either may be a huge int
     size = n_lambda * n_points * config.r**2
     if size > MAX_TRANSFORM_SIZE:
         raise SizeLimitExceeded(
-            f"transform size {n_lambda} lambda nodes x {n_points} points x r^2 = {size:.3g} "
-            f"exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_steps, x_max or the "
-            "number of evaluation points"
+            f"transform size {n_lambda:.3g} lambda nodes x {n_points:.3g} points x r^2 = "
+            f"{size:.3g} exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_steps, "
+            "x_max or the number of evaluation points"
         )
 
 
@@ -250,16 +251,3 @@ def tau_limit(spec, damped):
             f"(> {spec.tail_tolerance}); spectral tail not integrable at this resolution"
         )
     return neville_to_zero(spec.tau_schedule, damped)
-
-
-def damped_limit(spec, lams, coeff, samples):
-    """tau -> 0 limit of sum over l of coeff[l] exp(-tau lams[l]) samples[l].
-
-    coeff is real and samples has the spectral axis first.  The damped sums
-    at every level come from one real (levels x nodes) matrix product with a
-    real view of the complex samples, then go through tau_limit.
-    """
-    flat = np.ascontiguousarray(samples, dtype=complex).reshape(lams.size, -1)
-    damped = (damping_matrix(spec, lams, coeff) @ flat.view(float)).view(complex)
-    limit, err = tau_limit(spec, damped)
-    return limit.reshape(samples.shape[1:]), err.reshape(samples.shape[1:])

@@ -10,10 +10,10 @@ with nu = (n - 2)/2, and the value at the origin is recovered by
 
     f(0) = integral over lam > 0 of lam^(n/2) image(lam) dlam,
 
-computed by quadrature.damped_limit, the exp(-tau lam) damping and Neville
-extrapolation shared with the one-dimensional inversions.  The pair is
-exact: for the unit Gaussian the image is exp(-lam^2/2) scaled by lam^nu
-factors and the inversion integral evaluates to 1 in closed form for every n.
+computed with quadrature.damping_matrix and tau_limit, the exp(-tau lam)
+damping and Neville extrapolation of the one-dimensional inversions.  The
+pair is exact: for the unit Gaussian the image is exp(-lam^2/2) scaled by
+lam^nu factors and the inversion integral equals 1 in closed form for every n.
 
 Bessel values come from a power series for z < 12 and, beyond, from the
 large-argument expansion J_nu(z)/z^nu = sqrt(2/pi) z^(-nu-1/2) Re[exp(iz)
@@ -42,7 +42,7 @@ import numpy as np
 from . import transform as _tr
 from .errors import InvariantViolation, NonpositiveHeight, UnsupportedDimension
 from .gridfn import SpectralImage
-from .quadrature import _leggauss, damped_limit, panel_gauss, spectral_grid
+from .quadrature import _leggauss, damping_matrix, panel_gauss, spectral_grid, tau_limit
 
 BESSEL_CROSSOVER = 12.0
 _SERIES_TERMS = 40
@@ -224,7 +224,8 @@ def inverse_nd(image, spec, n=None):
     else:
         weights = np.asarray(weights, dtype=float)
 
-    limit, _err = damped_limit(spec, lams, weights * lams ** (0.5 * n), image.values[:, :1])
+    damped = damping_matrix(spec, lams, weights * lams ** (0.5 * n)) @ image.values[:, :1]
+    limit, _err = tau_limit(spec, damped)
     if not np.isfinite(limit[0]):
         # a non-finite row defeats the tail guard (NaN compares false); find it only now
         bad = np.flatnonzero(~np.isfinite(image.values[:, 0]))

@@ -17,17 +17,18 @@ QuadratureSpec tau schedule and Neville-extrapolated to tau = 0.
 Both directions use the canonical composite Gauss-Legendre grid of the
 (config, spec) pair; the inverse refuses images sampled elsewhere, because
 its quadrature weights are tied to that grid.  _spectral_forward and
-_spectral_inverse own that grid, flagging and the damped inversion for the
-semi-axis and the full-axis pair (axis.py) alike; each geometry supplies
-only its kernels, for every spectral point at once.
+_spectral_inverse own that grid, the xi rules, the size check, flagging,
+the xi-tail estimate and the damped inversion for the semi-axis and the
+full-axis pair (axis.py) alike; each geometry supplies only its kernels,
+for every spectral point at once.
 
 There is no loop over spectral points: basis.build_batch builds the whole
-grid at once, and every kernel is per-lam coefficients times e^{+-i mu s}
-with real mu (the full axis is the scalar case V = 1, mu = q).  Both
-directions are then real matrix products with cos/sin(mu s) over every
-(x, lam, k): _moments sums over x (forward), _damped_sums over (lam, k)
-with the exp(-tau lam) damping folded in (inverse), in chunks of points
-whose phase arrays stay within _CHUNK_BYTES.
+grid at once, and every kernel of either geometry is a basis.Family,
+per-lam coefficients around e^{+-i mu s} with real mu.  Both directions are
+then real matrix products with cos/sin(mu s) over every (x, lam, k):
+_moments sums a family against data over x (forward), _damped_sums over
+(lam, k) with the exp(-tau lam) damping folded in (inverse), in chunks of
+points whose phase arrays stay within _CHUNK_BYTES.
 """
 
 import math
@@ -58,32 +59,40 @@ def _x_chunks(n_x, n_cols):
     return [slice(a, a + step) for a in range(0, n_x, step)]
 
 
-def _moments(mu, s, g):
-    """(F+, F-) with F+-[lam, k] = sum over x of e^{+-i mu[lam, k] s_x} g_x.
+def _moments(fam, xs, g):
+    """sum over x of K(x) g_x for a stacked Family K: (N, a).
 
-    mu (N, rho) real, s (Nx,) offsets from the layer center, g (Nx, c):
-    two (N, rho, c) arrays from real matrix products with cos and sin.
+    xs (Nx,), g (Nx, b).  The sums F+-[lam, k] = sum over x of e^{+-i mu s_x} g_x
+    come as (N, rho, b) arrays from real matrix products with cos and sin;
+    then sum_x K g = lp (rp . F+) + lm (rm . F-), with . summing over b.
     """
-    n, rho = mu.shape
+    n, rho = fam.mu.shape
+    s = xs - fam.center
     gr = np.ascontiguousarray(g, dtype=complex).view(float)
     cg = np.zeros((n * rho, gr.shape[1]))
     sg = np.zeros_like(cg)
     for sl in _x_chunks(s.size, n * rho):
-        theta = np.multiply.outer(s[sl], mu.ravel())
+        theta = np.multiply.outer(s[sl], fam.mu.ravel())
         cg += np.cos(theta).T @ gr[sl]
         sg += np.sin(theta).T @ gr[sl]
     cg = cg.view(complex).reshape(n, rho, -1)
     sg = sg.view(complex).reshape(n, rho, -1)
-    return cg + 1j * sg, cg - 1j * sg
+    yp = (fam.rp * (cg + 1j * sg)).sum(axis=-1)[..., None]
+    ym = (fam.rm * (cg - 1j * sg)).sum(axis=-1)[..., None]
+    return (fam.lp @ yp + fam.lm @ ym)[..., 0]
 
 
-def _damped_sums(mu, s, plus, minus, damping):
-    """sum over (lam, k) of damping[t, lam] (e^{i mu s} plus + e^{-i mu s} minus)[lam, k].
+def _damped_sums(fam, xs, fhat, damping):
+    """sum over lam of damping[t, lam] K(x, lam) fhat(lam) for a stacked Family K.
 
-    mu (N, rho) real, s (Nx,), plus and minus (N, rho, c), damping (T, N);
-    returns (T, Nx, c): every damping level from one pair of real matrix
-    products with cos and sin per chunk of points.
+    xs (Nx,), fhat (N, b), damping (T, N); returns (T, Nx, a).  With
+    plus[lam, k, j] = lp[lam, j, k] (rp fhat)[lam, k] and minus alike, every
+    damping level comes from one pair of real matrix products with cos and
+    sin per chunk of points.
     """
+    plus = fam.lp.swapaxes(-1, -2) * (fam.rp @ fhat[:, :, None])
+    minus = fam.lm.swapaxes(-1, -2) * (fam.rm @ fhat[:, :, None])
+    s = xs - fam.center
     t = damping.shape[0]
     n, rho, c = plus.shape
     w = damping[:, :, None, None]
@@ -94,20 +103,24 @@ def _damped_sums(mu, s, plus, minus, damping):
     wc, ws = fold(plus + minus), fold(1j * (plus - minus))
     out = np.empty((s.size, t * c), dtype=complex)
     for sl in _x_chunks(s.size, n * rho):
-        theta = np.multiply.outer(s[sl], mu.ravel())
+        theta = np.multiply.outer(s[sl], fam.mu.ravel())
         out[sl] = (np.cos(theta) @ wc + np.sin(theta) @ ws).view(complex)
     return out.reshape(s.size, t, c).transpose(1, 0, 2)
 
 
-def _spectral_forward(config, spec, lambdas, rows):
-    """Image rows(lams) -> (values (N, width), flags) on a spectral grid.
+def _spectral_forward(config, f, spec, lambdas, kernels):
+    """Image of f: sum over layers of the dual kernels against f on the xi rules.
 
-    The grid is the canonical one of (config, spec), or the explicit
-    positive abscissae lambdas (no weights, not canonical).  flags maps the
-    index of each point whose kernels are degenerate to its error: that row
-    is set to NaN and meta["flagged"] records (index, lam, reason); if every
-    row is flagged the first RegularityViolation is re-raised.
+    kernels(lams) gives (families, extra, flags): per layer the stacked dual
+    Family u*(xi, lam), a term added to the image rows ((N, width) or
+    scalar) and the flags of the degenerate points.  The grid is the
+    canonical one of (config, spec), or the explicit abscissae lambdas (no
+    weights, not canonical).  A flagged point's row is set to NaN and
+    meta["flagged"] records (index, lam, reason); if every row is flagged the
+    first RegularityViolation is re-raised.  meta["xi_tail_estimate"] is the
+    largest contribution of the outermost xi panel at a truncated end.
     """
+    quad.check_size(config, spec)
     canonical = lambdas is None
     if canonical:
         grid = quad.lambda_grid(config, spec)
@@ -116,10 +129,23 @@ def _spectral_forward(config, spec, lambdas, rows):
         lams = np.asarray(lambdas, dtype=float).ravel()
         if lams.size == 0:
             raise EmptyImage("no spectral points requested")
-        if np.any(lams <= 0):
-            raise InvariantViolation("spectral points must be positive")
+    rules = [(xs, ws[:, None] * f.values_on(m, xs))
+             for m, (xs, ws) in enumerate(quad.xi_rules(config, spec))]
 
-    values, flags = rows(lams)
+    families, extra, flags = kernels(lams)
+    values = np.zeros((lams.size, families[0].lp.shape[-2]), dtype=complex)
+    for fam, (xs, g) in zip(families, rules):
+        if xs.size:
+            values += _moments(fam, xs, g)
+    values += extra
+
+    n = spec.xi_quadrature_order
+    ends = [(families[-1], rules[-1], slice(-n, None))]
+    if not np.isfinite(config.left_end):
+        ends.append((families[0], rules[0], slice(n)))
+    tails = [np.zeros(lams.size)] + [np.linalg.norm(_moments(fam, xs[sl], g[sl]), axis=1)
+                                     for fam, (xs, g), sl in ends if xs.size]
+
     flagged = [(i, lams[i], f"{type(exc).__name__}: {exc}") for i, exc in sorted(flags.items())]
     values[sorted(flags)] = np.nan
     if len(flagged) == lams.size:
@@ -133,18 +159,19 @@ def _spectral_forward(config, spec, lambdas, rows):
         meta["weights"] = grid.weights
         meta["n_panels"] = grid.n_panels
         meta["order"] = grid.order
+    meta["xi_tail_estimate"] = float(np.nanmax(np.delete(tails, sorted(flags), axis=1)))
     return SpectralImage(lambdas=lams, values=values, meta=meta)
 
 
-def _spectral_inverse(config, image, x_points, spec, constant, families):
+def _spectral_inverse(config, image, x_points, spec, constant, kernels):
     """constant * integral over lam > 0 of lam u(x, lam) image(lam) at x_points.
 
-    families(lams, fhat) gives per layer (mu, center, plus, minus) with
-    u(x, lam) fhat(lam) = sum over k of e^{i mu_k s} plus[k] + e^{-i mu_k s} minus[k]
-    at s = x - center (shapes as in _damped_sums).  The image must sit on the
-    canonical grid of (config, spec); NaN (flagged) rows are left out of the
-    quadrature and reported in meta["dropped_rows"].  The quadrature and
-    exp(-tau lam) weights fold into _damped_sums; quad.tau_limit extrapolates.
+    kernels(lams) gives (families, flags): per layer the stacked primal
+    Family u(x, lam), and the flags of the degenerate points, the first of
+    which is raised.  The image must sit on the canonical grid of (config,
+    spec); NaN (flagged) rows are left out of the quadrature and reported in
+    meta["dropped_rows"].  The quadrature and exp(-tau lam) weights fold
+    into _damped_sums; quad.tau_limit extrapolates.
     """
     quad.check_size(config, spec, sum(map(np.size, x_points))
                     if isinstance(x_points, (list, tuple)) else np.size(x_points))
@@ -166,10 +193,12 @@ def _spectral_inverse(config, image, x_points, spec, constant, families):
 
     per_layer = _normalize_x_points(config, x_points, spec)
     edges = np.cumsum([0] + [xs.size for xs in per_layer])
+    families, flags = kernels(lams)
+    if flags:
+        raise flags[min(flags)]
     damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
     damped = np.concatenate([
-        _damped_sums(mu, xs - center, plus, minus, damping)
-        for xs, (mu, center, plus, minus) in zip(per_layer, families(lams, fhat))
+        _damped_sums(fam, xs, fhat, damping) for xs, fam in zip(per_layer, families)
     ], axis=1)
     limit, err = quad.tau_limit(spec, damped)
 
@@ -183,15 +212,6 @@ def _spectral_inverse(config, image, x_points, spec, constant, families):
         "junction_abscissae": [config.left_end] + list(config.junctions),
     }
     return PiecewiseGridFunction(layers=layers_out, traces={}, meta=meta)
-
-
-def _junction_traces(config, f):
-    """Stacked (value; derivative) traces on both sides of every junction."""
-    left, right = [], []
-    for k in range(1, config.n_layers):
-        left.append(np.concatenate([f.trace(k, "left", 0), f.trace(k, "left", 1)]))
-        right.append(np.concatenate([f.trace(k, "right", 0), f.trace(k, "right", 1)]))
-    return left, right
 
 
 def forward_transform(config, f, spec, lambdas=None):
@@ -210,58 +230,26 @@ def forward_transform(config, f, spec, lambdas=None):
             f"function has {f.r} components, problem has r = {config.r}", block="input"
         )
 
-    quad.check_size(config, spec)
-    rules = quad.xi_rules(config, spec)
-    weighted_f = [ws[:, None] * f.values_on(m, xs) for m, (xs, ws) in enumerate(rules)]
-
-    # boundary term (independent of the spectral parameter)
     bnd = config.boundary
-    f0 = f.trace(0, "right", 0)
-    f1 = f.trace(0, "right", 1)
-    boundary_term = bnd.gamma0 @ f0 + bnd.delta0 @ f1
+    boundary_term = bnd.gamma0 @ f.trace(0, "right", 0) + bnd.delta0 @ f.trace(0, "right", 1)
+    # junction k adds v_k (G_2 F_{k+1} - G_1 F_k), v_k = w^(k)(l_k) M_1k^{-1}
+    jumps = [iface.lambda_sq_part(2) @ np.concatenate([f.trace(k, "right", o) for o in (0, 1)])
+             - iface.lambda_sq_part(1) @ np.concatenate([f.trace(k, "left", o) for o in (0, 1)])
+             for k, iface in enumerate(config.interfaces, start=1)]
 
-    tr_left, tr_right = _junction_traces(config, f)
-    g1 = [iface.lambda_sq_part(1) for iface in config.interfaces]
-    g2 = [iface.lambda_sq_part(2) for iface in config.interfaces]
-
-    r = config.r
-    order = spec.xi_quadrature_order
-    tails = [0.0]
-
-    def rows(lams):
+    def kernels(lams):
         b = bas.build_batch(config, lams)
-        gs = [bas.dual_coef(b, m) for m in range(config.n_layers)]
-
-        def dual_sum(m, sl):
-            # sum over the xi nodes sl of layer m of u*(xi) f(xi) w(xi), with
-            # u* = [(G_1 V) e^{-i mu s} - (G_2 V) e^{i mu s}] K, K = V^{-1} a2^{-1} / (2 i mu)
-            ld = b.layers[m]
-            fp, fm = _moments(ld.mu, rules[m][0][sl] - ld.center, weighted_f[m][sl])
-            kk = (ld.vinv / (2j * ld.mu[:, :, None])) @ ld.a2inv
-            ym = (kk * fm).sum(axis=-1)[..., None]
-            yp = (kk * fp).sum(axis=-1)[..., None]
-            return (gs[m][..., :r] @ ld.v @ ym - gs[m][..., r:] @ ld.v @ yp)[..., 0]
-
-        total = np.zeros((lams.size, r), dtype=complex)
-        for m, (xs, _ws) in enumerate(rules):
-            if xs.size:
-                total += dual_sum(m, slice(None))
-                if m == len(rules) - 1:
-                    tail = np.linalg.norm(dual_sum(m, slice(-order, None)), axis=1)
-                    tails.extend(np.delete(tail, sorted(b.flags)))
-        total += boundary_term
-        for k in range(1, config.n_layers):
-            ld = b.layers[k - 1]
-            wk = bas.dual_rows(gs[k - 1], ld, np.exp(1j * ld.mu * (config.junction(k) - ld.center)))
+        families = [bas.dual_family(b, m) for m in range(config.n_layers)]
+        extra = boundary_term
+        for k, jump in enumerate(jumps, start=1):
+            wk = bas.row_function(families[k - 1], config.layers[k - 1].a2, config.junction(k))
             m1 = config.interfaces[k - 1].pencil(1, lams)
-            m1[sorted(b.flags)] = np.eye(2 * r)
+            m1[sorted(b.flags)] = np.eye(2 * config.r)
             vk = np.linalg.solve(m1.swapaxes(-1, -2), wk.swapaxes(-1, -2)).swapaxes(-1, -2)
-            total += vk @ (g2[k - 1] @ tr_right[k - 1] - g1[k - 1] @ tr_left[k - 1])
-        return total, b.flags
+            extra = extra + vk @ jump
+        return families, extra, b.flags
 
-    image = _spectral_forward(config, spec, lambdas, rows)
-    image.meta["xi_tail_estimate"] = float(np.nanmax(tails))
-    return image
+    return _spectral_forward(config, f, spec, lambdas, kernels)
 
 
 INVERSION_CONSTANT = -1.0 / (math.pi * 1j)
@@ -310,26 +298,12 @@ def inverse_transform(config, image, x_points, spec):
         raise DimensionMismatch(
             f"image has {image.k} components, problem has r = {config.r}", block="image"
         )
-    return _spectral_inverse(config, image, x_points, spec, INVERSION_CONSTANT,
-                             lambda lams, fhat: _semi_axis_families(config, lams, fhat))
 
+    def kernels(lams):
+        b = bas.build_batch(config, lams)
+        return [bas.primal_family(b, m) for m in range(config.n_layers)], b.flags
 
-def _semi_axis_families(config, lams, fhat):
-    """Per-layer (mu, center, plus, minus) of u(x, lam) fhat(lam) for _spectral_inverse.
-
-    u fhat = V (e^{i mu s} P fhat + e^{-i mu s} M fhat) (basis.plus_minus), so
-    plus[lam, k, j] = V[lam, j, k] (P fhat)[lam, k] and minus alike.
-    """
-    b = bas.build_batch(config, lams)
-    if b.flags:
-        raise b.flags[min(b.flags)]
-    families = []
-    for m, ld in enumerate(b.layers):
-        vt = ld.v.swapaxes(-1, -2)
-        p, mm = bas.plus_minus(b, m)
-        families.append((ld.mu, ld.center, vt * (p @ fhat[:, :, None]),
-                         vt * (mm @ fhat[:, :, None])))
-    return families
+    return _spectral_inverse(config, image, x_points, spec, INVERSION_CONSTANT, kernels)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from layerft import axis as ax
 from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import cli
+from layerft import transform as tr
 from layerft.errors import (
     ConfigError,
     DegenerateBoundary,
@@ -223,3 +224,18 @@ def test_cli_singular_full_axis_pencil_exits_4(tmp_path):
             "--output", str(tmp_path / "img.csv"), "--lambda-steps", "50"]
     assert cli.main(argv) == 4
     assert not (tmp_path / "img.csv").exists()
+
+
+def test_full_axis_image_carries_the_semi_axis_meta(load):
+    # the shared forward driver estimates the xi tail at both truncated ends
+    cfg, spec = load("fullaxis_twolayer")
+    tails = []
+    for center in (3.0, -11.8, 11.8):
+        f = cat.to_grid_function(cat.make_profile("gauss_bump", center=center), cfg, spec.x_max)
+        img = ax.scalar_axis_forward(cfg, f, spec)
+        tails.append(img.meta["xi_tail_estimate"])
+    assert tails[0] <= 1e-12
+    assert min(tails[1:]) >= 1e-2
+    semi_cfg, semi_spec = load("twolayer")
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), semi_cfg, semi_spec.x_max)
+    assert set(img.meta) == set(tr.forward_transform(semi_cfg, f, semi_spec).meta)
