@@ -46,7 +46,7 @@ rm: u with lp = lm = V and rp, rm = V^{-1} (C+- Phi0^{-1} - D+- Psi0^{-1})
 (2 i mu)^{-1} V^{-1} a2^{-1} (dual_family), and w = (-u*' a2, u* a2); the
 full-axis branches (axis.py) are Families too.  Family.at is the one place a
 kernel evaluates e^{+-i mu s}, and _wavenumber_eig the one gate every lam
-passes: it must be positive with a finite, nonzero square.
+passes: it must be positive with a nonzero square and a finite scaled pencil.
 
 build_batch runs all of this for a whole spectral grid at once: one
 Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
@@ -80,19 +80,20 @@ def _wavenumber_eig(a2, g2, lams):
     Hermitian positive-definite; V = L^{-H} U and V^{-1} = U^H L^H.  One
     Cholesky factor serves every lam; the eigh is batched, shapes (N, r[, r]).
     Every spectral parameter passes here: one that is not positive with a
-    finite, nonzero square raises InvariantViolation.
+    nonzero square, or whose scaled pencil L^{-1} (lam^2 E + g2) L^{-H} is
+    not finite, raises InvariantViolation.
     """
     lams = np.asarray(lams, dtype=float)
-    with np.errstate(over="ignore", under="ignore"):
-        lam2 = np.square(lams)
-    bad = ~((lams > 0) & (lam2 > 0) & (lam2 < np.inf))
-    if bad.any():
-        raise InvariantViolation(f"spectral parameter {lams[bad][0]} is not positive with a "
-                                 "finite, nonzero square")
     chol = np.linalg.cholesky(a2)
     chol_inv = np.linalg.inv(chol)
-    pencil = np.multiply.outer(lam2, np.eye(a2.shape[0])) + g2
-    mu2, u = np.linalg.eigh(chol_inv @ pencil @ chol_inv.conj().T)
+    with np.errstate(all="ignore"):
+        lam2 = np.square(lams)
+        pencil = chol_inv @ (np.multiply.outer(lam2, np.eye(a2.shape[0])) + g2) @ chol_inv.conj().T
+    bad = ~((lams > 0) & (lam2 > 0) & np.isfinite(pencil).all(axis=(-2, -1)))
+    if bad.any():
+        raise InvariantViolation(f"spectral parameter {lams[bad][0]} is not positive with a "
+                                 "nonzero square and a finite scaled pencil")
+    mu2, u = np.linalg.eigh(pencil)
     return np.sqrt(mu2), chol_inv.conj().T @ u, u.conj().swapaxes(-1, -2) @ chol.conj().T
 
 
@@ -130,11 +131,6 @@ class Family:
         em = np.conj(ep)
         if order:
             ep, em = ep * (1j * self.mu) ** order, em * (-1j * self.mu) ** order
-        # one matrix product where a factor is shared: u, Omega (lp is lm), u* (rp is rm)
-        if self.lp is self.lm:
-            return self.lp @ (ep[..., :, None] * self.rp + em[..., :, None] * self.rm)
-        if self.rp is self.rm:
-            return (self.lp * ep[..., None, :] + self.lm * em[..., None, :]) @ self.rp
         return (self.lp * ep[..., None, :]) @ self.rp + (self.lm * em[..., None, :]) @ self.rm
 
 

@@ -398,8 +398,9 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
 
     # nodes x r x steps as floats, before any grid (dt is 0 if dx^2 underflows)
     ends = [(float(layer.left), float(min(layer.right, x_max))) for layer in config.layers]
+    counts = [max(4.0, np.rint((b - a) / dx) + 1) for a, b in ends]
     steps = max(1.0, t / dt if dt else math.inf)
-    size = sum(max(4.0, (b - a) / dx + 1) for a, b in ends) * r * steps
+    size = sum(counts) * r * steps
     if size > quad.MAX_TRANSFORM_SIZE:
         raise SizeLimitExceeded(
             f"finite-difference oracle of {size:.3g} nodes x r x steps exceeds the limit "
@@ -408,7 +409,7 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     n_steps = max(1, math.ceil(t / dt - 1e-12))
     step = t / n_steps
 
-    grids = [np.linspace(a, b, max(4, int(round((b - a) / dx)) + 1)) for a, b in ends]
+    grids = [np.linspace(a, b, int(n)) for (a, b), n in zip(ends, counts)]
     offsets = np.cumsum([0] + [g.size for g in grids])
     total = offsets[-1] * r
 

@@ -80,6 +80,14 @@ def test_basis_lambda_out_of_range_exits_3(workdir, value):
     assert rc == 3 and "spectral parameter" in err
 
 
+def test_basis_lambda_with_overflowing_pencil_exits_3(tmp_path):
+    # lam^2 = 1.7e308 is finite, but a2 of threelayer_r2 has eigenvalues below
+    # one, so the pencil scaled by its Cholesky factor overflows
+    rc, err = run(["basis", "--config", config_path("threelayer_r2"), "--lambda", "1.3e154",
+                   "--output", str(tmp_path / "kernels.csv")])
+    assert rc == 3 and "scaled pencil" in err
+
+
 def test_huge_lambda_max_exits_3(workdir):
     rc, err = run(argv_for(workdir, "forward", "--lambda-max=1e300"))
     assert rc == 3 and "spectral parameter" in err
