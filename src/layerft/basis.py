@@ -141,14 +141,12 @@ class _LayerKernels:
     mu: np.ndarray         # (..., r): q = V diag(mu) V^{-1}, mu > 0
     v: np.ndarray          # (..., r, r)
     vinv: np.ndarray       # (..., r, r)
-    q2: np.ndarray         # a2^{-1} (lam^2 E + g2), exact (not q @ q)
     a2inv: np.ndarray      # r x r, the same at every lam
     center: float
     coef: np.ndarray       # (..., 2r, 2r) [[C+, D+], [C-, D-]]: columns Phi | Psi
 
     def at(self, i):
-        return replace(self, mu=self.mu[i], v=self.v[i], vinv=self.vinv[i], q2=self.q2[i],
-                       coef=self.coef[i])
+        return replace(self, mu=self.mu[i], v=self.v[i], vinv=self.vinv[i], coef=self.coef[i])
 
     def family(self, plus, minus):
         """The Family V (e^{i mu s} V^{-1} plus + e^{-i mu s} V^{-1} minus) of this layer."""
@@ -251,7 +249,6 @@ def _build_families(config, lams, rcond_floor):
         lds.append(
             _LayerKernels(
                 mu=mu, v=v, vinv=vinv,
-                q2=np.linalg.solve(a2, np.multiply.outer(np.square(lams), np.eye(r)) + g2),
                 a2inv=np.linalg.inv(a2),
                 center=center,
                 coef=np.broadcast_to(np.eye(2 * r, dtype=complex), (n, 2 * r, 2 * r)),

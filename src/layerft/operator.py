@@ -369,6 +369,12 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     the far end carries a homogeneous Dirichlet truncation at x_max.  Only
     spectral-parameter-free conditions are meaningful here.  dt defaults
     to 0.999 times the resolution bound dx^2 / (2 max-eig a2).
+
+    The steps run in real arithmetic when the coefficients, conditions and
+    sampled f0 have no imaginary part, and in complex arithmetic otherwise;
+    the returned layer values are complex either way.  The unknowns are
+    ordered node-major, so the implicit matrix is banded and its sparse LU
+    keeps the natural order, which adds no fill.
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("fd_reference serves the semi-axis problem")
@@ -465,18 +471,25 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     # far-end truncation
     add(im, offsets[-1] - 1, offsets[-1] - 1, eye)
 
-    def assemble(trip, fmt):
-        i, j, v = (np.concatenate(part) for part in zip(*trip))
+    # real arithmetic whenever the problem and the data are real
+    (i_im, j_im, v_im), (i_ex, j_ex, v_ex) = (
+        (np.concatenate(part) for part in zip(*trip)) for trip in (im, ex)
+    )
+    u = np.concatenate([f0.values_on(m, g).ravel() for m, g in enumerate(grids)])
+    if not (v_im.imag.any() or v_ex.imag.any() or u.imag.any()):
+        v_im, v_ex, u = v_im.real, v_ex.real, u.real
+
+    def assemble(i, j, v, fmt):
         keep = v != 0
-        return fmt((v[keep], (i[keep], j[keep])), shape=(total, total), dtype=complex)
+        return fmt((v[keep], (i[keep], j[keep])), shape=(total, total))
 
     from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.linalg import splu
 
-    solver = splu(assemble(im, csc_matrix))
-    a_ex = assemble(ex, csr_matrix)
+    # node-major unknowns keep the matrix banded: natural order factors it without fill
+    solver = splu(assemble(i_im, j_im, v_im, csc_matrix), permc_spec="NATURAL")
+    a_ex = assemble(i_ex, j_ex, v_ex, csr_matrix)
 
-    u = np.concatenate([f0.values_on(m, g).ravel() for m, g in enumerate(grids)])
     for _ in range(n_steps):
         u = solver.solve(a_ex @ u)
 

@@ -120,8 +120,18 @@ def oscillation_rate(config, lam_max):
 
 
 def _grid_layout(spec, cap):
-    """(n_panels, order) of the composite grid of spectral_grid, without its nodes."""
-    n_panels = max(1, math.ceil((spec.lambda_max - spec.lambda_min) / cap))
+    """(n_panels, order) of the composite grid of spectral_grid, without its nodes.
+
+    A cap that underflows to 0 (x_max near the largest float) gives an
+    infinite panel count, refused here with SizeLimitExceeded.
+    """
+    panels = (spec.lambda_max - spec.lambda_min) / float(cap) if cap > 0 else math.inf
+    if not math.isfinite(panels):
+        raise SizeLimitExceeded(
+            f"spectral panel count {panels} (panel cap {float(cap):.3g}) exceeds the limit "
+            f"{MAX_TRANSFORM_SIZE:.0e}; lower x_max or lambda_max"
+        )
+    n_panels = max(1, math.ceil(panels))
     order = int(min(24, max(2, math.floor(spec.lambda_steps / n_panels + 0.5))))
     return n_panels, order
 

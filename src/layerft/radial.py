@@ -40,9 +40,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transform as _tr
-from .errors import InvariantViolation, NonpositiveHeight, UnsupportedDimension
+from .errors import (
+    InvariantViolation,
+    NonpositiveHeight,
+    SizeLimitExceeded,
+    UnsupportedDimension,
+)
 from .gridfn import SpectralImage
-from .quadrature import _leggauss, damping_matrix, panel_gauss, spectral_grid, tau_limit
+from .quadrature import (
+    MAX_TRANSFORM_SIZE,
+    _leggauss,
+    damping_matrix,
+    panel_gauss,
+    spectral_grid,
+    tau_limit,
+)
 
 BESSEL_CROSSOVER = 12.0
 _SERIES_TERMS = 40
@@ -245,7 +257,14 @@ def _poisson_edges(x, y, cut):
     """Panel edges on [0, cut]: graded around rho = y at scale x, none wider than 0.5."""
     steps = x * 2.0 ** np.arange(math.floor(math.log2(_POISSON_WIDTH) - math.log2(x)) + 1)
     edges = np.unique(np.clip(np.concatenate(([0.0, y, cut], y - steps, y + steps)), 0.0, cut))
-    count = np.ceil(np.diff(edges) / _POISSON_WIDTH).astype(int)
+    count = np.ceil(np.diff(edges) / _POISSON_WIDTH)      # float: a huge cut must not wrap
+    total = float(count.sum())
+    if not total <= MAX_TRANSFORM_SIZE / _POISSON_ORDER:
+        raise SizeLimitExceeded(
+            f"Poisson rule of {total:.3g} panels x {_POISSON_ORDER} nodes exceeds the limit "
+            f"{MAX_TRANSFORM_SIZE:.0e}; lower the height, offset or rho_max"
+        )
+    count = count.astype(int)
     sub = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     starts = np.repeat(edges[:-1], count) + sub * np.repeat(np.diff(edges) / count, count)
     return np.append(starts, cut)

@@ -91,12 +91,12 @@ def test_kernel_second_derivative_vs_finite_difference(load):
 
 
 def test_wavenumber_relation_is_exact(load):
-    # a2 q^2 must reproduce lam^2 E + g2 exactly as stored
+    # a2 q^2 = a2 V diag(mu^2) V^{-1} must reproduce lam^2 E + g2 from the eigen factors
     cfg, _ = load("threelayer_r2")
     lam = 3.7
     b = bas.build_basis(cfg, lam)
     for ld, layer in zip(b.layers, cfg.layers):
-        lhs = layer.a2 @ ld.q2
+        lhs = layer.a2 @ (ld.v * ld.mu**2) @ ld.vinv
         assert np.max(np.abs(lhs - (lam**2 * np.eye(2) + layer.g2))) <= 1e-12 * lam**2
 
 
@@ -239,7 +239,7 @@ def test_coef_from_stack_inverts_omega_stack_off_center():
         lams = rng.uniform(0.1, 8.0, size=6)
         mu, v, vinv = bas._wavenumber_eig(a2, g2, lams)
         coef = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
-        ld = bas._LayerKernels(mu=mu, v=v, vinv=vinv, q2=None, a2inv=None, center=0.4, coef=coef)
+        ld = bas._LayerKernels(mu=mu, v=v, vinv=vinv, a2inv=None, center=0.4, coef=coef)
         s = rng.uniform(-3.0, 3.0)
         back = bas._coef_from_stack(ld, bas._omega_stack(ld, 0.4 + s, 2), s)
         assert np.max(np.abs(back - coef)) <= 1e-12 * np.max(np.abs(coef))

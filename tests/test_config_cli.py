@@ -323,6 +323,19 @@ def test_cli_poisson_nonfinite_input_exits_3(monkeypatch, capsys, flag):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--heights", "1e300"], ["--heights", "1", "--radii", "1e300"],
+                                   ["--heights", "1", "--rho-max", "1e300"]])
+def test_cli_poisson_huge_input_is_size_error(monkeypatch, capsys, flags):
+    # the panel count overflowed the integers; it must be refused before any panel exists
+    def no_panels(*_args, **_kwargs):
+        raise AssertionError("a Poisson panel was built past the size limit")
+
+    monkeypatch.setattr(np, "repeat", no_panels)
+    argv = ["poisson", "--dim", "3", "--input", "gauss_bump:center=0,width=2", *flags]
+    assert cli.main(argv) == 3
+    assert "exceeds the limit" in capsys.readouterr().err
+
+
 def test_cli_basis_table_matches_per_value_format(tmp_path):
     from layerft import basis as bas
     from layerft.gridfn import _fmt

@@ -20,7 +20,7 @@ from conftest import config_path
 
 CONFIG = config_path("twolayer")
 TINY = ["--lambda-max", "4", "--lambda-steps", "40", "--xmax", "4"]
-HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"]
+HOSTILE = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "1.7e308"]
 COMMON = ["--lambda-min", "--lambda-max", "--xmax", "--tau"]
 # per command: the arguments it needs besides --config, and the flags fuzzed on it
 COMMANDS = {
@@ -103,6 +103,17 @@ def test_nan_explicit_lambda_rejected():
 @pytest.mark.parametrize("command", ["forward", "inverse"])
 def test_huge_xmax_is_size_error(workdir, command):
     rc, err = run(argv_for(workdir, command, "--xmax=1e300"))
+    assert rc == 3 and "exceeds the limit" in err
+
+
+def test_xmax_near_the_largest_float_is_size_error(monkeypatch, tmp_path):
+    # the spectral panel cap underflows to 0; the input must not be sampled out to x_max
+    def no_sampling(*_args, **_kwargs):
+        raise AssertionError("the input was sampled")
+
+    monkeypatch.setattr(cat, "to_grid_function", no_sampling)
+    rc, err = run(["forward", "--config", config_path("fullaxis"), "--input", "gauss_bump",
+                   "--xmax", "1.7e308", "--output", str(tmp_path / "image.csv")])
     assert rc == 3 and "exceeds the limit" in err
 
 

@@ -273,3 +273,41 @@ def test_fd_reference_default_step_is_just_under_the_bound(load):
     default = op.fd_reference(cfg, f0, 0.02, dx, x_max=8.0)
     assert default.meta == explicit.meta
     assert np.array_equal(default.layers[0].values, explicit.layers[0].values)
+
+
+def test_fd_reference_complex_coefficients_match_entrywise_assembly(load):
+    # a complex Hermitian a2 on the first layer takes the oracle's complex path
+    cfg, _spec = load("r2diag")
+    a2 = np.array([[1.0, 0.3j], [-0.3j, 2.0]])
+    cfg = dataclasses.replace(cfg, layers=(dataclasses.replace(cfg.layers[0], a2=a2),
+                                           *cfg.layers[1:]))
+    f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=2.0, width=0.5), cfg, 5.0,
+                              amplitudes=[1.0, 0.7])
+    args = (0.01, 0.05, 5e-4, 5.0)
+    fd = op.fd_reference(cfg, f0, *args)
+    got = np.concatenate([ls.values.ravel() for ls in fd.layers])
+    ref = entrywise_fd(cfg, f0, *args)
+    assert np.max(np.abs(ref.imag)) > 1e-3 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fd_reference_is_linear_over_complex_data(load):
+    # real data runs in real arithmetic, complex data in complex: both must agree
+    cfg, _spec = load("r2diag")
+    c = 1 + 0.5j
+    bump = cat.make_profile("gauss_bump", center=2.0, width=0.5)
+    args = (0.01, 0.05, 5e-4, 5.0)
+    real = op.fd_reference(cfg, cat.to_grid_function(bump, cfg, 5.0, amplitudes=[1.0, 0.7]),
+                           *args)
+    scaled = op.fd_reference(cfg, cat.to_grid_function(bump, cfg, 5.0,
+                                                       amplitudes=[c, 0.7 * c]), *args)
+    ref = np.concatenate([c * ls.values.ravel() for ls in real.layers])
+    got = np.concatenate([ls.values.ravel() for ls in scaled.layers])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_fd_reference_returns_complex_values_on_a_real_problem(load):
+    cfg, _spec = load("twolayer")
+    f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=3.2, width=0.38), cfg, 5.0)
+    fd = op.fd_reference(cfg, f0, 0.01, 0.05, 5e-4, 5.0)
+    assert all(ls.values.dtype == complex for ls in fd.layers)

@@ -68,3 +68,12 @@ def test_poisson_loads_only_scipy_special():
                            "--heights", "0.5"])
     assert "scipy.special" in modules
     assert not [m for m in modules if m.startswith(("scipy.sparse", "scipy.interpolate"))]
+
+
+def test_heat_fd_check_loads_only_scipy_sparse(tmp_path):
+    # scipy.sparse loads scipy.linalg itself, so only interpolate and special are forbidden
+    modules = scipy_after(["heat", "--config", config_path("twolayer"), "--input",
+                           "gauss_bump:center=3.2,width=0.38", "--time", "0.05", "--fd-check",
+                           "--fd-dx", "0.05", "--output", str(tmp_path / "heat.csv"), *SPEC])
+    assert "scipy.sparse" in modules
+    assert not [m for m in modules if m.startswith(("scipy.interpolate", "scipy.special"))]
