@@ -112,8 +112,9 @@ def compute_wavenumber(layer, lam):
 class Family:
     """K(x) = lp diag(e^{i mu s}) rp + lm diag(e^{-i mu s}) rm with s = x - center.
 
-    mu (..., rho) real, lp and lm (..., a, rho), rp and rm (..., rho, b): one
-    spectral point, or stacked over lam on axis 0.
+    mu (..., rho), lp and lm (..., a, rho), rp and rm (..., rho, b): one
+    spectral point, or stacked over lam on axis 0.  Every kernel built today
+    has real mu; at and the contractions of transform.py take complex mu too.
     """
 
     mu: np.ndarray
@@ -127,8 +128,8 @@ class Family:
         """d^order K / dx^order at each x of an (Nx,) xs, or per lam of a stacked K at one x."""
         if order not in (0, 1, 2):
             raise InvariantViolation(f"unsupported derivative order {order}")
-        ep = np.exp(1j * self.mu * (np.asarray(xs, dtype=float)[..., None] - self.center))
-        em = np.conj(ep)
+        s = np.asarray(xs, dtype=float)[..., None] - self.center
+        ep, em = np.exp(1j * self.mu * s), np.exp(-1j * self.mu * s)
         if order:
             ep, em = ep * (1j * self.mu) ** order, em * (-1j * self.mu) ** order
         return (self.lp * ep[..., None, :]) @ self.rp + (self.lm * em[..., None, :]) @ self.rm

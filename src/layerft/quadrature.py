@@ -169,22 +169,33 @@ def _xi_layout(config, spec):
     return layout
 
 
-def xi_rules(config, spec):
-    """Per-layer spatial rules, clipped to |x| <= x_max.
+def xi_panels(config, spec):
+    """Per-layer spatial rules in panel form, clipped to |x| <= x_max.
 
-    Returns a list of (nodes, weights) pairs, one per layer; a layer lying
-    entirely beyond the truncation radius gets an empty rule.  Panels are
-    capped at half a period of the layer's fastest oscillation.
+    Returns one (centres, offsets, weights) triple per layer: node j of panel
+    q is centres[q] + offsets[j], with weight weights[q, j].  A layer's
+    panels are uniform, so they share one set of offsets.  A layer lying
+    entirely beyond the truncation radius gets no panels.  Panels are capped
+    at half a period of the layer's fastest oscillation.
     """
-    return [
-        composite_gauss(*lay, spec.xi_quadrature_order) if lay else (np.empty(0), np.empty(0))
-        for lay in _xi_layout(config, spec)
-    ]
+    xr, wr = _leggauss(spec.xi_quadrature_order)
+    rules = []
+    for lay in _xi_layout(config, spec):
+        a, b, n = lay or (0.0, 0.0, 0)
+        half = 0.5 * (b - a) / max(n, 1)
+        centres = a + half * (2 * np.arange(n) + 1)
+        rules.append((centres, half * xr, np.tile(half * wr, (n, 1))))
+    return rules
+
+
+def xi_rules(config, spec):
+    """xi_panels flattened: per layer the (nodes, weights) of its composite rule."""
+    return [(np.add.outer(c, t).ravel(), w.ravel()) for c, t, w in xi_panels(config, spec)]
 
 
 # Largest (lambda nodes) x (spatial points) x r^2 a transform takes on.  The
-# spectral contraction costs about that many multiply-adds and twice as many
-# sines and cosines per r, so at the limit a transform runs for minutes.
+# spectral contraction costs a few complex multiply-adds per unit of it, so
+# at the limit a transform runs for minutes.
 MAX_TRANSFORM_SIZE = 10**9
 
 

@@ -31,11 +31,20 @@ closed form for every n, integral_0^pi sin^(n-2)t (a - b cos t)^(-(n+1)/2) dt
 after Euler's transformation so that the peak at rho = |y| comes from
 a - b = (rho - |y|)^2 + x^2 without cancellation.  The rho integral runs on
 Gauss-Legendre panels graded at |y| +- x 2^k, at most 0.5 wide up to cut,
-then on the tail rho = cut/s, graded toward s = 0.
+then on the tail rho = cut/s, graded toward s = 0.  The panels near the peak
+are built in e = rho - |y|, so that they resolve it however small x is
+against |y|.  The integrand is homogeneous of degree 0 in the lengths and
+is evaluated in the node's own ratios x/e, |y|/rho and x/rho: none exceeds
+about 1e12, so no square overflows, and one that underflows is negligible
+where it does.  Two rescalings keep those bounds: an offset below 2^-30 x
+is taken as 0 (the value is even in |y|, so that changes it by less than
+rounding), and a height below 2^-959 scales every length by a power of two
+first, so that the nodes at scale x keep full precision.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -254,10 +263,12 @@ _TAIL_LEVELS = 8        # tail panels [2^-(k+1), 2^-k] in s = cut / rho, then [0
 
 
 def _poisson_edges(x, y, cut):
-    """Panel edges on [0, cut]: graded around rho = y at scale x, none wider than 0.5."""
-    steps = x * 2.0 ** np.arange(math.floor(math.log2(_POISSON_WIDTH) - math.log2(x)) + 1)
-    edges = np.unique(np.clip(np.concatenate(([0.0, y, cut], y - steps, y + steps)), 0.0, cut))
-    count = np.ceil(np.diff(edges) / _POISSON_WIDTH)      # float: a huge cut must not wrap
+    """Panel edges in e = rho - y on [-y, cut - y], graded around 0 at scale x, none over 0.5."""
+    levels = max(0, math.floor(math.log2(_POISSON_WIDTH) - math.log2(x)) + 1)
+    steps = np.ldexp(x, np.arange(levels))                 # x 2^k, exact for the tiniest x
+    edges = np.unique(np.clip(np.concatenate(([-y, 0.0, cut - y], -steps, steps)), -y, cut - y))
+    with np.errstate(over="ignore"):                        # an infinite count is refused below
+        count = np.ceil(np.diff(edges) / _POISSON_WIDTH)    # float: a huge cut must not wrap
     total = float(count.sum())
     if not total <= MAX_TRANSFORM_SIZE / _POISSON_ORDER:
         raise SizeLimitExceeded(
@@ -267,7 +278,16 @@ def _poisson_edges(x, y, cut):
     count = count.astype(int)
     sub = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     starts = np.repeat(edges[:-1], count) + sub * np.repeat(np.diff(edges) / count, count)
-    return np.append(starts, cut)
+    return np.append(starts, cut - y)
+
+
+@lru_cache(maxsize=1)
+def _tail_rule():
+    """Nodes s and weights of the tail rho = cut/s, the same for every call (read-only)."""
+    rule = panel_gauss(np.append(0.0, 2.0 ** -np.arange(_TAIL_LEVELS, -1, -1)), _POISSON_ORDER)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def poisson_halfspace(profile, x, y=0.0):
@@ -283,19 +303,28 @@ def poisson_halfspace(profile, x, y=0.0):
         raise InvariantViolation(f"height and offset must be finite, got x = {x}, |y| = {y}")
     if x <= 0:
         raise NonpositiveHeight(f"height must be positive, got x = {x}")
+    if y < 2.0**-30 * x:
+        y = 0.0     # the value is even in y, so this changes it by less than rounding
     cut = max(profile.rho_max, 10.0 * x, 2.0 * y + 10.0, 20.0)
-    head, head_w = panel_gauss(_poisson_edges(x, y, cut), _POISSON_ORDER)
-    s, tail_w = panel_gauss(np.append(0.0, 2.0 ** -np.arange(_TAIL_LEVELS, -1, -1)), _POISSON_ORDER)
-    rho, weights = np.append(head, cut / s), np.append(head_w, cut * tail_w / (s * s))
+    shift = max(0, -959 - math.frexp(x)[1])     # lengths times 2^shift: x >= 2^-960
+    edges = np.ldexp(_poisson_edges(x, y, cut), shift)
+    x, y, cut = (math.ldexp(v, shift) for v in (x, y, cut))
+    head, head_w = panel_gauss(edges, _POISSON_ORDER)
+    s, tail_w = _tail_rule()
+    rho = np.append(y + head, cut / s)
+    e = np.append(head, rho[head.size:] - y)
+    weights = np.append(head_w, cut * tail_w / (s * s))
     from scipy.special import hyp2f1
 
-    a = rho * rho + y * y + x * x
-    # rho^(n-1) a^((3-n)/2) 2F1(...) / ((a - b)(a + b)) with rho^2/a <= 1 carrying the powers
+    # x w / (a - b) = (w/e) t / (1 + t^2) with t = x/e; with q = rho^2/a <= 1
+    # and z = b/a, rho^(n-1) a^((3-n)/2) / (a + b) = q^((n-1)/2) / (1 + z)
+    t = x / e
+    q = 1.0 / (1.0 + (math.hypot(y, x) / rho) ** 2)
+    z = 2.0 * y / rho * q
     kernel = (
-        rho * rho * (rho * rho / a) ** (0.5 * (n - 3))
-        * hyp2f1(0.25 * (n - 1), 0.25 * (n - 3), 0.5 * n, (2.0 * y * rho / a) ** 2)
-        / (((rho - y) ** 2 + x * x) * ((rho + y) ** 2 + x * x))
+        (weights / e) * t / (1.0 + t * t) * q ** (0.5 * (n - 1)) / (1.0 + z)
+        * hyp2f1(0.25 * (n - 1), 0.25 * (n - 3), 0.5 * n, z * z)
     )
     # c_n |S^(n-2)| B((n-1)/2, 1/2) = 2 Gamma((n+1)/2) / (sqrt(pi) Gamma(n/2))
     norm = 2.0 * math.exp(math.lgamma(0.5 * (n + 1)) - math.lgamma(0.5 * n)) / math.sqrt(math.pi)
-    return norm * x * float(np.sum(weights * profile(rho) * kernel))
+    return norm * float(np.sum(kernel * profile(np.ldexp(rho, -shift))))

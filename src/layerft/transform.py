@@ -24,13 +24,20 @@ for every spectral point at once.
 
 There is no loop over spectral points: basis.build_batch builds the whole
 grid at once, and every kernel of either geometry is a basis.Family,
-per-lam coefficients around e^{+-i mu s} with real mu.  Both directions are
-then real matrix products with cos/sin(mu s) over every (x, lam, k):
-_moments sums a family against data over x (forward), _damped_sums over
-(lam, k) with the exp(-tau lam) damping folded in (inverse), in chunks of
-points whose phase arrays stay within _CHUNK_BYTES.
+per-lam coefficients around e^{+-i mu s}.  Both directions are then complex
+matrix products with phases factored per block of points: for s = c_q + t_j,
+e^{i mu s} = e^{i mu c_q} e^{i mu t_j}, so a layer of Q blocks of J points
+costs N r (Q + J) exponentials, not N r Q J.  _moments sums a family
+against data over x (forward) and _damped_sums over (lam, k) with the
+exp(-tau lam) damping folded in (inverse), both over the blocks of
+_phase_blocks, whose work arrays stay within _CHUNK_BYTES.  The forward's
+blocks are the uniform panels of quad.xi_panels; the inverse splits each
+layer's evaluation points with _split, which finds the arithmetic
+progressions every caller passes.  Any other point set is its own centres
+with the single offset 0: the dense sum, the same code.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -49,63 +56,107 @@ from .errors import (
 from .gridfn import LayerSamples, PiecewiseGridFunction, SpectralImage
 from .problem import SEMI_AXIS
 
-# Memory of one real (points x (lam, k)) phase array of the contractions.
+# Memory of the work arrays of one block of the contractions, and of one row
+# chunk of radial.forward_nd.
 _CHUNK_BYTES = 1 << 20
+_COMPLEX_BYTES = 16
 
 
-def _x_chunks(n_x, n_cols):
-    """Slices of the spatial points whose (points x n_cols) phases fit _CHUNK_BYTES."""
-    step = max(1, _CHUNK_BYTES // (8 * max(n_cols, 1)))
-    return [slice(a, a + step) for a in range(0, n_x, step)]
+def _split(s):
+    """(centres, offsets) of points s for the factored contractions.
+
+    An arithmetic progression (every point within 4 ulps of max|s| of the
+    fitted one, so that the factored phases err no more than the dense ones)
+    splits into blocks of about sqrt(len(s)) points, each centred on its
+    midpoint: s = (centres[:, None] + offsets).ravel()[:len(s)], the last
+    block running past the end.  Any other point set is its own centres with
+    offsets [0]: the dense sum.
+    """
+    n = s.size
+    size = max(1, round(math.sqrt(n)))
+    if size > 1:
+        h = (s[-1] - s[0]) / (n - 1)
+        mid = 0.5 * (size - 1)
+        centres = s[0] + h * (size * np.arange(-(-n // size)) + mid)
+        offsets = h * (np.arange(size) - mid)
+        fit = np.add.outer(centres, offsets).ravel()[:n]
+        if np.max(np.abs(fit - s)) <= 4 * np.finfo(float).eps * np.max(np.abs(s)):
+            return centres, offsets
+    return s, np.zeros(1)
 
 
-def _moments(fam, xs, g):
-    """sum over x of K(x) g_x for a stacked Family K: (N, a).
+def _phase_blocks(mu, centres, offsets, width):
+    """Factored phases e^{+-i mu s} at s = centres[q] + offsets[j], block by block.
 
-    xs (Nx,), g (Nx, b).  The sums F+-[lam, k] = sum over x of e^{+-i mu s_x} g_x
-    come as (N, rho, b) arrays from real matrix products with cos and sin;
-    then sum_x K g = lp (rp . F+) + lm (rm . F-), with . summing over b.
+    mu (N, rho); centres (Q,) and offsets (J,) relative to the family's
+    center.  Yields (lams, m, e, parts) per slice lams of the spectral
+    points: m (2 R rho,) is (mu, -mu) of the slice flattened, e (2 R rho, J)
+    = e^{i m t_j}, and parts lazily gives (cs, p) per slice cs of the
+    centres with p (2 R rho, C) = e^{i m c_q}, so that e^{i m s} = p[:, q]
+    e[:, j].  Every factor is centred on its own block.  Half of _CHUNK_BYTES
+    bounds e with two (2 R rho, J * width) right-hand sides of the caller,
+    the other half p with its (C, J * width) product.
+    """
+    n, rho = mu.shape
+    half = _CHUNK_BYTES // (2 * _COMPLEX_BYTES)         # entries
+    lam_step = max(1, half // (2 * rho * offsets.size * (1 + 2 * width)))
+    for lo in range(0, n, lam_step):
+        lams = slice(lo, lo + lam_step)
+        m = mu[lams].ravel()
+        m = np.concatenate([m, -m])
+        step = max(1, half // (m.size + offsets.size * width))
+        parts = ((slice(c, c + step), np.exp(1j * np.multiply.outer(m, centres[c:c + step])))
+                 for c in range(0, centres.size, step))
+        yield lams, m, np.exp(1j * np.multiply.outer(m, offsets)), parts
+
+
+def _moments(fam, centres, offsets, g, ends=()):
+    """sum over s of K(s) g_s for a stacked Family K: (1 + len(ends), N, a).
+
+    s = centres[q] + offsets[j] relative to fam.center, g (Q, J, b).  Row 0
+    is the whole sum, row 1 + i the partial sum over centre ends[i] alone.
+    The sums F+-[lam, k] = sum over s of e^{+-i mu s} g_s come from one
+    complex product per block, p @ g over the centres, then e over the
+    offsets; then sum_s K g = lp (rp . F+) + lm (rm . F-), . summing over b.
     """
     n, rho = fam.mu.shape
-    s = xs - fam.center
-    gr = np.ascontiguousarray(g, dtype=complex).view(float)
-    cg = np.zeros((n * rho, gr.shape[1]))
-    sg = np.zeros_like(cg)
-    for sl in _x_chunks(s.size, n * rho):
-        theta = np.multiply.outer(s[sl], fam.mu.ravel())
-        cg += np.cos(theta).T @ gr[sl]
-        sg += np.sin(theta).T @ gr[sl]
-    cg = cg.view(complex).reshape(n, rho, -1)
-    sg = sg.view(complex).reshape(n, rho, -1)
-    yp = (fam.rp * (cg + 1j * sg)).sum(axis=-1)[..., None]
-    ym = (fam.rm * (cg - 1j * sg)).sum(axis=-1)[..., None]
-    return (fam.lp @ yp + fam.lm @ ym)[..., 0]
+    q, j, b = g.shape
+    rows = g.reshape(q, j * b)
+    out = np.empty((1 + len(ends), n, fam.lp.shape[-2]), dtype=complex)
+    for lams, m, e, parts in _phase_blocks(fam.mu, centres, offsets, b):
+        whole = np.zeros((m.size, j * b), dtype=complex)
+        for cs, p in parts:
+            whole += p @ rows[cs]
+        ends_only = (np.exp(1j * m * centres[k])[:, None] * rows[k] for k in ends)
+        for o, h in zip(out, itertools.chain([whole], ends_only)):
+            fp, fm = np.einsum("rj,rjb->rb", e, h.reshape(-1, j, b)).reshape(2, -1, rho, b)
+            yp = (fam.rp[lams] * fp).sum(axis=-1)[..., None]
+            ym = (fam.rm[lams] * fm).sum(axis=-1)[..., None]
+            o[lams] = (fam.lp[lams] @ yp + fam.lm[lams] @ ym)[..., 0]
+    return out
 
 
-def _damped_sums(fam, xs, fhat, damping):
-    """sum over lam of damping[t, lam] K(x, lam) fhat(lam) for a stacked Family K.
+def _damped_sums(fam, centres, offsets, fhat, damping):
+    """sum over lam of damping[t, lam] K(s, lam) fhat(lam) for a stacked Family K.
 
-    xs (Nx,), fhat (N, b), damping (T, N); returns (T, Nx, a).  With
-    plus[lam, k, j] = lp[lam, j, k] (rp fhat)[lam, k] and minus alike, every
-    damping level comes from one pair of real matrix products with cos and
-    sin per chunk of points.
+    s = centres[q] + offsets[j] relative to fam.center, fhat (N, b), damping
+    (T, N); returns (T, Q J, a), point q J + j at s.  With plus[lam, k, c] =
+    lp[lam, c, k] (rp fhat)[lam, k] and minus alike, every damping level
+    comes from one complex product per block: p.T over (lam, k) with the
+    right-hand sides e[:, j] damping[t] (plus | minus).
     """
-    plus = fam.lp.swapaxes(-1, -2) * (fam.rp @ fhat[:, :, None])
-    minus = fam.lm.swapaxes(-1, -2) * (fam.rm @ fhat[:, :, None])
-    s = xs - fam.center
     t = damping.shape[0]
-    n, rho, c = plus.shape
-    w = damping[:, :, None, None]
-
-    def fold(a):
-        return np.ascontiguousarray((w * a).transpose(1, 2, 0, 3)).reshape(n * rho, -1).view(float)
-
-    wc, ws = fold(plus + minus), fold(1j * (plus - minus))
-    out = np.empty((s.size, t * c), dtype=complex)
-    for sl in _x_chunks(s.size, n * rho):
-        theta = np.multiply.outer(s[sl], fam.mu.ravel())
-        out[sl] = (np.cos(theta) @ wc + np.sin(theta) @ ws).view(complex)
-    return out.reshape(s.size, t, c).transpose(1, 0, 2)
+    a = fam.lp.shape[-2]
+    out = np.zeros((centres.size, offsets.size, t * a), dtype=complex)
+    for lams, m, e, parts in _phase_blocks(fam.mu, centres, offsets, t * a):
+        f = fhat[lams, :, None]
+        terms = np.stack([fam.lp[lams].swapaxes(-1, -2) * (fam.rp[lams] @ f),
+                          fam.lm[lams].swapaxes(-1, -2) * (fam.rm[lams] @ f)])
+        rhs = np.einsum("tl,slkc->slktc", damping[:, lams], terms).reshape(m.size, 1, -1)
+        rhs = (e[:, :, None] * rhs).reshape(m.size, -1)
+        for cs, p in parts:
+            out[cs] += (p.T @ rhs).reshape(-1, offsets.size, t * a)
+    return out.reshape(-1, t, a).transpose(1, 0, 2)
 
 
 def _spectral_forward(config, f, spec, lambdas, kernels):
@@ -129,22 +180,25 @@ def _spectral_forward(config, f, spec, lambdas, kernels):
         lams = np.asarray(lambdas, dtype=float).ravel()
         if lams.size == 0:
             raise EmptyImage("no spectral points requested")
-    rules = [(xs, ws[:, None] * f.values_on(m, xs))
-             for m, (xs, ws) in enumerate(quad.xi_rules(config, spec))]
+    rules = []
+    for m, (centres, offsets, weights) in enumerate(quad.xi_panels(config, spec)):
+        nodes = np.add.outer(centres, offsets)
+        g = weights.ravel()[:, None] * f.values_on(m, nodes.ravel())
+        rules.append((centres, offsets, g.reshape(*nodes.shape, f.r)))
 
     families, extra, flags = kernels(lams)
     values = np.zeros((lams.size, families[0].lp.shape[-2]), dtype=complex)
-    for fam, (xs, g) in zip(families, rules):
-        if xs.size:
-            values += _moments(fam, xs, g)
+    tails = [np.zeros(lams.size)]
+    for m, (fam, (centres, offsets, g)) in enumerate(zip(families, rules)):
+        if not centres.size:
+            continue
+        # the outermost panel at each truncated end
+        ends = [centres.size - 1] * (m == len(rules) - 1)
+        ends += [0] * (m == 0 and not np.isfinite(config.left_end))
+        whole, *partial = _moments(fam, centres - fam.center, offsets, g, ends)
+        values += whole
+        tails += [np.linalg.norm(p, axis=1) for p in partial]
     values += extra
-
-    n = spec.xi_quadrature_order
-    ends = [(families[-1], rules[-1], slice(-n, None))]
-    if not np.isfinite(config.left_end):
-        ends.append((families[0], rules[0], slice(n)))
-    tails = [np.zeros(lams.size)] + [np.linalg.norm(_moments(fam, xs[sl], g[sl]), axis=1)
-                                     for fam, (xs, g), sl in ends if xs.size]
 
     flagged = [(i, lams[i], f"{type(exc).__name__}: {exc}") for i, exc in sorted(flags.items())]
     values[sorted(flags)] = np.nan
@@ -198,7 +252,8 @@ def _spectral_inverse(config, image, x_points, spec, constant, kernels):
         raise flags[min(flags)]
     damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
     damped = np.concatenate([
-        _damped_sums(fam, xs, fhat, damping) for xs, fam in zip(per_layer, families)
+        _damped_sums(fam, *_split(xs - fam.center), fhat, damping)[:, :xs.size]
+        for xs, fam in zip(per_layer, families)
     ], axis=1)
     limit, err = quad.tau_limit(spec, damped)
 

@@ -247,6 +247,17 @@ def test_cli_poisson_table(tmp_path):
     assert vals[1] == pytest.approx(np.exp(-0.81 / 8), abs=2e-3)
 
 
+def test_cli_poisson_tiny_height_is_finite(capsys):
+    # printed nan with exit 0: the squares of rho, |y| and x underflowed
+    values = []
+    for height in ("1e-10", "1e-300", "5e-324"):
+        assert cli.main(["poisson", "--dim", "3", "--input", "gauss_bump:center=0,width=2",
+                         "--heights", height]) == 0
+        values.append(float(capsys.readouterr().out.splitlines()[-1].split()[-1]))
+    assert values[0] == pytest.approx(0.99999999992, abs=1e-11)
+    assert values[1:] == [pytest.approx(values[0], abs=1e-9)] * 2
+
+
 def test_cli_tau_flag_parses(tmp_path):
     r = run_cli("forward", "--config", config_path("sine"), "--input", "gauss_bump",
                 "--output", str(tmp_path / "o.csv"),

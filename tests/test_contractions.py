@@ -1,0 +1,139 @@
+"""The factored contractions of transform.py against their dense degenerate case.
+
+_moments and _damped_sums evaluate e^{+-i mu s} at s = c_q + t_j as
+e^{+-i mu c_q} e^{+-i mu t_j}.  Every point its own centre with offsets [0]
+is the dense sum, the oracle here.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from layerft import basis as bas
+from layerft import catalog as cat
+from layerft import quadrature as quad
+from layerft import transform as tr
+
+CONFIGS = ["fullaxis", "fullaxis_twolayer", "lambda_interface", "r2diag", "sine",
+           "threelayer_r2", "twolayer"]
+
+
+def dense(monkeypatch):
+    """Make every contraction of the transforms take the degenerate (dense) form."""
+    panels = quad.xi_panels
+
+    def point_panels(config, spec):
+        return [(np.add.outer(c, t).ravel(), np.zeros(1), w.reshape(-1, 1))
+                for c, t, w in panels(config, spec)]
+
+    monkeypatch.setattr(quad, "xi_panels", point_panels)
+    monkeypatch.setattr(tr, "_split", lambda s: (s, np.zeros(1)))
+
+
+def pair(cfg, spec, f, window):
+    forward, inverse = tr.transform_pair(cfg)
+    img = forward(cfg, f, spec)
+    recon = inverse(cfg, img, window, spec)
+    return img.values, np.concatenate([ls.values for ls in recon.layers])
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_factored_transforms_match_the_dense_sums(load, monkeypatch, name):
+    cfg, spec = load(name)
+    spec = dataclasses.replace(spec, lambda_max=20.0, lambda_steps=600)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
+    window = [ls.x[np.abs(ls.x) <= spec.x_max] for ls in f.layers]
+    split, offsets = tr._split, []
+    monkeypatch.setattr(tr, "_split", lambda s: offsets.append(split(s)[1]) or split(s))
+    img, rec = pair(cfg, spec, f, window)
+    assert all(o.size > 1 for o in offsets)         # every layer took the factored form
+    dense(monkeypatch)
+    img_dense, rec_dense = pair(cfg, spec, f, window)
+    assert np.max(np.abs(img - img_dense)) <= 1e-13 * np.max(np.abs(img_dense))
+    assert np.max(np.abs(rec - rec_dense)) <= 1e-13 * np.max(np.abs(rec_dense))
+
+
+def test_non_progressions_take_the_dense_path(load):
+    cfg, spec = load("twolayer")
+    spec = dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
+    img = tr.forward_transform(cfg, f, spec)
+    grid = np.linspace(0.0, 6.0, 121)
+    full = tr.inverse_transform(cfg, img, grid, spec)
+    on_grid = np.concatenate([ls.values for ls in full.layers])
+    union = np.union1d(grid[::4], grid[::6])
+    for idx in (np.searchsorted(grid, union), [37], [37, 90]):
+        pts = grid[idx]
+        for xs in tr._normalize_x_points(cfg, pts, spec):
+            centres, offsets = tr._split(xs)
+            assert np.array_equal(offsets, [0.0]) and np.array_equal(centres, xs)
+        sub = tr.inverse_transform(cfg, img, pts, spec)
+        got = np.concatenate([ls.values for ls in sub.layers])
+        assert np.max(np.abs(got - on_grid[idx])) <= 1e-13 * np.max(np.abs(on_grid))
+
+
+def random_family(rng, mu, center, a=2, b=2):
+    n, rho = mu.shape
+
+    def c(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return bas.Family(mu, center, c(n, a, rho), c(n, rho, b), c(n, a, rho), c(n, rho, b))
+
+
+def test_complex_mu_matches_direct_exponential_sums():
+    # evanescent channels mu = i|mu|: e^{+-i mu s} grow or decay across the points
+    rng = np.random.default_rng(11)
+    fam = random_family(rng, 1j * rng.uniform(0.5, 6.0, (9, 2)), center=0.5)
+    xs = np.linspace(-1.0, 2.0, 61)
+    centres, offsets = tr._split(xs - fam.center)
+    assert offsets.size > 1
+    ep = np.exp(1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
+    em = np.exp(-1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
+    kernels = (fam.lp * ep) @ fam.rp + (fam.lm * em) @ fam.rm     # (Nx, N, a, b)
+
+    g = rng.standard_normal((xs.size, 2)) + 0j
+    padded = np.zeros((centres.size * offsets.size, 2), dtype=complex)
+    padded[:xs.size] = g
+    got = tr._moments(fam, centres, offsets, padded.reshape(centres.size, offsets.size, 2))[0]
+    want = np.einsum("xnab,xb->na", kernels, g)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    fhat = rng.standard_normal((9, 2)) + 0j
+    damping = rng.uniform(0.5, 1.0, (3, 9))
+    got = tr._damped_sums(fam, centres, offsets, fhat, damping)[:, :xs.size]
+    want = np.einsum("tn,xnab,nb->txa", damping, kernels, fhat)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_work_arrays_stay_within_the_chunk_budget(monkeypatch, direction):
+    rng = np.random.default_rng(3)
+    fam = random_family(rng, rng.uniform(0.0, 12.0, (300, 2)), center=1.0)
+    centres, offsets = tr._split(np.linspace(0.0, 12.0, 1101) - fam.center)
+    g = rng.standard_normal((centres.size, offsets.size, 2)) + 0j
+    fhat = rng.standard_normal((300, 2)) + 0j
+    damping = rng.uniform(0.5, 1.0, (3, 300))
+
+    def extra_memory(budget):
+        """Peak bytes a contraction allocates besides its result, at a budget."""
+        monkeypatch.setattr(tr, "_CHUNK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            if direction == "forward":
+                out = tr._moments(fam, centres, offsets, g, ends=[0])
+            else:
+                out = tr._damped_sums(fam, centres, offsets, fhat, damping)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    budget = 1 << 15
+    # the arrays of a block total the budget, plus a few small ones
+    assert extra_memory(budget) <= 2 * budget
+    # and unblocked, the same contraction needs far more
+    assert extra_memory(1 << 40) > 20 * budget

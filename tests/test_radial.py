@@ -211,6 +211,21 @@ def test_poisson_gaussian_matches_quad_oracle(n):
         assert rad.poisson_halfspace(g, x, y) == pytest.approx(quad_poisson(g, x, y), abs=1e-9)
 
 
+@pytest.mark.parametrize("x", [1e-300, 5e-324])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_poisson_tiny_height_reaches_the_boundary_values(n, x):
+    # every square of the kernel's lengths underflows, and at 5e-324 the
+    # innermost panels are subnormal; the value must still be the x -> 0 limit
+    g = gaussian_profile(n, w=2.0)
+    ones = rad.RadialProfile(n=n, fn=np.ones_like, rho_max=30.0)
+    for y in (0.0, 1e-300, 0.9, 2.5):
+        assert rad.poisson_halfspace(g, x, y) == pytest.approx(
+            rad.poisson_halfspace(g, 1e-10, y), abs=1e-9)
+        assert rad.poisson_halfspace(g, x, y) == pytest.approx(float(g(y)), abs=1e-9)
+        assert rad.poisson_halfspace(ones, x, y) == pytest.approx(1.0, abs=1e-13)
+        assert rad.poisson_halfspace(ones, 1.0, y * x) == pytest.approx(1.0, abs=1e-13)
+
+
 def test_nonfinite_poisson_inputs_rejected():
     for rho_max in (np.nan, np.inf):
         with pytest.raises(InvariantViolation, match="finite"):

@@ -11,7 +11,10 @@ import sys
 
 import pytest
 
+from layerft import catalog as cat
 from layerft import cli
+from layerft.configio import parse_config
+from layerft.gridfn import write_function_csv
 
 from conftest import SRC_DIR, config_path
 
@@ -49,12 +52,23 @@ def image_csv(tmp_path_factory):
     return path
 
 
-@pytest.mark.parametrize("command", ["forward", "inverse", "roundtrip", "basis"])
-def test_transform_commands_load_no_scipy(tmp_path, image_csv, command):
+@pytest.fixture(scope="module")
+def function_csv(tmp_path_factory):
+    config, spec = parse_config(config_path("twolayer"))
+    path = str(tmp_path_factory.mktemp("startup") / "function.csv")
+    write_function_csv(cat.to_grid_function(cat.make_profile("gauss_bump"), config, spec.x_max),
+                       path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["forward", "forward-csv", "inverse", "roundtrip", "basis"])
+def test_transform_commands_load_no_scipy(tmp_path, image_csv, function_csv, command):
+    # forward-csv reads sampled values, so the xi rules interpolate them by spline
     out = str(tmp_path / "out.csv")
     twolayer = ["--config", config_path("twolayer"), *SPEC]
     argv = {
         "forward": ["forward", *twolayer, "--input", "gauss_bump", "--output", out],
+        "forward-csv": ["forward", *twolayer, "--input", function_csv, "--output", out],
         "inverse": ["inverse", *twolayer, "--input", image_csv, "--output", out],
         "roundtrip": ["roundtrip", *twolayer, "--input", "gauss_bump"],
         "basis": ["basis", "--config", config_path("threelayer_r2"), "--lambda", "2.5",

@@ -19,6 +19,8 @@ from layerft.errors import (
     WrongMode,
 )
 from layerft.gridfn import (
+    LayerSamples,
+    PiecewiseGridFunction,
     read_function_csv,
     read_image_csv,
     write_function_csv,
@@ -199,6 +201,18 @@ def test_function_csv_roundtrip_preserves_traces(tmp_path, load):
         assert np.allclose(back.layers[m].values, f.layers[m].values)
     for key, arr in f.traces.items():
         assert np.allclose(back.traces[key], arr)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 201])
+def test_sample_spline_matches_scipy_not_a_knot(n):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    rng = np.random.default_rng(n)
+    for xs in (np.linspace(-1.0, 3.0, n), np.sort(rng.uniform(-1.0, 3.0, n))):
+        values = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        f = PiecewiseGridFunction(layers=[LayerSamples(x=xs, values=values)])
+        at = np.concatenate([xs, rng.uniform(xs[0], xs[-1], 200)])
+        want = interpolate.CubicSpline(xs, values, axis=0)(at)
+        assert np.max(np.abs(f.values_on(0, at) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_forward_matches_sine_image_on_coarse_grid(load):
