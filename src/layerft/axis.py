@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import basis as bas
-from . import linalg
 from .errors import (
     DegenerateBoundary,
     DimensionMismatch,
@@ -67,7 +66,7 @@ class AxisBasisAtLambda:
         return [ld.center for ld in self.layers]
 
 
-def _axis_families(config, lams, rcond_floor=linalg.RCOND_FLOOR):
+def _axis_families(config, lams):
     """Propagate the four scalar families at every lam and connect them in the right tail.
 
     Returns (p, q, cd, omega, flags): per-layer basis._LayerKernels stacked
@@ -78,7 +77,7 @@ def _axis_families(config, lams, rcond_floor=linalg.RCOND_FLOOR):
     junction pencils are free of lam on the full axis (validation), so a
     singular one flags every point.
     """
-    p, pencils, flags = bas._build_families(config, lams, rcond_floor)
+    p, pencils, flags = bas._build_families(config, lams)
     q = [replace(p[0], coef=np.broadcast_to([[0j, 1], [1, 0]], p[0].coef.shape))]
     for i, (m1, m2) in enumerate(pencils):
         lk = config.layers[i].right
@@ -104,11 +103,11 @@ def _axis_families(config, lams, rcond_floor=linalg.RCOND_FLOOR):
     return p, q, cd, omega, flags
 
 
-def build_axis_basis(config, lam, rcond_floor=linalg.RCOND_FLOOR):
+def build_axis_basis(config, lam):
     """Kernel data of a full-axis problem at lam: the one-point view of _axis_families."""
     if config.mode != FULL_AXIS:
         raise WrongMode("build_axis_basis needs a full-axis problem")
-    p, q, cd, omega, flags = _axis_families(config, np.array([lam], dtype=float), rcond_floor)
+    p, q, cd, omega, flags = _axis_families(config, np.array([lam], dtype=float))
     if flags:
         raise flags[0]
     return AxisBasisAtLambda(

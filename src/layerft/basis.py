@@ -69,7 +69,6 @@ from .errors import (
     RegularityViolation,
     WrongMode,
 )
-from .linalg import RCOND_FLOOR
 from .problem import SEMI_AXIS
 
 
@@ -217,15 +216,15 @@ def _coef_from_stack(ld, y, s=0.0):
     return 0.5 * np.concatenate([lo, hi], axis=-2)
 
 
-def _gate(blocks, flags, lams, rcond_floor, make_error):
+def _gate(blocks, flags, lams, make_error):
     """Flag the points whose blocks fail the rcond gate; flagged blocks become the identity."""
-    for i in np.flatnonzero(linalg.rcond(blocks) < rcond_floor):
+    for i in np.flatnonzero(linalg.rcond(blocks) < linalg.RCOND_FLOOR):
         flags.setdefault(int(i), make_error(lams[i]))
     if flags:
         blocks[list(flags)] = np.eye(blocks.shape[-1])
 
 
-def _build_families(config, lams, rcond_floor):
+def _build_families(config, lams):
     """Wavenumbers and the backward junction sweep at every lam, for either geometry.
 
     Returns (layers, pencils, flags): per-layer _LayerKernels stacked over
@@ -264,7 +263,7 @@ def _build_families(config, lams, rcond_floor):
         iface = config.interfaces[i]
         m1, m2 = iface.pencil(1, lams), iface.pencil(2, lams)
         for side, j, blk in (("right", 2, m2), ("left", 1, m1)):
-            _gate(blk, flags, lams, rcond_floor, lambda lam: RegularityViolation(
+            _gate(blk, flags, lams, lambda lam: RegularityViolation(
                 f"junction {k}: {side}-side condition block M_{j}({lam}) is singular",
                 lam=lam, junction=k,
             ))
@@ -273,7 +272,7 @@ def _build_families(config, lams, rcond_floor):
     return lds, pencils, flags
 
 
-def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
+def build_batch(config, lams):
     """Backward-propagate the kernel families of a semi-axis problem at every lam at once.
 
     _build_families runs the wavenumbers, junction recursion and pencil
@@ -289,7 +288,7 @@ def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
             "scalar axis transform"
         )
     lams = np.asarray(lams, dtype=float).ravel()
-    lds, _pencils, flags = _build_families(config, lams, rcond_floor)
+    lds, _pencils, flags = _build_families(config, lams)
     r = config.r
 
     bnd = config.boundary
@@ -298,7 +297,7 @@ def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
     phi0 = func_row[:, :, :r].copy()
     psi0 = func_row[:, :, r:].copy()
     for name, blk in (("Phi", phi0), ("Psi", psi0)):
-        _gate(blk, flags, lams, rcond_floor, lambda lam: DegenerateBoundary(
+        _gate(blk, flags, lams, lambda lam: DegenerateBoundary(
             f"boundary functional of the {name} family is singular at lam = {lam}", lam=lam,
         ))
 
@@ -315,12 +314,12 @@ def build_batch(config, lams, rcond_floor=RCOND_FLOOR):
     )
 
 
-def build_basis(config, lam, rcond_floor=RCOND_FLOOR):
+def build_basis(config, lam):
     """Kernel data of a semi-axis problem at lam: the one-point view of build_batch.
 
     Raises the RegularityViolation or DegenerateBoundary build_batch flags.
     """
-    batch = build_batch(config, [lam], rcond_floor)
+    batch = build_batch(config, [lam])
     if batch.flags:
         raise batch.flags[0]
     return batch.at(0)
@@ -339,7 +338,7 @@ def primal_family(basis, m):
     return ld.family(cb[..., :r, :], cb[..., r:, :])
 
 
-def dual_family(basis, m, rcond_floor=RCOND_FLOOR):
+def dual_family(basis, m):
     """u* = w_2 a2^{-1} on layer m as a Family (module docstring), like primal_family.
 
     Omega(x) is singular exactly when coef is, so rcond(coef) is the one gate
@@ -348,7 +347,7 @@ def dual_family(basis, m, rcond_floor=RCOND_FLOOR):
     r = basis.r
     ld = basis.layers[m]
     rc = np.atleast_1d(linalg.rcond(ld.coef))
-    bad = np.flatnonzero(~(rc >= rcond_floor))
+    bad = np.flatnonzero(~(rc >= linalg.RCOND_FLOOR))
     if bad.size:
         raise OmegaSingular(
             f"fundamental matrix of layer {m} at lam = {np.atleast_1d(basis.lam)[bad[0]]}: "
@@ -375,9 +374,9 @@ def row_function(fam, a2, xs):
     return np.concatenate([-fam.at(xs, 1) @ a2, fam.at(xs) @ a2], axis=-1)
 
 
-def w_on_layer(basis, m, xs, rcond_floor=RCOND_FLOOR):
+def w_on_layer(basis, m, xs):
     """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m: (N, r, 2r)."""
-    fam = dual_family(basis, m, rcond_floor)
+    fam = dual_family(basis, m)
     return row_function(fam, basis.config.layers[m].a2, np.atleast_1d(xs))
 
 

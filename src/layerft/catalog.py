@@ -129,8 +129,7 @@ def to_grid_function(profile, config, x_max, samples_per_layer=401, amplitudes=N
 
     layers = []
     for layer in config.layers:
-        a = max(layer.left, -x_max)
-        b = min(layer.right, x_max)
+        a, b = layer.window(x_max)
         if b <= a:
             # degenerate window: keep a minimal stub so layer counts line up
             a, b = layer.left, layer.left + 1e-3

@@ -146,12 +146,8 @@ def _load_input(text, config, spec, samples):
 
 
 def _per_layer_points(config, spec, samples):
-    pts = []
-    for layer in config.layers:
-        a = max(layer.left, -spec.x_max)
-        b = min(layer.right, spec.x_max)
-        pts.append(np.linspace(a, b, samples) if b > a else np.empty(0))
-    return pts
+    windows = (layer.window(spec.x_max) for layer in config.layers)
+    return [np.linspace(a, b, samples) if b > a else np.empty(0) for a, b in windows]
 
 
 def _floats(text, name):

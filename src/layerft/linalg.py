@@ -70,7 +70,7 @@ def matrix_exp(m, max_norm=4096.0):
     return np.asarray(expm(a), dtype=complex)
 
 
-def solve_linear(a, b, rcond_floor=RCOND_FLOOR, err=Singular, context=""):
+def solve_linear(a, b, err=Singular, context=""):
     """Solve a @ x = b with a reciprocal-condition gate.
 
     ``err`` lets callers map near-singularity onto their own exception type
@@ -84,20 +84,15 @@ def solve_linear(a, b, rcond_floor=RCOND_FLOOR, err=Singular, context=""):
             f"{context or 'solve_linear'}: rhs has {b.shape[0]} rows, matrix has {a.shape[0]}"
         )
     rc = rcond(a)
-    if not np.isfinite(rc) or rc < rcond_floor:
+    if not np.isfinite(rc) or rc < RCOND_FLOOR:
         raise err(f"{context or 'solve_linear'}: reciprocal condition {rc:.3g} below floor")
     return np.linalg.solve(a, b)
 
 
-def right_solve(b, a, rcond_floor=RCOND_FLOOR, err=Singular, context=""):
+def right_solve(b, a, err=Singular, context=""):
     """Solve x @ a = b (right division)."""
-    x_t = solve_linear(
-        np.asarray(a, dtype=complex).T,
-        np.asarray(b, dtype=complex).T,
-        rcond_floor=rcond_floor,
-        err=err,
-        context=context,
-    )
+    x_t = solve_linear(np.asarray(a, dtype=complex).T, np.asarray(b, dtype=complex).T,
+                       err=err, context=context)
     return x_t.T
 
 

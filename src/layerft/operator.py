@@ -10,9 +10,16 @@ data:
 
 provided f is junction-compatible: on every junction both the
 spectral-parameter-free part and the lam^2 part of the conditions must hold
-separately.  That hypothesis is checked (not assumed); violations raise
+separately.  That hypothesis is checked (not assumed) by one gate on
+lambda_split_residuals, shared with solve_heat; violations raise
 ConjugationViolated.  verify_basic_identity evaluates both sides on the
 canonical spectral grid and reports the residual per spectral point.
+
+apply_B forms every value and trace by one rule, b_of(m, lo, hi) =
+hi a2_m^T + lo g2_m^T on rows (lo, hi) = (f, f'') or (f', f''').  Exact
+data (an evaluator) gives exact derivatives at the samples and at the
+layer ends; sampled data gives 4th-order stencils on the samples and
+6-point one-sided stencils of the B f samples at the layer ends.
 
 solve_heat realizes exp(t B) through the transform: decay the image by
 exp(-lam^2 t) and invert.  fd_reference provides an independent
@@ -31,7 +38,6 @@ from .errors import (
     ConjugationViolated,
     GridTooCoarse,
     InvariantViolation,
-    MissingTraces,
     SizeLimitExceeded,
     UnstableStep,
     WrongMode,
@@ -99,26 +105,12 @@ def _second_derivative_samples(ls):
     return out
 
 
-def _one_sided(ls, at_start, order):
-    """Derivative trace at a layer endpoint from a 6-point one-sided stencil."""
-    x, v = ls.x, ls.values
-    if x.size < 6:
-        raise GridTooCoarse(
-            f"layer with {x.size} samples cannot produce endpoint derivatives"
-        )
-    if at_start:
-        ww = fd_weights(x[0], x[:6], order)
-        return ww @ v[:6]
-    ww = fd_weights(x[-1], x[-6:], order)
-    return ww @ v[-6:]
-
-
 def apply_B(config, f):
     """Apply the layer operator a2 f'' + g2 f to a sampled function.
 
     With an exact evaluator on f the result keeps an exact evaluator and
     exact traces; otherwise values and traces come from 4th-order finite
-    differences on the stored samples.
+    differences on the stored samples (module docstring).
     """
     if f.r != config.r:
         raise InvariantViolation(
@@ -126,90 +118,48 @@ def apply_B(config, f):
         )
     a2 = [np.asarray(l.a2, dtype=complex) for l in config.layers]
     g2 = [np.asarray(l.g2, dtype=complex) for l in config.layers]
-
-    layers_out = []
-    if f.evaluator is not None:
-        for m, ls in enumerate(f.layers):
-            v0 = f.evaluator(ls.x, 0)
-            v2 = f.evaluator(ls.x, 2)
-            vals = np.einsum("ij,nj->ni", a2[m], v2) + np.einsum("ij,nj->ni", g2[m], v0)
-            layers_out.append(LayerSamples(x=ls.x.copy(), values=vals))
-    else:
-        for m, ls in enumerate(f.layers):
-            v2 = _second_derivative_samples(ls)
-            vals = np.einsum("ij,nj->ni", a2[m], v2) + np.einsum(
-                "ij,nj->ni", g2[m], ls.values
-            )
-            layers_out.append(LayerSamples(x=ls.x.copy(), values=vals))
-
-    traces = {}
     junction_x = [config.left_end] + list(config.junctions)
 
-    def b_of(side_layer, val, der2):
-        return np.einsum("ij,j->i", a2[side_layer], der2) + np.einsum(
-            "ij,j->i", g2[side_layer], val
-        )
+    def b_of(m, lo, hi):
+        """Rows a2_m hi + g2_m lo: B on layer m from the rows of f and f''."""
+        return hi @ a2[m].T + lo @ g2[m].T
 
-    if f.evaluator is not None:
-        derivs = {
-            o: (lambda xx, oo=o: f.evaluator(np.asarray(xx, dtype=float), oo))
-            for o in range(4)
-        }
-        l0 = config.left_end
-        traces[(0, "right")] = np.array(
-            [
-                b_of(0, derivs[0]([l0])[0], derivs[2]([l0])[0]),
-                b_of(0, derivs[1]([l0])[0], derivs[3]([l0])[0]),
-            ]
-        )
-        for k in range(1, config.n_layers):
-            lk = config.junction(k)
-            rows = lambda m: np.array(
-                [
-                    b_of(m, derivs[0]([lk])[0], derivs[2]([lk])[0]),
-                    b_of(m, derivs[1]([lk])[0], derivs[3]([lk])[0]),
-                ]
-            )
-            traces[(k, "left")] = rows(k - 1)
-            traces[(k, "right")] = rows(k)
-    else:
-        ls0 = layers_out[0]
-        traces[(0, "right")] = np.array(
-            [_one_sided(ls0, True, 0), _one_sided(ls0, True, 1)]
-        )
-        for k in range(1, config.n_layers):
-            traces[(k, "left")] = np.array(
-                [
-                    _one_sided(layers_out[k - 1], False, 0),
-                    _one_sided(layers_out[k - 1], False, 1),
-                ]
-            )
-            traces[(k, "right")] = np.array(
-                [_one_sided(layers_out[k], True, 0), _one_sided(layers_out[k], True, 1)]
-            )
+    exact = f.evaluator
+    if exact is not None:
+        values = [b_of(m, exact(ls.x, 0), exact(ls.x, 2)) for m, ls in enumerate(f.layers)]
 
-    evaluator = None
-    if f.evaluator is not None:
+        def stack(m, k):
+            """Exact (B f; (B f)') of layer m at the abscissa of junction k."""
+            x = np.array([junction_x[k]])
+            return np.concatenate([b_of(m, exact(x, o), exact(x, o + 2)) for o in (0, 1)])
 
         def evaluator(x, order=0):
-            x = np.asarray(x, dtype=float)
-            hi = f.evaluator(x, order + 2)
-            lo = f.evaluator(x, order)
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            idx = np.array([config.layer_index(float(v)) for v in x], dtype=int)
+            lo, hi = exact(x, order), exact(x, order + 2)
             out = np.empty((x.size, config.r), dtype=complex)
-            idx = np.array([config.layer_index(float(v)) for v in np.atleast_1d(x)])
             for m in np.unique(idx):
-                mask = idx == m
-                out[mask] = np.einsum("ij,nj->ni", a2[m], hi[mask]) + np.einsum(
-                    "ij,nj->ni", g2[m], lo[mask]
-                )
+                out[idx == m] = b_of(m, lo[idx == m], hi[idx == m])
             return out
+    else:
+        values = [b_of(m, ls.values, _second_derivative_samples(ls))
+                  for m, ls in enumerate(f.layers)]
+        evaluator = None
 
+        def stack(m, k):
+            """(B f; (B f)') of layer m at junction k from 6-point one-sided stencils."""
+            end = slice(0, 6) if k == m else slice(-6, None)
+            x, v = f.layers[m].x[end], values[m][end]
+            z = x[0] if k == m else x[-1]
+            return np.array([fd_weights(z, x, o) @ v for o in (0, 1)])
+
+    layers_out = [LayerSamples(x=ls.x.copy(), values=v) for ls, v in zip(f.layers, values)]
+    ends = [(0, "right")] + [(k, s) for k in range(1, config.n_layers) for s in ("left", "right")]
+    traces = {(k, s): stack(k - (s == "left"), k) for k, s in ends}
     meta = dict(f.meta)
     meta["junction_abscissae"] = junction_x
     meta["operator"] = "a2 f'' + g2 f"
-    return PiecewiseGridFunction(
-        layers=layers_out, traces=traces, evaluator=evaluator, meta=meta
-    )
+    return PiecewiseGridFunction(layers=layers_out, traces=traces, evaluator=evaluator, meta=meta)
 
 
 # --- junction/boundary compatibility ---------------------------------------
@@ -241,9 +191,20 @@ def lambda_split_residuals(config, f):
     return out
 
 
-def _max_junction_residual(res):
+def _check_compatible(config, f, tol, with_boundary, failure):
+    """Worst lambda_split_residuals entry of f (junctions, optionally the boundary).
+
+    Raises ConjugationViolated, its message starting with failure, when that
+    exceeds tol * max(1, sup|f|).
+    """
+    res = lambda_split_residuals(config, f)
     vals = res["junction_value"] + res["junction_lam2"]
-    return max(vals) if vals else 0.0
+    if with_boundary:
+        vals += [res["boundary_value"], res["boundary_lam2"]]
+    worst, allowed = max(vals, default=0.0), tol * max(1.0, f.sup_norm())
+    if worst > allowed:
+        raise ConjugationViolated(f"{failure} (worst residual {worst:.3e}, allowed {allowed:.3e})")
+    return worst
 
 
 # --- the multiplication identity --------------------------------------------
@@ -289,15 +250,11 @@ def verify_basic_identity(config, f, spec, include_boundary_term=True,
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("the operational identity is a semi-axis statement")
-    res = lambda_split_residuals(config, f)
-    scale = max(1.0, f.sup_norm())
-    worst = _max_junction_residual(res)
-    if worst > conjugation_tol * scale:
-        raise ConjugationViolated(
-            f"junction traces of f violate the split matching conditions "
-            f"(worst residual {worst:.3e}, allowed {conjugation_tol * scale:.3e}); "
-            f"the multiplication identity does not apply"
-        )
+    worst = _check_compatible(
+        config, f, conjugation_tol, False,
+        "the multiplication identity does not apply: junction traces of f violate "
+        "the split matching conditions",
+    )
 
     bnd = config.boundary
     f0 = f.trace(0, "right", 0)
@@ -346,17 +303,8 @@ def solve_heat(config, f0, t, x_points, spec, compat_tol=1e-5):
         raise WrongMode("solve_heat serves the semi-axis problem")
     if not (math.isfinite(t) and t >= 0):
         raise InvariantViolation(f"time must be finite and nonnegative, got {t}")
-    res = lambda_split_residuals(config, f0)
-    scale = max(1.0, f0.sup_norm())
-    worst = max(
-        [_max_junction_residual(res), res.get("boundary_value", 0.0),
-         res.get("boundary_lam2", 0.0)]
-    )
-    if worst > compat_tol * scale:
-        raise ConjugationViolated(
-            f"initial data violates the boundary/junction compatibility "
-            f"(worst residual {worst:.3e}, allowed {compat_tol * scale:.3e})"
-        )
+    _check_compatible(config, f0, compat_tol, True,
+                      "initial data violates the boundary/junction compatibility")
     image = tr.forward_transform(config, f0, spec)
     return tr.inverse_transform(config, image.decayed(t), x_points, spec)
 

@@ -55,6 +55,10 @@ class Layer:
         if not linalg.hermitian_positive_semidefinite(self.g2):
             raise InvariantViolation(f"{name}.g2 must be Hermitian positive-semidefinite")
 
+    def window(self, x_max):
+        """(a, b): the layer clipped to |x| <= x_max; b <= a when it lies beyond x_max."""
+        return max(self.left, -x_max), min(self.right, x_max)
+
 
 @dataclass(frozen=True)
 class Interface:

@@ -162,8 +162,7 @@ def _xi_layout(config, spec):
     layout = []
     for layer in config.layers:
         rate = np.linalg.norm(_basis.compute_wavenumber(layer, spec.lambda_max), 2)
-        a = max(layer.left, -spec.x_max)
-        b = min(layer.right, spec.x_max)
+        a, b = layer.window(spec.x_max)
         cap = math.pi / max(rate, 1e-12)
         layout.append((a, b, max(1, math.ceil((b - a) / cap))) if b > a else None)
     return layout

@@ -15,13 +15,14 @@ damping and Neville extrapolation of the one-dimensional inversions.  The
 pair is exact: for the unit Gaussian the image is exp(-lam^2/2) scaled by
 lam^nu factors and the inversion integral equals 1 in closed form for every n.
 
-Bessel values come from a power series for z < 12 and, beyond, from the
-large-argument expansion J_nu(z)/z^nu = sqrt(2/pi) z^(-nu-1/2) Re[exp(iz)
-sum_{j<12} gamma_j z^-j] (exact for half-integer nu).  forward_nd takes every
-lam at once, in row chunks within transform._CHUNK_BYTES.  On its uniform
-panels rho = c_q + h t_k, exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k),
-so the expansion separates: all z >= 12 entries reduce to one product E @ B,
-B[:, j] = base rho^(-nu-1/2-j), and only z < 12 entries take the series.
+Bessel values come from one power series of J_nu(z)/z^nu for z < 12 and,
+beyond, from the large-argument expansion J_nu(z)/z^nu = sqrt(2/pi)
+z^(-nu-1/2) Re[exp(iz) sum_{j<12} gamma_j z^-j] (exact for half-integer nu).
+forward_nd takes every lam at once, in row chunks within
+transform._CHUNK_BYTES.  On its uniform panels rho = c_q + h t_k,
+exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k), so the expansion
+separates: all z >= 12 entries reduce to one product E @ B, B[:, j] = base
+rho^(-nu-1/2-j), and only z < 12 entries take the series.
 
 poisson_halfspace integrates radial boundary data against the half-space
 kernel c_n x (|y - eta|^2 + x^2)^(-(n+1)/2), c_n = Gamma((n+1)/2)/pi^((n+1)/2).
@@ -69,16 +70,15 @@ BESSEL_CROSSOVER = 12.0
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 6
 # Bytes of forward_nd work arrays per (lam, rho) entry: 32 for the phase, z and
-# the ratios, about as much again for the series temporaries of bessel_ratio.
+# the ratios, about as much again for the series temporaries of _ratio_series.
 _ENTRY_BYTES = 64
 
 
-def _bessel_series(nu, z):
-    """Power series of J_nu(z), accurate for |z| below the crossover."""
-    half = 0.5 * np.asarray(z, dtype=float)
-    term = half**nu / math.gamma(nu + 1.0)
+def _ratio_series(nu, z):
+    """Power series of J_nu(z) / z^nu, accurate for |z| below the crossover."""
+    zz = -0.25 * np.square(np.asarray(z, dtype=float))
+    term = np.full_like(zz, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
     total = term.copy()
-    zz = -(half * half)
     for k in range(1, _SERIES_TERMS):
         term = term * zz / (k * (k + nu))
         total += term
@@ -116,10 +116,8 @@ def bessel_j(nu, z):
         z = np.abs(z)
     out = np.empty_like(z)
     small = z < BESSEL_CROSSOVER
-    if np.any(small):
-        out[small] = _bessel_series(nu, z[small])
-    if np.any(~small):
-        out[~small] = _bessel_asymptotic(nu, z[~small])
+    out[small] = z[small] ** nu * _ratio_series(nu, z[small])
+    out[~small] = _bessel_asymptotic(nu, z[~small])
     out *= sign
     return float(out[0]) if scalar else out
 
@@ -128,19 +126,9 @@ def bessel_ratio(nu, z):
     """J_nu(z) / z^nu, finite at z = 0 (equals 1 / (2^nu Gamma(nu+1)) there)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty_like(z)
-    tiny = z < 0.5
-    if np.any(tiny):
-        zt = z[tiny]
-        term = np.full_like(zt, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
-        total = term.copy()
-        zz = -0.25 * zt * zt
-        for k in range(1, 12):
-            term = term * zz / (k * (k + nu))
-            total += term
-        out[tiny] = total
-    if np.any(~tiny):
-        zb = z[~tiny]
-        out[~tiny] = bessel_j(nu, zb) / zb**nu
+    small = z < BESSEL_CROSSOVER
+    out[small] = _ratio_series(nu, z[small])
+    out[~small] = _bessel_asymptotic(nu, z[~small]) / z[~small] ** nu
     return out
 
 
@@ -194,7 +182,7 @@ def forward_nd(profile, lam, order=12):
         z = np.multiply.outer(la, nodes)
         small = z < BESSEL_CROSSOVER
         ratio = np.zeros_like(z)
-        ratio[small] = bessel_ratio(nu, z[small])
+        ratio[small] = _ratio_series(nu, z[small])
         phase = (np.exp(1j * np.multiply.outer(la, centers))[:, :, None]
                  * np.exp(1j * np.multiply.outer(la, offsets))[:, None, :]).reshape(z.shape)
         phase[small] = 0.0

@@ -12,6 +12,7 @@ from layerft.errors import (
     ConjugationViolated,
     GridTooCoarse,
     InvariantViolation,
+    OutOfDomain,
     UnstableStep,
     WrongMode,
 )
@@ -71,6 +72,37 @@ def test_apply_b_stencil_path_matches_exact():
     assert np.max(np.abs(bf.layers[0].values[:, 0] - expected)) <= 1e-4
     # one-sided junction traces come from the same stencil machinery
     assert bf.has_trace(0, "right", 0) and bf.has_trace(0, "right", 1)
+
+
+@pytest.mark.parametrize("name", ["threelayer_r2", "r2diag"])
+def test_apply_b_sampled_traces_converge_to_exact(load, name):
+    # stencil traces approach the exact ones at l_0 and on both sides of every junction
+    cfg, spec = load(name)
+    gaps = []
+    for n in (401, 1601):
+        f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max, samples_per_layer=n)
+        exact = op.apply_B(cfg, f).traces
+        sampled = op.apply_B(cfg, PiecewiseGridFunction(layers=f.layers)).traces
+        assert sorted(sampled) == sorted(exact)
+        gaps.append({key: np.max(np.abs(sampled[key] - exact[key])) for key in exact})
+    assert len(gaps[0]) == 2 * cfg.n_layers - 1
+    for key, coarse in gaps[0].items():
+        assert gaps[1][key] <= coarse / 4, key
+
+
+@pytest.mark.parametrize("name", ["threelayer_r2", "r2diag"])
+def test_apply_b_evaluator_routes_by_layer(load, name):
+    cfg, spec = load(name)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
+    bf = op.apply_B(cfg, f)
+    for k in range(1, cfg.n_layers):
+        at = bf.evaluator([cfg.junction(k)])[0]
+        right, left = bf.traces[(k, "right")][0], bf.traces[(k, "left")][0]
+        assert np.max(np.abs(at - bf.layers[k].values[0])) <= 1e-14 * np.max(np.abs(at))
+        assert np.max(np.abs(at - right)) <= 1e-14 * np.max(np.abs(at))
+        assert np.max(np.abs(at - left)) >= 1e-3 * np.max(np.abs(at))   # a2 jumps at l_k
+    with pytest.raises(OutOfDomain):
+        bf.evaluator([cfg.left_end - 0.1])
 
 
 def test_identity_two_layer_bump(load):

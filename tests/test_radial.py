@@ -55,6 +55,15 @@ def test_bessel_ratio_small_argument():
         assert rad.bessel_ratio(nu, z) == pytest.approx(sp.jv(nu, z) / z**nu, rel=1e-12)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+def test_bessel_ratio_matches_scipy_on_both_branches(nu):
+    # series below BESSEL_CROSSOVER, asymptotic form divided by z^nu above it
+    zs = np.concatenate([np.geomspace(1e-9, 1.0, 60), np.linspace(1.0, 60.0, 1200)])
+    assert np.any(zs < rad.BESSEL_CROSSOVER) and np.any(zs >= rad.BESSEL_CROSSOVER)
+    ref = sp.jv(nu, zs) / zs**nu
+    assert np.max(np.abs(rad.bessel_ratio(nu, zs) - ref)) <= 5e-9
+
+
 def test_gaussian_images(spec):
     img3 = rad.forward_nd_image(gaussian_profile(3), spec)
     lam = img3.lambdas
