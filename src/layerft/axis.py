@@ -144,7 +144,7 @@ def symmetry_defect(ab, xs):
     one integral kernel.
     """
     xs = np.asarray(xs, dtype=float)
-    idx = [ab.config.layer_index(float(x)) for x in xs]
+    idx = ab.config.layer_index(xs)
     pp = np.array([axis_u_on_layer(ab, m, [x])[0] for m, x in zip(idx, xs)])
     qq = np.array([row_family(ab.q_layers[m]).at([x])[0, 0] for m, x in zip(idx, xs)])
     n = -np.outer(pp[:, 0], qq[:, 0]) / ab.c2 - np.outer(pp[:, 1], qq[:, 1]) / ab.d1

@@ -21,11 +21,13 @@ from . import transform as tr
 from .configio import emit_config, parse_config
 from .errors import ConfigError, LayerFTError, ParseError, RegularityViolation
 from .gridfn import (
+    complex_columns,
+    complex_rows,
     read_function_csv,
     read_image_csv,
     write_function_csv,
     write_image_csv,
-    _fmt,
+    write_table,
 )
 
 
@@ -173,10 +175,7 @@ def dispatch(args):
                 rows.append((x, y, val))
                 print(f"{x:>12.6g} {y:>12.6g} {val:>22.12g}")
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write("x,y,value\n")
-                for x, y, val in rows:
-                    fh.write(f"{_fmt(x)},{_fmt(y)},{_fmt(val)}\n")
+            write_table(args.output, ["x", "y", "value"], [(np.reshape(rows, (-1, 3)), "")])
         return 0
 
     config, spec = _load_problem(args)
@@ -196,20 +195,14 @@ def dispatch(args):
         b = bas.build_basis(config, args.lam)
         pts = _per_layer_points(config, spec, args.samples)
         r = config.r
-        header = ["x"]
-        for kind in ("u", "us"):
-            for i in range(1, r + 1):
-                for j in range(1, r + 1):
-                    header += [f"{kind}_re_{i}{j}", f"{kind}_im_{i}{j}"]
-        with open(args.output, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for m, xs in enumerate(pts):
-                if xs.size == 0:
-                    continue
-                # one row per x: x, then Re/Im of u and of u* entry by entry
-                kernels = [np.ascontiguousarray(k(b, m, xs).reshape(xs.size, r * r)).view(float)
-                           for k in (bas.u_on_layer, bas.u_star_on_layer)]
-                np.savetxt(fh, np.column_stack([xs, *kernels]), fmt="%.17g", delimiter=",")
+        entries = [f"{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)]
+        header = ["x", *complex_columns(entries, "u_"), *complex_columns(entries, "us_")]
+        kernels = (bas.u_on_layer, bas.u_star_on_layer)
+        # one row per x: x, then Re/Im of u and of u* entry by entry
+        blocks = [(complex_rows(xs, np.hstack([k(b, m, xs).reshape(xs.size, r * r)
+                                               for k in kernels])), "")
+                  for m, xs in enumerate(pts) if xs.size]
+        write_table(args.output, header, blocks)
         print(f"kernel tables at lambda = {args.lam} written to {args.output}")
         return 0
 
@@ -255,10 +248,8 @@ def dispatch(args):
         print(report)
         print(f"max residual for lambda <= 10: {report.max_residual(10.0):.3e}")
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write("lambda,residual\n")
-                for lam, res in zip(report.lambdas, report.residuals):
-                    fh.write(f"{_fmt(lam)},{_fmt(res)}\n")
+            write_table(args.output, ["lambda", "residual"],
+                        [(np.column_stack([report.lambdas, report.residuals]), "")])
         return 0
 
     if cmd == "heat":

@@ -266,15 +266,9 @@ def parse_config(source):
 # --- emission ----------------------------------------------------------------
 
 
-def _fmt_float(v):
-    return float(f"{float(v):.17g}")
-
-
 def _emit_entry(z):
     z = complex(z)
-    if z.imag == 0.0:
-        return _fmt_float(z.real)
-    return str(complex(_fmt_float(z.real), _fmt_float(z.imag)))
+    return z.real if z.imag == 0.0 else str(z)
 
 
 def _emit_matrix(m):
@@ -284,7 +278,7 @@ def _emit_matrix(m):
 def _emit_bound(v):
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
-    return _fmt_float(v)
+    return float(v)
 
 
 def emit_config(config, spec=None, path=None):
@@ -312,13 +306,13 @@ def emit_config(config, spec=None, path=None):
         }
     if spec is not None:
         doc["quadrature"] = {
-            "lambda_min": _fmt_float(spec.lambda_min),
-            "lambda_max": _fmt_float(spec.lambda_max),
+            "lambda_min": float(spec.lambda_min),
+            "lambda_max": float(spec.lambda_max),
             "lambda_steps": int(spec.lambda_steps),
-            "tau_schedule": [_fmt_float(t) for t in spec.tau_schedule],
-            "x_max": _fmt_float(spec.x_max),
+            "tau_schedule": [float(t) for t in spec.tau_schedule],
+            "x_max": float(spec.x_max),
             "xi_quadrature_order": int(spec.xi_quadrature_order),
-            "tail_tolerance": _fmt_float(spec.tail_tolerance),
+            "tail_tolerance": float(spec.tail_tolerance),
         }
     text = yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
     if path is not None:

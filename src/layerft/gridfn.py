@@ -10,19 +10,25 @@ boundary l_0 (side "right" only), junction k >= 1 separates layer k from
 layer k+1 and carries "left" and "right" traces.  Each entry is an array of
 shape (orders, r): row o holds the o-th derivative trace.
 
-CSV layout, one schema for both directions of travel:
+CSV tables.  write_table writes every table layerft produces: one header
+line, then rows of comma-separated cells, each float with 17 significant
+digits (a write/read cycle reproduces every float64 bit-exactly), lines
+ending in LF.  Complex values take two columns, re then im.  The tables:
 
-  functions:  x,re_1,im_1,...,re_r,im_r,trace_side,trace_order
-  images:     lambda,re_1,im_1,...,re_k,im_k
+  function  x,re_1,im_1,...,re_r,im_r,trace_side,trace_order
+  image     lambda,re_1,im_1,...,re_k,im_k
+  basis     x,u_re_11,u_im_11,...,u_im_rr,us_re_11,...,us_im_rr
+  identity  lambda,residual
+  poisson   x,y,value
 
-Bulk sample rows leave the two trace columns empty; trace rows put the
-junction abscissa in x, "left"/"right" in trace_side and the derivative
-order in trace_order.  Floats are written with 17 significant digits so a
-write/read cycle reproduces every float64 bit-exactly.
+Function and image tables are read back by read_function_csv and
+read_image_csv.  Bulk sample rows of a function leave the two trace columns
+empty; trace rows put the junction abscissa in x, "left"/"right" in
+trace_side and the derivative order in trace_order.  An image row of a
+flagged spectral point reads nan,0 in every component.
 """
 
 import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -35,10 +41,6 @@ from .errors import (
     MissingTraces,
     ParseError,
 )
-
-
-def _fmt(v):
-    return f"{float(v):.17g}"
 
 
 def _not_a_knot_spline(x, y):
@@ -238,75 +240,98 @@ class SpectralImage:
 # --- CSV ------------------------------------------------------------------
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def complex_columns(names, prefix=""):
+    """Header names of interleaved complex cells: {prefix}re_{n}, {prefix}im_{n} per name."""
+    return [f"{prefix}{part}_{n}" for n in names for part in ("re", "im")]
 
 
-def write_image_csv(image, path):
-    header = ["lambda"]
-    for j in range(1, image.k + 1):
-        header += [f"re_{j}", f"im_{j}"]
-    rows = []
-    for lam, row in zip(image.lambdas, image.values):
-        out = [_fmt(lam)]
-        for v in row:
-            out += [_fmt(v.real), _fmt(v.imag)]
-        rows.append(out)
-    _write_rows(path, header, rows)
+def complex_rows(x, values):
+    """Rows x, Re v_1, Im v_1, ...: the real cells of the complex (N, k) values at x."""
+    return np.column_stack([x, np.ascontiguousarray(values, dtype=complex).view(float)])
 
 
-def read_image_csv(path):
+def write_table(path, header, blocks):
+    """Write a CSV table: the header line, then the rows of every block.
+
+    blocks holds (rows, tail) pairs: rows is a real (n, c) array whose cells
+    are written with 17 significant digits, so that every float64 reads back
+    bit-exactly; tail is the literal text that ends each of its rows (the
+    text columns of a function CSV, "" in every other table).  Lines end in
+    LF on every platform.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for rows, tail in blocks:
+            rows = np.asarray(rows, dtype=float)
+            np.savetxt(fh, rows, fmt=",".join(["%.17g"] * rows.shape[1]) + tail)
+
+
+def _read_table(path, first, text=()):
+    """Line numbers, numeric cells and text cells of the CSV table at path.
+
+    The header must read first, then re_j,im_j pairs, then the text columns.
+    Blank rows are skipped; every other row must have the header's field
+    count and a float in each numeric cell, else ParseError names path:line.
+    Returns (lines, nums, texts): nums is the (n, 1 + 2k) array of the
+    numeric cells, texts the list of each row's text cells.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "lambda":
-            raise ParseError(f"{path}: expected an image CSV with a 'lambda' column")
-        k = (len(header) - 1) // 2
-        if k < 1 or len(header) != 1 + 2 * k:
-            raise ParseError(f"{path}: malformed image header {header}")
-        lams, vals = [], []
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file")
+        width = len(header) - len(text)
+        if (header[0].strip() != first or width < 3 or width % 2 == 0
+                or tuple(header[width:]) != text):
+            raise ParseError(
+                f"{path}: expected the header {','.join([first, 're_1', 'im_1', '...', *text])}, "
+                f"got {','.join(header)}"
+            )
+        lines, nums, texts = [], [], []
         for ln, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
             try:
-                nums = [float(cell) for cell in row]
+                nums.append([float(cell) for cell in row[:width]])
             except ValueError as exc:
                 raise ParseError(f"{path}:{ln}: {exc}") from None
-            re, im = nums[1::2], nums[2::2]
-            # write_image_csv gives a flagged row nan,0 in every component
-            flagged = all(map(math.isnan, re)) and not any(im)
-            if not math.isfinite(nums[0]) or not (flagged or all(map(math.isfinite, nums))):
-                raise ParseError(f"{path}:{ln}: non-finite number in {row}")
-            lams.append(nums[0])
-            vals.append([complex(a, b) for a, b in zip(re, im)])
-    if not lams:
+            lines.append(ln)
+            texts.append(row[width:])
+    return lines, np.array(nums, dtype=float).reshape(-1, width), texts
+
+
+def _refuse_nonfinite(path, lines, nums, ok):
+    """ParseError naming the first row whose flag in ok is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = bad[0]
+        raise ParseError(f"{path}:{lines[i]}: non-finite number in {nums[i].tolist()}")
+
+
+def write_image_csv(image, path):
+    header = ["lambda", *complex_columns(range(1, image.k + 1))]
+    write_table(path, header, [(complex_rows(image.lambdas, image.values), "")])
+
+
+def read_image_csv(path):
+    lines, nums, _ = _read_table(path, "lambda")
+    # write_image_csv gives a flagged row nan,0 in every component
+    flagged = np.isnan(nums[:, 1::2]).all(axis=1) & (nums[:, 2::2] == 0).all(axis=1)
+    ok = np.isfinite(nums[:, 0]) & (flagged | np.isfinite(nums).all(axis=1))
+    _refuse_nonfinite(path, lines, nums, ok)
+    if not lines:
         raise EmptyImage(f"{path}: no image rows")
-    return SpectralImage(np.array(lams), np.array(vals), meta={"source": str(path)})
+    values = np.ascontiguousarray(nums[:, 1:]).view(complex)
+    return SpectralImage(nums[:, 0], values, meta={"source": str(path)})
 
 
 def write_function_csv(f, path):
-    r = f.r
-    header = ["x"]
-    for j in range(1, r + 1):
-        header += [f"re_{j}", f"im_{j}"]
-    header += ["trace_side", "trace_order"]
-    rows = []
-    for ls in f.layers:
-        for x, row in zip(ls.x, ls.values):
-            out = [_fmt(x)]
-            for v in row:
-                out += [_fmt(v.real), _fmt(v.imag)]
-            rows.append(out + ["", ""])
+    header = ["x", *complex_columns(range(1, f.r + 1)), "trace_side", "trace_order"]
+    blocks = [(complex_rows(ls.x, ls.values), ",,") for ls in f.layers]
     junction_x = f.meta.get("junction_abscissae")
-    for (junction, side) in sorted(f.traces, key=lambda k: (k[0], k[1])):
+    for junction, side in sorted(f.traces):
         arr = f.traces[(junction, side)]
         if junction_x is not None and junction < len(junction_x):
             xj = junction_x[junction]
@@ -315,12 +340,9 @@ def write_function_csv(f, path):
             xj = f.layers[junction].x[0] if side == "right" and junction == 0 else (
                 f.layers[junction - 1].x[-1] if side == "left" else f.layers[junction].x[0]
             )
-        for order in range(arr.shape[0]):
-            out = [_fmt(xj)]
-            for v in arr[order]:
-                out += [_fmt(v.real), _fmt(v.imag)]
-            rows.append(out + [side, str(order)])
-    _write_rows(path, header, rows)
+        rows = complex_rows(np.full(arr.shape[0], xj), arr)
+        blocks += [(rows[order:order + 1], f",{side},{order}") for order in range(arr.shape[0])]
+    write_table(path, header, blocks)
 
 
 def _split_layers(xs, vals, config):
@@ -329,86 +351,48 @@ def _split_layers(xs, vals, config):
     the left layer (both one-sided endpoint samples survive a round trip)."""
     boundaries = []
     start = 0
-    n = len(xs)
     for k in range(1, config.n_layers):
         lk = config.junction(k)
-        hits = [i for i in range(start, n) if xs[i] == lk]
-        if len(hits) >= 2:
-            split = hits[1]
-        elif len(hits) == 1:
-            split = hits[0]
-        else:
-            split = next((i for i in range(start, n) if xs[i] > lk), n)
+        rest = xs[start:]
+        at, above = np.flatnonzero(rest == lk), np.flatnonzero(rest > lk)
+        split = start + (at[:2][-1] if at.size else above[0] if above.size else rest.size)
         boundaries.append(split)
         start = split
-    pieces = []
-    lo = 0
-    for split in boundaries + [n]:
-        pieces.append((np.array(xs[lo:split]), np.array(vals[lo:split]).reshape(split - lo, -1)))
-        lo = split
-    return pieces
+    return [(xs[lo:hi], vals[lo:hi]) for lo, hi in zip([0] + boundaries, boundaries + [xs.size])]
 
 
 def read_function_csv(path, config):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not header or header[0].strip() != "x":
-            raise ParseError(f"{path}: expected a function CSV with an 'x' column")
-        if header[-2:] != ["trace_side", "trace_order"]:
-            raise ParseError(f"{path}: function CSV must end with trace_side,trace_order")
-        r = (len(header) - 3) // 2
-        if r < 1 or len(header) != 3 + 2 * r:
-            raise ParseError(f"{path}: malformed function header {header}")
-        if r != config.r:
-            raise DimensionMismatch(
-                f"{path}: file carries {r} components but the problem has r = {config.r}",
-                block="csv",
-            )
-        xs, vals = [], []
-        trace_rows = []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
-            try:
-                nums = [float(cell) for cell in row[: 1 + 2 * r]]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{ln}: {exc}") from None
-            if not all(map(math.isfinite, nums)):
-                raise ParseError(f"{path}:{ln}: non-finite number in {row[: 1 + 2 * r]}")
-            x = nums[0]
-            vec = [complex(re, im) for re, im in zip(nums[1::2], nums[2::2])]
-            side = row[-2].strip()
-            if side == "":
-                xs.append(x)
-                vals.append(vec)
-                continue
-            if side not in ("left", "right"):
-                raise ParseError(f"{path}:{ln}: trace_side must be left or right, got {side!r}")
-            try:
-                order = int(row[-1])
-            except ValueError:
-                raise ParseError(f"{path}:{ln}: bad trace_order {row[-1]!r}") from None
-            trace_rows.append((ln, x, side, order, vec))
-
-    pieces = _split_layers(xs, vals, config)
-    layers = [LayerSamples(x=p[0], values=p[1]) for p in pieces]
+    lines, nums, texts = _read_table(path, "x", ("trace_side", "trace_order"))
+    r = (nums.shape[1] - 1) // 2
+    if r != config.r:
+        raise DimensionMismatch(
+            f"{path}: file carries {r} components but the problem has r = {config.r}",
+            block="csv",
+        )
+    _refuse_nonfinite(path, lines, nums, np.isfinite(nums).all(axis=1))
+    values = np.ascontiguousarray(nums[:, 1:]).view(complex)
+    sides = [side.strip() for side, _ in texts]
+    bulk = np.array([side == "" for side in sides], dtype=bool)
+    pieces = _split_layers(nums[bulk, 0], values[bulk], config)
+    layers = [LayerSamples(x=x, values=v) for x, v in pieces]
 
     # junction abscissae: index 0 is l_0 (semi-axis), k >= 1 the interior junctions
     junction_x = [config.left_end] + list(config.junctions)
     traces = {}
     staged = {}
-    for ln, x, side, order, vec in trace_rows:
+    for i in np.flatnonzero(~bulk):
+        ln, x, side = lines[i], nums[i, 0], sides[i]
+        if side not in ("left", "right"):
+            raise ParseError(f"{path}:{ln}: trace_side must be left or right, got {side!r}")
+        try:
+            order = int(texts[i][1])
+        except ValueError:
+            raise ParseError(f"{path}:{ln}: bad trace_order {texts[i][1]!r}") from None
         hits = [j for j, xj in enumerate(junction_x) if np.isfinite(xj) and
                 abs(x - xj) <= 1e-12 * max(1.0, abs(xj))]
         if not hits:
             raise ParseError(f"{path}:{ln}: trace abscissa {x} matches no junction")
-        staged.setdefault((hits[0], side), {})[order] = vec
+        staged.setdefault((hits[0], side), {})[order] = values[i]
     for key, by_order in staged.items():
         orders = sorted(by_order)
         if orders != list(range(len(orders))):

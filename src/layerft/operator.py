@@ -45,6 +45,11 @@ from .errors import (
 from .gridfn import LayerSamples, PiecewiseGridFunction
 from .problem import SEMI_AXIS
 
+# allowed split junction residual of the identity's data, relative to max(1, sup|f|)
+CONJUGATION_TOL = 1e-8
+# allowed boundary and junction residual of heat initial data, relative to max(1, sup|f0|)
+COMPAT_TOL = 1e-5
+
 
 def fd_weights(z, nodes, order):
     """Finite-difference weights for the order-th derivative at z (Fornberg)."""
@@ -135,7 +140,7 @@ def apply_B(config, f):
 
         def evaluator(x, order=0):
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            idx = np.array([config.layer_index(float(v)) for v in x], dtype=int)
+            idx = config.layer_index(x)
             lo, hi = exact(x, order), exact(x, order + 2)
             out = np.empty((x.size, config.r), dtype=complex)
             for m in np.unique(idx):
@@ -236,12 +241,11 @@ class IdentityReport:
         )
 
 
-def verify_basic_identity(config, f, spec, include_boundary_term=True,
-                          conjugation_tol=1e-8):
+def verify_basic_identity(config, f, spec, include_boundary_term=True):
     """Check image(B f) = -lam^2 image(f) - boundary brace on the canonical grid.
 
     The junction-compatibility hypothesis is enforced: if either split part
-    of a junction condition fails beyond conjugation_tol (relative to the
+    of a junction condition fails beyond CONJUGATION_TOL (relative to the
     sup-norm of f) the identity does not apply and ConjugationViolated is
     raised.  Boundary traces of f are NOT required to satisfy the boundary
     condition: the brace term carries them explicitly.  Disabling
@@ -251,7 +255,7 @@ def verify_basic_identity(config, f, spec, include_boundary_term=True,
     if config.mode != SEMI_AXIS:
         raise WrongMode("the operational identity is a semi-axis statement")
     worst = _check_compatible(
-        config, f, conjugation_tol, False,
+        config, f, CONJUGATION_TOL, False,
         "the multiplication identity does not apply: junction traces of f violate "
         "the split matching conditions",
     )
@@ -292,18 +296,18 @@ def heat_image(image, t):
     return image.decayed(t)
 
 
-def solve_heat(config, f0, t, x_points, spec, compat_tol=1e-5):
+def solve_heat(config, f0, t, x_points, spec):
     """Heat evolution by transform: forward, decay by exp(-lam^2 t), invert.
 
     The initial data must be compatible with the boundary condition and the
     junction conditions in the lam-split sense; the residuals are checked
-    against compat_tol * max(1, sup|f0|).
+    against COMPAT_TOL * max(1, sup|f0|).
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("solve_heat serves the semi-axis problem")
     if not (math.isfinite(t) and t >= 0):
         raise InvariantViolation(f"time must be finite and nonnegative, got {t}")
-    _check_compatible(config, f0, compat_tol, True,
+    _check_compatible(config, f0, COMPAT_TOL, True,
                       "initial data violates the boundary/junction compatibility")
     image = tr.forward_transform(config, f0, spec)
     return tr.inverse_transform(config, image.decayed(t), x_points, spec)

@@ -273,13 +273,18 @@ class ProblemConfig:
         return tuple(self.junction(k) for k in range(1, self.n_layers))
 
     def layer_index(self, x):
-        """Layer containing x; a junction abscissa resolves to the right layer."""
-        if self.mode == SEMI_AXIS and x < self.left_end:
-            raise OutOfDomain(f"x = {x} lies left of the boundary l_0 = {self.left_end}")
-        for m in range(self.n_layers - 1):
-            if x < self.layers[m].right:
-                return m
-        return self.n_layers - 1
+        """Layer containing x; a junction abscissa resolves to the right layer.
+
+        x is a scalar (the result is an int) or an array (an int array of
+        its shape).
+        """
+        x = np.asarray(x, dtype=float)
+        left = x < self.left_end
+        if self.mode == SEMI_AXIS and np.any(left):
+            raise OutOfDomain(f"x = {np.min(x[left])} lies left of the boundary "
+                              f"l_0 = {self.left_end}")
+        idx = np.searchsorted(self.junctions, x, side="right")
+        return int(idx) if idx.ndim == 0 else idx
 
     @property
     def is_lambda_free(self):

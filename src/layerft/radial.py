@@ -67,6 +67,7 @@ from .quadrature import (
 )
 
 BESSEL_CROSSOVER = 12.0
+_RADIAL_ORDER = 12      # Gauss-Legendre order of every forward_nd panel
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 6
 # Bytes of forward_nd work arrays per (lam, rho) entry: 32 for the phase, z and
@@ -157,7 +158,7 @@ def _check_dimension(n):
     return int(n)
 
 
-def forward_nd(profile, lam, order=12):
+def forward_nd(profile, lam):
     """Radial transform of profile at the origin, for scalar or array lam."""
     n = _check_dimension(profile.n)
     nu = 0.5 * (n - 2)
@@ -167,10 +168,10 @@ def forward_nd(profile, lam, order=12):
     rate = max(1.0, float(lam_arr.max()))
     n_panels = max(1, math.ceil(profile.rho_max * rate / math.pi))
     edges = np.linspace(0.0, profile.rho_max, n_panels + 1)
-    nodes, weights = (a.ravel() for a in panel_gauss(edges, order))
+    nodes, weights = (a.ravel() for a in panel_gauss(edges, _RADIAL_ORDER))
     base = weights * nodes ** (n - 1) * profile(nodes)
     centers = 0.5 * (edges[1:] + edges[:-1])
-    offsets = 0.5 * profile.rho_max / n_panels * _leggauss(order)[0]
+    offsets = 0.5 * profile.rho_max / n_panels * _leggauss(_RADIAL_ORDER)[0]
     gamma = _asymptotic_coefficients(nu)
     far = rate * nodes >= BESSEL_CROSSOVER      # the nodes some lam takes asymptotically
     cols = np.zeros((nodes.size, gamma.size), dtype=complex)

@@ -318,10 +318,8 @@ def _normalize_x_points(config, x_points, spec):
         per_layer = [np.asarray(p, dtype=float).ravel() for p in x_points]
     else:
         flat = np.asarray(x_points, dtype=float).ravel()
-        per_layer = [[] for _ in config.layers]
-        for x in flat:
-            per_layer[config.layer_index(x)].append(x)
-        per_layer = [np.array(sorted(set(p)), dtype=float) for p in per_layer]
+        idx = config.layer_index(flat)
+        per_layer = [np.unique(flat[idx == m]) for m in range(config.n_layers)]
     hi = spec.x_max * (1 + 1e-12)
     lo = config.left_end if config.mode == SEMI_AXIS else -hi
     for m, xs in enumerate(per_layer):

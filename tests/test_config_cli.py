@@ -349,7 +349,6 @@ def test_cli_poisson_huge_input_is_size_error(monkeypatch, capsys, flags):
 
 def test_cli_basis_table_matches_per_value_format(tmp_path):
     from layerft import basis as bas
-    from layerft.gridfn import _fmt
 
     out = tmp_path / "bas.csv"
     assert cli.main(["basis", "--config", config_path("threelayer_r2"), "--lambda", "0.7",
@@ -360,8 +359,8 @@ def test_cli_basis_table_matches_per_value_format(tmp_path):
     for m, layer in enumerate(config.layers):
         xs = np.linspace(max(layer.left, -spec.x_max), min(layer.right, spec.x_max), 41)
         for x, u, us in zip(xs, bas.u_on_layer(b, m, xs), bas.u_star_on_layer(b, m, xs)):
-            row = [_fmt(x)]
+            row = [f"{x:.17g}"]
             for v in (*u.ravel(), *us.ravel()):
-                row += [_fmt(v.real), _fmt(v.imag)]
+                row += [f"{v.real:.17g}", f"{v.imag:.17g}"]
             lines.append(",".join(row))
     assert out.read_text().splitlines()[1:] == lines

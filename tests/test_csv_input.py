@@ -6,6 +6,7 @@ import io
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from layerft import catalog as cat
 from layerft import cli
 from layerft.configio import parse_config
-from layerft.gridfn import write_function_csv
+from layerft.gridfn import (
+    SpectralImage,
+    read_function_csv,
+    read_image_csv,
+    write_function_csv,
+    write_image_csv,
+)
 
 from conftest import config_path
 
@@ -159,3 +166,62 @@ def test_flagged_image_row_is_dropped_and_reported(tmp_path, valid_r2):
     assert rc == 0, err
     assert "(1 non-finite image rows dropped)" in stdout
     assert all(map(finite, read_rows(out)[1:]))
+
+
+TABLES = {
+    "image": ("lambda,re_1,im_1",
+              ["forward", "--config", CONFIG, "--input", "gauss_bump", *SPEC]),
+    "function": ("x,re_1,im_1,trace_side,trace_order",
+                 ["roundtrip", "--config", CONFIG, "--input", "gauss_bump", *SPEC]),
+    "basis": ("x," + ",".join(f"{kind}_{part}_{ij}" for kind in ("u", "us")
+                              for ij in ("11", "12", "21", "22") for part in ("re", "im")),
+              ["basis", "--config", config_path("threelayer_r2"), "--lambda", "0.7",
+               "--samples", "21"]),
+    "identity": ("lambda,residual",
+                 ["identity", "--config", config_path("sine"), "--input",
+                  "poly_cutoff:left=3,right=5", *SPEC]),
+    "poisson": ("x,y,value",
+                ["poisson", "--dim", "3", "--input", "gauss_bump:center=0,width=2",
+                 "--heights", "0.5,1", "--radii", "0,0.9"]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_cli_tables_have_one_header_line_and_lf_endings(tmp_path, table):
+    header, argv = TABLES[table]
+    out = tmp_path / f"{table}.csv"
+    rc, _out, err = run([*argv, "--output", str(out)])
+    assert rc == 0, err
+    data = out.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    lines = data.decode().split("\n")[:-1]
+    assert lines[0] == header and len(lines) > 2
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == header.count(",") + 1
+        float(cells[0])
+
+
+def test_image_and_function_csv_read_back_bit_exactly(tmp_path):
+    cfg, spec = parse_config(config_path("threelayer_r2"))
+    rng = np.random.default_rng(11)
+    values = ((rng.standard_normal((60, 2)) + 1j * rng.standard_normal((60, 2)))
+              * 10.0 ** rng.integers(-300, 300, (60, 2)))
+    values[7] = complex(math.nan, 0.0)           # a flagged row
+    values[8] = [complex(-0.0, 5e-324), complex(0.0, -0.0)]
+    image = SpectralImage(np.sort(rng.uniform(0.01, 40.0, 60)), values)
+    write_image_csv(image, tmp_path / "image.csv")
+    back = read_image_csv(tmp_path / "image.csv")
+    assert back.lambdas.tobytes() == image.lambdas.tobytes()
+    assert back.values.tobytes() == image.values.tobytes()
+
+    f = cat.to_grid_function(cat.make_profile("sine_packet"), cfg, spec.x_max,
+                             samples_per_layer=41)
+    assert f.traces
+    write_function_csv(f, tmp_path / "f.csv")
+    g = read_function_csv(tmp_path / "f.csv", cfg)
+    for a, b in zip(f.layers, g.layers, strict=True):
+        assert a.x.tobytes() == b.x.tobytes() and a.values.tobytes() == b.values.tobytes()
+    assert sorted(g.traces) == sorted(f.traces)
+    for key, arr in f.traces.items():
+        assert np.asarray(arr, dtype=complex).tobytes() == g.traces[key].tobytes()

@@ -105,6 +105,27 @@ def test_apply_b_evaluator_routes_by_layer(load, name):
         bf.evaluator([cfg.left_end - 0.1])
 
 
+def test_layer_index_vector_matches_scalar_rule(load):
+    cfg, _spec = load("threelayer_r2")
+    ends = [cfg.left_end, *cfg.junctions]
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.uniform(0.0, 8.0, 400), ends, np.nextafter(ends, -np.inf)[1:],
+                         np.nextafter(ends, np.inf)])
+
+    def scalar_rule(x):
+        return next((m for m, layer in enumerate(cfg.layers[:-1]) if x < layer.right),
+                    cfg.n_layers - 1)
+
+    idx = cfg.layer_index(xs)
+    assert idx.shape == xs.shape
+    assert idx.tolist() == [scalar_rule(x) for x in xs.tolist()]
+    assert all(type(cfg.layer_index(x)) is int and cfg.layer_index(x) == scalar_rule(x)
+               for x in xs.tolist())
+    for bad in (cfg.left_end - 1e-9, [1.0, cfg.left_end - 0.5, 3.0]):
+        with pytest.raises(OutOfDomain):
+            cfg.layer_index(bad)
+
+
 def test_identity_two_layer_bump(load):
     cfg, spec = load("twolayer")
     f = cat.to_grid_function(cat.make_profile("poly_cutoff"), cfg, spec.x_max)
