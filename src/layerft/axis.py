@@ -26,14 +26,17 @@ The wavenumbers, pencil gates and the backward sweep are the semi-axis
 ones (basis._build_families), whose families, the identity in the last
 layer, are P; so in the tail T is the Q coefficients themselves.  What is
 full-axis is kept here: the Q sweep, the connection and the Wronskian.
-build_axis_basis is the one-point view of _axis_families.  Both branches
-are basis.Family objects: the row u with lp = lm = 1 and the P coefficient
-rows on the right (row_family), the column u* with -Q/(c w) on the left;
-the shared drivers of transform.py contract them.
+build_axis_batch runs them for a whole spectral grid; build_axis_basis is
+its one-point view.  Both branches are basis.Family objects: the row u
+with lp = lm = 1 and the P coefficient rows on the right (row_family,
+AxisBatch.primal), the column u* with -Q/(c w) on the left
+(AxisBatch.dual); the shared drivers of transform.py contract them, and a
+forward image carries its AxisBatch for every inversion to reuse.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -66,17 +69,48 @@ class AxisBasisAtLambda:
         return [ld.center for ld in self.layers]
 
 
-def _axis_families(config, lams):
+@dataclass
+class AxisBatch:
+    """Full-axis kernel data stacked over the spectral points lam, as build_axis_batch makes it.
+
+    p and q are per-layer basis._LayerKernels, p with coef columns (P+, P-)
+    and q with (Q-, Q+), rows the coefficients of exp(+iqs), exp(-iqs); cd
+    (N, 2) = (c2, d1); omega (N, L) the layer Wronskians.  flags maps the
+    index of each degenerate point to the error build_axis_basis raises
+    there; its data are placeholders.
+    """
+
+    lam: np.ndarray
+    config: object
+    p: list
+    q: list
+    cd: np.ndarray
+    omega: np.ndarray
+    flags: dict
+
+    @cached_property
+    def primal(self):
+        """The row kernel u = (P+, P-) of every layer, computed on first use."""
+        return [row_family(ld) for ld in self.p]
+
+    def dual(self):
+        """The column kernel u* = (-Q-/(c2 w), -Q+/(d1 w)) of every layer: 2 x 1 Families."""
+        one = np.ones((self.lam.size, 1, 1))
+        columns = []
+        for m, (pm, qm) in enumerate(zip(self.p, self.q)):
+            qs = -qm.coef / (self.cd[:, None, :] * self.omega[:, m, None, None])
+            columns.append(bas.Family(pm.mu, pm.center, qs[:, 0, :, None], one,
+                                      qs[:, 1, :, None], one))
+        return columns
+
+
+def build_axis_batch(config, lams):
     """Propagate the four scalar families at every lam and connect them in the right tail.
 
-    Returns (p, q, cd, omega, flags): per-layer basis._LayerKernels stacked
-    over lams, p with coef columns (P+, P-) and q with (Q-, Q+), rows the
-    coefficients of exp(+iqs), exp(-iqs); cd (N, 2) = (c2, d1); Wronskians
-    omega (N, L).  flags maps the index of each degenerate point to the
-    error build_axis_basis raises there; its data are placeholders.  The
-    junction pencils are free of lam on the full axis (validation), so a
-    singular one flags every point.
+    The junction pencils are free of lam on the full axis (validation), so
+    a singular one flags every point.
     """
+    lams = np.asarray(lams, dtype=float).ravel()
     p, pencils, flags = bas._build_families(config, lams)
     q = [replace(p[0], coef=np.broadcast_to([[0j, 1], [1, 0]], p[0].coef.shape))]
     for i, (m1, m2) in enumerate(pencils):
@@ -100,24 +134,24 @@ def _axis_families(config, lams):
                                                lam=lams[j]))
     bad = sorted(flags)
     cd[bad] = omega[bad] = 1.0
-    return p, q, cd, omega, flags
+    return AxisBatch(lam=lams, config=config, p=p, q=q, cd=cd, omega=omega, flags=flags)
 
 
 def build_axis_basis(config, lam):
-    """Kernel data of a full-axis problem at lam: the one-point view of _axis_families."""
+    """Kernel data of a full-axis problem at lam: the one-point view of build_axis_batch."""
     if config.mode != FULL_AXIS:
         raise WrongMode("build_axis_basis needs a full-axis problem")
-    p, q, cd, omega, flags = _axis_families(config, np.array([lam], dtype=float))
-    if flags:
-        raise flags[0]
+    b = build_axis_batch(config, [lam])
+    if b.flags:
+        raise b.flags[0]
     return AxisBasisAtLambda(
         lam=lam,
         config=config,
-        layers=[ld.at(0) for ld in p],
-        q_layers=[ld.at(0) for ld in q],
-        omega=omega[0],
-        c2=complex(cd[0, 0]),
-        d1=complex(cd[0, 1]),
+        layers=[ld.at(0) for ld in b.p],
+        q_layers=[ld.at(0) for ld in b.q],
+        omega=b.omega[0],
+        c2=complex(b.cd[0, 0]),
+        d1=complex(b.cd[0, 1]),
     )
 
 
@@ -159,19 +193,7 @@ def scalar_axis_forward(config, f, spec, lambdas=None):
                         "use forward_transform on the semi-axis")
     if f.r != 1:
         raise DimensionMismatch("full-axis transform is scalar", block="input")
-
-    def kernels(lams):
-        p, q, cd, omega, flags = _axis_families(config, lams)
-        one = np.ones((lams.size, 1, 1))
-        columns = []
-        for m, (pm, qm) in enumerate(zip(p, q)):
-            # u* branches (-Q-/(c2 w), -Q+/(d1 w)) on layer m: a 2 x 1 Family
-            qs = -qm.coef / (cd[:, None, :] * omega[:, m, None, None])
-            columns.append(bas.Family(pm.mu, pm.center, qs[:, 0, :, None], one,
-                                      qs[:, 1, :, None], one))
-        return columns, 0.0, flags
-
-    return _spectral_forward(config, f, spec, lambdas, kernels)
+    return _spectral_forward(config, f, spec, lambdas, build_axis_batch)
 
 
 def scalar_axis_inverse(config, image, x_points, spec):
@@ -184,8 +206,5 @@ def scalar_axis_inverse(config, image, x_points, spec):
             f"full-axis image must have two branches, got {image.k}", block="image"
         )
 
-    def kernels(lams):
-        p, *_, flags = _axis_families(config, lams)
-        return [row_family(ld) for ld in p], flags
-
-    return _spectral_inverse(config, image, x_points, spec, AXIS_INVERSION_CONSTANT, kernels)
+    return _spectral_inverse(config, image, x_points, spec, AXIS_INVERSION_CONSTANT,
+                             build_axis_batch)

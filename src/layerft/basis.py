@@ -55,9 +55,15 @@ batched SVD.  Degenerate points are flagged, not raised; build_basis is
 its one-point view.  Everything before the boundary functionals is
 _build_families, which also builds the full axis's P families (axis.py);
 its step _coef_from_stack also runs axis.py's left-to-right sweep.
+
+The batch is what a forward image carries as its basis (transform.py):
+dual() gives the stacked u* of every layer, and primal the stacked u,
+computed on first use and kept, so that every inversion of the image
+shares one batch and one set of primal families.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +139,11 @@ class Family:
             ep, em = ep * (1j * self.mu) ** order, em * (-1j * self.mu) ** order
         return (self.lp * ep[..., None, :]) @ self.rp + (self.lm * em[..., None, :]) @ self.rm
 
+    def rows(self, index):
+        """The stacked Family at the spectral points index of axis 0."""
+        return replace(self, mu=self.mu[index], lp=self.lp[index], rp=self.rp[index],
+                       lm=self.lm[index], rm=self.rm[index])
+
 
 @dataclass
 class _LayerKernels:
@@ -186,6 +197,15 @@ class SpectralBasisBatch(SpectralBasisAtLambda):
     """
 
     flags: dict = None
+
+    @cached_property
+    def primal(self):
+        """The stacked primal Family u of every layer, computed on first use."""
+        return [primal_family(self, m) for m in range(self.config.n_layers)]
+
+    def dual(self):
+        """The stacked dual Family u* of every layer."""
+        return [dual_family(self, m) for m in range(self.config.n_layers)]
 
     def at(self, i):
         return SpectralBasisAtLambda(

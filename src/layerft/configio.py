@@ -46,15 +46,13 @@ _QUAD_FIELDS = (
 
 
 def _num(value, name):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, complex):
-        return value
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, (int, float, complex)):
+            return complex(value)
+        if isinstance(value, str):
             return complex(value.replace(" ", ""))
-        except ValueError:
-            raise ParseError(f"{name}: cannot read {value!r} as a number") from None
+    except (ValueError, OverflowError):       # an int past the float range overflows
+        pass
     raise ParseError(f"{name}: cannot read {value!r} as a number")
 
 
@@ -70,7 +68,10 @@ def _bound(value, name):
         except ValueError:
             raise ParseError(f"{name}: cannot read {value!r} as a coordinate") from None
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            pass
     raise ParseError(f"{name}: cannot read {value!r} as a coordinate")
 
 
@@ -99,7 +100,7 @@ def _quad_number(value, name, integral=False):
     """A finite quadrature number (an integer where integral is set)."""
     try:
         x = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(f"quadrature.{name}: cannot read {value!r} as a number") from None
     if not math.isfinite(x) or (integral and x != int(x)):
         kind = "integer" if integral else "number"
@@ -128,9 +129,12 @@ def parse_config(source):
         with open(source) as fh:
             text = fh.read()
 
+    # libyaml's loader, where PyYAML has it, parses about ten times faster.  Bad
+    # text raises YAMLError, a scalar that int() or date() refuses ValueError, and
+    # nesting past the pure-Python parser's recursion limit RecursionError.
     try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{label}:{mark.line + 1}" if mark is not None else label
         raise ParseError(f"{where}: {exc}") from None
@@ -138,20 +142,20 @@ def parse_config(source):
         raise ParseError(f"{label}: document must be a mapping of sections")
     unknown = set(doc) - set(_SECTIONS)
     if unknown:
-        raise ParseError(f"{label}: unknown sections {sorted(unknown)}")
+        raise ParseError(f"{label}: unknown sections {sorted(unknown, key=str)}")
 
     problem = _require_map(doc.get("problem", {}), "problem")
     if "r" not in problem:
         raise ParseError("problem.r is required")
     r = problem["r"]
-    if not isinstance(r, int) or r < 1:
+    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
         raise ParseError(f"problem.r must be a positive integer, got {r!r}")
     mode = problem.get("mode", SEMI_AXIS)
     if mode not in (SEMI_AXIS, FULL_AXIS):
         raise ParseError(f"problem.mode must be '{SEMI_AXIS}' or '{FULL_AXIS}', got {mode!r}")
     extra = set(problem) - {"r", "mode"}
     if extra:
-        raise ParseError(f"problem: unknown keys {sorted(extra)}")
+        raise ParseError(f"problem: unknown keys {sorted(extra, key=str)}")
 
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list) or not raw_layers:
@@ -161,7 +165,7 @@ def parse_config(source):
         entry = _require_map(entry, f"layers[{i}]")
         extra = set(entry) - {"left", "right", "a2", "g2"}
         if extra:
-            raise ParseError(f"layers[{i}]: unknown keys {sorted(extra)}")
+            raise ParseError(f"layers[{i}]: unknown keys {sorted(extra, key=str)}")
         if "left" not in entry or "right" not in entry or "a2" not in entry:
             raise ParseError(f"layers[{i}]: left, right and a2 are required")
         a2 = _matrix(entry["a2"], r, f"layers[{i}].a2")
@@ -190,16 +194,15 @@ def parse_config(source):
         if entry.get("ideal_contact"):
             extra = set(entry) - {"ideal_contact"}
             if extra:
-                raise ParseError(
-                    f"interfaces[{i}]: ideal_contact excludes explicit blocks {sorted(extra)}"
-                )
+                raise ParseError(f"interfaces[{i}]: ideal_contact excludes explicit blocks "
+                                 f"{sorted(extra, key=str)}")
             if i + 1 >= len(layers):
                 raise ParseError(f"interfaces[{i}]: no adjacent layer pair")
             interfaces.append(ideal_contact(layers[i].a2, layers[i + 1].a2))
             continue
         extra = set(entry) - set(Interface.BLOCK_NAMES)
         if extra:
-            raise ParseError(f"interfaces[{i}]: unknown blocks {sorted(extra)}")
+            raise ParseError(f"interfaces[{i}]: unknown blocks {sorted(extra, key=str)}")
         blocks = {
             name: (
                 _matrix(entry[name], r, f"interfaces[{i}].{name}")
@@ -224,7 +227,7 @@ def parse_config(source):
         else:
             extra = set(entry) - {"alpha0", "beta0", "gamma0", "delta0"}
             if extra:
-                raise ParseError(f"boundary: unknown blocks {sorted(extra)}")
+                raise ParseError(f"boundary: unknown blocks {sorted(extra, key=str)}")
             blocks = {
                 name: (
                     _matrix(entry[name], r, f"boundary.{name}")
@@ -240,7 +243,7 @@ def parse_config(source):
     quad_entry = _require_map(doc.get("quadrature", {}) or {}, "quadrature")
     extra = set(quad_entry) - set(_QUAD_FIELDS)
     if extra:
-        raise ParseError(f"quadrature: unknown keys {sorted(extra)}")
+        raise ParseError(f"quadrature: unknown keys {sorted(extra, key=str)}")
     kwargs = {}
     for key in _QUAD_FIELDS:
         if key not in quad_entry:

@@ -203,12 +203,17 @@ class SpectralImage:
     """Transform image sampled on a spectral grid: values[i] = image at lambdas[i].
 
     values has shape (N, k); k = r for the boundary-value transforms and 2 for
-    the full-axis transform (two independent kernel branches).
+    the full-axis transform (two independent kernel branches).  basis, set
+    by the forward transforms, is the kernel batch of the grid they built
+    (basis.SpectralBasisBatch, axis.AxisBatch): an inversion under the same
+    config object reuses it, and decayed passes it on.  It is not written
+    to CSV.
     """
 
     lambdas: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
+    basis: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -234,7 +239,7 @@ class SpectralImage:
         factor = np.exp(-self.lambdas**2 * t)
         meta = dict(self.meta)
         meta["heat_time"] = meta.get("heat_time", 0.0) + t
-        return SpectralImage(self.lambdas, self.values * factor[:, None], meta)
+        return SpectralImage(self.lambdas, self.values * factor[:, None], meta, self.basis)
 
 
 # --- CSV ------------------------------------------------------------------

@@ -113,23 +113,27 @@ def block2x2(a, b, c, d):
     return np.block([[a, b], [c, d]])
 
 
+def _hermitian_min_eig(m, tol):
+    """(smallest eigenvalue of m, bound) with bound = tol max(1, max |m_ij|).
+
+    None when m is not square or not Hermitian to within bound.  m is halved
+    before its Hermitian and skew parts are formed, so that neither
+    overflows for entries up to the largest float.
+    """
+    h = 0.5 * np.asarray(m, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        return None
+    bound = tol * max(2.0 * float(np.max(np.abs(h))), 1.0)
+    if np.max(np.abs(h - h.conj().T)) > 0.5 * bound:
+        return None
+    return float(np.min(np.linalg.eigvalsh(h + h.conj().T))), bound
+
+
 def hermitian_positive_definite(m, tol=1e-10):
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if np.max(np.abs(a - a.conj().T)) > tol * scale:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return bool(np.min(w) > tol * scale)
+    found = _hermitian_min_eig(m, tol)
+    return found is not None and found[0] > found[1]
 
 
 def hermitian_positive_semidefinite(m, tol=1e-10):
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if np.max(np.abs(a - a.conj().T)) > tol * scale:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return bool(np.min(w) >= -tol * scale)
+    found = _hermitian_min_eig(m, tol)
+    return found is not None and found[0] >= -found[1]

@@ -7,8 +7,8 @@ Forward: image(lam) = sum_m  integral over layer m of u*_m(xi, lam) f_m(xi) dxi
 The junction correction at l_k is v_k (G_2 F_{k+1} - G_1 F_k) with
 v_k = w^(k)(l_k) M_1k^{-1}, where G_s is the lam^2 coefficient block of side s
 and F_j stacks (value; derivative) traces of f on side j.  For spectral-
-parameter-free conditions every G_s is the zero block and the correction is
-assembled as an exact zero rather than skipped.
+parameter-free conditions every G_s is the zero block: no trace is read, and
+the correction is assembled as an exact zero rather than skipped.
 
 Inverse: f(x) = -(1/(pi i)) * integral over lam > 0 of lam u(x, lam) image(lam).
 The improper integral is computed with exp(-tau lam) damping on the
@@ -19,8 +19,19 @@ Both directions use the canonical composite Gauss-Legendre grid of the
 its quadrature weights are tied to that grid.  _spectral_forward and
 _spectral_inverse own that grid, the xi rules, the size check, flagging,
 the xi-tail estimate and the damped inversion for the semi-axis and the
-full-axis pair (axis.py) alike; each geometry supplies only its kernels,
-for every spectral point at once.
+full-axis pair (axis.py) alike; each geometry supplies only the builder of
+its batch of kernel data for every spectral point at once
+(basis.build_batch, axis.build_axis_batch), whose dual() and primal give
+the families of the two directions.
+
+The basis is built once per image.  The forward image carries its batch
+(SpectralImage.basis), and decayed passes it on.  An inversion takes the
+primal families from that batch when the batch was built for the same
+config object (is, not ==) on exactly the image's abscissae; otherwise,
+for an image read from CSV or an equal config parsed anew, it builds the
+batch as the forward does.  Either way it works on the image's whole grid
+and keeps the rows of the finite image values, so a reused and a rebuilt
+inversion agree bit for bit.
 
 There is no loop over spectral points: basis.build_batch builds the whole
 grid at once, and every kernel of either geometry is a basis.Family,
@@ -159,17 +170,20 @@ def _damped_sums(fam, centres, offsets, fhat, damping):
     return out.reshape(-1, t, a).transpose(1, 0, 2)
 
 
-def _spectral_forward(config, f, spec, lambdas, kernels):
+def _spectral_forward(config, f, spec, lambdas, build, extra=None):
     """Image of f: sum over layers of the dual kernels against f on the xi rules.
 
-    kernels(lams) gives (families, extra, flags): per layer the stacked dual
-    Family u*(xi, lam), a term added to the image rows ((N, width) or
-    scalar) and the flags of the degenerate points.  The grid is the
-    canonical one of (config, spec), or the explicit abscissae lambdas (no
-    weights, not canonical).  A flagged point's row is set to NaN and
-    meta["flagged"] records (index, lam, reason); if every row is flagged the
-    first RegularityViolation is re-raised.  meta["xi_tail_estimate"] is the
-    largest contribution of the outermost xi panel at a truncated end.
+    build(config, lams) gives the geometry's batch of kernel data: its flags
+    map the index of each degenerate point to its error, and its dual()
+    gives per layer the stacked dual Family u*(xi, lam).  extra(batch,
+    families), if given, is a term added to the image rows ((N, width) or
+    scalar).  The grid is the canonical one of (config, spec), or the
+    explicit abscissae lambdas (no weights, not canonical).  A flagged
+    point's row is set to NaN and meta["flagged"] records (index, lam,
+    reason); if every row is flagged the first RegularityViolation is
+    re-raised.  meta["xi_tail_estimate"] is the largest contribution of the
+    outermost xi panel at a truncated end.  The image carries the batch as
+    its basis, for _spectral_inverse to reuse.
     """
     quad.check_size(config, spec)
     canonical = lambdas is None
@@ -186,7 +200,8 @@ def _spectral_forward(config, f, spec, lambdas, kernels):
         g = weights.ravel()[:, None] * f.values_on(m, nodes.ravel())
         rules.append((centres, offsets, g.reshape(*nodes.shape, f.r)))
 
-    families, extra, flags = kernels(lams)
+    basis = build(config, lams)
+    families = basis.dual()
     values = np.zeros((lams.size, families[0].lp.shape[-2]), dtype=complex)
     tails = [np.zeros(lams.size)]
     for m, (fam, (centres, offsets, g)) in enumerate(zip(families, rules)):
@@ -198,8 +213,10 @@ def _spectral_forward(config, f, spec, lambdas, kernels):
         whole, *partial = _moments(fam, centres - fam.center, offsets, g, ends)
         values += whole
         tails += [np.linalg.norm(p, axis=1) for p in partial]
-    values += extra
+    if extra is not None:
+        values += extra(basis, families)
 
+    flags = basis.flags
     flagged = [(i, lams[i], f"{type(exc).__name__}: {exc}") for i, exc in sorted(flags.items())]
     values[sorted(flags)] = np.nan
     if len(flagged) == lams.size:
@@ -214,18 +231,20 @@ def _spectral_forward(config, f, spec, lambdas, kernels):
         meta["n_panels"] = grid.n_panels
         meta["order"] = grid.order
     meta["xi_tail_estimate"] = float(np.nanmax(np.delete(tails, sorted(flags), axis=1)))
-    return SpectralImage(lambdas=lams, values=values, meta=meta)
+    return SpectralImage(lambdas=lams, values=values, meta=meta, basis=basis)
 
 
-def _spectral_inverse(config, image, x_points, spec, constant, kernels):
+def _spectral_inverse(config, image, x_points, spec, constant, build):
     """constant * integral over lam > 0 of lam u(x, lam) image(lam) at x_points.
 
-    kernels(lams) gives (families, flags): per layer the stacked primal
-    Family u(x, lam), and the flags of the degenerate points, the first of
-    which is raised.  The image must sit on the canonical grid of (config,
-    spec); NaN (flagged) rows are left out of the quadrature and reported in
-    meta["dropped_rows"].  The quadrature and exp(-tau lam) weights fold
-    into _damped_sums; quad.tau_limit extrapolates.
+    The image must sit on the canonical grid of (config, spec).  Its kernels
+    are the primal families of image.basis when that is the batch of this
+    config object on the image's grid, else of build(config, lambdas) (as
+    in _spectral_forward); either way the whole grid's, of which the
+    families keep the finite rows.  NaN (flagged) rows are left out of the
+    quadrature and reported in meta["dropped_rows"]; a flag on a kept row
+    is raised.  The quadrature and exp(-tau lam) weights fold into
+    _damped_sums; quad.tau_limit extrapolates.
     """
     quad.check_size(config, spec, sum(map(np.size, x_points))
                     if isinstance(x_points, (list, tuple)) else np.size(x_points))
@@ -247,9 +266,13 @@ def _spectral_inverse(config, image, x_points, spec, constant, kernels):
 
     per_layer = _normalize_x_points(config, x_points, spec)
     edges = np.cumsum([0] + [xs.size for xs in per_layer])
-    families, flags = kernels(lams)
-    if flags:
-        raise flags[min(flags)]
+    basis = image.basis
+    if basis is None or basis.config is not config or not np.array_equal(basis.lam, image.lambdas):
+        basis = build(config, image.lambdas)
+    flagged = [i for i in sorted(basis.flags) if keep[i]]
+    if flagged:
+        raise basis.flags[flagged[0]]
+    families = [fam.rows(keep) for fam in basis.primal]
     damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
     damped = np.concatenate([
         _damped_sums(fam, *_split(xs - fam.center), fhat, damping)[:, :xs.size]
@@ -286,25 +309,41 @@ def forward_transform(config, f, spec, lambdas=None):
         )
 
     bnd = config.boundary
-    boundary_term = bnd.gamma0 @ f.trace(0, "right", 0) + bnd.delta0 @ f.trace(0, "right", 1)
+    boundary_term = _lambda_sq_term(f, np.hstack([bnd.gamma0, bnd.delta0]), 0, "right")
     # junction k adds v_k (G_2 F_{k+1} - G_1 F_k), v_k = w^(k)(l_k) M_1k^{-1}
-    jumps = [iface.lambda_sq_part(2) @ np.concatenate([f.trace(k, "right", o) for o in (0, 1)])
-             - iface.lambda_sq_part(1) @ np.concatenate([f.trace(k, "left", o) for o in (0, 1)])
+    jumps = [_lambda_sq_term(f, iface.lambda_sq_part(2), k, "right")
+             - _lambda_sq_term(f, iface.lambda_sq_part(1), k, "left")
              for k, iface in enumerate(config.interfaces, start=1)]
 
-    def kernels(lams):
-        b = bas.build_batch(config, lams)
-        families = [bas.dual_family(b, m) for m in range(config.n_layers)]
-        extra = boundary_term
+    def extra(b, families):
+        term = boundary_term
         for k, jump in enumerate(jumps, start=1):
             wk = bas.row_function(families[k - 1], config.layers[k - 1].a2, config.junction(k))
-            m1 = config.interfaces[k - 1].pencil(1, lams)
+            m1 = config.interfaces[k - 1].pencil(1, b.lam)
             m1[sorted(b.flags)] = np.eye(2 * config.r)
             vk = np.linalg.solve(m1.swapaxes(-1, -2), wk.swapaxes(-1, -2)).swapaxes(-1, -2)
-            extra = extra + vk @ jump
-        return families, extra, b.flags
+            term = term + vk @ jump
+        return term
 
-    return _spectral_forward(config, f, spec, lambdas, kernels)
+    return _spectral_forward(config, f, spec, lambdas, bas.build_batch, extra)
+
+
+def _lambda_sq_term(f, block, junction, side):
+    """block @ (f; f') at one side of a junction, reading only the traces it needs.
+
+    block is (rows, 2r): the lam^2 coefficients of the value and derivative
+    traces.  A trace whose columns of block are all zero is not read, so
+    data without traces (a function CSV written by inverse) transform under
+    lam-free conditions; a trace that is needed and missing raises
+    MissingTraces.
+    """
+    r = f.r
+    term = np.zeros(block.shape[0], dtype=complex)
+    for order in (0, 1):
+        part = block[:, order * r:(order + 1) * r]
+        if np.any(part):
+            term = term + part @ f.trace(junction, side, order)
+    return term
 
 
 INVERSION_CONSTANT = -1.0 / (math.pi * 1j)
@@ -352,11 +391,7 @@ def inverse_transform(config, image, x_points, spec):
             f"image has {image.k} components, problem has r = {config.r}", block="image"
         )
 
-    def kernels(lams):
-        b = bas.build_batch(config, lams)
-        return [bas.primal_family(b, m) for m in range(config.n_layers)], b.flags
-
-    return _spectral_inverse(config, image, x_points, spec, INVERSION_CONSTANT, kernels)
+    return _spectral_inverse(config, image, x_points, spec, INVERSION_CONSTANT, bas.build_batch)
 
 
 @dataclass(frozen=True)

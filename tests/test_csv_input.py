@@ -225,3 +225,25 @@ def test_image_and_function_csv_read_back_bit_exactly(tmp_path):
     assert sorted(g.traces) == sorted(f.traces)
     for key, arr in f.traces.items():
         assert np.asarray(arr, dtype=complex).tobytes() == g.traces[key].tobytes()
+
+
+@pytest.mark.parametrize("name", ["sine", "twolayer", "r2diag", "threelayer_r2"])
+def test_inverse_output_transforms_forward_again(tmp_path, name):
+    # inverse writes no trace rows; lam-free conditions read none
+    argv = ["--config", config_path(name), *SPEC]
+    image, back, again = (str(tmp_path / n) for n in ("image.csv", "back.csv", "again.csv"))
+    assert run(["forward", *argv, "--input", "gauss_bump", "--output", image])[0] == 0
+    assert run(["inverse", *argv, "--input", image, "--output", back])[0] == 0
+    rc, _out, err = run(["forward", *argv, "--input", back, "--output", again])
+    assert rc == 0, err
+    assert np.isfinite(read_image_csv(again).values).all()
+
+
+def test_lambda_junction_without_traces_names_the_missing_trace(tmp_path):
+    argv = ["--config", config_path("lambda_interface"), *SPEC]
+    image, back = str(tmp_path / "image.csv"), str(tmp_path / "back.csv")
+    assert run(["forward", *argv, "--input", "gauss_bump", "--output", image])[0] == 0
+    assert run(["inverse", *argv, "--input", image, "--output", back])[0] == 0
+    rc, _out, err = run(["forward", *argv, "--input", back, "--output", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "no trace stored for junction 1, side 'right', order 0" in err
