@@ -15,14 +15,19 @@ damping and Neville extrapolation of the one-dimensional inversions.  The
 pair is exact: for the unit Gaussian the image is exp(-lam^2/2) scaled by
 lam^nu factors and the inversion integral equals 1 in closed form for every n.
 
-Bessel values come from one power series of J_nu(z)/z^nu for z < 12 and,
-beyond, from the large-argument expansion J_nu(z)/z^nu = sqrt(2/pi)
-z^(-nu-1/2) Re[exp(iz) sum_{j<12} gamma_j z^-j] (exact for half-integer nu).
-forward_nd takes every lam at once, in row chunks within
-transform._CHUNK_BYTES.  On its uniform panels rho = c_q + h t_k,
-exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k), so the expansion
-separates: all z >= 12 entries reduce to one product E @ B, B[:, j] = base
-rho^(-nu-1/2-j), and only z < 12 entries take the series.
+Bessel values come from one power series of J_nu(z)/z^nu for z < 12, summed
+term by term in place, and, beyond, from the large-argument expansion
+J_nu(z)/z^nu = sqrt(2/pi) z^(-nu-1/2) Re[exp(iz) sum_{j<12} gamma_j z^-j].
+For half-integer nu < 12 the expansion terminates after nu + 1/2 terms and is
+exact; only those terms are kept.  forward_nd takes every lam at once, in row
+chunks within transform._CHUNK_BYTES.  On its uniform panels rho = c_q + h t_k,
+exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k), so the expansion separates:
+all z >= 12 entries reduce to one product E @ B, B[:, j] = base
+rho^(-nu-1/2-j), with one column per term.  As rho increases along a row, the
+z < 12 entries of a row are a prefix of it: the series runs on the chunk's
+columns that hold any, zeroed past each row's own, and E leaves out the
+leading panels that are on the series in every row.  Both spans are read off
+the mask itself, so lam may come in any order.
 
 poisson_halfspace integrates radial boundary data against the half-space
 kernel c_n x (|y - eta|^2 + x^2)^(-(n+1)/2), c_n = Gamma((n+1)/2)/pi^((n+1)/2).
@@ -70,28 +75,44 @@ BESSEL_CROSSOVER = 12.0
 _RADIAL_ORDER = 12      # Gauss-Legendre order of every forward_nd panel
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 6
-# Bytes of forward_nd work arrays per (lam, rho) entry: 32 for the phase, z and
-# the ratios, about as much again for the series temporaries of _ratio_series.
-_ENTRY_BYTES = 64
+# Bytes of forward_nd work arrays per (lam, rho) entry: 8 for z, 1 for its
+# mask and 24 for the series (square, term and sum).  z and the series are
+# dropped before the complex phase (16) is built, and the phase before the
+# next chunk.
+_ENTRY_BYTES = 40
 
 
 def _ratio_series(nu, z):
-    """Power series of J_nu(z) / z^nu, accurate for |z| below the crossover."""
-    zz = -0.25 * np.square(np.asarray(z, dtype=float))
+    """Power series of J_nu(z) / z^nu, accurate for |z| below the crossover.
+
+    term_k = term_(k-1) (-z^2/4) / (k (k + nu)), each term updated in place
+    by multiplying with the scalar reciprocal: no temporary and no division
+    per entry.
+    """
+    zz = np.square(np.asarray(z, dtype=float))
+    zz *= -0.25
     term = np.full_like(zz, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
     total = term.copy()
     for k in range(1, _SERIES_TERMS):
-        term = term * zz / (k * (k + nu))
+        term *= zz
+        term *= 1.0 / (k * (k + nu))
         total += term
     return total
 
 
 def _asymptotic_coefficients(nu):
-    """gamma_j = exp(-i phi) i^j prod_{k<=j} (4nu^2 - (2k-1)^2) / (8k), phi = (nu/2 + 1/4) pi."""
-    gamma = np.full(2 * _ASYMPTOTIC_TERMS, np.exp(-1j * (0.5 * nu + 0.25) * math.pi))
-    for j in range(1, gamma.size):
-        gamma[j] = gamma[j - 1] * 1j * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j)
-    return gamma
+    """gamma_j = exp(-i phi) i^j prod_{k<=j} (4nu^2 - (2k-1)^2) / (8k), phi = (nu/2 + 1/4) pi.
+
+    For half-integer nu the product vanishes from j = nu + 1/2 on; those
+    exact zeros are left out, so the expansion has nu + 1/2 terms.
+    """
+    gamma = [np.exp(-1j * (0.5 * nu + 0.25) * math.pi)]
+    for j in range(1, 2 * _ASYMPTOTIC_TERMS):
+        factor = 4.0 * nu * nu - (2 * j - 1) ** 2
+        if factor == 0.0:
+            break
+        gamma.append(gamma[-1] * 1j * factor / (8.0 * j))
+    return np.array(gamma)
 
 
 def _bessel_asymptotic(nu, z):
@@ -163,10 +184,18 @@ def forward_nd(profile, lam):
     n = _check_dimension(profile.n)
     nu = 0.5 * (n - 2)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
-    if not np.all((lam_arr > 0) & (lam_arr < np.inf)):
-        raise InvariantViolation("spectral points must be positive and finite")
+    if lam_arr.size == 0 or not np.all((lam_arr > 0) & (lam_arr < np.inf)):
+        raise InvariantViolation("spectral points must be given, positive and finite")
     rate = max(1.0, float(lam_arr.max()))
-    n_panels = max(1, math.ceil(profile.rho_max * rate / math.pi))
+    # capped before the ceiling: the float product may be inf, and the capped
+    # count still fails the check below
+    n_panels = max(1, math.ceil(min(profile.rho_max * rate / math.pi, MAX_TRANSFORM_SIZE)))
+    if lam_arr.size * n_panels * _RADIAL_ORDER > MAX_TRANSFORM_SIZE:
+        raise SizeLimitExceeded(
+            f"radial transform of {lam_arr.size} lam nodes x {n_panels * _RADIAL_ORDER:.3g} "
+            f"rho nodes exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_max, "
+            "lambda_steps or rho_max"
+        )
     edges = np.linspace(0.0, profile.rho_max, n_panels + 1)
     nodes, weights = (a.ravel() for a in panel_gauss(edges, _RADIAL_ORDER))
     base = weights * nodes ** (n - 1) * profile(nodes)
@@ -176,19 +205,32 @@ def forward_nd(profile, lam):
     far = rate * nodes >= BESSEL_CROSSOVER      # the nodes some lam takes asymptotically
     cols = np.zeros((nodes.size, gamma.size), dtype=complex)
     cols[far] = base[far, None] * nodes[far, None] ** (-(nu + 0.5) - np.arange(gamma.size))
-    vals = np.empty(lam_arr.size)
+    series = np.empty(lam_arr.size)
+    moments = np.empty((lam_arr.size, gamma.size), dtype=complex)
     step = max(1, _tr._CHUNK_BYTES // (_ENTRY_BYTES * nodes.size))
     for lo in range(0, lam_arr.size, step):
         la = lam_arr[lo:lo + step]
         z = np.multiply.outer(la, nodes)
         small = z < BESSEL_CROSSOVER
-        ratio = np.zeros_like(z)
-        ratio[small] = _ratio_series(nu, z[small])
-        phase = (np.exp(1j * np.multiply.outer(la, centers))[:, :, None]
-                 * np.exp(1j * np.multiply.outer(la, offsets))[:, None, :]).reshape(z.shape)
-        phase[small] = 0.0
-        asym = np.polynomial.polynomial.polyval(1.0 / la, ((phase @ cols) * gamma).T, tensor=False)
-        vals[lo:lo + step] = la**nu * (ratio @ base) + np.sqrt(2.0 / (math.pi * la)) * asym.real
+        # every series entry lies in columns [0, w), and panels [0, p) hold
+        # nothing else; both come from the mask, whatever the order of la
+        # (the first node, at z < 0.03, is on the series in every row)
+        w = np.flatnonzero(small.any(axis=0))[-1] + 1
+        p = int(np.logical_and.accumulate(
+            small.all(axis=0).reshape(n_panels, _RADIAL_ORDER).all(axis=1)).sum())
+        # the series runs on the whole rectangle; entries of the asymptotic
+        # branch in it are zeroed after
+        ratio = _ratio_series(nu, z[:, :w])
+        np.copyto(ratio, 0.0, where=~small[:, :w])
+        series[lo:lo + step] = ratio @ base[:w]
+        del z, ratio
+        phase = (np.exp(1j * np.multiply.outer(la, centers[p:]))[:, :, None]
+                 * np.exp(1j * np.multiply.outer(la, offsets))[:, None, :]).reshape(la.size, -1)
+        phase[small[:, p * _RADIAL_ORDER:]] = 0.0
+        moments[lo:lo + step] = phase @ cols[p * _RADIAL_ORDER:]
+        del phase
+    asym = np.polynomial.polynomial.polyval(1.0 / lam_arr, (moments * gamma).T, tensor=False)
+    vals = lam_arr**nu * series + np.sqrt(2.0 / (math.pi * lam_arr)) * asym.real
     vals *= 2.0 ** (1.0 - 0.5 * n) / math.gamma(0.5 * n)
     return float(vals[0]) if np.ndim(lam) == 0 else vals
 

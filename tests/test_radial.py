@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from layerft import transform as tr
 from layerft.errors import (
     InvariantViolation,
     NonpositiveHeight,
+    SizeLimitExceeded,
     UnsupportedDimension,
 )
-from layerft.quadrature import QuadratureSpec, composite_gauss
+from layerft.quadrature import MAX_TRANSFORM_SIZE, QuadratureSpec, composite_gauss
 
 from conftest import SRC_DIR
 
@@ -99,7 +101,7 @@ def test_forward_scalar_and_array_lambda(spec):
     arr = rad.forward_nd(prof, lam)
     scl = np.array([rad.forward_nd(prof, v) for v in lam])
     assert np.allclose(arr, scl, atol=1e-14)
-    for bad in (-1.0, np.nan, np.inf, np.array([0.5, np.nan])):
+    for bad in (-1.0, np.nan, np.inf, np.array([0.5, np.nan]), np.array([])):
         with pytest.raises(InvariantViolation):
             rad.forward_nd(prof, bad)
 
@@ -184,6 +186,140 @@ def test_forward_independent_of_chunk_size(monkeypatch, rows):
     n_rho = 12 * math.ceil(prof.rho_max * lams.max() / math.pi)
     monkeypatch.setattr(tr, "_CHUNK_BYTES", rad._ENTRY_BYTES * n_rho * (rows or lams.size))
     assert np.max(np.abs(rad.forward_nd(prof, lams) - default)) <= 1e-14 * np.max(np.abs(default))
+
+
+BENCH_SPEC = QuadratureSpec(lambda_max=12.0, lambda_steps=2000)
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gaussian_images_match_closed_form(n, w):
+    # image of exp(-rho^2 / (2 w^2)): 2^(1-n/2)/Gamma(n/2) lam^nu w^(2nu+2) exp(-lam^2 w^2/2).
+    # For odd n the expansion is exact and only rounding is left: at most
+    # 5.2e-14 with the former series, 8.4e-14 with the in-place one.  For
+    # even n the 12-term expansion errs by a few 1e-11 near z = 12, up to
+    # 8.9e-12 of the image, and w = 4 cuts the data at rho_max = 30, where
+    # they are still 7e-13: up to 2.34e-11.
+    nu = 0.5 * (n - 2)
+    img = rad.forward_nd_image(gaussian_profile(n, w=w), BENCH_SPEC)
+    lam = img.lambdas
+    exact = 2.0 ** (1 - n / 2) / math.gamma(n / 2) * lam**nu * w ** (2 * nu + 2) * np.exp(
+        -0.5 * (lam * w) ** 2)
+    tol = 2e-13 if n % 2 and w <= 2.0 else 5e-11
+    assert np.max(np.abs(img.values[:, 0] - exact)) <= tol * np.max(np.abs(exact))
+
+
+def test_forward_size_gate(monkeypatch):
+    # refused before any node is built: a huge lam or rho_max, their product
+    # past the float range, and a rule one panel over the limit
+    prof = gaussian_profile(3)
+    for lam in (1e300, np.array([0.5, 1e300])):
+        with pytest.raises(SizeLimitExceeded, match="rho nodes"):
+            rad.forward_nd(prof, lam)
+    for rho_max, lam in ((1e300, 1.0), (1e300, 0.5), (1.7e308, 1.7e308)):
+        with pytest.raises(SizeLimitExceeded):
+            rad.forward_nd(gaussian_profile(3, rho_max=rho_max), lam)
+    panels = MAX_TRANSFORM_SIZE // rad._RADIAL_ORDER + 1        # ceil(rho_max 12 / pi)
+    with pytest.raises(SizeLimitExceeded):
+        rad.forward_nd(gaussian_profile(3, rho_max=(panels - 0.5) * math.pi / 12.0), 12.0)
+    # the limit is on lam nodes x rho nodes, inclusive
+    lams = np.array([0.5, 2.0, 3.0])
+    size = lams.size * rad._RADIAL_ORDER * math.ceil(30.0 * 3.0 / math.pi)
+    monkeypatch.setattr(rad, "MAX_TRANSFORM_SIZE", size)
+    assert np.all(np.isfinite(rad.forward_nd(prof, lams)))
+    monkeypatch.setattr(rad, "MAX_TRANSFORM_SIZE", size - 1)
+    with pytest.raises(SizeLimitExceeded):
+        rad.forward_nd(prof, lams)
+
+
+# lam <= 12 / rho_max puts every node on the series; at the largest lam only
+# the first few of 115 panels hold series entries
+MIXED_LAMS = np.concatenate([np.linspace(0.01, 12.0 / 30.0, 9), np.linspace(0.5, 12.0, 40)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_forward_independent_of_lambda_order(n):
+    prof = gaussian_profile(n, w=3.0)
+    default = rad.forward_nd(prof, MIXED_LAMS)
+    order = np.random.default_rng(5).permutation(MIXED_LAMS.size)
+    for perm in (np.arange(MIXED_LAMS.size)[::-1], order):
+        got = rad.forward_nd(prof, MIXED_LAMS[perm])
+        assert np.max(np.abs(got - default[perm])) <= 1e-14 * np.max(np.abs(default))
+
+
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_forward_independent_of_chunk_size_across_branches(monkeypatch, rows):
+    prof = gaussian_profile(2, w=3.0)
+    lams = np.random.default_rng(8).permutation(MIXED_LAMS)
+    default = rad.forward_nd(prof, lams)
+    n_rho = 12 * math.ceil(prof.rho_max * lams.max() / math.pi)
+    monkeypatch.setattr(tr, "_CHUNK_BYTES", rad._ENTRY_BYTES * n_rho * (rows or lams.size))
+    assert np.max(np.abs(rad.forward_nd(prof, lams) - default)) <= 1e-14 * np.max(np.abs(default))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_forward_work_arrays_stay_within_the_chunk_budget(monkeypatch, n):
+    prof = gaussian_profile(n, w=3.0)
+    lams = np.linspace(0.05, 12.0, 101)
+    n_rho = 12 * math.ceil(prof.rho_max * lams.max() / math.pi)
+    terms = rad._asymptotic_coefficients(0.5 * (n - 2)).size
+    rad.forward_nd(prof, lams)      # caches of the Gauss rule
+
+    def extra_memory(budget):
+        """Peak bytes forward_nd allocates besides its result, at a budget."""
+        monkeypatch.setattr(tr, "_CHUNK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            out = rad.forward_nd(prof, lams)
+            return tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    budget = 1 << 20
+    # the (rho nodes x terms) and (lam x terms) arrays outside the chunks:
+    # the asymptotic columns with their temporaries, the moments and the tail
+    fixed = n_rho * (32 * terms + 96) + lams.size * (32 * terms + 64)
+    assert extra_memory(budget) <= budget + fixed
+    assert extra_memory(1 << 40) > 3 * budget
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+def test_ratio_series_matches_mpmath(nu):
+    import mpmath
+
+    zs = np.concatenate([[1e-8, 1e-3], np.linspace(0.05, 11.999, 120)])
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.besselj(nu, z) / mpmath.mpf(z) ** nu) for z in zs])
+    # rounding of an alternating series: a few ulps of the largest terms
+    k = np.arange(rad._SERIES_TERMS)
+    magnitude = np.sum(np.exp(np.multiply.outer(2 * np.log(zs / 2), k)
+                              - sp.gammaln(k + 1) - sp.gammaln(k + nu + 1)), axis=1)
+    err = np.abs(rad._ratio_series(nu, zs) - ref)
+    assert np.all(err <= 64 * np.finfo(float).eps * magnitude)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 2.5, 3.5, 4.5, 5.5])
+def test_half_integer_expansion_keeps_its_nonzero_terms(nu):
+    gamma = rad._asymptotic_coefficients(nu)
+    assert gamma.size == nu + 0.5
+    assert np.all(gamma != 0)
+    assert rad._asymptotic_coefficients(nu - 0.5).size == 2 * rad._ASYMPTOTIC_TERMS
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_trimmed_expansion_matches_the_untrimmed_one(monkeypatch, n):
+    prof = gaussian_profile(n, w=3.0)
+    lams = rad.forward_nd_image(prof, QuadratureSpec(lambda_max=12.0, lambda_steps=400)).lambdas
+    trimmed = rad.forward_nd(prof, lams)
+    kept = rad._asymptotic_coefficients
+
+    def padded(nu):
+        gamma = kept(nu)
+        return np.append(gamma, np.zeros(2 * rad._ASYMPTOTIC_TERMS - gamma.size))
+
+    monkeypatch.setattr(rad, "_asymptotic_coefficients", padded)
+    full = rad.forward_nd(prof, lams)
+    assert np.max(np.abs(trimmed - full)) <= 1e-14 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
