@@ -27,9 +27,9 @@ ones (basis._build_families), whose families, the identity in the last
 layer, are P; so in the tail T is the Q coefficients themselves.  What is
 full-axis is kept here: the Q sweep, the connection and the Wronskian.
 build_axis_batch runs them for a whole spectral grid; build_axis_basis is
-its one-point view.  Both branches are basis.Family objects: the row u
-with lp = lm = 1 and the P coefficient rows on the right (row_family,
-AxisBatch.primal), the column u* with -Q/(c w) on the left
+that batch at one point, at(0).  Both branches are basis.Family objects:
+the row u with lp = lm = 1 and the P coefficient rows on the right
+(row_family, AxisBatch.primal), the column u* with -Q/(c w) on the left
 (AxisBatch.dual); the shared drivers of transform.py contract them, and a
 forward image carries its AxisBatch for every inversion to reuse.
 """
@@ -53,55 +53,50 @@ AXIS_INVERSION_CONSTANT = 1.0 / (math.pi * 1j)
 
 
 @dataclass
-class AxisBasisAtLambda:
-    """Scalar full-axis kernel data at one spectral parameter value."""
+class AxisBatch:
+    """Full-axis kernel data stacked over the spectral points lam, as build_axis_batch makes it.
 
-    lam: float
+    layers and q_layers are per-layer basis._LayerKernels with coef columns
+    (P+, P-) and (Q-, Q+), rows the coefficients of exp(+iqs), exp(-iqs);
+    c2 and d1 (N,) the connection entries; omega (N, L) the layer
+    Wronskians.  flags maps the index of each degenerate point to the error
+    build_axis_basis raises there; its data are placeholders.  at(i) is the
+    one-point view: the same class with every array sliced at i.
+    """
+
+    lam: np.ndarray
     config: object
-    layers: list        # per-layer basis._LayerKernels; coef columns (P+, P-)
-    q_layers: list      # the same with coef columns (Q-, Q+)
-    omega: np.ndarray   # per-layer Wronskian weights
-    c2: complex
-    d1: complex
+    layers: list
+    q_layers: list
+    c2: np.ndarray
+    d1: np.ndarray
+    omega: np.ndarray
+    flags: dict
 
     @property
     def centers(self):
         return [ld.center for ld in self.layers]
 
-
-@dataclass
-class AxisBatch:
-    """Full-axis kernel data stacked over the spectral points lam, as build_axis_batch makes it.
-
-    p and q are per-layer basis._LayerKernels, p with coef columns (P+, P-)
-    and q with (Q-, Q+), rows the coefficients of exp(+iqs), exp(-iqs); cd
-    (N, 2) = (c2, d1); omega (N, L) the layer Wronskians.  flags maps the
-    index of each degenerate point to the error build_axis_basis raises
-    there; its data are placeholders.
-    """
-
-    lam: np.ndarray
-    config: object
-    p: list
-    q: list
-    cd: np.ndarray
-    omega: np.ndarray
-    flags: dict
-
     @cached_property
     def primal(self):
         """The row kernel u = (P+, P-) of every layer, computed on first use."""
-        return [row_family(ld) for ld in self.p]
+        return [row_family(ld) for ld in self.layers]
 
     def dual(self):
         """The column kernel u* = (-Q-/(c2 w), -Q+/(d1 w)) of every layer: 2 x 1 Families."""
-        one = np.ones((self.lam.size, 1, 1))
+        cd = np.stack([self.c2, self.d1], axis=-1)[..., None, :]
+        one = np.ones(np.shape(self.lam) + (1, 1))
         columns = []
-        for m, (pm, qm) in enumerate(zip(self.p, self.q)):
-            qs = -qm.coef / (self.cd[:, None, :] * self.omega[:, m, None, None])
-            columns.append(bas.Family(pm.mu, pm.center, qs[:, 0, :, None], one,
-                                      qs[:, 1, :, None], one))
+        for m, (pm, qm) in enumerate(zip(self.layers, self.q_layers)):
+            qs = -qm.coef / (cd * self.omega[..., m, None, None])
+            columns.append(bas.Family(pm.mu, pm.center, qs[..., 0, :, None], one,
+                                      qs[..., 1, :, None], one))
         return columns
+
+    def at(self, i):
+        return replace(self, lam=self.lam[i], layers=[ld.at(i) for ld in self.layers],
+                       q_layers=[ld.at(i) for ld in self.q_layers], c2=self.c2[i],
+                       d1=self.d1[i], omega=self.omega[i], flags={})
 
 
 def build_axis_batch(config, lams):
@@ -120,12 +115,12 @@ def build_axis_batch(config, lams):
 
     # P is the identity in the right tail, so the connection T is Q there
     t = q[-1].coef
-    cd = t[:, [1, 0], [0, 1]]
+    c2, d1 = t[:, [1, 0], [0, 1]].T
     scale = np.maximum(np.abs(t).max(axis=(1, 2)), 1e-300)
-    for j in np.flatnonzero(np.abs(cd).min(axis=1) < 1e-12 * scale):
+    for j in np.flatnonzero(np.minimum(np.abs(c2), np.abs(d1)) < 1e-12 * scale):
         flags.setdefault(j, DegenerateBoundary(
             f"kernel connection degenerates at lam = {lams[j]} "
-            f"(c2 = {cd[j, 0]:.3e}, d1 = {cd[j, 1]:.3e})", lam=lams[j],
+            f"(c2 = {c2[j]:.3e}, d1 = {d1[j]:.3e})", lam=lams[j],
         ))
     omega = np.stack([2j * float(np.real(layer.a2[0, 0])) * ld.mu[:, 0] * np.linalg.det(ld.coef)
                       for layer, ld in zip(config.layers, p)], axis=1)
@@ -133,26 +128,16 @@ def build_axis_batch(config, lams):
         flags.setdefault(j, DegenerateBoundary(f"degenerate layer Wronskian at lam = {lams[j]}",
                                                lam=lams[j]))
     bad = sorted(flags)
-    cd[bad] = omega[bad] = 1.0
-    return AxisBatch(lam=lams, config=config, p=p, q=q, cd=cd, omega=omega, flags=flags)
+    c2[bad] = d1[bad] = omega[bad] = 1.0
+    return AxisBatch(lam=lams, config=config, layers=p, q_layers=q, c2=c2, d1=d1, omega=omega,
+                     flags=flags)
 
 
 def build_axis_basis(config, lam):
-    """Kernel data of a full-axis problem at lam: the one-point view of build_axis_batch."""
+    """Kernel data of a full-axis problem at one real lam: build_axis_batch there, at(0)."""
     if config.mode != FULL_AXIS:
         raise WrongMode("build_axis_basis needs a full-axis problem")
-    b = build_axis_batch(config, [lam])
-    if b.flags:
-        raise b.flags[0]
-    return AxisBasisAtLambda(
-        lam=lam,
-        config=config,
-        layers=[ld.at(0) for ld in b.p],
-        q_layers=[ld.at(0) for ld in b.q],
-        omega=b.omega[0],
-        c2=complex(b.cd[0, 0]),
-        d1=complex(b.cd[0, 1]),
-    )
+    return bas.one_point(build_axis_batch, config, lam)
 
 
 def row_family(ld):
@@ -166,24 +151,29 @@ def row_family(ld):
 
 
 def axis_u_on_layer(ab, m, xs, order=0):
-    """Row kernel (P+(x), P-(x)) on layer m, or its derivative (order 1): shape (N, 2)."""
-    return row_family(ab.layers[m]).at(np.atleast_1d(xs), order)[:, 0]
+    """Row kernel (P+(x), P-(x)) on layer m, or its derivative, as Family.at: (..., 2)."""
+    return ab.primal[m].at(xs, order)[..., 0, :]
 
 
 def symmetry_defect(ab, xs):
-    """Max relative asymmetry of the kernel numerator N(x, xi) on a grid.
+    """Max relative asymmetry of the kernel numerator N(x, xi) on a grid, per lam of ab.
 
     N(x, xi) = -P+(x) Q-(xi)/c2 - P-(x) Q+(xi)/d1 must be symmetric under
     x <-> xi; this is the structural check that the two sweeps connect into
-    one integral kernel.
+    one integral kernel.  The P and Q rows of each layer come from one
+    Family.at, with x on axis 0 and the spectral points of a batch on axis 1.
     """
     xs = np.asarray(xs, dtype=float)
     idx = ab.config.layer_index(xs)
-    pp = np.array([axis_u_on_layer(ab, m, [x])[0] for m, x in zip(idx, xs)])
-    qq = np.array([row_family(ab.q_layers[m]).at([x])[0, 0] for m, x in zip(idx, xs)])
-    n = -np.outer(pp[:, 0], qq[:, 0]) / ab.c2 - np.outer(pp[:, 1], qq[:, 1]) / ab.d1
-    scale = max(np.max(np.abs(n)), 1e-300)
-    return float(np.max(np.abs(n - n.T)) / scale)
+    pq = np.empty((2, xs.size) + np.shape(ab.c2) + (2,), dtype=complex)
+    for m, (p, q) in enumerate(zip(ab.layers, ab.q_layers)):
+        x = xs[idx == m].reshape((-1,) + (1,) * np.ndim(ab.c2))
+        pq[:, idx == m] = [row_family(ld).at(x)[..., 0, :] for ld in (p, q)]
+    pp, qq = np.moveaxis(pq, 1, -2)                            # (..., Nx, 2)
+    cd = np.stack([ab.c2, ab.d1], axis=-1)[..., None, :]
+    n = -(pp / cd) @ qq.swapaxes(-1, -2)
+    scale = np.maximum(np.abs(n).max(axis=(-2, -1)), 1e-300)
+    return np.abs(n - n.swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
 
 
 def scalar_axis_forward(config, f, spec, lambdas=None):

@@ -52,9 +52,11 @@ build_batch runs all of this for a whole spectral grid at once: one
 Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
 recursion as batched solves on (N, 2r, 2r) and every condition gate as one
 batched SVD.  Degenerate points are flagged, not raised; build_basis is
-its one-point view.  Everything before the boundary functionals is
-_build_families, which also builds the full axis's P families (axis.py);
-its step _coef_from_stack also runs axis.py's left-to-right sweep.
+build_batch at one point, sliced by at(0), and every diagnostic takes a
+batch or a one-point view alike.  Everything before the boundary
+functionals is _build_families, which also builds the full axis's P
+families (axis.py); its step _coef_from_stack also runs axis.py's
+left-to-right sweep.
 
 The batch is what a forward image carries as its basis (transform.py):
 dual() gives the stacked u* of every layer, and primal the stacked u,
@@ -62,6 +64,7 @@ computed on first use and kept, so that every inversion of the image
 shares one batch and one set of primal families.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -165,38 +168,31 @@ class _LayerKernels:
 
 
 @dataclass
-class SpectralBasisAtLambda:
-    """All kernel data of one problem at one spectral parameter value."""
+class SpectralBasisBatch:
+    """All kernel data of a semi-axis problem, stacked over the points lam[i] on axis 0.
 
-    lam: float
+    pencils holds the gated (M_1, M_2) of each junction.  flags maps the
+    index of each degenerate point to the error build_basis raises there;
+    the slices of those points hold regular placeholders.  at(i) is the
+    one-point view: the same class with every array sliced at i.
+    """
+
+    lam: np.ndarray
     config: object
     layers: list
     phi0: np.ndarray
     psi0: np.ndarray
     phi0_inv: np.ndarray
     psi0_inv: np.ndarray
-    bnd_row: np.ndarray    # r x 2r row (value block | derivative block) at l_0
-
-    @property
-    def r(self):
-        return self.config.r
+    bnd_row: np.ndarray    # (..., r, 2r) row (value block | derivative block) at l_0
+    pencils: list          # (M_1, M_2) per junction, (..., 2r, 2r)
+    flags: dict
 
     def coefficients(self, m):
         """(C+, C-, D+, D-) of layer m relative to exp(+/- i q (x - center))."""
-        r = self.r
+        r = self.config.r
         c = self.layers[m].coef
         return c[..., :r, :r], c[..., r:, :r], c[..., :r, r:], c[..., r:, r:]
-
-
-@dataclass
-class SpectralBasisBatch(SpectralBasisAtLambda):
-    """SpectralBasisAtLambda stacked over the points lam[i] on axis 0.
-
-    flags maps the index of each degenerate point to the error build_basis
-    raises there; the slices of those points hold regular placeholders.
-    """
-
-    flags: dict = None
 
     @cached_property
     def primal(self):
@@ -208,17 +204,28 @@ class SpectralBasisBatch(SpectralBasisAtLambda):
         return [dual_family(self, m) for m in range(self.config.n_layers)]
 
     def at(self, i):
-        return SpectralBasisAtLambda(
-            lam=float(self.lam[i]), config=self.config, layers=[ld.at(i) for ld in self.layers],
-            phi0=self.phi0[i], psi0=self.psi0[i], phi0_inv=self.phi0_inv[i],
-            psi0_inv=self.psi0_inv[i], bnd_row=self.bnd_row[i],
-        )
+        return replace(self, lam=self.lam[i], layers=[ld.at(i) for ld in self.layers],
+                       phi0=self.phi0[i], psi0=self.psi0[i], phi0_inv=self.phi0_inv[i],
+                       psi0_inv=self.psi0_inv[i], bnd_row=self.bnd_row[i],
+                       pencils=[(m1[i], m2[i]) for m1, m2 in self.pencils], flags={})
+
+
+SpectralBasisAtLambda = SpectralBasisBatch   # the one-point view is the batch at one index
+
+
+def _jet(fam, xs):
+    """(K; K') of a Family stacked on the row axis, as Family.at evaluates it."""
+    return np.concatenate([fam.at(xs, 0), fam.at(xs, 1)], axis=-2)
 
 
 def _omega_stack(ld, xs, r):
     """Omega(x) = [[Phi, Psi], [Phi', Psi']] at each x, or at one x for a stacked ld."""
-    fam = ld.family(ld.coef[..., :r, :], ld.coef[..., r:, :])
-    return np.concatenate([fam.at(xs, 0), fam.at(xs, 1)], axis=-2)
+    return _jet(ld.family(ld.coef[..., :r, :], ld.coef[..., r:, :]), xs)
+
+
+def right_divide(b, a):
+    """b a^{-1} by one solve, for one matrix pair or stacks of them."""
+    return np.linalg.solve(a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _coef_from_stack(ld, y, s=0.0):
@@ -245,7 +252,7 @@ def _gate(blocks, flags, lams, make_error):
 
 
 def _build_families(config, lams):
-    """Wavenumbers and the backward junction sweep at every lam, for either geometry.
+    """Wavenumbers and the backward junction sweep at every lam of a flat float array.
 
     Returns (layers, pencils, flags): per-layer _LayerKernels stacked over
     lams, whose coef holds the families normalized to the identity in the
@@ -253,7 +260,6 @@ def _build_families(config, lams):
     flags of the points whose pencils fail the gate.  The tail layer is
     centered at its left end, or at 0 when that is -inf (one-layer full axis).
     """
-    lams = np.asarray(lams, dtype=float).ravel()
     r = config.r
     L = config.n_layers
     n = lams.size
@@ -308,7 +314,7 @@ def build_batch(config, lams):
             "scalar axis transform"
         )
     lams = np.asarray(lams, dtype=float).ravel()
-    lds, _pencils, flags = _build_families(config, lams)
+    lds, pencils, flags = _build_families(config, lams)
     r = config.r
 
     bnd = config.boundary
@@ -330,19 +336,27 @@ def build_batch(config, lams):
         phi0_inv=np.linalg.inv(phi0),
         psi0_inv=np.linalg.inv(psi0),
         bnd_row=bnd_row,
+        pencils=pencils,
         flags=flags,
     )
 
 
-def build_basis(config, lam):
-    """Kernel data of a semi-axis problem at lam: the one-point view of build_batch.
-
-    Raises the RegularityViolation or DegenerateBoundary build_batch flags.
-    """
-    batch = build_batch(config, [lam])
+def one_point(build, config, lam):
+    """build(config, [lam]).at(0), raising the flag there; lam must be one real number."""
+    if isinstance(lam, (bool, np.bool_)) or not isinstance(lam, numbers.Real):
+        raise InvariantViolation(f"a one-point basis takes one real spectral parameter, not {lam!r}")
+    batch = build(config, [float(lam)])
     if batch.flags:
         raise batch.flags[0]
     return batch.at(0)
+
+
+def build_basis(config, lam):
+    """Kernel data of a semi-axis problem at one real lam: build_batch there, at(0).
+
+    Raises the RegularityViolation or DegenerateBoundary build_batch flags.
+    """
+    return one_point(build_batch, config, lam)
 
 
 # --- kernel evaluation ------------------------------------------------------
@@ -350,7 +364,7 @@ def build_basis(config, lam):
 
 def primal_family(basis, m):
     """u on layer m as a Family (module docstring), one point or stacked like basis."""
-    r = basis.r
+    r = basis.config.r
     ld = basis.layers[m]
     # two products, then the difference: for real coefficients M = -conj(P)
     # exactly, so u is exactly imaginary as Phi Phi0^{-1} - Psi Psi0^{-1} is
@@ -364,7 +378,7 @@ def dual_family(basis, m):
     Omega(x) is singular exactly when coef is, so rcond(coef) is the one gate
     (OmegaSingular).  Placeholder slices of flagged points are regular too.
     """
-    r = basis.r
+    r = basis.config.r
     ld = basis.layers[m]
     rc = np.atleast_1d(linalg.rcond(ld.coef))
     bad = np.flatnonzero(~(rc >= linalg.RCOND_FLOOR))
@@ -373,20 +387,19 @@ def dual_family(basis, m):
             f"fundamental matrix of layer {m} at lam = {np.atleast_1d(basis.lam)[bad[0]]}: "
             f"reciprocal condition {rc[bad[0]]:.3g} below floor"
         )
-    row = np.concatenate([basis.phi0, basis.psi0], axis=-1)
-    g = np.linalg.solve(ld.coef.swapaxes(-1, -2), row.swapaxes(-1, -2)).swapaxes(-1, -2)
+    g = right_divide(np.concatenate([basis.phi0, basis.psi0], axis=-1), ld.coef)
     k = (ld.vinv / (2j * ld.mu[..., :, None])) @ ld.a2inv
     return Family(ld.mu, ld.center, -(g[..., r:] @ ld.v), k, g[..., :r] @ ld.v, k)
 
 
 def u_on_layer(basis, m, xs, order=0):
-    """Primal kernel u (or a derivative) on layer m at abscissae xs: (N, r, r)."""
-    return primal_family(basis, m).at(np.atleast_1d(xs), order)
+    """Primal kernel u (or a derivative) on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
+    return basis.primal[m].at(xs, order)
 
 
 def u_star_on_layer(basis, m, xs, order=0):
-    """Dual kernel u* (or a derivative) on layer m at abscissae xs: (N, r, r)."""
-    return dual_family(basis, m).at(np.atleast_1d(xs), order)
+    """Dual kernel u* (or a derivative) on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
+    return dual_family(basis, m).at(xs, order)
 
 
 def row_function(fam, a2, xs):
@@ -395,48 +408,34 @@ def row_function(fam, a2, xs):
 
 
 def w_on_layer(basis, m, xs):
-    """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m: (N, r, 2r)."""
-    fam = dual_family(basis, m)
-    return row_function(fam, basis.config.layers[m].a2, np.atleast_1d(xs))
+    """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m, as Family.at: (..., r, 2r)."""
+    return row_function(dual_family(basis, m), basis.config.layers[m].a2, xs)
 
 
 def eval_u(basis, x, order=0):
     """u(x, lam) as an r x r matrix; junction abscissae resolve to the right layer."""
-    m = basis.config.layer_index(float(x))
-    return u_on_layer(basis, m, [float(x)], order=order)[0]
+    return u_on_layer(basis, basis.config.layer_index(float(x)), float(x), order)
 
 
 def eval_u_star(basis, x, order=0):
     """u*(x, lam) as an r x r matrix; junction abscissae resolve to the right layer."""
-    m = basis.config.layer_index(float(x))
-    return u_star_on_layer(basis, m, [float(x)], order=order)[0]
+    return u_star_on_layer(basis, basis.config.layer_index(float(x)), float(x), order)
 
 
-# --- diagnostics ------------------------------------------------------------
+# --- diagnostics: a 0-d value for a one-point view, one per lam for a batch ---
 
 
 def _rel(resid, *refs):
-    scale = max([np.linalg.norm(r_) for r_ in refs] + [1e-300])
-    return np.linalg.norm(resid) / scale
+    norms = [np.linalg.norm(a, axis=(-2, -1)) for a in (resid, *refs)]
+    return norms[0] / np.maximum(np.max(norms[1:], axis=0), 1e-300)
 
 
 def junction_residual_primal(basis, k):
     """Relative defect of M_1 (u; u')(l_k-) = M_2 (u; u')(l_k+) at junction k."""
-    cfg = basis.config
-    lk = cfg.junction(k)
-    iface = cfg.interfaces[k - 1]
-    m1 = iface.pencil(1, basis.lam)
-    m2 = iface.pencil(2, basis.lam)
-    left = np.vstack([
-        u_on_layer(basis, k - 1, [lk], order=0)[0],
-        u_on_layer(basis, k - 1, [lk], order=1)[0],
-    ])
-    right = np.vstack([
-        u_on_layer(basis, k, [lk], order=0)[0],
-        u_on_layer(basis, k, [lk], order=1)[0],
-    ])
-    a = m1 @ left
-    b = m2 @ right
+    lk = basis.config.junction(k)
+    m1, m2 = basis.pencils[k - 1]
+    a = m1 @ _jet(basis.primal[k - 1], lk)
+    b = m2 @ _jet(basis.primal[k], lk)
     return _rel(a - b, a, b)
 
 
@@ -446,35 +445,21 @@ def junction_residual_dual(basis, k):
     This is the stiffness-weighted dual matching that the row function w
     inherits exactly from the primal recursion.
     """
-    cfg = basis.config
-    lk = cfg.junction(k)
-    iface = cfg.interfaces[k - 1]
-    m1 = iface.pencil(1, basis.lam)
-    m2 = iface.pencil(2, basis.lam)
-    wl = w_on_layer(basis, k - 1, [lk])[0]
-    wr = w_on_layer(basis, k, [lk])[0]
-    a = linalg.right_solve(wl, m1)
-    b = linalg.right_solve(wr, m2)
+    lk = basis.config.junction(k)
+    m1, m2 = basis.pencils[k - 1]
+    a = right_divide(w_on_layer(basis, k - 1, lk), m1)
+    b = right_divide(w_on_layer(basis, k, lk), m2)
     return _rel(a - b, a, b)
 
 
 def boundary_residual(basis):
     """Relative defect of the boundary condition applied to the primal kernel."""
-    cfg = basis.config
-    l0 = cfg.left_end
-    val = u_on_layer(basis, 0, [l0], order=0)[0]
-    der = u_on_layer(basis, 0, [l0], order=1)[0]
-    r = basis.r
-    resid = basis.bnd_row[:, :r] @ val + basis.bnd_row[:, r:] @ der
-    scale = max(
-        np.linalg.norm(basis.bnd_row) * max(np.linalg.norm(val), np.linalg.norm(der)),
-        1e-300,
-    )
-    return np.linalg.norm(resid) / scale
+    jet = _jet(basis.primal[0], basis.config.left_end)
+    rel = _rel(basis.bnd_row @ jet, *np.split(jet, 2, axis=-2))
+    return rel / np.linalg.norm(basis.bnd_row, axis=(-2, -1))
 
 
 def dual_boundary_residual(basis):
     """Relative defect of w(l_0) = (value-row, derivative-row) of the boundary."""
-    l0 = basis.config.left_end
-    w0 = w_on_layer(basis, 0, [l0])[0]
+    w0 = w_on_layer(basis, 0, basis.config.left_end)
     return _rel(w0 - basis.bnd_row, basis.bnd_row)

@@ -204,10 +204,10 @@ class SpectralImage:
 
     values has shape (N, k); k = r for the boundary-value transforms and 2 for
     the full-axis transform (two independent kernel branches).  basis, set
-    by the forward transforms, is the kernel batch of the grid they built
-    (basis.SpectralBasisBatch, axis.AxisBatch): an inversion under the same
-    config object reuses it, and decayed passes it on.  It is not written
-    to CSV.
+    by the forward transforms, is the kernel batch of the grid they built,
+    the one basis type of its geometry (basis.SpectralBasisBatch or
+    axis.AxisBatch): an inversion under the same config object reuses it,
+    and decayed passes it on.  It is not written to CSV.
     """
 
     lambdas: np.ndarray

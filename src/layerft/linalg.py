@@ -89,13 +89,6 @@ def solve_linear(a, b, err=Singular, context=""):
     return np.linalg.solve(a, b)
 
 
-def right_solve(b, a, err=Singular, context=""):
-    """Solve x @ a = b (right division)."""
-    x_t = solve_linear(np.asarray(a, dtype=complex).T, np.asarray(b, dtype=complex).T,
-                       err=err, context=context)
-    return x_t.T
-
-
 def rcond(a):
     """Reciprocal 2-norm condition number (exact SVD; matrices here are tiny).
 

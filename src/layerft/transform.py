@@ -319,10 +319,7 @@ def forward_transform(config, f, spec, lambdas=None):
         term = boundary_term
         for k, jump in enumerate(jumps, start=1):
             wk = bas.row_function(families[k - 1], config.layers[k - 1].a2, config.junction(k))
-            m1 = config.interfaces[k - 1].pencil(1, b.lam)
-            m1[sorted(b.flags)] = np.eye(2 * config.r)
-            vk = np.linalg.solve(m1.swapaxes(-1, -2), wk.swapaxes(-1, -2)).swapaxes(-1, -2)
-            term = term + vk @ jump
+            term = term + bas.right_divide(wk, b.pencils[k - 1][0]) @ jump
         return term
 
     return _spectral_forward(config, f, spec, lambdas, bas.build_batch, extra)

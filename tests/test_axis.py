@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import layerft
 from layerft import axis as ax
 from layerft import basis as bas
 from layerft import catalog as cat
@@ -16,6 +17,7 @@ from layerft.errors import (
     WrongMode,
 )
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet, ideal_contact
+from layerft.quadrature import QuadratureSpec, lambda_grid
 
 
 def gauss_ft(lam, c, w):
@@ -239,3 +241,47 @@ def test_full_axis_image_carries_the_semi_axis_meta(load):
     semi_cfg, semi_spec = load("twolayer")
     f = cat.to_grid_function(cat.make_profile("gauss_bump"), semi_cfg, semi_spec.x_max)
     assert set(img.meta) == set(tr.forward_transform(semi_cfg, f, semi_spec).meta)
+
+
+def axis_arrays(b):
+    """Every array of an AxisBatch or of its one-point view, by name."""
+    out = {"lam": b.lam, "c2": b.c2, "d1": b.d1, "omega": b.omega}
+    for name in ("layers", "q_layers"):
+        for m, ld in enumerate(getattr(b, name)):
+            out.update({f"{name}[{m}].{a}": getattr(ld, a) for a in ("mu", "v", "vinv", "coef")})
+    return out
+
+
+@pytest.mark.parametrize("name", ["fullaxis_twolayer", "three_layer_axis"])
+def test_axis_batch_matches_pointwise_build(load, name):
+    # every canonical node of one batched build against build_axis_basis there
+    cfg, spec = load(name) if name != "three_layer_axis" else (three_layer_axis(), QuadratureSpec())
+    lams = lambda_grid(cfg, spec).nodes
+    batch = ax.build_axis_batch(cfg, lams)
+    assert not batch.flags
+    for i, lam in enumerate(lams):
+        b, view = ax.build_axis_basis(cfg, lam), batch.at(i)
+        assert type(b) is type(view) is ax.AxisBatch and b.centers == batch.centers
+        assert b.flags == view.flags == {}
+        ref, got = axis_arrays(b), axis_arrays(view)
+        assert ref.keys() == got.keys()
+        for key in ref:
+            assert np.shape(got[key]) == np.shape(ref[key]), key
+            assert np.max(np.abs(got[key] - ref[key])) <= 1e-13 * np.max(np.abs(ref[key])), key
+
+
+def test_symmetry_defect_on_a_fine_grid_and_on_a_batch():
+    cfg = three_layer_axis()
+    xs = np.linspace(-6.0, 6.0, 2000)
+    assert set(cfg.layer_index(xs)) == {0, 1, 2}
+    lams = np.array([0.3, 2.1, 7.5])
+    for lam in lams:
+        defect = ax.symmetry_defect(ax.build_axis_basis(cfg, lam), xs)
+        assert np.ndim(defect) == 0 and defect <= 1e-12
+    per_lam = ax.symmetry_defect(ax.build_axis_batch(cfg, lams), xs[::40])
+    assert per_lam.shape == lams.shape and np.max(per_lam) <= 1e-12
+
+
+def test_exported_one_point_name_is_the_built_type(load):
+    cfg, _ = load("twolayer")
+    assert isinstance(layerft.build_basis(cfg, 1.0), layerft.SpectralBasisAtLambda)

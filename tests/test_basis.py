@@ -273,3 +273,66 @@ def test_family_derivatives_match_central_differences():
         ref = fam.at(x0, order)
         for i, (_, exact) in enumerate(modes[1:]):
             assert np.max(np.abs(exact(order) - ref[i])) <= 1e-13 * np.max(np.abs(ref))
+
+
+def residual_functions(cfg):
+    """The four kernel residual functions of cfg, each taking one basis or batch."""
+    fns = [bas.boundary_residual, bas.dual_boundary_residual]
+    for k in range(1, cfg.n_interfaces + 1):
+        fns += [lambda b, k=k: bas.junction_residual_primal(b, k),
+                lambda b, k=k: bas.junction_residual_dual(b, k)]
+    return fns
+
+
+@pytest.mark.parametrize("name", ["threelayer_r2", "r2diag", "lambda_interface"])
+def test_batch_diagnostics_equal_the_one_point_calls(load, name):
+    # one call per diagnostic on the whole canonical grid, one value per node
+    cfg, spec = load(name)
+    lams = lambda_grid(cfg, spec).nodes
+    batch = bas.build_batch(cfg, lams)
+    fns = residual_functions(cfg)
+    whole = [fn(batch) for fn in fns]
+    assert all(w.shape == lams.shape for w in whole)
+    assert max(np.max(w) for w in whole) <= 1e-11
+    for i, lam in enumerate(lams):
+        for b in (bas.build_basis(cfg, lam), batch.at(i)):
+            for fn, w in zip(fns, whole):
+                one = fn(b)
+                assert np.ndim(one) == 0 and one == w[i]
+
+
+def test_batch_diagnostics_keep_the_unflagged_rows(load):
+    from test_transform import singular_at_two
+
+    cfg, _ = singular_at_two(load)
+    batch = bas.build_batch(cfg, [1.0, 2.0, 3.0, 4.0])
+    assert list(batch.flags) == [1]
+    fns = residual_functions(cfg)
+    whole = [fn(batch) for fn in fns]
+    for i in (0, 2, 3):
+        b = bas.build_basis(cfg, batch.lam[i])
+        assert [fn(b) for fn in fns] == [w[i] for w in whole]
+
+
+@pytest.mark.parametrize(
+    "lam", [[3.0, 1.0], np.array([1.0, 2.0]), np.array([2.0]), "2.5", True, np.bool_(True),
+            1.0 + 2.0j, None],
+)
+def test_one_point_builders_refuse_anything_but_one_real_number(load, monkeypatch, lam):
+    from layerft import axis as ax
+
+    def no_build(*args):
+        raise AssertionError("a refused spectral parameter reached the build")
+
+    monkeypatch.setattr(bas, "_build_families", no_build)
+    for build, name in ((bas.build_basis, "twolayer"), (ax.build_axis_basis, "fullaxis_twolayer")):
+        with pytest.raises(InvariantViolation, match="one real spectral parameter"):
+            build(load(name)[0], lam)
+
+
+def test_one_point_builders_take_any_real_scalar(load):
+    cfg, _ = load("twolayer")
+    ref = bas.build_basis(cfg, 2.0)
+    for lam in (2, np.int64(2), np.float32(2.0), np.float64(2.0)):
+        b = bas.build_basis(cfg, lam)
+        assert b.lam == 2.0 and b.phi0_inv.tobytes() == ref.phi0_inv.tobytes()

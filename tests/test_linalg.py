@@ -84,14 +84,6 @@ def test_solve_linear_context_in_message():
         la.solve_linear(np.zeros((2, 2)), np.eye(2), context="junction pencil")
 
 
-def test_right_solve():
-    rng = np.random.default_rng(1)
-    a = shifted_random(rng, 3)
-    b = rng.normal(size=(2, 3))
-    x = la.right_solve(b, a)
-    assert np.allclose(x @ a, b, atol=1e-12)
-
-
 def test_as_square_rejects_rectangular():
     with pytest.raises(NonSquare):
         la.as_square(np.zeros((2, 3)), "block")
