@@ -51,7 +51,11 @@ passes: it must be positive with a nonzero square and a finite scaled pencil.
 build_batch runs all of this for a whole spectral grid at once: one
 Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
 recursion as batched solves on (N, 2r, 2r) and every condition gate as one
-batched SVD.  Degenerate points are flagged, not raised; build_basis is
+batched inverse screen (linalg.screened_rcond).  The screen bounds rcond
+by rho_F = 1 / (||A||_F ||A^{-1}||_F), rcond / n <= rho_F <= rcond, and
+takes an SVD only of the blocks with rho_F below twice the floor, so a
+regular grid runs none; the boundary gates' inverses are phi0_inv and
+psi0_inv.  Degenerate points are flagged, not raised; build_basis is
 build_batch at one point, sliced by at(0), and every diagnostic takes a
 batch or a one-point view alike.  Everything before the boundary
 functionals is _build_families, which also builds the full axis's P
@@ -59,9 +63,10 @@ families (axis.py); its step _coef_from_stack also runs axis.py's
 left-to-right sweep.
 
 The batch is what a forward image carries as its basis (transform.py):
-dual() gives the stacked u* of every layer, and primal the stacked u,
-computed on first use and kept, so that every inversion of the image
-shares one batch and one set of primal families.
+dual() gives the stacked u* of every layer and primal the stacked u, each
+computed on first use and kept (dual_layer builds one layer's u*), so that
+every inversion of the image shares one batch and one set of primal
+families, and the dual diagnostics share the forward's dual families.
 """
 
 import numbers
@@ -199,9 +204,23 @@ class SpectralBasisBatch:
         """The stacked primal Family u of every layer, computed on first use."""
         return [primal_family(self, m) for m in range(self.config.n_layers)]
 
+    @cached_property
+    def _duals(self):
+        """The dual Families dual_layer has built, by layer; an at(i) view starts empty."""
+        return {}
+
+    def dual_layer(self, m):
+        """The stacked dual Family u* of layer m, built on first use and kept.
+
+        Only asking for a layer raises its OmegaSingular.
+        """
+        if m not in self._duals:
+            self._duals[m] = dual_family(self, m)
+        return self._duals[m]
+
     def dual(self):
-        """The stacked dual Family u* of every layer."""
-        return [dual_family(self, m) for m in range(self.config.n_layers)]
+        """The stacked dual Family u* of every layer (dual_layer)."""
+        return [self.dual_layer(m) for m in range(self.config.n_layers)]
 
     def at(self, i):
         return replace(self, lam=self.lam[i], layers=[ld.at(i) for ld in self.layers],
@@ -244,11 +263,21 @@ def _coef_from_stack(ld, y, s=0.0):
 
 
 def _gate(blocks, flags, lams, make_error):
-    """Flag the points whose blocks fail the rcond gate; flagged blocks become the identity."""
-    for i in np.flatnonzero(linalg.rcond(blocks) < linalg.RCOND_FLOOR):
+    """Flag the points whose blocks fail the rcond gate; flagged blocks become the identity.
+
+    The gate is rcond < RCOND_FLOOR, decided by linalg.screened_rcond, which
+    takes an SVD only of the blocks its inverse screen leaves open.  Returns
+    the inverse of the gated blocks: the screen's, the identity at every
+    flagged point.
+    """
+    rc, inv = linalg.screened_rcond(blocks)
+    for i in np.flatnonzero(rc < linalg.RCOND_FLOOR):
         flags.setdefault(int(i), make_error(lams[i]))
     if flags:
         blocks[list(flags)] = np.eye(blocks.shape[-1])
+        if inv is not None:
+            inv[list(flags)] = np.eye(blocks.shape[-1])
+    return np.linalg.inv(blocks) if inv is None else inv     # None: an exactly singular block
 
 
 def _build_families(config, lams):
@@ -322,10 +351,9 @@ def build_batch(config, lams):
     func_row = bnd_row @ _omega_stack(lds[0], config.left_end, r)
     phi0 = func_row[:, :, :r].copy()
     psi0 = func_row[:, :, r:].copy()
-    for name, blk in (("Phi", phi0), ("Psi", psi0)):
-        _gate(blk, flags, lams, lambda lam: DegenerateBoundary(
-            f"boundary functional of the {name} family is singular at lam = {lam}", lam=lam,
-        ))
+    phi0_inv, psi0_inv = (_gate(blk, flags, lams, lambda lam: DegenerateBoundary(
+        f"boundary functional of the {name} family is singular at lam = {lam}", lam=lam,
+    )) for name, blk in (("Phi", phi0), ("Psi", psi0)))
 
     return SpectralBasisBatch(
         lam=lams,
@@ -333,8 +361,8 @@ def build_batch(config, lams):
         layers=lds,
         phi0=phi0,
         psi0=psi0,
-        phi0_inv=np.linalg.inv(phi0),
-        psi0_inv=np.linalg.inv(psi0),
+        phi0_inv=phi0_inv,
+        psi0_inv=psi0_inv,
         bnd_row=bnd_row,
         pencils=pencils,
         flags=flags,
@@ -376,11 +404,13 @@ def dual_family(basis, m):
     """u* = w_2 a2^{-1} on layer m as a Family (module docstring), like primal_family.
 
     Omega(x) is singular exactly when coef is, so rcond(coef) is the one gate
-    (OmegaSingular).  Placeholder slices of flagged points are regular too.
+    (OmegaSingular), decided by linalg.screened_rcond; the rcond it reports
+    is exact.  Placeholder slices of flagged points are regular too.
+    SpectralBasisBatch.dual_layer keeps what this builds.
     """
     r = basis.config.r
     ld = basis.layers[m]
-    rc = np.atleast_1d(linalg.rcond(ld.coef))
+    rc = np.atleast_1d(linalg.screened_rcond(ld.coef)[0])
     bad = np.flatnonzero(~(rc >= linalg.RCOND_FLOOR))
     if bad.size:
         raise OmegaSingular(
@@ -399,7 +429,7 @@ def u_on_layer(basis, m, xs, order=0):
 
 def u_star_on_layer(basis, m, xs, order=0):
     """Dual kernel u* (or a derivative) on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
-    return dual_family(basis, m).at(xs, order)
+    return basis.dual_layer(m).at(xs, order)
 
 
 def row_function(fam, a2, xs):
@@ -409,7 +439,7 @@ def row_function(fam, a2, xs):
 
 def w_on_layer(basis, m, xs):
     """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m, as Family.at: (..., r, 2r)."""
-    return row_function(dual_family(basis, m), basis.config.layers[m].a2, xs)
+    return row_function(basis.dual_layer(m), basis.config.layers[m].a2, xs)
 
 
 def eval_u(basis, x, order=0):

@@ -4,7 +4,9 @@ package leans on.
 The heavy lifting is LAPACK via numpy/scipy (Schur-based square root,
 scaling-and-squaring exponential); this module owns the contracts: branch-cut
 detection for the principal square root, a norm gate for the exponential, and
-condition-estimate gates for solves.
+condition gates for solves: the exact reciprocal condition number (rcond)
+and its screen by inverses (screened_rcond), which takes an SVD only where
+the floor could matter.
 """
 
 import numpy as np
@@ -93,12 +95,41 @@ def rcond(a):
     """Reciprocal 2-norm condition number (exact SVD; matrices here are tiny).
 
     A stack (..., n, n) gives one value per matrix from one batched SVD.
+    The gates of basis.py decide by screened_rcond, which runs this only on
+    the matrices whose screen cannot decide.
     """
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
     if s.shape[-1] == 0:
         return 0.0
     rc = s[..., -1] / np.where(s[..., 0] == 0.0, np.inf, s[..., 0])
     return float(rc) if rc.ndim == 0 else rc
+
+
+def screened_rcond(a):
+    """(rc, inv) of a stack (..., n, n): rcond where the floor could matter, a bound elsewhere.
+
+    rho_F = 1 / (||A||_F ||A^{-1}||_F) is bracketed by rcond / n <= rho_F <=
+    rcond, so a matrix with rho_F >= 2 RCOND_FLOOR is well above the floor
+    (the 2 absorbs the rounding of the computed inverse) and its rc is
+    rho_F, a lower bound of its rcond.  Every other matrix, a non-finite
+    rho_F included, gets its exact rcond from one batched SVD of just those,
+    and so does the whole stack when np.linalg.inv raises on an exactly
+    singular member.  Hence rc < RCOND_FLOOR, and rc >= RCOND_FLOOR, hold
+    exactly where they hold for rcond(a), and rc is exact wherever either
+    rejects.  inv is np.linalg.inv(a), or None when that raised.
+    """
+    a = np.asarray(a, dtype=complex)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return rcond(a), None
+    with np.errstate(all="ignore"):
+        norms = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+        rc = np.asarray(1.0 / norms)
+    rest = ~(rc >= 2 * RCOND_FLOOR)
+    if rest.any():
+        rc[rest] = rcond(a[rest])
+    return rc, inv
 
 
 def block2x2(a, b, c, d):

@@ -10,6 +10,10 @@ order per panel keeps the rule in its convergent regime:
   * spatial axis: within layer m the kernels oscillate at most at rate
     ||q_m(lam_max)||_2, so panels are capped at half a period there.
 
+lambda_grid, xi_panels and check_size each compute these band_edge_rates,
+one wavenumber per layer; a transform computes them once and passes them
+to _lambda_grid, _xi_panels and _check_size.
+
 The improper spectral integral of every inversion formula (semi-axis, full
 axis, radial) is damped by exp(-tau lam) on a decreasing schedule of tau
 values (damping_matrix) and extrapolated to tau = 0 with a Neville table
@@ -111,12 +115,10 @@ class LambdaGrid:
         return self.nodes.size
 
 
-def oscillation_rate(config, lam_max):
-    """max_m ||q_m(lam_max)||_2 — the fastest spatial oscillation at band edge."""
-    return max(
-        np.linalg.norm(_basis.compute_wavenumber(layer, lam_max), 2)
-        for layer in config.layers
-    )
+def band_edge_rates(config, spec):
+    """||q_m(lambda_max)||_2 of every layer m: its fastest spatial oscillation at band edge."""
+    return [np.linalg.norm(_basis.compute_wavenumber(layer, spec.lambda_max), 2)
+            for layer in config.layers]
 
 
 def _grid_layout(spec, cap):
@@ -146,22 +148,26 @@ def spectral_grid(spec, cap):
     return LambdaGrid(nodes=nodes, weights=weights, n_panels=n_panels, order=order)
 
 
-def _lambda_cap(config, spec):
+def _lambda_cap(spec, rates):
     """Panel cap pi / (4 x_max s_rate): a quarter period of exp(i lam s_rate x_max)."""
-    s_rate = oscillation_rate(config, spec.lambda_max) / spec.lambda_max
+    s_rate = max(rates) / spec.lambda_max
     return math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12))
 
 
 def lambda_grid(config, spec):
     """Canonical spectral grid of (config, spec); panels are capped by _lambda_cap."""
-    return spectral_grid(spec, _lambda_cap(config, spec))
+    return _lambda_grid(spec, band_edge_rates(config, spec))
 
 
-def _xi_layout(config, spec):
+def _lambda_grid(spec, rates):
+    """lambda_grid from the band_edge_rates of its (config, spec)."""
+    return spectral_grid(spec, _lambda_cap(spec, rates))
+
+
+def _xi_layout(config, spec, rates):
     """Per-layer (a, b, n_panels) of xi_rules, clipped to |x| <= x_max; None when empty."""
     layout = []
-    for layer in config.layers:
-        rate = np.linalg.norm(_basis.compute_wavenumber(layer, spec.lambda_max), 2)
+    for layer, rate in zip(config.layers, rates):
         a, b = layer.window(spec.x_max)
         cap = math.pi / max(rate, 1e-12)
         layout.append((a, b, max(1, math.ceil((b - a) / cap))) if b > a else None)
@@ -177,9 +183,14 @@ def xi_panels(config, spec):
     entirely beyond the truncation radius gets no panels.  Panels are capped
     at half a period of the layer's fastest oscillation.
     """
+    return _xi_panels(config, spec, band_edge_rates(config, spec))
+
+
+def _xi_panels(config, spec, rates):
+    """xi_panels from the band_edge_rates of its (config, spec)."""
     xr, wr = _leggauss(spec.xi_quadrature_order)
     rules = []
-    for lay in _xi_layout(config, spec):
+    for lay in _xi_layout(config, spec, rates):
         a, b, n = lay or (0.0, 0.0, 0)
         half = 0.5 * (b - a) / max(n, 1)
         centres = a + half * (2 * np.arange(n) + 1)
@@ -205,9 +216,14 @@ def check_size(config, spec, n_points=None):
     with n_points defaulting to the spatial nodes of xi_rules.  Every count
     comes from the spec alone, so nothing large is allocated before the check.
     """
-    n_lambda = max(spec.lambda_steps, math.prod(_grid_layout(spec, _lambda_cap(config, spec))))
+    _check_size(config, spec, band_edge_rates(config, spec), n_points)
+
+
+def _check_size(config, spec, rates, n_points=None):
+    """check_size from the band_edge_rates of its (config, spec)."""
+    n_lambda = max(spec.lambda_steps, math.prod(_grid_layout(spec, _lambda_cap(spec, rates))))
     if n_points is None:
-        n_points = sum(lay[2] for lay in _xi_layout(config, spec) if lay)
+        n_points = sum(lay[2] for lay in _xi_layout(config, spec, rates) if lay)
         n_points *= spec.xi_quadrature_order
     n_lambda, n_points = float(n_lambda), float(n_points)     # either may be a huge int
     size = n_lambda * n_points * config.r**2

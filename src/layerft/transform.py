@@ -178,24 +178,26 @@ def _spectral_forward(config, f, spec, lambdas, build, extra=None):
     gives per layer the stacked dual Family u*(xi, lam).  extra(batch,
     families), if given, is a term added to the image rows ((N, width) or
     scalar).  The grid is the canonical one of (config, spec), or the
-    explicit abscissae lambdas (no weights, not canonical).  A flagged
+    explicit abscissae lambdas (no weights, not canonical); the size check,
+    the grid and the xi rules share one quad.band_edge_rates.  A flagged
     point's row is set to NaN and meta["flagged"] records (index, lam,
     reason); if every row is flagged the first RegularityViolation is
     re-raised.  meta["xi_tail_estimate"] is the largest contribution of the
     outermost xi panel at a truncated end.  The image carries the batch as
     its basis, for _spectral_inverse to reuse.
     """
-    quad.check_size(config, spec)
+    rates = quad.band_edge_rates(config, spec)
+    quad._check_size(config, spec, rates)
     canonical = lambdas is None
     if canonical:
-        grid = quad.lambda_grid(config, spec)
+        grid = quad._lambda_grid(spec, rates)
         lams = grid.nodes
     else:
         lams = np.asarray(lambdas, dtype=float).ravel()
         if lams.size == 0:
             raise EmptyImage("no spectral points requested")
     rules = []
-    for m, (centres, offsets, weights) in enumerate(quad.xi_panels(config, spec)):
+    for m, (centres, offsets, weights) in enumerate(quad._xi_panels(config, spec, rates)):
         nodes = np.add.outer(centres, offsets)
         g = weights.ravel()[:, None] * f.values_on(m, nodes.ravel())
         rules.append((centres, offsets, g.reshape(*nodes.shape, f.r)))
@@ -246,9 +248,10 @@ def _spectral_inverse(config, image, x_points, spec, constant, build):
     is raised.  The quadrature and exp(-tau lam) weights fold into
     _damped_sums; quad.tau_limit extrapolates.
     """
-    quad.check_size(config, spec, sum(map(np.size, x_points))
-                    if isinstance(x_points, (list, tuple)) else np.size(x_points))
-    grid = quad.lambda_grid(config, spec)
+    rates = quad.band_edge_rates(config, spec)
+    quad._check_size(config, spec, rates, sum(map(np.size, x_points))
+                     if isinstance(x_points, (list, tuple)) else np.size(x_points))
+    grid = quad._lambda_grid(spec, rates)
     if image.lambdas.size != grid.nodes.size or not np.allclose(
         image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
     ):

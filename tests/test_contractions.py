@@ -22,13 +22,13 @@ CONFIGS = ["fullaxis", "fullaxis_twolayer", "lambda_interface", "r2diag", "sine"
 
 def dense(monkeypatch):
     """Make every contraction of the transforms take the degenerate (dense) form."""
-    panels = quad.xi_panels
+    panels = quad._xi_panels
 
-    def point_panels(config, spec):
+    def point_panels(config, spec, rates):
         return [(np.add.outer(c, t).ravel(), np.zeros(1), w.reshape(-1, 1))
-                for c, t, w in panels(config, spec)]
+                for c, t, w in panels(config, spec, rates)]
 
-    monkeypatch.setattr(quad, "xi_panels", point_panels)
+    monkeypatch.setattr(quad, "_xi_panels", point_panels)
     monkeypatch.setattr(tr, "_split", lambda s: (s, np.zeros(1)))
 
 

@@ -1,0 +1,173 @@
+"""The regularity gates decide by the inverse screen, and a transform computes its band-edge
+rates once; both leave every outcome as the exact rcond gates and the per-function rates
+gave it."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from layerft import basis as bas
+from layerft import catalog as cat
+from layerft import cli
+from layerft import linalg as la
+from layerft import quadrature as quad
+from layerft import transform as tr
+from layerft.errors import OmegaSingular, RegularityViolation, SizeLimitExceeded
+
+from conftest import config_path, run_cli
+from test_transform import singular_at_two
+
+PERFBENCH_SPEC = {"lambda_max": 12.0, "lambda_steps": 400}
+
+# (n_panels, order, xi panels per layer) of lambda_grid / xi_panels at the default spec and at
+# PERFBENCH_SPEC, as computed when every function took its own band-edge wavenumbers
+LAYOUTS = {
+    "fullaxis": [(612, 3, (306,)), (184, 2, (92,))],
+    "fullaxis_twolayer": [(612, 3, (160, 98)), (184, 2, (48, 30))],
+    "lambda_interface": [(612, 3, (13, 100)), (184, 2, (4, 30))],
+    "r2diag": [(684, 3, (13, 157)), (205, 2, (4, 47))],
+    "sine": [(612, 3, (153,)), (184, 2, (46,))],
+    "singular": [(612, 3, (13, 100)), (184, 2, (4, 30))],
+    "threelayer_r2": [(671, 3, (14, 16, 137)), (202, 2, (4, 5, 42))],
+    "twolayer": [(612, 3, (13, 100)), (184, 2, (4, 30))],
+}
+
+
+def counter(monkeypatch, module, name):
+    """Count the calls of module.name, as tests/test_image_basis.py counts _build_families."""
+    count = [0]
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def perfbench_case(load):
+    cfg, spec = load("threelayer_r2")
+    spec = dataclasses.replace(spec, **PERFBENCH_SPEC)
+    f = cat.to_grid_function(cat.parse_profile("gauss_bump"), cfg, spec.x_max)
+    pts = [ls.x[np.abs(ls.x) <= spec.x_max] for ls in f.layers]
+    return cfg, spec, f, pts
+
+
+# --- the screened gates -------------------------------------------------------------------
+
+
+def test_singular_cfg_exits_4_naming_the_first_node(load, tmp_path):
+    cfg, spec = load("singular")
+    first = quad.lambda_grid(cfg, spec).nodes[0]
+    r = run_cli("forward", "--config", config_path("singular"), "--input", "gauss_bump",
+                "--output", str(tmp_path / "o.csv"))
+    assert r.returncode == 4
+    assert r.stderr == ("error: every spectral point is degenerate; first: RegularityViolation: "
+                        f"junction 1: right-side condition block M_2({first}) is singular\n")
+
+
+def test_exactly_singular_pencil_keeps_its_flag_and_text(load):
+    cfg, spec = singular_at_two(load)
+    text = "junction 1: right-side condition block M_2(2.0) is singular"
+    batch = bas.build_batch(cfg, [1.0, 2.0, 3.0, 4.0])
+    assert list(batch.flags) == [1] and str(batch.flags[1]) == text
+    assert batch.phi0_inv[1].tobytes() == np.eye(1, dtype=complex).tobytes()
+    for i in (0, 2, 3):
+        assert batch.phi0_inv[i].tobytes() == np.linalg.inv(batch.phi0[i]).tobytes()
+    with pytest.raises(RegularityViolation) as exc:
+        bas.build_basis(cfg, 2.0)
+    assert str(exc.value) == text
+    f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.0, width=0.4), cfg, spec.x_max)
+    img = tr.forward_transform(cfg, f, spec, lambdas=np.array([1.0, 2.0, 3.0, 4.0]))
+    assert img.meta["flagged"] == [(1, 2.0, f"RegularityViolation: {text}")]
+
+
+def test_a_regular_transform_pair_runs_no_svd(load, monkeypatch):
+    cfg, spec, f, pts = perfbench_case(load)
+    svds = counter(monkeypatch, la, "rcond")
+    image = tr.forward_transform(cfg, f, spec)
+    tr.inverse_transform(cfg, image, pts, spec)
+    tr.inverse_transform(cfg, dataclasses.replace(image, basis=None), pts, spec)
+    assert image.meta["flagged"] == [] and svds[0] == 0
+
+
+def test_omega_gate_reports_the_exact_rcond_of_the_layer_asked_for(load):
+    cfg, spec, _, _ = perfbench_case(load)
+    batch = bas.build_batch(cfg, quad.lambda_grid(cfg, spec).nodes[:20])
+    batch.layers[1].coef[5] = np.diag([1.0, 1e-14, 1.0, 1.0])     # rho_F is about 5.8e-15
+    batch.dual_layer(0), batch.dual_layer(2)
+    with pytest.raises(OmegaSingular) as exc:
+        batch.dual_layer(1)
+    assert str(exc.value) == (f"fundamental matrix of layer 1 at lam = {batch.lam[5]}: "
+                              "reciprocal condition 1e-14 below floor")
+
+
+# --- dual families once per batch ---------------------------------------------------------
+
+
+def test_dual_diagnostics_reuse_the_forward_dual_families(load, monkeypatch):
+    cfg, spec, f, _ = perfbench_case(load)
+    builds = counter(monkeypatch, bas, "dual_family")
+    batch = tr.forward_transform(cfg, f, spec).basis
+    assert builds[0] == cfg.n_layers
+    fresh = bas.build_batch(cfg, batch.lam)
+    for k in range(1, cfg.n_layers):
+        assert np.array_equal(bas.junction_residual_dual(batch, k),
+                              bas.junction_residual_dual(fresh, k))
+    assert np.array_equal(bas.dual_boundary_residual(batch), bas.dual_boundary_residual(fresh))
+    assert np.array_equal(bas.u_star_on_layer(batch, 2, 5.0), bas.u_star_on_layer(fresh, 2, 5.0))
+    assert builds[0] == 2 * cfg.n_layers                  # the fresh batch's, once each
+    view = batch.at(7)
+    assert np.array_equal(bas.w_on_layer(view, 0, 0.3), bas.w_on_layer(batch, 0, 0.3)[7])
+    assert builds[0] == 2 * cfg.n_layers + 1              # a view builds its own
+
+
+# --- one band-edge pass -------------------------------------------------------------------
+
+
+def test_a_transform_computes_each_band_edge_wavenumber_once(load, monkeypatch):
+    cfg, spec, f, pts = perfbench_case(load)
+    calls = counter(monkeypatch, bas, "compute_wavenumber")
+    image = tr.forward_transform(cfg, f, spec)
+    assert calls[0] == cfg.n_layers
+    tr.inverse_transform(cfg, image, pts, spec)
+    assert calls[0] == 2 * cfg.n_layers
+    tr.inverse_transform(cfg, dataclasses.replace(image, basis=None), pts, spec)
+    assert calls[0] == 3 * cfg.n_layers
+
+
+def test_cli_forward_computes_the_band_edge_twice(load, monkeypatch, tmp_path):
+    cfg, _ = load("threelayer_r2")
+    calls = counter(monkeypatch, bas, "compute_wavenumber")
+    assert cli.main(["forward", "--config", config_path("threelayer_r2"), "--input", "gauss_bump",
+                     "--output", str(tmp_path / "img.csv"), "--lambda-max", "12",
+                     "--lambda-steps", "400"]) == 0
+    assert calls[0] == 2 * cfg.n_layers                  # the CLI's size check, the transform
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_grid_rules_and_size_check_keep_their_layout(load, name):
+    cfg, spec0 = load(name)
+    for spec, (n_panels, order, xi) in zip(
+            (spec0, dataclasses.replace(spec0, **PERFBENCH_SPEC)), LAYOUTS[name]):
+        rates = quad.band_edge_rates(cfg, spec)
+        grid = quad.lambda_grid(cfg, spec)
+        assert (grid.n_panels, grid.order) == (n_panels, order)
+        nodes, weights = quad.composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order)
+        assert np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights)
+        assert np.array_equal(quad._lambda_grid(spec, rates).nodes, grid.nodes)
+        panels = quad.xi_panels(cfg, spec)
+        assert tuple(c.size for c, _, _ in panels) == xi
+        for a, b in zip(panels, quad._xi_panels(cfg, spec, rates)):
+            assert all(np.array_equal(p, q) for p, q in zip(a, b))
+        # the size check passes up to the limit and refuses one point more
+        n_lambda = max(spec.lambda_steps, n_panels * order)
+        n_ok = quad.MAX_TRANSFORM_SIZE // (n_lambda * cfg.r**2)
+        for check in (lambda n: quad.check_size(cfg, spec, n),
+                      lambda n: quad._check_size(cfg, spec, rates, n)):
+            check(n_ok)
+            with pytest.raises(SizeLimitExceeded):
+                check(n_ok + 1)
+        quad.check_size(cfg, spec)

@@ -120,3 +120,92 @@ def test_sqrt_exp_consistency(r, seed):
     m = shifted_random(rng, r)
     s = la.principal_sqrt(m)
     assert np.max(np.abs(s @ s - m)) <= 1e-9 * np.max(np.abs(m))
+
+
+def with_singular_values(rng, s):
+    """U diag(s) V^H with Haar-like unitary U, V: a matrix whose singular values are s."""
+    n = len(s)
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (u * np.asarray(s, dtype=float)) @ v.conj().T
+
+
+def assert_screen_decides_as_rcond(a):
+    """screened_rcond takes the gates' decisions of rcond, with rcond's value wherever it rejects."""
+    floor = la.RCOND_FLOOR
+    try:
+        exact = np.asarray(la.rcond(a))
+    except np.linalg.LinAlgError:                      # a NaN member: the SVD does not converge
+        with pytest.raises(np.linalg.LinAlgError):
+            la.screened_rcond(a)
+        return
+    rc, inv = la.screened_rcond(a)
+    assert np.array_equal(rc < floor, exact < floor)                   # basis._gate
+    assert np.array_equal(~(rc >= floor), ~(exact >= floor))          # basis.dual_family
+    rejected = ~(rc >= floor)
+    assert np.array_equal(rc[rejected], exact[rejected], equal_nan=True)
+    # rcond / n <= rho_F <= rcond, up to the rounding of both near the floor (~eps absolute)
+    passed = rc >= floor
+    n = a.shape[-1]
+    atol = 16 * n * np.finfo(float).eps
+    assert np.all(rc[passed] <= exact[passed] * (1 + 1e-12) + atol)
+    assert np.all(rc[passed] >= exact[passed] / n * (1 - 1e-12) - atol)
+    try:
+        ref = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        assert inv is None
+    else:
+        assert inv.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2, 4]), st.integers(min_value=0, max_value=2**31 - 1))
+def test_screen_decides_as_rcond_on_random_stacks(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(16, n, n)) + 1j * rng.normal(size=(16, n, n))
+    assert_screen_decides_as_rcond(a * 10.0 ** rng.uniform(-200, 200, size=(16, 1, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 4]), st.integers(min_value=0, max_value=2**31 - 1))
+def test_screen_decides_as_rcond_around_the_floor(n, seed):
+    # rcond = FLOOR x {0.5, 0.999, 1.001, 2, n, 2n}, one matrix each, the screen's band included
+    rng = np.random.default_rng(seed)
+    stack = []
+    for factor in (0.5, 0.999, 1.001, 2.0, n, 2.0 * n):
+        inner = np.sort(rng.uniform(factor * la.RCOND_FLOOR, 1.0, size=n - 2))[::-1]
+        stack.append(with_singular_values(rng, [1.0, *inner, factor * la.RCOND_FLOOR]))
+    a = np.array(stack) * rng.uniform(1e-3, 1e3)
+    assert_screen_decides_as_rcond(a)
+    for one in a:                                              # one matrix, unstacked
+        assert_screen_decides_as_rcond(one)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_screen_on_an_exactly_singular_member(n):
+    rng = np.random.default_rng(n)
+    a = np.array([with_singular_values(rng, np.linspace(1.0, 0.5, n)) for _ in range(5)])
+    a[3, :, -1] = 0.0                                          # LU meets an exact zero pivot
+    rc, inv = la.screened_rcond(a)
+    assert inv is None and rc[3] == 0.0
+    assert_screen_decides_as_rcond(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_screen_on_non_finite_members(n, bad):
+    rng = np.random.default_rng(7)
+    a = np.array([with_singular_values(rng, np.linspace(1.0, 0.5, n)) for _ in range(4)])
+    a[2, 0, 0] = bad
+    assert_screen_decides_as_rcond(a)
+
+
+def test_screen_runs_no_svd_on_a_regular_stack(monkeypatch):
+    def no_svd(a):
+        raise AssertionError("the screen fell back to the SVD")
+
+    monkeypatch.setattr(la, "rcond", no_svd)
+    rng = np.random.default_rng(2)
+    rc, inv = la.screened_rcond(np.array([with_singular_values(rng, [1.0, 0.1, 1e-9, 1e-11])
+                                          for _ in range(8)]))
+    assert np.all(rc >= 2 * la.RCOND_FLOOR) and inv.shape == (8, 4, 4)
