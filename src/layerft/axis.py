@@ -106,11 +106,11 @@ def build_axis_batch(config, lams):
     a singular one flags every point.
     """
     lams = np.asarray(lams, dtype=float).ravel()
-    p, pencils, flags = bas._build_families(config, lams)
+    p, pencils, pencil_inv, flags = bas._build_families(config, lams)
     q = [replace(p[0], coef=np.broadcast_to([[0j, 1], [1, 0]], p[0].coef.shape))]
-    for i, (m1, m2) in enumerate(pencils):
+    for i, ((m1, _), (_, m2_inv)) in enumerate(zip(pencils, pencil_inv)):
         lk = config.layers[i].right
-        y = np.linalg.solve(m2, m1 @ bas._omega_stack(q[i], lk, 1))
+        y = m2_inv @ (m1 @ bas._omega_stack(q[i], lk, 1))
         q.append(replace(p[i + 1], coef=bas._coef_from_stack(p[i + 1], y, lk - p[i + 1].center)))
 
     # P is the identity in the right tail, so the connection T is Q there

@@ -34,7 +34,7 @@ diag(e^{iqs}, e^{-iqs}) coef with s = x - c_m, so with (G_1, G_2) =
 
     w(x) = 1/2 (G_1 e^{-iqs} + G_2 e^{iqs}, (G_1 e^{-iqs} - G_2 e^{iqs}) (iq)^{-1}):
 
-one solve per layer, after which w costs what u costs.  w obeys
+one inverse per layer, after which w costs what u costs.  w obeys
 w' = (w_2 q^2, -w_1), so u* solves the formally adjoint equation exactly,
 satisfies the a2-weighted dual junction relations
 w^(k) M_1k^{-1} = w^(k+1) M_2k^{-1}, and w(l_0) reproduces the boundary
@@ -50,17 +50,19 @@ passes: it must be positive with a nonzero square and a finite scaled pencil.
 
 build_batch runs all of this for a whole spectral grid at once: one
 Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
-recursion as batched solves on (N, 2r, 2r) and every condition gate as one
-batched inverse screen (linalg.screened_rcond).  The screen bounds rcond
-by rho_F = 1 / (||A||_F ||A^{-1}||_F), rcond / n <= rho_F <= rcond, and
-takes an SVD only of the blocks with rho_F below twice the floor, so a
-regular grid runs none; the boundary gates' inverses are phi0_inv and
-psi0_inv.  Degenerate points are flagged, not raised; build_basis is
-build_batch at one point, sliced by at(0), and every diagnostic takes a
-batch or a one-point view alike.  Everything before the boundary
-functionals is _build_families, which also builds the full axis's P
-families (axis.py); its step _coef_from_stack also runs axis.py's
-left-to-right sweep.
+recursion as batched products on (N, 2r, 2r) and every condition gate as
+one batched inverse screen (linalg.screened_rcond).  The screen bounds
+rcond by rho_F = 1 / (||A||_F ||A^{-1}||_F), rcond / n <= rho_F <= rcond,
+and takes an SVD only of the blocks with rho_F below twice the floor, so a
+regular grid runs none.  Each gated block is inverted once, by its gate,
+and every product uses that inverse: phi0_inv and psi0_inv, pencil_inv
+(M_1^{-1}, M_2^{-1}) for the recursions, the dual junction relation and
+the forward's junction term, and dual_family's coef^{-1}; nothing solves.
+Degenerate points are flagged, not raised; build_basis is build_batch at
+one point, sliced by at(0), and every diagnostic takes a batch or a
+one-point view alike.  Everything before the boundary functionals is
+_build_families, which also builds the full axis's P families (axis.py);
+its step _coef_from_stack also runs axis.py's left-to-right sweep.
 
 The batch is what a forward image carries as its basis (transform.py):
 dual() gives the stacked u* of every layer and primal the stacked u, each
@@ -176,10 +178,14 @@ class _LayerKernels:
 class SpectralBasisBatch:
     """All kernel data of a semi-axis problem, stacked over the points lam[i] on axis 0.
 
-    pencils holds the gated (M_1, M_2) of each junction.  flags maps the
-    index of each degenerate point to the error build_basis raises there;
-    the slices of those points hold regular placeholders.  at(i) is the
-    one-point view: the same class with every array sliced at i.
+    pencils holds the gated (M_1, M_2) of each junction and pencil_inv
+    their inverses, which the gates computed and every product with an
+    inverse pencil uses (the recursions, junction_residual_dual and the
+    forward's junction term), as phi0_inv and psi0_inv are the boundary
+    gates' inverses.  flags maps the index of each degenerate point to the
+    error build_basis raises there; the slices of those points hold regular
+    placeholders.  at(i) is the one-point view: the same class with every
+    array sliced at i.
     """
 
     lam: np.ndarray
@@ -191,6 +197,7 @@ class SpectralBasisBatch:
     psi0_inv: np.ndarray
     bnd_row: np.ndarray    # (..., r, 2r) row (value block | derivative block) at l_0
     pencils: list          # (M_1, M_2) per junction, (..., 2r, 2r)
+    pencil_inv: list       # (M_1^{-1}, M_2^{-1}) per junction, from the gates
     flags: dict
 
     def coefficients(self, m):
@@ -226,7 +233,8 @@ class SpectralBasisBatch:
         return replace(self, lam=self.lam[i], layers=[ld.at(i) for ld in self.layers],
                        phi0=self.phi0[i], psi0=self.psi0[i], phi0_inv=self.phi0_inv[i],
                        psi0_inv=self.psi0_inv[i], bnd_row=self.bnd_row[i],
-                       pencils=[(m1[i], m2[i]) for m1, m2 in self.pencils], flags={})
+                       pencils=[(m1[i], m2[i]) for m1, m2 in self.pencils],
+                       pencil_inv=[(m1[i], m2[i]) for m1, m2 in self.pencil_inv], flags={})
 
 
 SpectralBasisAtLambda = SpectralBasisBatch   # the one-point view is the batch at one index
@@ -240,11 +248,6 @@ def _jet(fam, xs):
 def _omega_stack(ld, xs, r):
     """Omega(x) = [[Phi, Psi], [Phi', Psi']] at each x, or at one x for a stacked ld."""
     return _jet(ld.family(ld.coef[..., :r, :], ld.coef[..., r:, :]), xs)
-
-
-def right_divide(b, a):
-    """b a^{-1} by one solve, for one matrix pair or stacks of them."""
-    return np.linalg.solve(a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _coef_from_stack(ld, y, s=0.0):
@@ -283,11 +286,12 @@ def _gate(blocks, flags, lams, make_error):
 def _build_families(config, lams):
     """Wavenumbers and the backward junction sweep at every lam of a flat float array.
 
-    Returns (layers, pencils, flags): per-layer _LayerKernels stacked over
-    lams, whose coef holds the families normalized to the identity in the
-    last layer; the gated junction pencils (M_1, M_2) per junction; and the
-    flags of the points whose pencils fail the gate.  The tail layer is
-    centered at its left end, or at 0 when that is -inf (one-layer full axis).
+    Returns (layers, pencils, pencil_inv, flags): per-layer _LayerKernels
+    stacked over lams, whose coef holds the families normalized to the
+    identity in the last layer; the gated junction pencils (M_1, M_2) per
+    junction and their inverses from the gates; and the flags of the points
+    whose pencils fail the gate.  The tail layer is centered at its left
+    end, or at 0 when that is -inf (one-layer full axis).
     """
     r = config.r
     L = config.n_layers
@@ -311,20 +315,19 @@ def _build_families(config, lams):
         )
 
     # backward junction sweep: last layer keeps the identity coefficients
-    pencils = [None] * (L - 1)
+    pencils, pencil_inv = [None] * (L - 1), [None] * (L - 1)
     for i in range(L - 2, -1, -1):
         k = i + 1                          # junction number, abscissa l_k
         omega_next = _omega_stack(lds[i + 1], config.layers[i].right, r)
         iface = config.interfaces[i]
         m1, m2 = iface.pencil(1, lams), iface.pencil(2, lams)
-        for side, j, blk in (("right", 2, m2), ("left", 1, m1)):
-            _gate(blk, flags, lams, lambda lam: RegularityViolation(
-                f"junction {k}: {side}-side condition block M_{j}({lam}) is singular",
-                lam=lam, junction=k,
-            ))
-        pencils[i] = m1, m2
-        lds[i].coef = _coef_from_stack(lds[i], np.linalg.solve(m1, m2 @ omega_next))
-    return lds, pencils, flags
+        m2_inv, m1_inv = (_gate(blk, flags, lams, lambda lam: RegularityViolation(
+            f"junction {k}: {side}-side condition block M_{j}({lam}) is singular",
+            lam=lam, junction=k,
+        )) for side, j, blk in (("right", 2, m2), ("left", 1, m1)))
+        pencils[i], pencil_inv[i] = (m1, m2), (m1_inv, m2_inv)
+        lds[i].coef = _coef_from_stack(lds[i], m1_inv @ (m2 @ omega_next))
+    return lds, pencils, pencil_inv, flags
 
 
 def build_batch(config, lams):
@@ -334,8 +337,8 @@ def build_batch(config, lams):
     gates as stacked array operations over lams; this adds the boundary
     functionals.  A point failing a gate is recorded in the flags of the
     result, with the error build_basis raises there, and its pencils and
-    boundary functionals are replaced by the identity so that the stacked
-    solves stay regular.
+    boundary functionals, and their inverses, are replaced by the identity
+    so that the stacked products stay regular.
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode(
@@ -343,7 +346,7 @@ def build_batch(config, lams):
             "scalar axis transform"
         )
     lams = np.asarray(lams, dtype=float).ravel()
-    lds, pencils, flags = _build_families(config, lams)
+    lds, pencils, pencil_inv, flags = _build_families(config, lams)
     r = config.r
 
     bnd = config.boundary
@@ -365,6 +368,7 @@ def build_batch(config, lams):
         psi0_inv=psi0_inv,
         bnd_row=bnd_row,
         pencils=pencils,
+        pencil_inv=pencil_inv,
         flags=flags,
     )
 
@@ -405,19 +409,21 @@ def dual_family(basis, m):
 
     Omega(x) is singular exactly when coef is, so rcond(coef) is the one gate
     (OmegaSingular), decided by linalg.screened_rcond; the rcond it reports
-    is exact.  Placeholder slices of flagged points are regular too.
-    SpectralBasisBatch.dual_layer keeps what this builds.
+    is exact, and (Phi0, Psi0) coef^{-1} takes the screen's inverse, which
+    exists once the gate passes.  Placeholder slices of flagged points are
+    regular too.  SpectralBasisBatch.dual_layer keeps what this builds.
     """
     r = basis.config.r
     ld = basis.layers[m]
-    rc = np.atleast_1d(linalg.screened_rcond(ld.coef)[0])
+    rc, inv = linalg.screened_rcond(ld.coef)
+    rc = np.atleast_1d(rc)
     bad = np.flatnonzero(~(rc >= linalg.RCOND_FLOOR))
     if bad.size:
         raise OmegaSingular(
             f"fundamental matrix of layer {m} at lam = {np.atleast_1d(basis.lam)[bad[0]]}: "
             f"reciprocal condition {rc[bad[0]]:.3g} below floor"
         )
-    g = right_divide(np.concatenate([basis.phi0, basis.psi0], axis=-1), ld.coef)
+    g = np.concatenate([basis.phi0, basis.psi0], axis=-1) @ inv
     k = (ld.vinv / (2j * ld.mu[..., :, None])) @ ld.a2inv
     return Family(ld.mu, ld.center, -(g[..., r:] @ ld.v), k, g[..., :r] @ ld.v, k)
 
@@ -476,9 +482,9 @@ def junction_residual_dual(basis, k):
     inherits exactly from the primal recursion.
     """
     lk = basis.config.junction(k)
-    m1, m2 = basis.pencils[k - 1]
-    a = right_divide(w_on_layer(basis, k - 1, lk), m1)
-    b = right_divide(w_on_layer(basis, k, lk), m2)
+    m1_inv, m2_inv = basis.pencil_inv[k - 1]
+    a = w_on_layer(basis, k - 1, lk) @ m1_inv
+    b = w_on_layer(basis, k, lk) @ m2_inv
     return _rel(a - b, a, b)
 
 

@@ -4,9 +4,9 @@ package leans on.
 The heavy lifting is LAPACK via numpy/scipy (Schur-based square root,
 scaling-and-squaring exponential); this module owns the contracts: branch-cut
 detection for the principal square root, a norm gate for the exponential, and
-condition gates for solves: the exact reciprocal condition number (rcond)
-and its screen by inverses (screened_rcond), which takes an SVD only where
-the floor could matter.
+condition gates: the exact reciprocal condition number (rcond) and its
+screen by inverses (screened_rcond), which takes an SVD only where the
+floor could matter and hands on the inverse it computed.
 """
 
 import numpy as np
@@ -116,7 +116,10 @@ def screened_rcond(a):
     and so does the whole stack when np.linalg.inv raises on an exactly
     singular member.  Hence rc < RCOND_FLOOR, and rc >= RCOND_FLOOR, hold
     exactly where they hold for rcond(a), and rc is exact wherever either
-    rejects.  inv is np.linalg.inv(a), or None when that raised.
+    rejects.  inv is np.linalg.inv(a), or None when that raised.  The gates
+    of basis.py decide by rc and keep inv: every product with the inverse of
+    a gated block multiplies by it, so a block is inverted once and never
+    solved against.
     """
     a = np.asarray(a, dtype=complex)
     try:

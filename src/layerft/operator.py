@@ -264,7 +264,7 @@ def verify_basic_identity(config, f, spec, include_boundary_term=True):
     f0 = f.trace(0, "right", 0)
     f1 = f.trace(0, "right", 1)
     brace = bnd.beta0 @ f0 + bnd.alpha0 @ f1
-    if np.any(bnd.gamma0 != 0) or np.any(bnd.delta0 != 0):
+    if not bnd.is_lambda_free:
         a2_first = np.asarray(config.layers[0].a2, dtype=complex)
         f2 = f.trace(0, "right", 2)
         f3 = f.trace(0, "right", 3)

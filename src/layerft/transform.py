@@ -6,9 +6,12 @@ Forward: image(lam) = sum_m  integral over layer m of u*_m(xi, lam) f_m(xi) dxi
 
 The junction correction at l_k is v_k (G_2 F_{k+1} - G_1 F_k) with
 v_k = w^(k)(l_k) M_1k^{-1}, where G_s is the lam^2 coefficient block of side s
-and F_j stacks (value; derivative) traces of f on side j.  For spectral-
-parameter-free conditions every G_s is the zero block: no trace is read, and
-the correction is assembled as an exact zero rather than skipped.
+and F_j stacks (value; derivative) traces of f on side j; M_1k^{-1} is the
+one its gate computed (basis.SpectralBasisBatch.pencil_inv).  forward_transform
+reads the traces the lam^2 terms need before the shared driver runs, and adds
+the terms to the image the driver returns.  A junction whose conditions are
+spectral-parameter-free (every G_s the zero block) reads no trace and adds
+no term; the boundary term reads only the traces its lam^2 blocks need.
 
 Inverse: f(x) = -(1/(pi i)) * integral over lam > 0 of lam u(x, lam) image(lam).
 The improper integral is computed with exp(-tau lam) damping on the
@@ -170,21 +173,20 @@ def _damped_sums(fam, centres, offsets, fhat, damping):
     return out.reshape(-1, t, a).transpose(1, 0, 2)
 
 
-def _spectral_forward(config, f, spec, lambdas, build, extra=None):
+def _spectral_forward(config, f, spec, lambdas, build):
     """Image of f: sum over layers of the dual kernels against f on the xi rules.
 
     build(config, lams) gives the geometry's batch of kernel data: its flags
     map the index of each degenerate point to its error, and its dual()
-    gives per layer the stacked dual Family u*(xi, lam).  extra(batch,
-    families), if given, is a term added to the image rows ((N, width) or
-    scalar).  The grid is the canonical one of (config, spec), or the
-    explicit abscissae lambdas (no weights, not canonical); the size check,
-    the grid and the xi rules share one quad.band_edge_rates.  A flagged
-    point's row is set to NaN and meta["flagged"] records (index, lam,
-    reason); if every row is flagged the first RegularityViolation is
-    re-raised.  meta["xi_tail_estimate"] is the largest contribution of the
-    outermost xi panel at a truncated end.  The image carries the batch as
-    its basis, for _spectral_inverse to reuse.
+    gives per layer the stacked dual Family u*(xi, lam).  The grid is the
+    canonical one of (config, spec), or the explicit abscissae lambdas (no
+    weights, not canonical); the size check, the grid and the xi rules
+    share one quad.band_edge_rates.  A flagged point's row is set to NaN
+    and meta["flagged"] records (index, lam, reason); if every row is
+    flagged the first RegularityViolation is re-raised.
+    meta["xi_tail_estimate"] is the largest contribution of the outermost
+    xi panel at a truncated end.  The image carries the batch as its basis,
+    for _spectral_inverse to reuse.
     """
     rates = quad.band_edge_rates(config, spec)
     quad._check_size(config, spec, rates)
@@ -215,8 +217,6 @@ def _spectral_forward(config, f, spec, lambdas, build, extra=None):
         whole, *partial = _moments(fam, centres - fam.center, offsets, g, ends)
         values += whole
         tails += [np.linalg.norm(p, axis=1) for p in partial]
-    if extra is not None:
-        values += extra(basis, families)
 
     flags = basis.flags
     flagged = [(i, lams[i], f"{type(exc).__name__}: {exc}") for i, exc in sorted(flags.items())]
@@ -312,20 +312,18 @@ def forward_transform(config, f, spec, lambdas=None):
         )
 
     bnd = config.boundary
-    boundary_term = _lambda_sq_term(f, np.hstack([bnd.gamma0, bnd.delta0]), 0, "right")
+    term = _lambda_sq_term(f, np.hstack([bnd.gamma0, bnd.delta0]), 0, "right")
     # junction k adds v_k (G_2 F_{k+1} - G_1 F_k), v_k = w^(k)(l_k) M_1k^{-1}
-    jumps = [_lambda_sq_term(f, iface.lambda_sq_part(2), k, "right")
-             - _lambda_sq_term(f, iface.lambda_sq_part(1), k, "left")
-             for k, iface in enumerate(config.interfaces, start=1)]
+    jumps = [(k, _lambda_sq_term(f, iface.lambda_sq_part(2), k, "right")
+              - _lambda_sq_term(f, iface.lambda_sq_part(1), k, "left"))
+             for k, iface in enumerate(config.interfaces, start=1) if not iface.is_lambda_free]
 
-    def extra(b, families):
-        term = boundary_term
-        for k, jump in enumerate(jumps, start=1):
-            wk = bas.row_function(families[k - 1], config.layers[k - 1].a2, config.junction(k))
-            term = term + bas.right_divide(wk, b.pencils[k - 1][0]) @ jump
-        return term
-
-    return _spectral_forward(config, f, spec, lambdas, bas.build_batch, extra)
+    image = _spectral_forward(config, f, spec, lambdas, bas.build_batch)
+    for k, jump in jumps:
+        wk = bas.w_on_layer(image.basis, k - 1, config.junction(k))
+        term = term + wk @ image.basis.pencil_inv[k - 1][0] @ jump
+    image.values += term
+    return image
 
 
 def _lambda_sq_term(f, block, junction, side):

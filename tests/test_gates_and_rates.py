@@ -1,6 +1,7 @@
 """The regularity gates decide by the inverse screen, and a transform computes its band-edge
 rates once; both leave every outcome as the exact rcond gates and the per-function rates
-gave it."""
+gave it.  Each gated block is inverted once, by its gate, and every product with its inverse
+uses that one: nothing solves."""
 
 import dataclasses
 
@@ -47,8 +48,8 @@ def counter(monkeypatch, module, name):
     return count
 
 
-def perfbench_case(load):
-    cfg, spec = load("threelayer_r2")
+def perfbench_case(load, name="threelayer_r2"):
+    cfg, spec = load(name)
     spec = dataclasses.replace(spec, **PERFBENCH_SPEC)
     f = cat.to_grid_function(cat.parse_profile("gauss_bump"), cfg, spec.x_max)
     pts = [ls.x[np.abs(ls.x) <= spec.x_max] for ls in f.layers]
@@ -171,3 +172,76 @@ def test_grid_rules_and_size_check_keep_their_layout(load, name):
             with pytest.raises(SizeLimitExceeded):
                 check(n_ok + 1)
         quad.check_size(cfg, spec)
+
+
+# --- every gated block inverted once, by its gate -----------------------------------------
+
+
+@pytest.mark.parametrize("name", ["threelayer_r2", "fullaxis_twolayer", "lambda_interface"])
+def test_a_regular_transform_pair_runs_no_solve(load, monkeypatch, name):
+    cfg, spec, f, pts = perfbench_case(load, name)
+    forward, inverse = tr.transform_pair(cfg)
+    solves = counter(monkeypatch, np.linalg, "solve")
+    image = forward(cfg, f, spec)
+    inverse(cfg, image, pts, spec)
+    inverse(cfg, dataclasses.replace(image, basis=None), pts, spec)
+    assert image.meta["flagged"] == [] and solves[0] == 0
+
+
+def test_the_basis_and_its_table_run_no_solve(load, monkeypatch, tmp_path):
+    cfg, _ = load("threelayer_r2")
+    solves = counter(monkeypatch, np.linalg, "solve")
+    b = bas.build_basis(cfg, 2.5)
+    for k in range(1, cfg.n_layers):
+        bas.junction_residual_dual(b, k)
+    assert cli.main(["basis", "--config", config_path("threelayer_r2"), "--lambda", "2.5",
+                     "--output", str(tmp_path / "kernels.csv")]) == 0
+    assert solves[0] == 0
+
+
+def test_the_lambda_sq_correction_is_added_to_the_driver_image(load):
+    cfg, spec, f, _ = perfbench_case(load, "lambda_interface")
+    # a value jump at the junction, which only the lam^2 correction sees
+    f = dataclasses.replace(f, traces={**f.traces, (1, "left"): f.traces[1, "left"] + 0.5})
+    image = tr.forward_transform(cfg, f, spec)
+    driver = tr._spectral_forward(cfg, f, spec, None, bas.build_batch)
+    bnd = cfg.boundary
+    term = np.hstack([bnd.gamma0, bnd.delta0]) @ np.concatenate(
+        [f.trace(0, "right", 0), f.trace(0, "right", 1)])
+    for k, iface in enumerate(cfg.interfaces, start=1):
+        fl, fr = (np.concatenate([f.trace(k, side, 0), f.trace(k, side, 1)])
+                  for side in ("left", "right"))
+        jump = iface.lambda_sq_part(2) @ fr - iface.lambda_sq_part(1) @ fl
+        wk = bas.w_on_layer(driver.basis, k - 1, cfg.junction(k))
+        m1 = driver.basis.pencils[k - 1][0]
+        # w M_1^{-1} by a right division, as the correction was computed before
+        v = np.linalg.solve(m1.swapaxes(-1, -2), wk.swapaxes(-1, -2)).swapaxes(-1, -2)
+        term = term + v @ jump
+    scale = np.max(np.abs(image.values))
+    assert np.max(np.abs(term)) > 1e-3 * scale
+    assert np.max(np.abs(image.values - (driver.values + term))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name, calls", [("threelayer_r2", 0), ("lambda_interface", 1)])
+def test_only_a_lambda_sq_junction_reads_the_row_function(load, monkeypatch, name, calls):
+    cfg, spec, f, _ = perfbench_case(load, name)
+    rows = counter(monkeypatch, bas, "row_function")
+    tr.forward_transform(cfg, f, spec)
+    assert rows[0] == calls
+
+
+def test_the_batch_keeps_the_gate_inverses_of_its_pencils(load):
+    cfg, spec, _, _ = perfbench_case(load)
+    cases = [(bas.build_batch(cfg, quad.lambda_grid(cfg, spec).nodes[:40]), ()),
+             (bas.build_batch(singular_at_two(load)[0], [1.0, 2.0, 3.0, 4.0]), (1,))]
+    for batch, flagged in cases:
+        assert sorted(batch.flags) == list(flagged)
+        for pencils, inverses in zip(batch.pencils, batch.pencil_inv):
+            for m, m_inv in zip(pencils, inverses):
+                eye = np.eye(m.shape[-1], dtype=m.dtype)
+                for i in range(batch.lam.size):
+                    want = eye if i in flagged else np.linalg.inv(m[i])
+                    assert m_inv[i].tobytes() == want.tobytes()
+        view = batch.at(1)
+        for inverses, at_view in zip(batch.pencil_inv, view.pencil_inv):
+            assert all(np.array_equal(a[1], b) for a, b in zip(inverses, at_view))
