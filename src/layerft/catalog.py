@@ -87,6 +87,8 @@ def make_profile(name, **overrides):
         if key not in params:
             raise ParseError(f"profile {name!r} has no parameter {key!r}")
         params[key] = float(val)
+        if not math.isfinite(params[key]):
+            raise ParseError(f"profile {name!r} needs a finite {key}, got {val!r}")
     if name == "poly_cutoff" and params["left"] >= params["right"]:
         raise ParseError("poly_cutoff needs left < right")
     if "width" in params and params["width"] <= 0:

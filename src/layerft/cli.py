@@ -31,8 +31,14 @@ from .gridfn import (
 )
 
 
-def _add_common(p, need_config=True):
-    p.add_argument("--config", required=need_config, help="problem description file")
+def _common_flags():
+    """The problem flags every subcommand but poisson takes, as a parents= parser.
+
+    One parser shared by reference: building its arguments once, not per
+    subcommand, is most of what build_parser costs.
+    """
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--config", required=True, help="problem description file")
     p.add_argument("--lambda-min", type=float, default=None)
     p.add_argument("--lambda-max", type=float, default=None)
     p.add_argument("--lambda-steps", type=int, default=None)
@@ -41,6 +47,7 @@ def _add_common(p, need_config=True):
     p.add_argument("--xmax", type=float, default=None, help="spatial truncation radius")
     p.add_argument("--xi-order", type=int, default=None,
                    help="Gauss-Legendre order of the spatial panels")
+    return p
 
 
 def _samples(text):
@@ -56,42 +63,42 @@ def build_parser():
         description="Spectral transforms for layered media with matrix coefficients",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    common = _common_flags()
 
-    p = sub.add_parser("basis", help="tabulate the kernel pair at one spectral point")
-    _add_common(p)
+    p = sub.add_parser("basis", help="tabulate the kernel pair at one spectral point",
+                       parents=[common])
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--samples", type=_samples, default=201, help="points per layer")
 
-    p = sub.add_parser("forward", help="transform a function to its spectral image")
-    _add_common(p)
+    p = sub.add_parser("forward", help="transform a function to its spectral image",
+                       parents=[common])
     p.add_argument("--input", required=True,
                    help="function CSV or catalog profile (e.g. gauss_bump:center=2)")
     p.add_argument("--output", required=True, help="image CSV")
     p.add_argument("--samples", type=_samples, default=401)
 
-    p = sub.add_parser("inverse", help="reconstruct a function from an image")
-    _add_common(p)
+    p = sub.add_parser("inverse", help="reconstruct a function from an image",
+                       parents=[common])
     p.add_argument("--input", required=True, help="image CSV")
     p.add_argument("--output", required=True, help="function CSV")
     p.add_argument("--samples", type=_samples, default=201, help="points per layer")
 
-    p = sub.add_parser("roundtrip", help="forward + inverse, report reconstruction error")
-    _add_common(p)
+    p = sub.add_parser("roundtrip", help="forward + inverse, report reconstruction error",
+                       parents=[common])
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="optional reconstruction CSV")
     p.add_argument("--samples", type=_samples, default=401)
 
-    p = sub.add_parser("identity", help="check the operational multiplication identity")
-    _add_common(p)
+    p = sub.add_parser("identity", help="check the operational multiplication identity",
+                       parents=[common])
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="optional residual CSV")
     p.add_argument("--samples", type=_samples, default=401)
     p.add_argument("--no-boundary-term", action="store_true",
                    help="drop the boundary brace from the right-hand side")
 
-    p = sub.add_parser("heat", help="heat evolution via the transform")
-    _add_common(p)
+    p = sub.add_parser("heat", help="heat evolution via the transform", parents=[common])
     p.add_argument("--input", required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--output", required=True, help="solution CSV")
@@ -101,8 +108,8 @@ def build_parser():
     p.add_argument("--fd-dx", type=float, default=0.01)
     p.add_argument("--fd-dt", type=float, default=None)
 
-    p = sub.add_parser("emit", help="rewrite a problem description in long form")
-    _add_common(p)
+    p = sub.add_parser("emit", help="rewrite a problem description in long form",
+                       parents=[common])
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("poisson", help="half-space harmonic extension of radial data")

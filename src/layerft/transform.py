@@ -41,7 +41,10 @@ grid at once, and every kernel of either geometry is a basis.Family,
 per-lam coefficients around e^{+-i mu s}.  Both directions are then complex
 matrix products with phases factored per block of points: for s = c_q + t_j,
 e^{i mu s} = e^{i mu c_q} e^{i mu t_j}, so a layer of Q blocks of J points
-costs N r (Q + J) exponentials, not N r Q J.  _moments sums a family
+costs N r (Q + J) complex exponentials, not 2 N r Q J: for real mu, the
+only kind the batches give today, e^{-i mu s} is the conjugate of
+e^{i mu s} (_phase), and complex mu (evanescent channels) exponentiates
+both signs, 2 N r (Q + J).  _moments sums a family
 against data over x (forward) and _damped_sums over (lam, k) with the
 exp(-tau lam) damping folded in (inverse), both over the blocks of
 _phase_blocks, whose work arrays stay within _CHUNK_BYTES.  The forward's
@@ -99,17 +102,34 @@ def _split(s):
     return s, np.zeros(1)
 
 
+def _phase(mu, s):
+    """e^{i m s_k} for m = (mu, -mu): (2 mu.size, s.size), mu flat.
+
+    For real mu the -mu half is the conjugate of the +mu half, bit for bit,
+    so only mu.size * s.size exponentials are taken; complex mu (evanescent
+    channels) exponentiates both halves.
+    """
+    if np.iscomplexobj(mu):
+        return np.exp(1j * np.multiply.outer(np.concatenate([mu, -mu]), s))
+    out = np.empty((2 * mu.size, s.size), dtype=complex)
+    np.exp(1j * np.multiply.outer(mu, s), out=out[:mu.size])
+    np.conjugate(out[:mu.size], out=out[mu.size:])
+    return out
+
+
 def _phase_blocks(mu, centres, offsets, width):
     """Factored phases e^{+-i mu s} at s = centres[q] + offsets[j], block by block.
 
     mu (N, rho); centres (Q,) and offsets (J,) relative to the family's
     center.  Yields (lams, m, e, parts) per slice lams of the spectral
-    points: m (2 R rho,) is (mu, -mu) of the slice flattened, e (2 R rho, J)
-    = e^{i m t_j}, and parts lazily gives (cs, p) per slice cs of the
-    centres with p (2 R rho, C) = e^{i m c_q}, so that e^{i m s} = p[:, q]
-    e[:, j].  Every factor is centred on its own block.  Half of _CHUNK_BYTES
-    bounds e with two (2 R rho, J * width) right-hand sides of the caller,
-    the other half p with its (C, J * width) product.
+    points: m (R rho,) is mu of the slice flattened, e (2 R rho, J) =
+    _phase(m, offsets), and parts lazily gives (cs, p) per slice cs of the
+    centres with p (2 R rho, C) = _phase(m, centres[cs]), so that
+    e^{i m' s} = p[:, q] e[:, j] for m' = (m, -m).  For real mu the -m
+    rows are conjugates, not exponentials.  Every factor is centred on its
+    own block.  Half of _CHUNK_BYTES bounds e with two (2 R rho, J * width)
+    right-hand sides of the caller, the other half p with its
+    (C, J * width) product.
     """
     n, rho = mu.shape
     half = _CHUNK_BYTES // (2 * _COMPLEX_BYTES)         # entries
@@ -117,11 +137,10 @@ def _phase_blocks(mu, centres, offsets, width):
     for lo in range(0, n, lam_step):
         lams = slice(lo, lo + lam_step)
         m = mu[lams].ravel()
-        m = np.concatenate([m, -m])
-        step = max(1, half // (m.size + offsets.size * width))
-        parts = ((slice(c, c + step), np.exp(1j * np.multiply.outer(m, centres[c:c + step])))
+        step = max(1, half // (2 * m.size + offsets.size * width))
+        parts = ((slice(c, c + step), _phase(m, centres[c:c + step]))
                  for c in range(0, centres.size, step))
-        yield lams, m, np.exp(1j * np.multiply.outer(m, offsets)), parts
+        yield lams, m, _phase(m, offsets), parts
 
 
 def _moments(fam, centres, offsets, g, ends=()):
@@ -138,10 +157,10 @@ def _moments(fam, centres, offsets, g, ends=()):
     rows = g.reshape(q, j * b)
     out = np.empty((1 + len(ends), n, fam.lp.shape[-2]), dtype=complex)
     for lams, m, e, parts in _phase_blocks(fam.mu, centres, offsets, b):
-        whole = np.zeros((m.size, j * b), dtype=complex)
+        whole = np.zeros((2 * m.size, j * b), dtype=complex)
         for cs, p in parts:
             whole += p @ rows[cs]
-        ends_only = (np.exp(1j * m * centres[k])[:, None] * rows[k] for k in ends)
+        ends_only = (_phase(m, centres[k:k + 1]) * rows[k] for k in ends)
         for o, h in zip(out, itertools.chain([whole], ends_only)):
             fp, fm = np.einsum("rj,rjb->rb", e, h.reshape(-1, j, b)).reshape(2, -1, rho, b)
             yp = (fam.rp[lams] * fp).sum(axis=-1)[..., None]
@@ -166,8 +185,8 @@ def _damped_sums(fam, centres, offsets, fhat, damping):
         f = fhat[lams, :, None]
         terms = np.stack([fam.lp[lams].swapaxes(-1, -2) * (fam.rp[lams] @ f),
                           fam.lm[lams].swapaxes(-1, -2) * (fam.rm[lams] @ f)])
-        rhs = np.einsum("tl,slkc->slktc", damping[:, lams], terms).reshape(m.size, 1, -1)
-        rhs = (e[:, :, None] * rhs).reshape(m.size, -1)
+        rhs = np.einsum("tl,slkc->slktc", damping[:, lams], terms).reshape(2 * m.size, 1, -1)
+        rhs = (e[:, :, None] * rhs).reshape(2 * m.size, -1)
         for cs, p in parts:
             out[cs] += (p.T @ rhs).reshape(-1, offsets.size, t * a)
     return out.reshape(-1, t, a).transpose(1, 0, 2)

@@ -23,12 +23,17 @@ def config_path(name):
     return str(CONFIG_DIR / f"{name}.cfg")
 
 
-def run_cli(*args):
-    """Run `python -m layerft args` on this checkout's src/, installed or not."""
+def run_python(*args):
+    """Run `python args` in a fresh interpreter on this checkout's src/, installed or not."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "layerft", *args]
+    cmd = [sys.executable, *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+
+
+def run_cli(*args):
+    """Run `python -m layerft args` on this checkout's src/, installed or not."""
+    return run_python("-m", "layerft", *args)
 
 
 @pytest.fixture(scope="session")

@@ -199,6 +199,27 @@ def test_cli_exit_code_config_error(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "name, key, value",
+    [
+        ("gauss_bump", "center", "nan"),
+        ("gauss_bump", "width", "nan"),
+        ("gauss_bump", "width", "inf"),
+        ("sine_packet", "wavenumber", "inf"),
+        ("poly_cutoff", "left", "-inf"),
+    ],
+)
+def test_nonfinite_profile_parameters_rejected(tmp_path, name, key, value):
+    with pytest.raises(ParseError, match="finite"):
+        cat.make_profile(name, **{key: float(value)})
+    out = tmp_path / "o.csv"
+    r = run_cli("forward", "--config", config_path("twolayer"), "--input",
+                f"{name}:{key}={value}", "--output", str(out))
+    assert r.returncode == 3
+    assert "finite" in r.stderr
+    assert not out.exists()
+
+
 def test_cli_exit_code_regularity(tmp_path):
     r = run_cli("forward", "--config", config_path("singular"), "--input", "gauss_bump",
                 "--output", str(tmp_path / "o.csv"), "--lambda-steps", "50")

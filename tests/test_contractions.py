@@ -2,7 +2,8 @@
 
 _moments and _damped_sums evaluate e^{+-i mu s} at s = c_q + t_j as
 e^{+-i mu c_q} e^{+-i mu t_j}.  Every point its own centre with offsets [0]
-is the dense sum, the oracle here.
+is the dense sum, the oracle of the transforms here; the contractions
+themselves are checked against np.exp of every phase directly.
 """
 
 import dataclasses
@@ -83,10 +84,15 @@ def random_family(rng, mu, center, a=2, b=2):
     return bas.Family(mu, center, c(n, a, rho), c(n, rho, b), c(n, a, rho), c(n, rho, b))
 
 
-def test_complex_mu_matches_direct_exponential_sums():
-    # evanescent channels mu = i|mu|: e^{+-i mu s} grow or decay across the points
+# real mu takes the -mu phases as conjugates; evanescent channels mu = i|mu|,
+# whose e^{+-i mu s} grow or decay across the points, exponentiate both signs
+MU_KINDS = {"real": 1.0, "complex": 1j}
+
+
+@pytest.mark.parametrize("kind", MU_KINDS)
+def test_contractions_match_direct_exponential_sums(kind):
     rng = np.random.default_rng(11)
-    fam = random_family(rng, 1j * rng.uniform(0.5, 6.0, (9, 2)), center=0.5)
+    fam = random_family(rng, MU_KINDS[kind] * rng.uniform(0.5, 6.0, (9, 2)), center=0.5)
     xs = np.linspace(-1.0, 2.0, 61)
     centres, offsets = tr._split(xs - fam.center)
     assert offsets.size > 1
@@ -108,6 +114,31 @@ def test_complex_mu_matches_direct_exponential_sums():
     want = np.einsum("tn,xnab,nb->txa", damping, kernels, fhat)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", MU_KINDS)
+def test_exponential_count_of_each_contraction(monkeypatch, kind):
+    # real mu: N rho (Q + J) exponentials per layer, plus N rho per end panel;
+    # complex mu: twice that, one per sign
+    rng = np.random.default_rng(5)
+    fam = random_family(rng, MU_KINDS[kind] * rng.uniform(0.5, 6.0, (40, 2)), center=0.5)
+    centres, offsets = tr._split(np.linspace(-1.0, 2.0, 61) - fam.center)
+    q, j = centres.size, offsets.size
+    signs = 1 if kind == "real" else 2
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        counted.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    tr._moments(fam, centres, offsets, np.ones((q, j, 2), dtype=complex), ends=[0, q - 1])
+    assert sum(counted) == signs * fam.mu.size * (q + j + 2)
+    counted.clear()
+    tr._damped_sums(fam, centres, offsets, np.ones((40, 2), dtype=complex), np.ones((3, 40)))
+    assert sum(counted) == signs * fam.mu.size * (q + j)
 
 
 @pytest.mark.parametrize("direction", ["forward", "inverse"])
