@@ -22,7 +22,6 @@ from .errors import (
     NonConvergentTail,
     NonpositiveHeight,
     NonSquare,
-    OmegaSingular,
     OutOfDomain,
     OverflowRisk,
     ParseError,
@@ -88,7 +87,6 @@ __all__ = [
     "NonConvergentTail",
     "NonpositiveHeight",
     "NonSquare",
-    "OmegaSingular",
     "OutOfDomain",
     "OverflowRisk",
     "ParseError",

@@ -82,6 +82,7 @@ class AxisBatch:
         """The row kernel u = (P+, P-) of every layer, computed on first use."""
         return [row_family(ld) for ld in self.layers]
 
+    @cached_property
     def dual(self):
         """The column kernel u* = (-Q-/(c2 w), -Q+/(d1 w)) of every layer: 2 x 1 Families."""
         cd = np.stack([self.c2, self.d1], axis=-1)[..., None, :]

@@ -32,21 +32,24 @@ through u*(x) = w_2(x) a2^{-1}.  On layer m, Omega(x) = [[E, E], [iq, -iq]]
 diag(e^{iqs}, e^{-iqs}) coef with s = x - c_m, so with (G_1, G_2) =
 (Phi0, Psi0) coef^{-1}
 
-    w(x) = 1/2 (G_1 e^{-iqs} + G_2 e^{iqs}, (G_1 e^{-iqs} - G_2 e^{iqs}) (iq)^{-1}):
+    w(x) = 1/2 (G_1 e^{-iqs} + G_2 e^{iqs}, (G_1 e^{-iqs} - G_2 e^{iqs}) (iq)^{-1}).
 
-one inverse per layer, after which w costs what u costs.  w obeys
-w' = (w_2 q^2, -w_1), so u* solves the formally adjoint equation exactly,
-satisfies the a2-weighted dual junction relations
-w^(k) M_1k^{-1} = w^(k+1) M_2k^{-1}, and w(l_0) reproduces the boundary
-coefficient row identically.
+w obeys w' = (w_2 q^2, -w_1), so u* solves the formally adjoint equation
+exactly; w(l_0) is the boundary row bnd_row, and w^(k) M_1k^{-1} =
+w^(k+1) M_2k^{-1} at every junction.  So dual_families sweeps w forward
+from bnd_row through the gates' M_1k^{-1}, inverting no coef, and reads G
+from w at each layer's left end x0 in the eigenbasis, with s0 = x0 - c_m:
+G_1 V = (w_1 V + w_2 V i mu) e^{i mu s0}, G_2 V = (w_1 V - w_2 V i mu) e^{-i mu s0}.
 
 Every kernel is therefore a Family lp diag(e^{i mu s}) rp + lm diag(e^{-i mu s})
 rm: u with lp = lm = V and rp, rm = V^{-1} (C+- Phi0^{-1} - D+- Psi0^{-1})
 (primal_family), u* with lp = -G_2 V, lm = G_1 V and rp = rm = K =
-(2 i mu)^{-1} V^{-1} a2^{-1} (dual_family), and w = (-u*' a2, u* a2); the
-full-axis branches (axis.py) are Families too.  Family.at is the one place a
-kernel evaluates e^{+-i mu s}, and _wavenumber_eig the one gate every lam
-passes: it must be positive with a nonzero square and a finite scaled pencil.
+(2 i mu)^{-1} V^{-1} a2^{-1} (dual_families), and w = (-u*' a2, u* a2); the
+full-axis branches (axis.py) are Families too.  exp_pair is the one rule
+by which a kernel or a phase table evaluates e^{+-i t}: the conjugate for
+real t, both signs for complex t.  _wavenumber_eig is the one gate every
+lam passes: it must be positive with a nonzero square and a finite scaled
+pencil.
 
 build_batch runs all of this for a whole spectral grid at once: one
 Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
@@ -56,8 +59,8 @@ rcond by rho_F = 1 / (||A||_F ||A^{-1}||_F), rcond / n <= rho_F <= rcond,
 and takes an SVD only of the blocks with rho_F below twice the floor, so a
 regular grid runs none.  Each gated block is inverted once, by its gate,
 and every product uses that inverse: phi0_inv and psi0_inv, pencil_inv
-(M_1^{-1}, M_2^{-1}) for the recursions, the dual junction relation and
-the forward's junction term, and dual_family's coef^{-1}; nothing solves.
+(M_1^{-1}, M_2^{-1}) for the recursions, the dual sweep, the dual junction
+relation and the forward's junction term; nothing solves.
 Degenerate points are flagged, not raised; build_basis is build_batch at
 one point, sliced by at(0), and every diagnostic takes a batch or a
 one-point view alike.  Everything before the boundary functionals is
@@ -65,10 +68,10 @@ _build_families, which also builds the full axis's P families (axis.py);
 its step _coef_from_stack also runs axis.py's left-to-right sweep.
 
 The batch is what a forward image carries as its basis (transform.py):
-dual() gives the stacked u* of every layer and primal the stacked u, each
-computed on first use and kept (dual_layer builds one layer's u*), so that
-every inversion of the image shares one batch and one set of primal
-families, and the dual diagnostics share the forward's dual families.
+dual gives the stacked u* of every layer and primal the stacked u, each
+computed on first use and kept, so that every inversion of the image
+shares one batch and one set of primal families, and the dual diagnostics
+share the forward's dual families.
 """
 
 import numbers
@@ -81,7 +84,6 @@ from . import linalg
 from .errors import (
     DegenerateBoundary,
     InvariantViolation,
-    OmegaSingular,
     RegularityViolation,
     WrongMode,
 )
@@ -123,6 +125,22 @@ def compute_wavenumber(layer, lam):
     return (v[0] * mu[0]) @ vinv[0]
 
 
+def exp_pair(t):
+    """(e^{it}, e^{-it}) stacked on a new leading axis: (2, *t.shape).
+
+    For real t the e^{-it} half is the conjugate of the e^{it} half, bit for
+    bit, so only t.size exponentials are taken; complex t (evanescent
+    channels) exponentiates both halves.
+    """
+    t = np.asarray(t)
+    if np.iscomplexobj(t):
+        return np.exp(1j * np.stack([t, -t]))
+    out = np.empty((2,) + t.shape, dtype=complex)
+    np.exp(1j * t, out=out[0])
+    np.conjugate(out[0], out=out[1])
+    return out
+
+
 @dataclass
 class Family:
     """K(x) = lp diag(e^{i mu s}) rp + lm diag(e^{-i mu s}) rm with s = x - center.
@@ -144,7 +162,7 @@ class Family:
         if order not in (0, 1, 2):
             raise InvariantViolation(f"unsupported derivative order {order}")
         s = np.asarray(xs, dtype=float)[..., None] - self.center
-        ep, em = np.exp(1j * self.mu * s), np.exp(-1j * self.mu * s)
+        ep, em = exp_pair(self.mu * s)
         if order:
             ep, em = ep * (1j * self.mu) ** order, em * (-1j * self.mu) ** order
         return (self.lp * ep[..., None, :]) @ self.rp + (self.lm * em[..., None, :]) @ self.rm
@@ -212,22 +230,9 @@ class SpectralBasisBatch:
         return [primal_family(self, m) for m in range(self.config.n_layers)]
 
     @cached_property
-    def _duals(self):
-        """The dual Families dual_layer has built, by layer; an at(i) view starts empty."""
-        return {}
-
-    def dual_layer(self, m):
-        """The stacked dual Family u* of layer m, built on first use and kept.
-
-        Only asking for a layer raises its OmegaSingular.
-        """
-        if m not in self._duals:
-            self._duals[m] = dual_family(self, m)
-        return self._duals[m]
-
     def dual(self):
-        """The stacked dual Family u* of every layer (dual_layer)."""
-        return [self.dual_layer(m) for m in range(self.config.n_layers)]
+        """The stacked dual Family u* of every layer (dual_families), computed on first use."""
+        return dual_families(self)
 
     def at(self, i):
         return replace(self, lam=self.lam[i], layers=[ld.at(i) for ld in self.layers],
@@ -260,8 +265,8 @@ def _coef_from_stack(ld, y, s=0.0):
     corr = 1j * (ld.v / ld.mu[..., None, :]) @ (ld.vinv @ y[..., r:, :])   # i q^{-1} y_2
     lo, hi = y[..., :r, :] - corr, y[..., :r, :] + corr
     if s:
-        ph = np.exp(-1j * ld.mu * s)[..., None]
-        lo, hi = ld.v @ (ph * (ld.vinv @ lo)), ld.v @ (np.conj(ph) * (ld.vinv @ hi))
+        ep, em = exp_pair(ld.mu * s)[..., None]
+        lo, hi = ld.v @ (em * (ld.vinv @ lo)), ld.v @ (ep * (ld.vinv @ hi))
     return 0.5 * np.concatenate([lo, hi], axis=-2)
 
 
@@ -404,28 +409,37 @@ def primal_family(basis, m):
     return ld.family(cb[..., :r, :], cb[..., r:, :])
 
 
-def dual_family(basis, m):
-    """u* = w_2 a2^{-1} on layer m as a Family (module docstring), like primal_family.
+def _diag2(a):
+    """[[a, 0], [0, a]] of a stacked (..., r, r) a: one product serves both halves of w."""
+    r = a.shape[-1]
+    out = np.zeros(a.shape[:-2] + (2 * r, 2 * r), dtype=complex)
+    out[..., :r, :r] = out[..., r:, r:] = a
+    return out
 
-    Omega(x) is singular exactly when coef is, so rcond(coef) is the one gate
-    (OmegaSingular), decided by linalg.screened_rcond; the rcond it reports
-    is exact, and (Phi0, Psi0) coef^{-1} takes the screen's inverse, which
-    exists once the gate passes.  Placeholder slices of flagged points are
-    regular too.  SpectralBasisBatch.dual_layer keeps what this builds.
+
+def dual_families(basis):
+    """u* = w_2 a2^{-1} of every layer as Families (module docstring), stacked like basis.
+
+    Sweeps w forward from w(l_0) = bnd_row through the kept M_1k^{-1} and
+    reads each layer's (G_1 V, G_2 V) from w at its left end; it inverts
+    nothing, and the placeholder slices of flagged points stay regular.
     """
     r = basis.config.r
-    ld = basis.layers[m]
-    rc, inv = linalg.screened_rcond(ld.coef)
-    rc = np.atleast_1d(rc)
-    bad = np.flatnonzero(~(rc >= linalg.RCOND_FLOOR))
-    if bad.size:
-        raise OmegaSingular(
-            f"fundamental matrix of layer {m} at lam = {np.atleast_1d(basis.lam)[bad[0]]}: "
-            f"reciprocal condition {rc[bad[0]]:.3g} below floor"
-        )
-    g = np.concatenate([basis.phi0, basis.psi0], axis=-1) @ inv
-    k = (ld.vinv / (2j * ld.mu[..., :, None])) @ ld.a2inv
-    return Family(ld.mu, ld.center, -(g[..., r:] @ ld.v), k, g[..., :r] @ ld.v, k)
+    w = basis.bnd_row
+    families = []
+    for m, (layer, ld) in enumerate(zip(basis.config.layers, basis.layers)):
+        if m:
+            w = w @ basis.pencil_inv[m - 1][0] @ basis.pencils[m - 1][1]
+        wv = w @ _diag2(ld.v)                                   # (w_1 V, w_2 V)
+        w2 = wv[..., r:] * (1j * ld.mu)[..., None, :]
+        ep, em = exp_pair(ld.mu * (layer.left - ld.center))[..., None, :]
+        g1, g2 = (wv[..., :r] + w2) * ep, (wv[..., :r] - w2) * em
+        k = (ld.vinv / (2j * ld.mu[..., :, None])) @ ld.a2inv
+        families.append(Family(ld.mu, ld.center, -g2, k, g1, k))
+        if m + 1 < len(basis.layers):      # w at the centre, the right junction: s = 0
+            w = np.concatenate([g1 + g2, (g1 - g2) / (1j * ld.mu)[..., None, :]], axis=-1)
+            w = 0.5 * w @ _diag2(ld.vinv)
+    return families
 
 
 def u_on_layer(basis, m, xs, order=0):
@@ -435,7 +449,7 @@ def u_on_layer(basis, m, xs, order=0):
 
 def u_star_on_layer(basis, m, xs, order=0):
     """Dual kernel u* (or a derivative) on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
-    return basis.dual_layer(m).at(xs, order)
+    return basis.dual[m].at(xs, order)
 
 
 def row_function(fam, a2, xs):
@@ -445,7 +459,7 @@ def row_function(fam, a2, xs):
 
 def w_on_layer(basis, m, xs):
     """Dual row function w = (Phi0, Psi0) Omega^{-1} on layer m, as Family.at: (..., r, 2r)."""
-    return row_function(basis.dual_layer(m), basis.config.layers[m].a2, xs)
+    return row_function(basis.dual[m], basis.config.layers[m].a2, xs)
 
 
 def eval_u(basis, x, order=0):

@@ -19,7 +19,7 @@ from . import quadrature as quad
 from . import radial as rad
 from . import transform as tr
 from .configio import emit_config, parse_config
-from .errors import ConfigError, LayerFTError, ParseError, RegularityViolation
+from .errors import ConfigError, LayerFTError, ParseError, RegularityViolation, SizeLimitExceeded
 from .gridfn import (
     complex_columns,
     complex_rows,
@@ -146,15 +146,32 @@ def _load_problem(args):
     return config, spec
 
 
-def _load_input(text, config, spec, samples):
+def _check_samples(config, spec, samples, inverted):
+    """Refuse --samples past quad.MAX_TRANSFORM_SIZE before anything is sampled.
+
+    Arithmetic only, no wavenumbers: n_layers x samples x r^2, times
+    lambda_steps where the samples are the inversion's points (a lower bound
+    of what quad.check_size multiplies them by).
+    """
+    size = float(config.n_layers * samples * config.r**2) * (spec.lambda_steps if inverted else 1)
+    if size > quad.MAX_TRANSFORM_SIZE:
+        raise SizeLimitExceeded(
+            f"--samples {samples}: size {size:.3g} exceeds the limit "
+            f"{quad.MAX_TRANSFORM_SIZE:.0e}; lower --samples"
+        )
+
+
+def _load_input(text, config, spec, samples, inverted=False):
     if cat.is_profile_reference(text):
+        _check_samples(config, spec, samples, inverted)
         quad.check_size(config, spec)       # before sampling out to x_max
         profile = cat.parse_profile(text)
         return cat.to_grid_function(profile, config, spec.x_max, samples_per_layer=samples)
     return read_function_csv(text, config)
 
 
-def _per_layer_points(config, spec, samples):
+def _per_layer_points(config, spec, samples, inverted=False):
+    _check_samples(config, spec, samples, inverted)
     windows = (layer.window(spec.x_max) for layer in config.layers)
     return [np.linspace(a, b, samples) if b > a else np.empty(0) for a, b in windows]
 
@@ -227,7 +244,7 @@ def dispatch(args):
 
     if cmd == "inverse":
         image = read_image_csv(args.input)
-        pts = _per_layer_points(config, spec, args.samples)
+        pts = _per_layer_points(config, spec, args.samples, inverted=True)
         _, inverse = tr.transform_pair(config)
         recon = inverse(config, image, pts, spec)
         write_function_csv(recon, args.output)
@@ -240,7 +257,7 @@ def dispatch(args):
         return 0
 
     if cmd == "roundtrip":
-        f = _load_input(args.input, config, spec, args.samples)
+        f = _load_input(args.input, config, spec, args.samples, inverted=True)
         report = tr.roundtrip_report(config, f, spec)
         print(report)
         if args.output:
@@ -260,7 +277,8 @@ def dispatch(args):
         return 0
 
     if cmd == "heat":
-        f0 = _load_input(args.input, config, spec, args.samples)
+        f0 = _load_input(args.input, config, spec, args.samples,
+                         inverted=not (args.fd_check and config.is_lambda_free))
         if args.fd_check and not config.is_lambda_free:
             print("finite-difference oracle unavailable: interface conditions "
                   "depend on the spectral parameter", file=sys.stderr)
@@ -276,7 +294,7 @@ def dispatch(args):
             print(f"finite-difference oracle gap: {gap:.3e} "
                   f"(dx = {args.fd_dx}, dt = {fd.meta['dt']:.3e}, {fd.meta['steps']} steps)")
         else:
-            pts = _per_layer_points(config, spec, args.samples)
+            pts = _per_layer_points(config, spec, args.samples, inverted=True)
             u = op.solve_heat(config, f0, args.time, pts, spec)
         write_function_csv(u, args.output)
         print(f"heat solution at t = {args.time} written to {args.output}")

@@ -85,10 +85,6 @@ class DegenerateBoundary(LayerFTError):
         self.lam = lam
 
 
-class OmegaSingular(LayerFTError):
-    """The stacked value/derivative matrix of a layer basis is singular."""
-
-
 class SpectrumOnCut(LayerFTError):
     """Principal square root undefined: an eigenvalue sits on the branch cut
     (the closed negative real axis)."""

@@ -253,14 +253,18 @@ def inverse_nd(image, spec, n=None):
     Damped with exp(-tau lam) on the QuadratureSpec tau schedule and extrapolated to
     tau = 0.  Quadrature weights ride along in image.meta["weights"] when the
     image came from forward_nd_image; otherwise the trapezoid rule on the
-    stored grid is used (CSV round trips).
+    stored grid is used (CSV round trips).  An explicit n must be the
+    dimension recorded in the image, if it records one.
     """
+    recorded = image.meta.get("dimension")
     if n is None:
-        n = image.meta.get("dimension")
+        n = recorded
         if n is None:
             raise InvariantViolation(
                 "dimension not recorded in the image; pass n explicitly"
             )
+    elif recorded is not None and n != recorded:
+        raise InvariantViolation(f"dimension n = {n} differs from the image's dimension {recorded}")
     n = _check_dimension(n)
     lams = image.lambdas
     weights = image.meta.get("weights")

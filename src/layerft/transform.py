@@ -24,8 +24,8 @@ _spectral_inverse own that grid, the xi rules, the size check, flagging,
 the xi-tail estimate and the damped inversion for the semi-axis and the
 full-axis pair (axis.py) alike; each geometry supplies only the builder of
 its batch of kernel data for every spectral point at once
-(basis.build_batch, axis.build_axis_batch), whose dual() and primal give
-the families of the two directions.
+(basis.build_batch, axis.build_axis_batch), whose dual and primal give
+the families of the two directions, each built on first use and kept.
 
 The basis is built once per image.  The forward image carries its batch
 (SpectralImage.basis), and decayed passes it on.  An inversion takes the
@@ -43,13 +43,13 @@ matrix products with phases factored per block of points: for s = c_q + t_j,
 e^{i mu s} = e^{i mu c_q} e^{i mu t_j}, so a layer of Q blocks of J points
 costs N r (Q + J) complex exponentials, not 2 N r Q J: for real mu, the
 only kind the batches give today, e^{-i mu s} is the conjugate of
-e^{i mu s} (_phase), and complex mu (evanescent channels) exponentiates
-both signs, 2 N r (Q + J).  _moments sums a family
-against data over x (forward) and _damped_sums over (lam, k) with the
-exp(-tau lam) damping folded in (inverse), both over the blocks of
-_phase_blocks, whose work arrays stay within _CHUNK_BYTES.  The forward's
-blocks are the uniform panels of quad.xi_panels; the inverse splits each
-layer's evaluation points with _split, which finds the arithmetic
+e^{i mu s} (_phase, by the one rule basis.exp_pair), and complex mu
+(evanescent channels) exponentiates both signs, 2 N r (Q + J).  _moments
+sums a family against data over x (forward) and _damped_sums over
+(lam, k) with the exp(-tau lam) damping folded in (inverse), both over the
+blocks of _phase_blocks, whose work arrays stay within _CHUNK_BYTES.  The
+forward's blocks are the uniform panels of quad.xi_panels; the inverse
+splits each layer's evaluation points with _split, which finds the arithmetic
 progressions every caller passes.  Any other point set is its own centres
 with the single offset 0: the dense sum, the same code.
 """
@@ -103,18 +103,12 @@ def _split(s):
 
 
 def _phase(mu, s):
-    """e^{i m s_k} for m = (mu, -mu): (2 mu.size, s.size), mu flat.
+    """e^{i m s_k} for m = (mu, -mu): (2 mu.size, s.size), mu flat, by basis.exp_pair.
 
-    For real mu the -mu half is the conjugate of the +mu half, bit for bit,
-    so only mu.size * s.size exponentials are taken; complex mu (evanescent
-    channels) exponentiates both halves.
+    For real mu the -mu half is the conjugate of the +mu half, so only
+    mu.size * s.size exponentials are taken.
     """
-    if np.iscomplexobj(mu):
-        return np.exp(1j * np.multiply.outer(np.concatenate([mu, -mu]), s))
-    out = np.empty((2 * mu.size, s.size), dtype=complex)
-    np.exp(1j * np.multiply.outer(mu, s), out=out[:mu.size])
-    np.conjugate(out[:mu.size], out=out[mu.size:])
-    return out
+    return bas.exp_pair(np.multiply.outer(mu, s)).reshape(2 * mu.size, s.size)
 
 
 def _phase_blocks(mu, centres, offsets, width):
@@ -196,7 +190,7 @@ def _spectral_forward(config, f, spec, lambdas, build):
     """Image of f: sum over layers of the dual kernels against f on the xi rules.
 
     build(config, lams) gives the geometry's batch of kernel data: its flags
-    map the index of each degenerate point to its error, and its dual()
+    map the index of each degenerate point to its error, and its dual
     gives per layer the stacked dual Family u*(xi, lam).  The grid is the
     canonical one of (config, spec), or the explicit abscissae lambdas (no
     weights, not canonical); the size check, the grid and the xi rules
@@ -224,7 +218,7 @@ def _spectral_forward(config, f, spec, lambdas, build):
         rules.append((centres, offsets, g.reshape(*nodes.shape, f.r)))
 
     basis = build(config, lams)
-    families = basis.dual()
+    families = basis.dual
     values = np.zeros((lams.size, families[0].lp.shape[-2]), dtype=complex)
     tails = [np.zeros(lams.size)]
     for m, (fam, (centres, offsets, g)) in enumerate(zip(families, rules)):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from layerft import basis as bas
+from layerft.configio import parse_config
 from layerft.errors import (
     DegenerateBoundary,
     InvariantViolation,
@@ -11,6 +12,8 @@ from layerft.errors import (
 )
 from layerft.problem import Layer, ProblemConfig, dirichlet
 from layerft.quadrature import lambda_grid
+
+from conftest import config_path
 
 SWEEP = np.linspace(0.1, 20.0, 40)
 
@@ -121,10 +124,34 @@ def test_hermitian_wavenumber_squares_back(r):
             assert np.min(mu.real) > 0
 
 
-@pytest.mark.parametrize("name", ["threelayer_r2", "lambda_interface"])
+# conditions whose lam^2 terms do not cancel: lambda_interface multiplies both sides of
+# its value row by 1 + 0.35 lam^2, so its M_1^{-1} M_2 is free of lam
+LAMBDA_VARIANTS = {
+    "lambda_interface:gamma21=+0.35": (
+        "lambda_interface", "    gamma11: 0.35\n    gamma12: 0.35\n", "    gamma21: 0.35\n"),
+    "lambda_interface:gamma21=-0.35": (
+        "lambda_interface", "    gamma11: 0.35\n    gamma12: 0.35\n", "    gamma21: -0.35\n"),
+    "threelayer_r2:lambda2-boundary": (
+        "threelayer_r2", "  alpha0: [[0.1, 0.0], [0.0, 0.15]]\n",
+        "  alpha0: [[0.1, 0.0], [0.0, 0.15]]\n  gamma0: [[0.02, 0.0], [0.01, 0.03]]\n"
+        "  delta0: [[0.004, 0.0], [0.0, 0.002]]\n"),
+}
+
+
+def lambda_variant(name, old, new):
+    """The bundled config name with the text old replaced by new."""
+    with open(config_path(name)) as fh:
+        text = fh.read()
+    assert old in text
+    cfg, _ = parse_config(text.replace(old, new))
+    assert not cfg.is_lambda_free
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["threelayer_r2", "lambda_interface", *LAMBDA_VARIANTS])
 def test_dual_row_function_matches_definition(load, name):
     # oracle: w = (Phi0, Psi0) Omega^{-1} solved node by node
-    cfg, _ = load(name)
+    cfg = lambda_variant(*LAMBDA_VARIANTS[name]) if name in LAMBDA_VARIANTS else load(name)[0]
     for lam in (0.05, 3.3, 11.9):
         b = bas.build_basis(cfg, lam)
         func_row = np.hstack([b.phi0, b.psi0])
@@ -273,6 +300,33 @@ def test_family_derivatives_match_central_differences():
         ref = fam.at(x0, order)
         for i, (_, exact) in enumerate(modes[1:]):
             assert np.max(np.abs(exact(order) - ref[i])) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("imag, tables", [(0.0, 1), (0.4, 2)])
+def test_family_at_exponentiates_one_table_for_real_mu(monkeypatch, imag, tables):
+    # real mu: e^{-i mu s} is the conjugate of e^{i mu s}; complex mu takes both signs
+    rng = np.random.default_rng(13)
+    mu = rng.uniform(0.2, 3.0, size=(6, 2))
+    if imag:
+        mu = mu + 1j * imag
+    lp, rp, lm, rm = (rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2)) for _ in range(4))
+    fam = bas.Family(mu, 0.3, lp, rp, lm, rm)
+    s = 1.7 - 0.3
+    ref = [(lp * (1j * mu[:, None, :]) ** k * np.exp(1j * mu * s)[:, None, :]) @ rp
+           + (lm * (-1j * mu[:, None, :]) ** k * np.exp(-1j * mu * s)[:, None, :]) @ rm
+           for k in (0, 1, 2)]
+    entries = [0]
+    exp = np.exp
+
+    def counted(x, *args, **kwargs):
+        entries[0] += np.size(x)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    for order in (0, 1, 2):
+        got = fam.at(1.7, order)
+        assert np.max(np.abs(got - ref[order])) <= 1e-13 * np.max(np.abs(ref[order]))
+    assert entries[0] == 3 * tables * mu.size
 
 
 def residual_functions(cfg):

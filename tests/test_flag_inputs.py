@@ -170,3 +170,9 @@ def test_heat_time_nan_is_config_error(workdir):
 def test_samples_below_one_is_usage_error(workdir, command, value):
     rc, err = run(argv_for(workdir, command, f"--samples={value}"))
     assert rc == 2 and "at least 1" in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_huge_samples_is_size_error_before_sampling(workdir, command):
+    rc, err = run(argv_for(workdir, command, f"--samples={10**12}"))
+    assert rc == 3 and "exceeds the limit" in err

@@ -141,7 +141,7 @@ def assert_screen_decides_as_rcond(a):
         return
     rc, inv = la.screened_rcond(a)
     assert np.array_equal(rc < floor, exact < floor)                   # basis._gate
-    assert np.array_equal(~(rc >= floor), ~(exact >= floor))          # basis.dual_family
+    assert np.array_equal(~(rc >= floor), ~(exact >= floor))          # a NaN rcond rejects
     rejected = ~(rc >= floor)
     assert np.array_equal(rc[rejected], exact[rejected], equal_nan=True)
     # rcond / n <= rho_F <= rcond, up to the rounding of both near the floor (~eps absolute)

@@ -95,6 +95,14 @@ def test_inverse_needs_dimension(spec):
     assert rad.inverse_nd(img, spec, n=3) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_inverse_refuses_a_dimension_other_than_the_images(spec):
+    img = rad.forward_nd_image(gaussian_profile(2), spec)
+    assert rad.inverse_nd(img, spec, n=2) == pytest.approx(1.0, abs=1e-6)
+    for n in (3, 5):
+        with pytest.raises(InvariantViolation, match="differs from the image's dimension 2"):
+            rad.inverse_nd(img, spec, n=n)
+
+
 def test_forward_scalar_and_array_lambda(spec):
     prof = gaussian_profile(3)
     lam = np.array([0.5, 1.0, 2.0])
