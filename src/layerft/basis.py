@@ -64,8 +64,7 @@ relation and the forward's junction term; nothing solves.
 Degenerate points are flagged, not raised; build_basis is build_batch at
 one point, sliced by at(0), and every diagnostic takes a batch or a
 one-point view alike.  Everything before the boundary functionals is
-_build_families, which also builds the full axis's P families (axis.py);
-its step _coef_from_stack also runs axis.py's left-to-right sweep.
+_build_families, which also builds the full axis's P families (axis.py).
 
 The batch is what a forward image carries as its basis (transform.py):
 dual gives the stacked u* of every layer and primal the stacked u, each
@@ -255,19 +254,14 @@ def _omega_stack(ld, xs, r):
     return _jet(ld.family(ld.coef[..., :r, :], ld.coef[..., r:, :]), xs)
 
 
-def _coef_from_stack(ld, y, s=0.0):
-    """Coefficients [C+; C-] of the family whose stack (F; F') at offset s is y.
+def _coef_from_stack(ld, y):
+    """Coefficients [C+; C-] of the family whose stack (F; F') at the centre is y.
 
-    C+- = 1/2 e^{-+iqs} (y_1 -+ i q^{-1} y_2), with q^{-1} and e^{-+iqs}
-    taken in the eigenbasis (no solve); s = 0 skips the phases.
+    C+- = 1/2 (y_1 -+ i q^{-1} y_2), with q^{-1} taken in the eigenbasis (no solve).
     """
     r = ld.mu.shape[-1]
     corr = 1j * (ld.v / ld.mu[..., None, :]) @ (ld.vinv @ y[..., r:, :])   # i q^{-1} y_2
-    lo, hi = y[..., :r, :] - corr, y[..., :r, :] + corr
-    if s:
-        ep, em = exp_pair(ld.mu * s)[..., None]
-        lo, hi = ld.v @ (em * (ld.vinv @ lo)), ld.v @ (ep * (ld.vinv @ hi))
-    return 0.5 * np.concatenate([lo, hi], axis=-2)
+    return 0.5 * np.concatenate([y[..., :r, :] - corr, y[..., :r, :] + corr], axis=-2)
 
 
 def _gate(blocks, flags, lams, make_error):

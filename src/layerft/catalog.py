@@ -93,7 +93,19 @@ def make_profile(name, **overrides):
         raise ParseError("poly_cutoff needs left < right")
     if "width" in params and params["width"] <= 0:
         raise ParseError(f"profile {name!r} needs a positive width")
-    return CatalogFunction(name=name, params=params)
+    profile = CatalogFunction(name=name, params=params)
+    # to_grid_function traces orders 0..3; a width near 0, a huge wavenumber
+    # or a huge support overflows those derivatives even at the profile's middle
+    mid = params["center"] if "center" in params else 0.5 * (params["left"] + params["right"])
+    try:
+        with np.errstate(all="ignore"):
+            finite = all(np.isfinite(profile.deriv(np.array([mid]), o)).all() for o in range(4))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParseError(f"profile {name!r} needs parameters whose derivatives up to order 3 "
+                         f"are finite, got {params}")
+    return profile
 
 
 def parse_profile(text):

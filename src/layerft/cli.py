@@ -29,6 +29,10 @@ from .gridfn import (
     write_image_csv,
     write_table,
 )
+from .problem import SEMI_AXIS
+
+# Memory the arrays sampled for --samples may take (_check_samples).
+MAX_SAMPLE_BYTES = 1 << 28
 
 
 def _common_flags():
@@ -147,18 +151,21 @@ def _load_problem(args):
 
 
 def _check_samples(config, spec, samples, inverted):
-    """Refuse --samples past quad.MAX_TRANSFORM_SIZE before anything is sampled.
+    """Refuse --samples past quad.MAX_TRANSFORM_SIZE or MAX_SAMPLE_BYTES, before any sampling.
 
-    Arithmetic only, no wavenumbers: n_layers x samples x r^2, times
-    lambda_steps where the samples are the inversion's points (a lower bound
-    of what quad.check_size multiplies them by).
+    Arithmetic only, no wavenumbers: the size is n_layers x samples x r^2,
+    times lambda_steps where the samples are the inversion's points (a lower
+    bound of what quad.check_size multiplies them by); the bytes are those of
+    a kernel table row per sample, the largest sampled array of any command:
+    the abscissa and the Re/Im cells of two r x r blocks.
     """
     size = float(config.n_layers * samples * config.r**2) * (spec.lambda_steps if inverted else 1)
-    if size > quad.MAX_TRANSFORM_SIZE:
-        raise SizeLimitExceeded(
-            f"--samples {samples}: size {size:.3g} exceeds the limit "
-            f"{quad.MAX_TRANSFORM_SIZE:.0e}; lower --samples"
-        )
+    nbytes = 8.0 * config.n_layers * samples * (1 + 4 * config.r**2)
+    for what, value, limit in (("size", size, quad.MAX_TRANSFORM_SIZE),
+                               ("bytes of samples", nbytes, MAX_SAMPLE_BYTES)):
+        if value > limit:
+            raise SizeLimitExceeded(f"--samples {samples}: {what} {value:.3g} exceeds the limit "
+                                    f"{limit:.3g}; lower --samples")
 
 
 def _load_input(text, config, spec, samples, inverted=False):
@@ -216,16 +223,24 @@ def dispatch(args):
     if cmd == "basis":
         from . import basis as bas
 
-        b = bas.build_basis(config, args.lam)
+        if config.mode == SEMI_AXIS:
+            b = bas.build_basis(config, args.lam)
+        else:
+            from . import axis as ax
+
+            b = ax.build_axis_basis(config, args.lam)
         pts = _per_layer_points(config, spec, args.samples)
-        r = config.r
-        entries = [f"{i}{j}" for i in range(1, r + 1) for j in range(1, r + 1)]
-        header = ["x", *complex_columns(entries, "u_"), *complex_columns(entries, "us_")]
-        kernels = (bas.u_on_layer, bas.u_star_on_layer)
-        # one row per x: x, then Re/Im of u and of u* entry by entry
-        blocks = [(complex_rows(xs, np.hstack([k(b, m, xs).reshape(xs.size, r * r)
-                                               for k in kernels])), "")
+        # u and u* of every layer with points: r x r blocks, 1 x 2 and 2 x 1 on the full axis
+        tables = [(xs, [k(b, m, xs) for k in (bas.u_on_layer, bas.u_star_on_layer)])
                   for m, xs in enumerate(pts) if xs.size]
+        header = ["x"]
+        for prefix, block in zip(("u_", "us_"), tables[0][1]):
+            rows, cols = block.shape[1:]
+            header += complex_columns([f"{i}{j}" for i in range(1, rows + 1)
+                                       for j in range(1, cols + 1)], prefix)
+        # one row per x: x, then Re/Im of u and of u* entry by entry
+        blocks = [(complex_rows(xs, np.hstack([k.reshape(xs.size, -1) for k in ks])), "")
+                  for xs, ks in tables]
         write_table(args.output, header, blocks)
         print(f"kernel tables at lambda = {args.lam} written to {args.output}")
         return 0

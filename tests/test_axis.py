@@ -19,10 +19,76 @@ from layerft.errors import (
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet, ideal_contact
 from layerft.quadrature import QuadratureSpec, lambda_grid
 
+from conftest import config_path
+
 
 def gauss_ft(lam, c, w):
     # int f e^{-i lam x} dx for f = exp(-(x-c)^2 / (2 w^2))
     return w * np.sqrt(2 * np.pi) * np.exp(-((w * lam) ** 2) / 2 - 1j * lam * c)
+
+
+J = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def q_sweep(b):
+    """Oracle: the left-tail families (Q-, Q+) of every layer of an AxisBatch or its view.
+
+    Q starts in the left layer as exp(-/+ i q (x - c_1)), coefficients J, and
+    is swept left to right by solving M_1 (Q; Q')(l_k-) = M_2 (Q; Q')(l_k+)
+    for the right layer's coefficients: the construction the closed-form
+    connection S replaces.  Returns copies of b.layers holding those
+    coefficients, columns (Q-, Q+).
+    """
+    cfg = b.config
+    q = [dataclasses.replace(b.layers[0], coef=np.broadcast_to(J, b.layers[0].coef.shape))]
+    for k, iface in enumerate(cfg.interfaces, start=1):
+        lk, nxt = cfg.junction(k), b.layers[k]
+        stack = np.linalg.solve(iface.pencil(2, b.lam),
+                                iface.pencil(1, b.lam) @ bas._omega_stack(q[-1], lk, 1))
+        unit = dataclasses.replace(nxt, coef=np.broadcast_to(np.eye(2), nxt.coef.shape))
+        q.append(dataclasses.replace(nxt, coef=np.linalg.solve(bas._omega_stack(unit, lk, 1),
+                                                               stack)))
+    return q
+
+
+def connection(q):
+    """(c2, d1) = (T[1, 0], T[0, 1]) of T = Q in the right tail, where P is the identity."""
+    t = q[-1].coef
+    return np.stack([t[..., 1, 0], t[..., 0, 1]], axis=-1)
+
+
+def oracle_column(b, q, m, x):
+    """The column kernel (-Q-/(c2 w_m), -Q+/(d1 w_m)) on layer m at x, from the oracle Q."""
+    return -ax.row_family(q[m]).at(x)[..., 0, :] / (connection(q) * b.omega[..., m, None])
+
+
+def symmetry_defect(b, q, xs):
+    """Max relative asymmetry of N(x, xi) = -P+(x) Q-(xi)/c2 - P-(x) Q+(xi)/d1, per lam of b.
+
+    x on axis 0 of each layer's Family.at, the spectral points of a batch on axis 1.
+    """
+    xs = np.asarray(xs, dtype=float)
+    idx = b.config.layer_index(xs)
+    pq = np.empty((2, xs.size) + np.shape(b.lam) + (2,), dtype=complex)
+    for m, (p, qm) in enumerate(zip(b.layers, q)):
+        x = xs[idx == m].reshape((-1,) + (1,) * np.ndim(b.lam))
+        pq[:, idx == m] = [ax.row_family(ld).at(x)[..., 0, :] for ld in (p, qm)]
+    pp, qq = np.moveaxis(pq, 1, -2)                            # (..., Nx, 2)
+    n = -(pp / connection(q)[..., None, :]) @ qq.swapaxes(-1, -2)
+    scale = np.maximum(np.abs(n).max(axis=(-2, -1)), 1e-300)
+    return np.abs(n - n.swapaxes(-1, -2)).max(axis=(-2, -1)) / scale
+
+
+def assert_dual_is_oracle_column(b, q, xs):
+    """u* of b equals the oracle's column to 1e-12 relative, on each layer's points of xs."""
+    xs = np.asarray(xs, dtype=float)
+    idx = b.config.layer_index(xs)
+    for m in sorted(set(idx)):
+        x = xs[idx == m] if np.ndim(b.lam) == 0 else xs[idx == m][:, None]
+        ref = oracle_column(b, q, m, x)
+        got = bas.u_star_on_layer(b, m, x)[..., 0]
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), m
 
 
 def test_homogeneous_image_is_classical_fourier(load):
@@ -83,7 +149,11 @@ def test_kernel_symmetry(load):
     xs = np.array([-4.0, -1.2, 0.1, 0.5, 0.9, 3.5])
     for lam in (0.3, 1.9, 6.4):
         b = ax.build_axis_basis(cfg, lam)
-        assert ax.symmetry_defect(b, xs) <= 1e-12
+        q = q_sweep(b)
+        assert symmetry_defect(b, q, xs) <= 1e-12
+        assert_dual_is_oracle_column(b, q, xs)
+        # the closed-form kernel numerator -P(x) S P(xi)^T is symmetric as built
+        assert np.array_equal(b.s, b.s.T)
 
 
 def test_single_layer_centers_at_origin(load):
@@ -91,9 +161,10 @@ def test_single_layer_centers_at_origin(load):
     b = ax.build_axis_basis(cfg, 1.3)
     assert b.centers == [0.0] or np.allclose(b.centers, [0.0])
     xs = np.linspace(-5, 5, 11)
-    p = ax.axis_u_on_layer(b, 0, xs)
-    assert np.max(np.abs(p[:, 0] - np.exp(1j * 1.3 * xs))) <= 1e-12
-    assert np.max(np.abs(p[:, 1] - np.exp(-1j * 1.3 * xs))) <= 1e-12
+    p = bas.u_on_layer(b, 0, xs)
+    assert p.shape == (xs.size, 1, 2)
+    assert np.max(np.abs(p[:, 0, 0] - np.exp(1j * 1.3 * xs))) <= 1e-12
+    assert np.max(np.abs(p[:, 0, 1] - np.exp(-1j * 1.3 * xs))) <= 1e-12
 
 
 def test_wrong_mode_guards(load):
@@ -149,8 +220,8 @@ def test_full_axis_validation_rules():
 
 
 def test_reflectionless_junction_degenerates():
-    # equal coefficients on both sides make T anti-diagonal; the off-diagonal
-    # couplings c2, d1 survive, but a contrived zero-block interface dies
+    # equal coefficients on both sides leave P the plane waves in both layers,
+    # so C0 = I and S = J: no flag, but a contrived zero-block interface dies
     E = np.eye(1)
     Z = np.zeros((1, 1))
     cfg = ProblemConfig(
@@ -161,8 +232,9 @@ def test_reflectionless_junction_degenerates():
         ),
         interfaces=(ideal_contact(E, E),),
     )
-    b = ax.build_axis_basis(cfg, 1.1)
-    assert abs(b.c2) > 1e-6 and abs(b.d1) > 1e-6
+    batch = ax.build_axis_batch(cfg, [1.1])
+    assert not batch.flags and np.isfinite(batch.s).all()
+    assert np.max(np.abs(batch.s[0] - J)) <= 1e-12
 
     blocks = {n: Z for n in Interface.BLOCK_NAMES}
     blocks.update(beta11=E, alpha21=E)  # one-sided rows: pencil singular
@@ -197,7 +269,7 @@ def test_three_layer_sweeps_meet_junction_conditions(lam):
     b = ax.build_axis_basis(cfg, lam)
     for k, iface in enumerate(cfg.interfaces, start=1):
         lk = cfg.junction(k)
-        for layers in (b.layers, b.q_layers):       # P and Q families
+        for layers in (b.layers, q_sweep(b)):       # P and the oracle's Q families
             left = iface.pencil(1, lam) @ bas._omega_stack(layers[k - 1], [lk], 1)[0]
             right = iface.pencil(2, lam) @ bas._omega_stack(layers[k], [lk], 1)[0]
             assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(right)
@@ -205,11 +277,12 @@ def test_three_layer_sweeps_meet_junction_conditions(lam):
     # Q- and Q+ start in the left layer as exp(-/+ i q (x - l_1))
     xs = np.linspace(-6.0, -0.5, 9)
     q, s = np.sqrt(lam**2 + 0.2), xs - b.centers[0]
-    qq = bas._omega_stack(b.q_layers[0], xs, 1)[:, 0]
+    qq = bas._omega_stack(q_sweep(b)[0], xs, 1)[:, 0]
     assert np.max(np.abs(qq - np.column_stack([np.exp(-1j * q * s), np.exp(1j * q * s)]))) <= 1e-12
 
     pts = np.array([-4.0, -1.2, -0.5, 0.1, 0.9, 1.0, 3.5])
-    assert ax.symmetry_defect(b, pts) <= 1e-12
+    assert symmetry_defect(b, q_sweep(b), pts) <= 1e-12
+    assert_dual_is_oracle_column(b, q_sweep(b), pts)
 
 
 def test_cli_singular_full_axis_pencil_exits_4(tmp_path):
@@ -226,6 +299,24 @@ def test_cli_singular_full_axis_pencil_exits_4(tmp_path):
             "--output", str(tmp_path / "img.csv"), "--lambda-steps", "50"]
     assert cli.main(argv) == 4
     assert not (tmp_path / "img.csv").exists()
+
+
+def test_cli_basis_tabulates_the_full_axis_kernels(load, tmp_path):
+    # u is the 1 x 2 row (e^{i lam x}, e^{-i lam x}) and u* the 2 x 1 column of the batch
+    cfg, _ = load("fullaxis")
+    out, lam = tmp_path / "basis.csv", 1.3
+    assert cli.main(["basis", "--config", config_path("fullaxis"), "--lambda", str(lam),
+                     "--output", str(out), "--samples", "9"]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert header == ["x", "u_re_11", "u_im_11", "u_re_12", "u_im_12",
+                      "us_re_11", "us_im_11", "us_re_21", "us_im_21"]
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    xs, cells = table[:, 0], table[:, 1::2] + 1j * table[:, 2::2]
+    assert xs.size == 9
+    assert np.max(np.abs(cells[:, 0] - np.exp(1j * lam * xs))) <= 1e-12
+    assert np.max(np.abs(cells[:, 1] - np.exp(-1j * lam * xs))) <= 1e-12
+    dual = ax.build_axis_batch(cfg, [lam]).dual[0].at(xs[:, None])[:, 0, :, 0]
+    assert np.max(np.abs(cells[:, 2:] - dual)) <= 1e-12 * np.max(np.abs(dual))
 
 
 def test_full_axis_image_carries_the_semi_axis_meta(load):
@@ -245,10 +336,9 @@ def test_full_axis_image_carries_the_semi_axis_meta(load):
 
 def axis_arrays(b):
     """Every array of an AxisBatch or of its one-point view, by name."""
-    out = {"lam": b.lam, "c2": b.c2, "d1": b.d1, "omega": b.omega}
-    for name in ("layers", "q_layers"):
-        for m, ld in enumerate(getattr(b, name)):
-            out.update({f"{name}[{m}].{a}": getattr(ld, a) for a in ("mu", "v", "vinv", "coef")})
+    out = {"lam": b.lam, "s": b.s, "omega": b.omega}
+    for m, ld in enumerate(b.layers):
+        out.update({f"layers[{m}].{a}": getattr(ld, a) for a in ("mu", "v", "vinv", "coef")})
     return out
 
 
@@ -276,10 +366,14 @@ def test_symmetry_defect_on_a_fine_grid_and_on_a_batch():
     assert set(cfg.layer_index(xs)) == {0, 1, 2}
     lams = np.array([0.3, 2.1, 7.5])
     for lam in lams:
-        defect = ax.symmetry_defect(ax.build_axis_basis(cfg, lam), xs)
+        b = ax.build_axis_basis(cfg, lam)
+        defect = symmetry_defect(b, q_sweep(b), xs)
         assert np.ndim(defect) == 0 and defect <= 1e-12
-    per_lam = ax.symmetry_defect(ax.build_axis_batch(cfg, lams), xs[::40])
+    batch = ax.build_axis_batch(cfg, lams)
+    q = q_sweep(batch)
+    per_lam = symmetry_defect(batch, q, xs[::40])
     assert per_lam.shape == lams.shape and np.max(per_lam) <= 1e-12
+    assert_dual_is_oracle_column(batch, q, xs[::40])
 
 
 def test_exported_one_point_name_is_the_built_type(load):

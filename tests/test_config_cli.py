@@ -207,6 +207,12 @@ def test_cli_exit_code_config_error(tmp_path):
         ("gauss_bump", "width", "inf"),
         ("sine_packet", "wavenumber", "inf"),
         ("poly_cutoff", "left", "-inf"),
+        # finite parameters whose derivative stack overflows
+        ("gauss_bump", "width", "1e-120"),
+        ("gauss_bump", "width", "1e-300"),
+        ("sine_packet", "wavenumber", "1e200"),
+        ("sine_packet", "width", "1e-200"),
+        ("poly_cutoff", "right", "1e300"),
     ],
 )
 def test_nonfinite_profile_parameters_rejected(tmp_path, name, key, value):

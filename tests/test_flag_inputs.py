@@ -173,6 +173,20 @@ def test_samples_below_one_is_usage_error(workdir, command, value):
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_huge_samples_is_size_error_before_sampling(workdir, command):
-    rc, err = run(argv_for(workdir, command, f"--samples={10**12}"))
-    assert rc == 3 and "exceeds the limit" in err
+def test_huge_samples_is_size_error_before_sampling(workdir, command, monkeypatch):
+    # 4e8 and 9e8 samples of the one-layer sine config stay under the operation
+    # count but would take gigabytes; a linspace of them is the allocation itself
+    real = np.linspace
+
+    def guarded(start, stop, num=50, *args, **kwargs):
+        if num > 10**6:
+            raise AssertionError(f"np.linspace asked for {num} points")
+        return real(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    for config in (CONFIG, config_path("sine")):
+        for samples in (10**12, 4 * 10**8, 9 * 10**8):
+            argv = argv_for(workdir, command, f"--samples={samples}")
+            argv[argv.index(CONFIG)] = config
+            rc, err = run(argv)
+            assert rc == 3 and "exceeds the limit" in err, (config, samples, err)
