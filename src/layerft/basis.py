@@ -52,15 +52,23 @@ lam passes: it must be positive with a nonzero square and a finite scaled
 pencil.
 
 build_batch runs all of this for a whole spectral grid at once: one
-Cholesky factor per layer and a batched eigh, pencils by broadcasting, the
-recursion as batched products on (N, 2r, 2r) and every condition gate as
-one batched inverse screen (linalg.screened_rcond).  The screen bounds
-rcond by rho_F = 1 / (||A||_F ||A^{-1}||_F), rcond / n <= rho_F <= rcond,
-and takes an SVD only of the blocks with rho_F below twice the floor, so a
-regular grid runs none.  Each gated block is inverted once, by its gate,
-and every product uses that inverse: phi0_inv and psi0_inv, pencil_inv
-(M_1^{-1}, M_2^{-1}) for the recursions, the dual sweep, the dual junction
-relation and the forward's junction term; nothing solves.
+wavenumber decomposition per distinct material (_wavenumber_eig), pencils
+by broadcasting, the recursion as batched products on (N, 2r, 2r) and
+every condition gate as one inverse screen (linalg.screened_rcond).  The
+screen bounds rcond by rho_F = 1 / (||A||_F ||A^{-1}||_F), rcond / n <=
+rho_F <= rcond, and takes an SVD only of the blocks with rho_F below twice
+the floor, so a regular grid runs none.  Each gated block is inverted
+once, by its gate, and every product uses that inverse: phi0_inv and
+psi0_inv, pencil_inv (M_1^{-1}, M_2^{-1}) for the recursions, the dual
+sweep, the dual junction relation and the forward's junction term; nothing
+solves.  The junction conditions of most problems, and the eigenbasis V of
+most layers, do not depend on lam.  Such a block is computed and gated
+once and kept as a read-only broadcast over the grid (a stride-0 stack,
+which at(i) slices like any other); _matmul multiplies it as one matrix,
+one product over the flattened stack of the other factor instead of one
+per point.  With a real diagonal constant (r = 1, a diagonal a2, ideal
+contact between such layers) every entry of that product is rounded as
+the per-point product rounds it, so the results do not change by a bit.
 Degenerate points are flagged, not raised; build_basis is build_batch at
 one point, sliced by at(0), and every diagnostic takes a batch or a
 one-point view alike.  Everything before the boundary functionals is
@@ -89,28 +97,81 @@ from .errors import (
 from .problem import SEMI_AXIS
 
 
+def _const(a):
+    """The one matrix of a lam-free factor, or None for a factor that varies over lam.
+
+    A lam-free factor is 2-D, or a stack that np.broadcast_to made from one
+    matrix (stride 0 on every stack axis): the form in which a batch keeps
+    its lam-free blocks, read-only and sliced by at(i) like any stack.
+    """
+    if a.ndim == 2:
+        return a
+    return a[(0,) * (a.ndim - 2)] if not any(a.strides[:-2]) else None
+
+
+def _matmul(a, b):
+    """a @ b over a stack of spectral points, each lam-free factor (_const) as its one matrix.
+
+    Two lam-free factors give their 2-D product.  One gives one product over
+    the flattened stack of the other, its rows for a right factor, its
+    columns (by the transposes) for a left one, instead of a product per
+    point.  Two stacks multiply point by point.
+    """
+    ca, cb = _const(a), _const(b)
+    if ca is not None and cb is not None:
+        return ca @ cb
+    if cb is not None:
+        return (a.reshape(-1, a.shape[-1]) @ cb).reshape(a.shape[:-1] + cb.shape[-1:])
+    if ca is not None:
+        bt = np.swapaxes(b, -1, -2)
+        return np.swapaxes((bt.reshape(-1, bt.shape[-1]) @ ca.T).reshape(
+            bt.shape[:-1] + ca.shape[:1]), -1, -2)
+    return a @ b
+
+
+# Frobenius norm of the off-diagonal part of U^H B U, relative to ||B||_F,
+# below which B counts as diagonal in U: a few roundings, as g2 = c a2 leaves it
+_DIAGONAL_TOL = 32 * np.finfo(float).eps
+
+
 def _wavenumber_eig(a2, g2, lams):
     """(mu, V, V^{-1}) with a2^{-1} (lam^2 E + g2) = V diag(mu^2) V^{-1}, mu > 0, per lam.
 
-    With a2 = L L^H, L^{-1} (lam^2 E + g2) L^{-H} = U diag(mu^2) U^H is
-    Hermitian positive-definite; V = L^{-H} U and V^{-1} = U^H L^H.  One
-    Cholesky factor serves every lam; the eigh is batched, shapes (N, r[, r]).
-    Every spectral parameter passes here: one that is not positive with a
-    nonzero square, or whose scaled pencil L^{-1} (lam^2 E + g2) L^{-H} is
-    not finite, raises InvariantViolation.
+    With a2 = L L^H the scaled pencil P = L^{-1} (lam^2 E + g2) L^{-H} =
+    lam^2 A + B, A = L^{-1} L^{-H} and B = L^{-1} g2 L^{-H}, is Hermitian
+    positive-definite; with its eigenbasis U, V = L^{-H} U and V^{-1} =
+    U^H L^H, so V^H a2 V = E.  Every spectral parameter passes one gate: one
+    that is not positive with a nonzero square, or whose P is not finite,
+    raises InvariantViolation.  Where B is diagonal in the eigenbasis U of A
+    (every r = 1 layer, g2 = 0 and g2 = c a2), one eigh of A serves every
+    lam of a grid: mu^2 = lam^2 sigma + diag(U^H B U) is read off the diagonal of
+    U^H P U, which for a diagonal a2 (U a signed permutation) is the batched
+    eigh's eigenvalues bit for bit, and V, V^{-1} are one matrix each,
+    returned as read-only broadcasts over lam.  Any other material, and a
+    single lam, takes a batched eigh of P; shapes (N, r[, r]).
     """
     lams = np.asarray(lams, dtype=float)
     chol = np.linalg.cholesky(a2)
     chol_inv = np.linalg.inv(chol)
     with np.errstate(all="ignore"):
         lam2 = np.square(lams)
-        pencil = chol_inv @ (np.multiply.outer(lam2, np.eye(a2.shape[0])) + g2) @ chol_inv.conj().T
+        pencil = _matmul(_matmul(chol_inv, np.multiply.outer(lam2, np.eye(a2.shape[0])) + g2),
+                         chol_inv.conj().T)
     bad = ~((lams > 0) & (lam2 > 0) & np.isfinite(pencil).all(axis=(-2, -1)))
     if bad.any():
         raise InvariantViolation(f"spectral parameter {lams[bad][0]} is not positive with a "
                                  "nonzero square and a finite scaled pencil")
+    if lams.size > 1:          # at one lam the eigh of its pencil is the cheaper way
+        _, u = np.linalg.eigh(chol_inv @ chol_inv.conj().T)
+        c = u.conj().T @ chol_inv @ g2 @ chol_inv.conj().T @ u
+        if np.linalg.norm(c - np.diag(np.diag(c))) <= _DIAGONAL_TOL * np.linalg.norm(c):
+            mu2 = (u.conj() * _matmul(pencil, u)).sum(axis=-2).real
+            shape = lams.shape + a2.shape
+            return (np.sqrt(mu2), np.broadcast_to(chol_inv.conj().T @ u, shape),
+                    np.broadcast_to(u.conj().T @ chol.conj().T, shape))
     mu2, u = np.linalg.eigh(pencil)
-    return np.sqrt(mu2), chol_inv.conj().T @ u, u.conj().swapaxes(-1, -2) @ chol.conj().T
+    return (np.sqrt(mu2), _matmul(chol_inv.conj().T, u),
+            _matmul(u.conj().swapaxes(-1, -2), chol.conj().T))
 
 
 def compute_wavenumber(layer, lam):
@@ -177,8 +238,8 @@ class _LayerKernels:
     """Per-layer data at one spectral point, or stacked over a batch of them."""
 
     mu: np.ndarray         # (..., r): q = V diag(mu) V^{-1}, mu > 0
-    v: np.ndarray          # (..., r, r)
-    vinv: np.ndarray       # (..., r, r)
+    v: np.ndarray          # (..., r, r), one broadcast matrix where _wavenumber_eig finds it
+    vinv: np.ndarray       # (..., r, r), likewise
     a2inv: np.ndarray      # r x r, the same at every lam
     center: float
     coef: np.ndarray       # (..., 2r, 2r) [[C+, D+], [C-, D-]]: columns Phi | Psi
@@ -188,7 +249,8 @@ class _LayerKernels:
 
     def family(self, plus, minus):
         """The Family V (e^{i mu s} V^{-1} plus + e^{-i mu s} V^{-1} minus) of this layer."""
-        return Family(self.mu, self.center, self.v, self.vinv @ plus, self.v, self.vinv @ minus)
+        return Family(self.mu, self.center, self.v, _matmul(self.vinv, plus),
+                      self.v, _matmul(self.vinv, minus))
 
 
 @dataclass
@@ -260,18 +322,31 @@ def _coef_from_stack(ld, y):
     C+- = 1/2 (y_1 -+ i q^{-1} y_2), with q^{-1} taken in the eigenbasis (no solve).
     """
     r = ld.mu.shape[-1]
-    corr = 1j * (ld.v / ld.mu[..., None, :]) @ (ld.vinv @ y[..., r:, :])   # i q^{-1} y_2
+    corr = 1j * (ld.v / ld.mu[..., None, :]) @ _matmul(ld.vinv, y[..., r:, :])   # i q^{-1} y_2
     return 0.5 * np.concatenate([y[..., :r, :] - corr, y[..., :r, :] + corr], axis=-2)
 
 
 def _gate(blocks, flags, lams, make_error):
-    """Flag the points whose blocks fail the rcond gate; flagged blocks become the identity.
+    """(blocks, inverses) after the rcond gate, which flags the points whose block fails it.
 
     The gate is rcond < RCOND_FLOOR, decided by linalg.screened_rcond, which
-    takes an SVD only of the blocks its inverse screen leaves open.  Returns
-    the inverse of the gated blocks: the screen's, the identity at every
-    flagged point.
+    takes an SVD only of the blocks its inverse screen leaves open.  A stack
+    (N, n, n) is screened point by point, and the blocks of every point
+    flagged so far become the identity.  A lam-free block (n, n) is screened
+    once: if it fails, every point is flagged with its own error and the
+    block becomes the identity; either way it is returned, with its inverse,
+    as a read-only broadcast over the N points.  The inverses are the
+    screen's, the identity at every flagged point.
     """
+    if blocks.ndim == 2:
+        rc, inv = linalg.screened_rcond(blocks[None])
+        if rc[0] < linalg.RCOND_FLOOR:
+            for i, lam in enumerate(lams):
+                flags.setdefault(i, make_error(lam))
+            blocks = np.eye(blocks.shape[-1], dtype=blocks.dtype)
+            inv = blocks[None]
+        shape = (lams.size,) + blocks.shape
+        return np.broadcast_to(blocks, shape), np.broadcast_to(inv[0], shape)
     rc, inv = linalg.screened_rcond(blocks)
     for i in np.flatnonzero(rc < linalg.RCOND_FLOOR):
         flags.setdefault(int(i), make_error(lams[i]))
@@ -279,7 +354,7 @@ def _gate(blocks, flags, lams, make_error):
         blocks[list(flags)] = np.eye(blocks.shape[-1])
         if inv is not None:
             inv[list(flags)] = np.eye(blocks.shape[-1])
-    return np.linalg.inv(blocks) if inv is None else inv     # None: an exactly singular block
+    return blocks, np.linalg.inv(blocks) if inv is None else inv  # None: an exactly singular one
 
 
 def _build_families(config, lams):
@@ -290,7 +365,13 @@ def _build_families(config, lams):
     identity in the last layer; the gated junction pencils (M_1, M_2) per
     junction and their inverses from the gates; and the flags of the points
     whose pencils fail the gate.  The tail layer is centered at its left
-    end, or at 0 when that is -inf (one-layer full axis).
+    end, or at 0 when that is -inf (one-layer full axis).  Each distinct
+    material (a2, g2) runs _wavenumber_eig once, and layers of one material
+    share its arrays.  On a grid, a pencil side whose lam^2 block is zero is
+    gated once, as one block (_gate), and the step to the left layer
+    multiplies by it as one product over the whole stack (_matmul): M_2
+    first, then M_1^{-1}, the order, and so the rounding, of the per-point
+    products.
     """
     r = config.r
     L = config.n_layers
@@ -299,33 +380,36 @@ def _build_families(config, lams):
 
     tail = config.layers[-1].left
     centers = [layer.right for layer in config.layers[:-1]] + [tail if np.isfinite(tail) else 0.0]
+    materials = {}
     lds = []
     for layer, center in zip(config.layers, centers):
         a2 = np.asarray(layer.a2, dtype=complex)
         g2 = np.asarray(layer.g2, dtype=complex)
-        mu, v, vinv = _wavenumber_eig(a2, g2, lams)
-        lds.append(
-            _LayerKernels(
-                mu=mu, v=v, vinv=vinv,
-                a2inv=np.linalg.inv(a2),
-                center=center,
-                coef=np.broadcast_to(np.eye(2 * r, dtype=complex), (n, 2 * r, 2 * r)),
-            )
-        )
+        key = (a2.tobytes(), g2.tobytes())
+        if key not in materials:
+            materials[key] = _wavenumber_eig(a2, g2, lams) + (np.linalg.inv(a2),)
+        mu, v, vinv, a2inv = materials[key]
+        lds.append(_LayerKernels(
+            mu=mu, v=v, vinv=vinv, a2inv=a2inv, center=center,
+            coef=np.broadcast_to(np.eye(2 * r, dtype=complex), (n, 2 * r, 2 * r)),
+        ))
 
-    # backward junction sweep: last layer keeps the identity coefficients
+    # backward junction sweep: last layer keeps the identity coefficients; a
+    # lam-free pencil is one block on a grid, a stack of one at a single lam
+    grid = n > 1
     pencils, pencil_inv = [None] * (L - 1), [None] * (L - 1)
     for i in range(L - 2, -1, -1):
         k = i + 1                          # junction number, abscissa l_k
         omega_next = _omega_stack(lds[i + 1], config.layers[i].right, r)
         iface = config.interfaces[i]
-        m1, m2 = iface.pencil(1, lams), iface.pencil(2, lams)
-        m2_inv, m1_inv = (_gate(blk, flags, lams, lambda lam: RegularityViolation(
-            f"junction {k}: {side}-side condition block M_{j}({lam}) is singular",
-            lam=lam, junction=k,
-        )) for side, j, blk in (("right", 2, m2), ("left", 1, m1)))
+        (m2, m2_inv), (m1, m1_inv) = (_gate(
+            iface.lambda_free_part(j) if grid and not np.any(iface.lambda_sq_part(j))
+            else iface.pencil(j, lams), flags, lams, lambda lam: RegularityViolation(
+                f"junction {k}: {side}-side condition block M_{j}({lam}) is singular",
+                lam=lam, junction=k,
+            )) for side, j in (("right", 2), ("left", 1)))
         pencils[i], pencil_inv[i] = (m1, m2), (m1_inv, m2_inv)
-        lds[i].coef = _coef_from_stack(lds[i], m1_inv @ (m2 @ omega_next))
+        lds[i].coef = _coef_from_stack(lds[i], _matmul(m1_inv, _matmul(m2, omega_next)))
     return lds, pencils, pencil_inv, flags
 
 
@@ -353,7 +437,7 @@ def build_batch(config, lams):
     func_row = bnd_row @ _omega_stack(lds[0], config.left_end, r)
     phi0 = func_row[:, :, :r].copy()
     psi0 = func_row[:, :, r:].copy()
-    phi0_inv, psi0_inv = (_gate(blk, flags, lams, lambda lam: DegenerateBoundary(
+    (phi0, phi0_inv), (psi0, psi0_inv) = (_gate(blk, flags, lams, lambda lam: DegenerateBoundary(
         f"boundary functional of the {name} family is singular at lam = {lam}", lam=lam,
     )) for name, blk in (("Phi", phi0), ("Psi", psi0)))
 
@@ -404,7 +488,9 @@ def primal_family(basis, m):
 
 
 def _diag2(a):
-    """[[a, 0], [0, a]] of a stacked (..., r, r) a: one product serves both halves of w."""
+    """[[a, 0], [0, a]] of an (..., r, r) a, 2-D if a is lam-free: one product for both halves."""
+    c = _const(a)
+    a = a if c is None else c
     r = a.shape[-1]
     out = np.zeros(a.shape[:-2] + (2 * r, 2 * r), dtype=complex)
     out[..., :r, :r] = out[..., r:, r:] = a
@@ -423,8 +509,8 @@ def dual_families(basis):
     families = []
     for m, (layer, ld) in enumerate(zip(basis.config.layers, basis.layers)):
         if m:
-            w = w @ basis.pencil_inv[m - 1][0] @ basis.pencils[m - 1][1]
-        wv = w @ _diag2(ld.v)                                   # (w_1 V, w_2 V)
+            w = _matmul(_matmul(w, basis.pencil_inv[m - 1][0]), basis.pencils[m - 1][1])
+        wv = _matmul(w, _diag2(ld.v))                           # (w_1 V, w_2 V)
         w2 = wv[..., r:] * (1j * ld.mu)[..., None, :]
         ep, em = exp_pair(ld.mu * (layer.left - ld.center))[..., None, :]
         g1, g2 = (wv[..., :r] + w2) * ep, (wv[..., :r] - w2) * em
@@ -432,7 +518,7 @@ def dual_families(basis):
         families.append(Family(ld.mu, ld.center, -g2, k, g1, k))
         if m + 1 < len(basis.layers):      # w at the centre, the right junction: s = 0
             w = np.concatenate([g1 + g2, (g1 - g2) / (1j * ld.mu)[..., None, :]], axis=-1)
-            w = 0.5 * w @ _diag2(ld.vinv)
+            w = 0.5 * _matmul(w, _diag2(ld.vinv))
     return families
 
 

@@ -34,9 +34,41 @@ def _hermite_he(n, u):
     return cur
 
 
+def _scale(w, order):
+    """(-1/w)^order, or the infinity of its sign where that overflows a float."""
+    try:
+        return (-1.0 / w) ** order
+    except OverflowError:
+        return -math.inf if order % 2 else math.inf
+
+
+def _scaled_gaussian(order, u, w):
+    """(-1/w)^order He_order(u) e^{-u^2/2}, evaluated so that no factor overflows.
+
+    The caller's left-to-right product meets inf * 0 where (-1/w)^order or
+    He_order(u) overflows while the Gaussian underflows, and the product is
+    0 or finite there; this takes the magnitude in logs.  It is 0 where |u|
+    >= 40, where e^{-u^2/2} is below the smallest float.
+    """
+    out = np.zeros_like(u)
+    near = np.abs(u) < 40.0
+    he = _hermite_he(order, u[near])
+    with np.errstate(divide="ignore", over="ignore"):
+        log_mag = np.log(np.abs(he)) - order * math.log(w) - 0.5 * u[near] ** 2
+        out[near] = (-1.0) ** order * np.sign(he) * np.exp(log_mag)
+    return out
+
+
 @dataclass(frozen=True)
 class CatalogFunction:
-    """A scalar profile with derivatives of every order."""
+    """A scalar profile with derivatives of every order.
+
+    The Gaussian profiles evaluate their derivatives as products of the
+    scale, a Hermite polynomial and the Gaussian; where such a product is
+    not finite (a narrow width, far from the centre) those entries are
+    evaluated again by _scaled_gaussian, so that a derivative is 0 where
+    its Gaussian underflows and every other value stays as it was.
+    """
 
     name: str
     params: dict
@@ -47,17 +79,31 @@ class CatalogFunction:
         if self.name == "gauss_bump":
             w = p["width"]
             u = (x - p["center"]) / w
-            return (-1.0 / w) ** order * _hermite_he(order, u) * np.exp(-0.5 * u * u)
+            with np.errstate(all="ignore"):
+                out = _scale(w, order) * _hermite_he(order, u) * np.exp(-0.5 * u * u)
+            bad = ~np.isfinite(out)
+            if bad.any():
+                out = np.array(out)
+                out[bad] = _scaled_gaussian(order, u[bad], w)
+            return out
         if self.name == "sine_packet":
             w, kw, c = p["width"], p["wavenumber"], p["center"]
             u = (x - c) / w
-            g = np.exp(-0.5 * u * u)
-            total = np.zeros_like(x)
-            for j in range(order + 1):
-                sine = kw**j * np.sin(kw * (x - c) + 0.5 * j * math.pi)
-                gauss = (-1.0 / w) ** (order - j) * _hermite_he(order - j, u)
-                total = total + math.comb(order, j) * sine * gauss
-            return total * g
+            with np.errstate(all="ignore"):
+                g = np.exp(-0.5 * u * u)
+                total = np.zeros_like(x)
+                for j in range(order + 1):
+                    sine = kw**j * np.sin(kw * (x - c) + 0.5 * j * math.pi)
+                    gauss = _scale(w, order - j) * _hermite_he(order - j, u)
+                    total = total + math.comb(order, j) * sine * gauss
+                out = total * g
+            bad = ~np.isfinite(out)
+            if bad.any():
+                out, xb, ub = np.array(out), x[bad], u[bad]
+                out[bad] = sum(math.comb(order, j) * kw**j
+                               * np.sin(kw * (xb - c) + 0.5 * j * math.pi)
+                               * _scaled_gaussian(order - j, ub, w) for j in range(order + 1))
+            return out
         if self.name == "poly_cutoff":
             a, b = p["left"], p["right"]
             poly = (Polynomial([-a, 1.0]) * Polynomial([b, -1.0])) ** 4
@@ -94,13 +140,16 @@ def make_profile(name, **overrides):
     if "width" in params and params["width"] <= 0:
         raise ParseError(f"profile {name!r} needs a positive width")
     profile = CatalogFunction(name=name, params=params)
-    # to_grid_function traces orders 0..3; a width near 0, a huge wavenumber
-    # or a huge support overflows those derivatives even at the profile's middle
+    # to_grid_function traces orders 0..3; a huge wavenumber or a huge support
+    # overflows those derivatives at the profile's middle, and a width near 0
+    # overflows the scale 1/width^3 of the third near the centre
     mid = params["center"] if "center" in params else 0.5 * (params["left"] + params["right"])
     try:
         with np.errstate(all="ignore"):
             finite = all(np.isfinite(profile.deriv(np.array([mid]), o)).all() for o in range(4))
     except OverflowError:
+        finite = False
+    if "width" in params and math.isinf(_scale(params["width"], 3)):
         finite = False
     if not finite:
         raise ParseError(f"profile {name!r} needs parameters whose derivatives up to order 3 "
