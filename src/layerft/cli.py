@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 bad problem
-description (including a transform past quadrature.MAX_TRANSFORM_SIZE),
+description or a file that cannot be read or written (including a transform
+past quadrature.MAX_TRANSFORM_SIZE),
 4 regularity violation at a junction, 5 internal error (an exception that is
 not a LayerFTError; one line on stderr instead of a traceback).
 """
 
 import argparse
 import dataclasses
+import pathlib
 import sys
 import traceback
 
@@ -128,7 +130,8 @@ def build_parser():
 
 
 def _load_problem(args):
-    config, spec = parse_config(args.config)
+    # a path, not text: any file name parses, and errors name the file
+    config, spec = parse_config(pathlib.Path(args.config))
     updates = {}
     if args.lambda_min is not None:
         updates["lambda_min"] = args.lambda_min
@@ -328,7 +331,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:     # a missing file, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except LayerFTError as exc:

@@ -15,19 +15,28 @@ damping and Neville extrapolation of the one-dimensional inversions.  The
 pair is exact: for the unit Gaussian the image is exp(-lam^2/2) scaled by
 lam^nu factors and the inversion integral equals 1 in closed form for every n.
 
-Bessel values come from one power series of J_nu(z)/z^nu for z < 12, summed
-term by term in place, and, beyond, from the large-argument expansion
-J_nu(z)/z^nu = sqrt(2/pi) z^(-nu-1/2) Re[exp(iz) sum_{j<12} gamma_j z^-j].
-For half-integer nu < 12 the expansion terminates after nu + 1/2 terms and is
-exact; only those terms are kept.  forward_nd takes every lam at once, in row
-chunks within transform._CHUNK_BYTES.  On its uniform panels rho = c_q + h t_k,
-exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k), so the expansion separates:
-all z >= 12 entries reduce to one product E @ B, B[:, j] = base
-rho^(-nu-1/2-j), with one column per term.  As rho increases along a row, the
-z < 12 entries of a row are a prefix of it: the series runs on the chunk's
-columns that hold any, zeroed past each row's own, and E leaves out the
-leading panels that are on the series in every row.  Both spans are read off
-the mask itself, so lam may come in any order.
+Bessel values come from one power series of J_nu(z)/z^nu below a crossover
+X_nu, summed term by term in place, and, from X_nu on, from the
+large-argument expansion J_nu(z)/z^nu = sqrt(2/pi) z^(-nu-1/2)
+Re[exp(iz) sum_j gamma_j z^-j].  The crossover depends on the parity of the
+order alone.  For half-integer nu (odd n) J_nu is elementary: the expansion
+terminates after nu + 1/2 terms, all of which are kept, and is exact, so it
+takes over at X_nu = nu + 1/2, where it is still free of cancellation and
+the series would only add its own.  Every other order keeps 12 terms and
+X_nu = 12, and forward_nd refuses a dimension whose first omitted term,
+|gamma_12| 12^-12, exceeds 2e-9 (even n > 10).
+
+forward_nd takes every lam at once.  The nodes increase along a row, so the
+entries lam rho < X_nu of a row are a prefix of it, its span, read off one
+searchsorted of X_nu / lam and corrected at its end by the product itself.
+The series runs once over the concatenated spans, in groups of whole rows
+within transform._CHUNK_BYTES, each row summed by reduceat.  On the uniform
+panels rho = c_q + h t_k, exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k):
+in row chunks, this dense phase E, zero on each row's span, enters one real
+product B @ E with B[j] = base rho^(-nu-1/2-j), one row per term.  E leaves
+out the leading panels inside every span of its chunk, and only the columns
+below the chunk's widest span are zeroed.  Both come from the spans, so lam
+may come in any order.
 
 poisson_halfspace integrates radial boundary data against the half-space
 kernel c_n x (|y - eta|^2 + x^2)^(-(n+1)/2), c_n = Gamma((n+1)/2)/pi^((n+1)/2).
@@ -71,25 +80,33 @@ from .quadrature import (
     tau_limit,
 )
 
-BESSEL_CROSSOVER = 12.0
+BESSEL_CROSSOVER = 12.0     # the crossover of every order but the half-integers
 _RADIAL_ORDER = 12      # Gauss-Legendre order of every forward_nd panel
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 6
-# Bytes of forward_nd work arrays per (lam, rho) entry: 8 for z, 1 for its
-# mask and 24 for the series (square, term and sum).  z and the series are
-# dropped before the complex phase (16) is built, and the phase before the
-# next chunk.
-_ENTRY_BYTES = 40
+# forward_nd refuses an order whose truncated expansion leaves out more than
+# this at the crossover (the first omitted term, |gamma_12| 12^-12)
+_EXPANSION_TOLERANCE = 2e-9
+# Bytes of forward_nd work arrays per (lam, rho) entry.  A group of flat
+# series spans takes 32: the squared argument, its weight and the series'
+# term and sum (the node index they are gathered with, 8, is dropped
+# first).  A row chunk of the phase, built after the series and dropped
+# before the next chunk, takes 16 and its centre table 16 / 12 more.
+_ENTRY_BYTES = 32
 
 
 def _ratio_series(nu, z):
-    """Power series of J_nu(z) / z^nu, accurate for |z| below the crossover.
+    """Power series of J_nu(z) / z^nu, accurate for |z| below the crossover."""
+    return _series_of_square(nu, np.square(np.asarray(z, dtype=float)))
+
+
+def _series_of_square(nu, zz):
+    """The series of _ratio_series from zz = z^2, which it overwrites.
 
     term_k = term_(k-1) (-z^2/4) / (k (k + nu)), each term updated in place
     by multiplying with the scalar reciprocal: no temporary and no division
     per entry.
     """
-    zz = np.square(np.asarray(z, dtype=float))
     zz *= -0.25
     term = np.full_like(zz, 1.0 / (2.0**nu * math.gamma(nu + 1.0)))
     total = term.copy()
@@ -100,19 +117,47 @@ def _ratio_series(nu, z):
     return total
 
 
-def _asymptotic_coefficients(nu):
-    """gamma_j = exp(-i phi) i^j prod_{k<=j} (4nu^2 - (2k-1)^2) / (8k), phi = (nu/2 + 1/4) pi.
+def _half_integer(nu):
+    return (2.0 * nu) % 2.0 == 1.0
 
-    For half-integer nu the product vanishes from j = nu + 1/2 on; those
-    exact zeros are left out, so the expansion has nu + 1/2 terms.
+
+def _crossover(nu):
+    """Argument from which J_nu(z)/z^nu comes from the large-argument expansion.
+
+    nu + 1/2 for half-integer nu, where the expansion terminates: from there
+    on it is exact and free of cancellation, while the series only adds its
+    own.  BESSEL_CROSSOVER for every other order.
+    """
+    return nu + 0.5 if _half_integer(nu) else BESSEL_CROSSOVER
+
+
+def _gamma_terms(nu, count):
+    """The first count of gamma_j = exp(-i phi) i^j prod_{k<=j} (4nu^2 - (2k-1)^2) / (8k).
+
+    phi = (nu/2 + 1/4) pi.  For half-integer nu the product vanishes from
+    j = nu + 1/2 on, and the list stops before that exact zero.
     """
     gamma = [np.exp(-1j * (0.5 * nu + 0.25) * math.pi)]
-    for j in range(1, 2 * _ASYMPTOTIC_TERMS):
+    for j in range(1, count):
         factor = 4.0 * nu * nu - (2 * j - 1) ** 2
         if factor == 0.0:
             break
         gamma.append(gamma[-1] * 1j * factor / (8.0 * j))
-    return np.array(gamma)
+    return gamma
+
+
+def _asymptotic_coefficients(nu):
+    """Coefficients of the expansion: all nu + 1/2 nonzero ones for half-integer nu, else 12."""
+    count = int(nu + 0.5) if _half_integer(nu) else 2 * _ASYMPTOTIC_TERMS
+    return np.array(_gamma_terms(nu, count))
+
+
+def _omitted_term(nu):
+    """First term the expansion leaves out, at its crossover: |gamma_m| X^-m, 0 if exact."""
+    if _half_integer(nu):
+        return 0.0
+    m = 2 * _ASYMPTOTIC_TERMS
+    return abs(_gamma_terms(nu, m + 1)[m]) * _crossover(nu) ** -m
 
 
 def _bessel_asymptotic(nu, z):
@@ -137,7 +182,7 @@ def bessel_j(nu, z):
         sign = np.where(z < 0, (-1.0) ** int(round(nu)), 1.0)
         z = np.abs(z)
     out = np.empty_like(z)
-    small = z < BESSEL_CROSSOVER
+    small = z < _crossover(nu)
     out[small] = z[small] ** nu * _ratio_series(nu, z[small])
     out[~small] = _bessel_asymptotic(nu, z[~small])
     out *= sign
@@ -148,7 +193,7 @@ def bessel_ratio(nu, z):
     """J_nu(z) / z^nu, finite at z = 0 (equals 1 / (2^nu Gamma(nu+1)) there)."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     out = np.empty_like(z)
-    small = z < BESSEL_CROSSOVER
+    small = z < _crossover(nu)
     out[small] = _ratio_series(nu, z[small])
     out[~small] = _bessel_asymptotic(nu, z[~small]) / z[~small] ** nu
     return out
@@ -179,9 +224,70 @@ def _check_dimension(n):
     return int(n)
 
 
+def _check_forward_dimension(n):
+    """The dimension, if forward_nd's Bessel evaluation meets its accuracy there."""
+    n = _check_dimension(n)
+    omitted = _omitted_term(0.5 * (n - 2))
+    if omitted > _EXPANSION_TOLERANCE:
+        raise UnsupportedDimension(
+            f"radial forward in n = {n} dimensions: the Bessel expansion of order "
+            f"{0.5 * (n - 2):g} leaves out {omitted:.2g} at z = {BESSEL_CROSSOVER:g}, "
+            f"over {_EXPANSION_TOLERANCE:g}"
+        )
+    return n
+
+
+def _series_spans(lam, nodes, crossover):
+    """Count of the increasing nodes with lam rho < crossover, for each lam.
+
+    The entries on the series are a prefix of each row.  crossover / lam is
+    rounded, so each end is moved to where the product itself crosses.
+    """
+    span = np.searchsorted(nodes, crossover / lam)
+    last = nodes.size - 1
+    while True:
+        down = (span > 0) & (lam * nodes[np.maximum(span - 1, 0)] >= crossover)
+        up = (span <= last) & (lam * nodes[np.minimum(span, last)] < crossover)
+        if not (down.any() or up.any()):
+            return span
+        span += up
+        span -= down
+
+
+def _span_sums(nu, lam, span, nodes, base):
+    """Per row, the sum over its first span nodes of base J_nu(lam rho) / (lam rho)^nu.
+
+    One series over the concatenated spans, in groups of whole rows of at
+    most _CHUNK_BYTES / _ENTRY_BYTES entries, each row summed by reduceat;
+    every span holds at least one node.
+    """
+    out = np.empty(lam.size)
+    ends = np.cumsum(span)
+    limit = _tr._CHUNK_BYTES // _ENTRY_BYTES
+    lo = 0
+    while lo < lam.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - span[lo] + limit, side="right")))
+        w = span[lo:hi]
+        starts = np.cumsum(w) - w
+        col = np.ones(starts[-1] + w[-1], dtype=np.intp)    # the node of every entry
+        col[0] = 0
+        col[starts[1:]] = 1 - w[:-1]
+        np.cumsum(col, out=col)
+        zz = nodes[col]
+        zz *= np.repeat(lam[lo:hi], w)
+        zz *= zz
+        weights = base[col]
+        del col
+        ratio = _series_of_square(nu, zz)
+        ratio *= weights
+        out[lo:hi] = np.add.reduceat(ratio, starts)
+        lo = hi
+    return out
+
+
 def forward_nd(profile, lam):
     """Radial transform of profile at the origin, for scalar or array lam."""
-    n = _check_dimension(profile.n)
+    n = _check_forward_dimension(profile.n)
     nu = 0.5 * (n - 2)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam_arr.size == 0 or not np.all((lam_arr > 0) & (lam_arr < np.inf)):
@@ -202,34 +308,31 @@ def forward_nd(profile, lam):
     centers = 0.5 * (edges[1:] + edges[:-1])
     offsets = 0.5 * profile.rho_max / n_panels * _leggauss(_RADIAL_ORDER)[0]
     gamma = _asymptotic_coefficients(nu)
-    far = rate * nodes >= BESSEL_CROSSOVER      # the nodes some lam takes asymptotically
-    cols = np.zeros((nodes.size, gamma.size), dtype=complex)
-    cols[far] = base[far, None] * nodes[far, None] ** (-(nu + 0.5) - np.arange(gamma.size))
-    series = np.empty(lam_arr.size)
-    moments = np.empty((lam_arr.size, gamma.size), dtype=complex)
+    # every span holds the first node, at lam rho < 0.03
+    span = _series_spans(lam_arr, nodes, _crossover(nu))
+    first = span.min()      # the nodes before it are on the series in every row
+    cols = np.zeros((gamma.size, nodes.size))
+    cols[:, first:] = base[first:] * nodes[first:] ** (-(nu + 0.5) - np.arange(gamma.size)[:, None])
+    series = _span_sums(nu, lam_arr, span, nodes, base)
+    moments = np.empty((gamma.size, lam_arr.size), dtype=complex)
     step = max(1, _tr._CHUNK_BYTES // (_ENTRY_BYTES * nodes.size))
     for lo in range(0, lam_arr.size, step):
-        la = lam_arr[lo:lo + step]
-        z = np.multiply.outer(la, nodes)
-        small = z < BESSEL_CROSSOVER
-        # every series entry lies in columns [0, w), and panels [0, p) hold
-        # nothing else; both come from the mask, whatever the order of la
-        # (the first node, at z < 0.03, is on the series in every row)
-        w = np.flatnonzero(small.any(axis=0))[-1] + 1
-        p = int(np.logical_and.accumulate(
-            small.all(axis=0).reshape(n_panels, _RADIAL_ORDER).all(axis=1)).sum())
-        # the series runs on the whole rectangle; entries of the asymptotic
-        # branch in it are zeroed after
-        ratio = _ratio_series(nu, z[:, :w])
-        np.copyto(ratio, 0.0, where=~small[:, :w])
-        series[lo:lo + step] = ratio @ base[:w]
-        del z, ratio
-        phase = (np.exp(1j * np.multiply.outer(la, centers[p:]))[:, :, None]
-                 * np.exp(1j * np.multiply.outer(la, offsets))[:, None, :]).reshape(la.size, -1)
-        phase[small[:, p * _RADIAL_ORDER:]] = 0.0
-        moments[lo:lo + step] = phase @ cols[p * _RADIAL_ORDER:]
+        la, w = lam_arr[lo:lo + step], span[lo:lo + step]
+        # panels [0, p) are on the series in every row of the chunk; past
+        # them, only nodes below the widest span differ between rows
+        p = w.min() // _RADIAL_ORDER
+        across = np.exp(1j * np.multiply.outer(centers[p:], la))
+        within = np.exp(1j * np.multiply.outer(offsets, la))
+        phase = np.empty((n_panels - p, _RADIAL_ORDER, la.size), dtype=complex)
+        for k in range(_RADIAL_ORDER):      # contiguous rows: faster than one broadcast
+            np.multiply(across, within[k], out=phase[:, k])
+        phase = phase.reshape(-1, la.size)
+        mixed = np.arange(p * _RADIAL_ORDER, w.max())[:, None] < w
+        phase[:mixed.shape[0]][mixed] = 0.0
+        # cols is real: one real product over the (re, im) pairs of phase
+        moments[:, lo:lo + step] = (cols[:, p * _RADIAL_ORDER:] @ phase.view(float)).view(complex)
         del phase
-    asym = np.polynomial.polynomial.polyval(1.0 / lam_arr, (moments * gamma).T, tensor=False)
+    asym = np.polynomial.polynomial.polyval(1.0 / lam_arr, moments * gamma[:, None], tensor=False)
     vals = lam_arr**nu * series + np.sqrt(2.0 / (math.pi * lam_arr)) * asym.real
     vals *= 2.0 ** (1.0 - 0.5 * n) / math.gamma(0.5 * n)
     return float(vals[0]) if np.ndim(lam) == 0 else vals
@@ -237,7 +340,7 @@ def forward_nd(profile, lam):
 
 def forward_nd_image(profile, spec):
     """Image of profile on a composite spectral grid, ready for inverse_nd."""
-    n = _check_dimension(profile.n)
+    n = _check_forward_dimension(profile.n)
     grid = spectral_grid(spec, math.pi / (4.0 * profile.rho_max))
     values = forward_nd(profile, grid.nodes)
     return SpectralImage(

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,48 @@ def test_cli_basis_and_forward_inverse_chain(tmp_path):
 def test_cli_exit_code_usage():
     assert run_cli("bogus").returncode == 2
     assert run_cli("forward", "--config", config_path("sine")).returncode == 2
+
+
+def test_cli_config_parses_whatever_its_file_name(tmp_path, capsys):
+    # --config names a file: a suffix other than .cfg/.yml/.yaml, or none,
+    # must not turn the path into YAML text
+    source = Path(config_path("twolayer")).read_text()
+    outputs = []
+    for name in ("twolayer.cfg", "p.txt", "noext"):
+        (tmp_path / name).write_text(source)
+        out = tmp_path / f"img_{name}.csv"
+        argv = ["forward", "--config", str(tmp_path / name), "--input", "gauss_bump",
+                "--output", str(out), "--lambda-steps", "200"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    (tmp_path / "bad.txt").write_text("- not a mapping\n")
+    assert cli.main(["emit", "--config", str(tmp_path / "bad.txt")]) == 3
+    assert "bad.txt: document must be a mapping" in capsys.readouterr().err
+
+
+def test_cli_directory_as_a_file_exits_3(tmp_path, capsys):
+    folder = tmp_path / "d"
+    folder.mkdir()
+    image = tmp_path / "img.csv"
+    common = ["--config", config_path("twolayer"), "--lambda-steps", "200"]
+    assert cli.main(["forward", *common, "--input", "gauss_bump", "--output", str(image)]) == 0
+    capsys.readouterr()
+    runs = [
+        ["forward", *common, "--input", "gauss_bump", "--output", str(folder)],
+        ["forward", *common, "--input", str(folder), "--output", str(tmp_path / "o.csv")],
+        ["inverse", *common, "--input", str(folder), "--output", str(tmp_path / "o.csv")],
+        ["inverse", *common, "--input", str(image), "--output", str(folder)],
+        ["poisson", "--dim", "3", "--input", "gauss_bump", "--heights", "0.5",
+         "--output", str(folder)],
+        ["forward", "--config", str(folder), "--input", "gauss_bump",
+         "--output", str(tmp_path / "o.csv")],
+    ]
+    for argv in runs:
+        assert cli.main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Is a directory" in err
 
 
 def test_cli_exit_code_config_error(tmp_path):

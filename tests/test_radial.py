@@ -17,7 +17,7 @@ from layerft.errors import (
     SizeLimitExceeded,
     UnsupportedDimension,
 )
-from layerft.quadrature import MAX_TRANSFORM_SIZE, QuadratureSpec, composite_gauss
+from layerft.quadrature import MAX_TRANSFORM_SIZE, QuadratureSpec, composite_gauss, panel_gauss
 
 from conftest import SRC_DIR
 
@@ -283,7 +283,9 @@ def test_forward_work_arrays_stay_within_the_chunk_budget(monkeypatch, n):
         finally:
             tracemalloc.stop()
 
-    budget = 1 << 20
+    # an unchunked forward of these 101 rows takes about 2.8 MiB: the budget
+    # must bind well below that
+    budget = 1 << 19
     # the (rho nodes x terms) and (lam x terms) arrays outside the chunks:
     # the asymptotic columns with their temporaries, the moments and the tail
     fixed = n_rho * (32 * terms + 96) + lams.size * (32 * terms + 64)
@@ -328,6 +330,89 @@ def test_trimmed_expansion_matches_the_untrimmed_one(monkeypatch, n):
     monkeypatch.setattr(rad, "_asymptotic_coefficients", padded)
     full = rad.forward_nd(prof, lams)
     assert np.max(np.abs(trimmed - full)) <= 1e-14 * np.max(np.abs(full))
+
+
+def closed_form_image(n, w, lam):
+    """Image of exp(-rho^2 / (2 w^2)) in n dimensions."""
+    nu = 0.5 * (n - 2)
+    return 2.0 ** (1 - n / 2) / math.gamma(n / 2) * lam**nu * w ** (2 * nu + 2) * np.exp(
+        -0.5 * (lam * w) ** 2)
+
+
+@pytest.mark.parametrize("w", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_odd_images_match_closed_form_to_rounding(n, w):
+    # below z = nu + 1/2 the series, above it the terminating expansion: both
+    # exact up to rounding, without the series' cancellation near z = 12
+    img = rad.forward_nd_image(gaussian_profile(n, w=w), BENCH_SPEC)
+    exact = closed_form_image(n, w, img.lambdas)
+    assert np.max(np.abs(img.values[:, 0] - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n", range(11, 32, 2))
+def test_high_odd_dimensions_match_closed_form(n):
+    # the expansion runs to its exact zero however many terms that takes
+    img = rad.forward_nd_image(gaussian_profile(n), QuadratureSpec(lambda_max=12.0,
+                                                                   lambda_steps=400))
+    exact = closed_form_image(n, 1.0, img.lambdas)
+    assert np.max(np.abs(img.values[:, 0] - exact)) <= 2e-13 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n", [12, 14, 20, 26, 30])
+def test_even_dimensions_past_the_expansion_are_refused(n):
+    # the 12-term expansion leaves out more than 2e-9 at z = 12: refused
+    # before the profile is evaluated or any node is built
+    def untouchable(rho):
+        raise AssertionError("profile evaluated")
+
+    prof = rad.RadialProfile(n=n, fn=untouchable, rho_max=30.0)
+    with pytest.raises(UnsupportedDimension, match=f"n = {n} dimensions"):
+        rad.forward_nd(prof, np.array([0.5, 1.0]))
+    with pytest.raises(UnsupportedDimension, match=f"n = {n} dimensions"):
+        rad.forward_nd_image(prof, QuadratureSpec(lambda_max=1e300))
+    assert rad._omitted_term(0.5 * (n - 2)) > 2e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10])
+def test_low_dimensions_stay_accepted(n):
+    assert rad._omitted_term(0.5 * (n - 2)) <= 2e-9
+    img = rad.forward_nd_image(gaussian_profile(n), QuadratureSpec(lambda_max=12.0,
+                                                                   lambda_steps=400))
+    exact = closed_form_image(n, 1.0, img.lambdas)
+    assert np.max(np.abs(img.values[:, 0] - exact)) <= 5e-11 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("nu", np.arange(0.5, 12.0, 1.0))
+def test_half_integer_bessel_ratio_matches_mpmath(nu):
+    import mpmath
+
+    crossover = nu + 0.5
+    zs = np.concatenate([np.geomspace(1e-3, 1.0, 30), np.linspace(1.0, 30.0, 300)])
+    assert np.any(zs < crossover) and np.any(zs >= crossover)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.besselj(nu, z) / mpmath.mpf(z) ** nu) for z in zs])
+    c0 = 1.0 / (2.0**nu * math.gamma(nu + 1.0))
+    err = np.abs(rad.bessel_ratio(nu, zs) - ref)
+    assert np.max(err) <= 16 * np.finfo(float).eps * c0
+    assert rad._crossover(nu) == crossover
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_series_spans_match_the_mask(n):
+    nu = 0.5 * (n - 2)
+    crossover = rad._crossover(nu)
+    n_panels = math.ceil(30.0 * 12.0 / math.pi)
+    nodes = panel_gauss(np.linspace(0.0, 30.0, n_panels + 1), rad._RADIAL_ORDER)[0].ravel()
+    # lam = crossover / rho_i and its float neighbours: lam rho_i lands on,
+    # under or over the crossover, and crossover / lam on either side of rho_i
+    ties = crossover / nodes[::3]
+    ties = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    lams = np.concatenate([MIXED_LAMS, ties[ties <= 12.0]])
+    mask = np.multiply.outer(lams, nodes) < crossover
+    counts = mask.sum(axis=1)
+    assert np.any(np.searchsorted(nodes, crossover / lams) != counts)     # the fix-up acts
+    assert np.array_equal(rad._series_spans(lams, nodes, crossover), counts)
+    assert np.all(mask == (np.arange(nodes.size) < counts[:, None]))     # prefixes
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
