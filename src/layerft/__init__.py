@@ -42,14 +42,13 @@ from .problem import (
 )
 from .quadrature import QuadratureSpec
 from .gridfn import LayerSamples, PiecewiseGridFunction, SpectralImage
-from .basis import SpectralBasisAtLambda, build_basis, eval_u, eval_u_star
+from .basis import build_basis, eval_u, eval_u_star
 from .transform import (
     RoundtripReport,
     forward_transform,
     inverse_transform,
     roundtrip_report,
 )
-from .axis import scalar_axis_forward, scalar_axis_inverse
 from .operator import (
     IdentityReport,
     apply_B,
@@ -98,7 +97,6 @@ __all__ = [
     "RadialProfile",
     "RegularityViolation",
     "RoundtripReport",
-    "SpectralBasisAtLambda",
     "SpectralImage",
     "SpectrumOnCut",
     "UnstableStep",
@@ -120,8 +118,6 @@ __all__ = [
     "parse_config",
     "poisson_halfspace",
     "roundtrip_report",
-    "scalar_axis_forward",
-    "scalar_axis_inverse",
     "solve_heat",
     "verify_basic_identity",
 ]

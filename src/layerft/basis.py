@@ -45,7 +45,7 @@ Every kernel is therefore a Family lp diag(e^{i mu s}) rp + lm diag(e^{-i mu s})
 rm: u with lp = lm = V and rp, rm = V^{-1} (C+- Phi0^{-1} - D+- Psi0^{-1})
 (primal_family), u* with lp = -G_2 V, lm = G_1 V and rp = rm = K =
 (2 i mu)^{-1} V^{-1} a2^{-1} (dual_families), and w = (-u*' a2, u* a2); the
-full-axis branches (axis.py) are Families too.  exp_pair is the one rule
+full-axis branches (below) are Families too.  exp_pair is the one rule
 by which a kernel or a phase table evaluates e^{+-i t}: the conjugate for
 real t, both signs for complex t.  _wavenumber_eig is the one gate every
 lam passes: it must be positive with a nonzero square and a finite scaled
@@ -72,7 +72,26 @@ the per-point product rounds it, so the results do not change by a bit.
 Degenerate points are flagged, not raised; build_basis is build_batch at
 one point, sliced by at(0), and every diagnostic takes a batch or a
 one-point view alike.  Everything before the boundary functionals is
-_build_families, which also builds the full axis's P families (axis.py).
+_build_families, which also builds the full axis's P families.
+
+On the full axis (build_batch reads config.mode) the families P+ and P-
+start in the unbounded right layer as exp(+/- i q (x - l_n)) and are swept
+left like Phi and Psi.  The left-tail families Q- and Q+, which start as
+exp(-/+ i q (x - l_1)) in the left layer, meet the same conditions, so
+Q = P C0^{-1} J, with C0 the P coefficients of the left layer (rows
+exp(+iqs), exp(-iqs); columns P+, P-) and J = [[0, 1], [1, 0]] those of Q.
+With c = C00 / det C0 and d = C11 / det C0 the entries of C0^{-1} J, the
+kernel branches are
+
+  u(x)   = (P+(x), P-(x))                                  (row)
+  u*(xi) = (-Q-/(c w_m), -Q+/(d w_m)) = -(P+, P-)(xi) S / w_m    (column)
+
+with the symmetric connection S = [[-C01 / C00, 1], [1, -C10 / C11]]
+(det C0 cancels) and w_m = 2 i q_m a2_m det C_m the Wronskian of the layer
+containing xi, so the numerator -P(x) S P(xi)^T is symmetric in x <-> xi by
+construction.  The inversion constant is +1/(pi i); for the homogeneous
+axis the pair collapses to the classical Fourier integral.  Only r = 1
+with spectral-parameter-free junctions is admitted (config validation).
 
 The batch is what a forward image carries as its basis (transform.py):
 dual gives the stacked u* of every layer and primal the stacked u, each
@@ -81,9 +100,11 @@ shares one batch and one set of primal families, and the dual diagnostics
 share the forward's dual families.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -92,9 +113,8 @@ from .errors import (
     DegenerateBoundary,
     InvariantViolation,
     RegularityViolation,
-    WrongMode,
 )
-from .problem import SEMI_AXIS
+from .problem import FULL_AXIS
 
 
 def _const(a):
@@ -267,6 +287,8 @@ class SpectralBasisBatch:
     array sliced at i.
     """
 
+    inversion_constant: ClassVar[complex] = -1.0 / (math.pi * 1j)
+
     lam: np.ndarray
     config: object
     layers: list
@@ -303,7 +325,53 @@ class SpectralBasisBatch:
                        pencil_inv=[(m1[i], m2[i]) for m1, m2 in self.pencil_inv], flags={})
 
 
-SpectralBasisAtLambda = SpectralBasisBatch   # the one-point view is the batch at one index
+@dataclass
+class AxisBatch:
+    """All kernel data of a full-axis problem, stacked over the points lam[i] on axis 0.
+
+    layers hold the P coefficients (columns P+, P-; rows exp(+iqs),
+    exp(-iqs)), s (N, 2, 2) the connection, omega (N, L) the layer
+    Wronskians; flags and at(i) as in SpectralBasisBatch.
+    """
+
+    inversion_constant: ClassVar[complex] = 1.0 / (math.pi * 1j)
+
+    lam: np.ndarray
+    config: object
+    layers: list
+    s: np.ndarray
+    omega: np.ndarray
+    flags: dict
+
+    @cached_property
+    def primal(self):
+        """The row kernel u = (P+, P-) of every layer, computed on first use."""
+        return [row_family(ld) for ld in self.layers]
+
+    @cached_property
+    def dual(self):
+        """The column kernel u* = -(P+, P-) S / w of every layer: 2 x 1 Families."""
+        one = np.ones(np.shape(self.lam) + (1, 1))
+        columns = []
+        for m, pm in enumerate(self.layers):
+            qs = -(pm.coef @ self.s) / self.omega[..., m, None, None]
+            columns.append(Family(pm.mu, pm.center, qs[..., 0, :, None], one,
+                                  qs[..., 1, :, None], one))
+        return columns
+
+    def at(self, i):
+        return replace(self, lam=self.lam[i], layers=[ld.at(i) for ld in self.layers],
+                       s=self.s[i], omega=self.omega[i], flags={})
+
+
+def row_family(ld):
+    """The row kernel u = (P+(x), P-(x)) of a full-axis layer: a 1 x 2 Family.
+
+    lp = lm = 1 and rp, rm are the rows of coef (the exp(+iqs), exp(-iqs)
+    coefficients).
+    """
+    one = np.ones_like(ld.coef[..., :1, :1])
+    return Family(ld.mu, ld.center, one, ld.coef[..., :1, :], one, ld.coef[..., 1:, :])
 
 
 def _jet(fam, xs):
@@ -414,22 +482,21 @@ def _build_families(config, lams):
 
 
 def build_batch(config, lams):
-    """Backward-propagate the kernel families of a semi-axis problem at every lam at once.
+    """The kernel data of the geometry of config at every lam at once.
 
     _build_families runs the wavenumbers, junction recursion and pencil
-    gates as stacked array operations over lams; this adds the boundary
-    functionals.  A point failing a gate is recorded in the flags of the
-    result, with the error build_basis raises there, and its pencils and
-    boundary functionals, and their inverses, are replaced by the identity
-    so that the stacked products stay regular.
+    gates as stacked array operations over lams.  On the full axis
+    _connect adds the connection S and the Wronskians (AxisBatch); on the
+    semi-axis this adds the boundary functionals (SpectralBasisBatch).  A
+    point failing a gate is recorded in the flags of the result, with the
+    error build_basis raises there, and its gated blocks, and their
+    inverses, are replaced by the identity so that the stacked products
+    stay regular.
     """
-    if config.mode != SEMI_AXIS:
-        raise WrongMode(
-            "build_basis serves semi-axis problems; full-axis kernels live in the "
-            "scalar axis transform"
-        )
     lams = np.asarray(lams, dtype=float).ravel()
     lds, pencils, pencil_inv, flags = _build_families(config, lams)
+    if config.mode == FULL_AXIS:
+        return _connect(config, lams, lds, flags)
     r = config.r
 
     bnd = config.boundary
@@ -456,22 +523,45 @@ def build_batch(config, lams):
     )
 
 
-def one_point(build, config, lam):
-    """build(config, [lam]).at(0), raising the flag there; lam must be one real number."""
-    if isinstance(lam, (bool, np.bool_)) or not isinstance(lam, numbers.Real):
-        raise InvariantViolation(f"a one-point basis takes one real spectral parameter, not {lam!r}")
-    batch = build(config, [float(lam)])
-    if batch.flags:
-        raise batch.flags[0]
-    return batch.at(0)
+def _connect(config, lams, p, flags):
+    """The AxisBatch of the swept P families p: S read off the left layer, and the Wronskians."""
+    c0 = p[0].coef
+    c00, c11 = c0[:, 0, 0].copy(), c0[:, 1, 1].copy()
+    scale = np.maximum(np.abs(c0).max(axis=(1, 2)), 1e-300)
+    for j in np.flatnonzero(np.minimum(np.abs(c00), np.abs(c11)) < 1e-12 * scale):
+        flags.setdefault(j, DegenerateBoundary(
+            f"kernel connection degenerates at lam = {lams[j]} "
+            f"(C00 = {c00[j]:.3e}, C11 = {c11[j]:.3e})", lam=lams[j],
+        ))
+    omega = np.stack([2j * float(np.real(layer.a2[0, 0])) * ld.mu[:, 0] * np.linalg.det(ld.coef)
+                      for layer, ld in zip(config.layers, p)], axis=1)
+    for j in np.flatnonzero(np.any(np.abs(omega) < 1e-300, axis=1)):
+        flags.setdefault(j, DegenerateBoundary(f"degenerate layer Wronskian at lam = {lams[j]}",
+                                               lam=lams[j]))
+    bad = sorted(flags)
+    c00[bad] = c11[bad] = omega[bad] = 1.0
+    s = np.ones((lams.size, 2, 2), dtype=complex)
+    s[:, 0, 0], s[:, 1, 1] = -c0[:, 0, 1] / c00, -c0[:, 1, 0] / c11
+    return AxisBatch(lam=lams, config=config, layers=p, s=s, omega=omega, flags=flags)
+
+
+def branch_count(config):
+    """Columns of an image: r on the semi-axis, the two branches (P+, P-) on the full axis."""
+    return 2 if config.mode == FULL_AXIS else config.r
 
 
 def build_basis(config, lam):
-    """Kernel data of a semi-axis problem at one real lam: build_batch there, at(0).
+    """Kernel data at one real lam: build_batch there, at(0).
 
-    Raises the RegularityViolation or DegenerateBoundary build_batch flags.
+    Raises the RegularityViolation or DegenerateBoundary build_batch flags
+    there, and InvariantViolation for anything but one real number.
     """
-    return one_point(build_batch, config, lam)
+    if isinstance(lam, (bool, np.bool_)) or not isinstance(lam, numbers.Real):
+        raise InvariantViolation(f"a one-point basis takes one real spectral parameter, not {lam!r}")
+    batch = build_batch(config, [float(lam)])
+    if batch.flags:
+        raise batch.flags[0]
+    return batch.at(0)
 
 
 # --- kernel evaluation ------------------------------------------------------

@@ -15,6 +15,7 @@ import traceback
 
 import numpy as np
 
+from . import basis as bas
 from . import catalog as cat
 from . import operator as op
 from . import quadrature as quad
@@ -31,7 +32,6 @@ from .gridfn import (
     write_image_csv,
     write_table,
 )
-from .problem import SEMI_AXIS
 
 # Memory the arrays sampled for --samples may take (_check_samples).
 MAX_SAMPLE_BYTES = 1 << 28
@@ -224,14 +224,7 @@ def dispatch(args):
         return 0
 
     if cmd == "basis":
-        from . import basis as bas
-
-        if config.mode == SEMI_AXIS:
-            b = bas.build_basis(config, args.lam)
-        else:
-            from . import axis as ax
-
-            b = ax.build_axis_basis(config, args.lam)
+        b = bas.build_basis(config, args.lam)
         pts = _per_layer_points(config, spec, args.samples)
         # u and u* of every layer with points: r x r blocks, 1 x 2 and 2 x 1 on the full axis
         tables = [(xs, [k(b, m, xs) for k in (bas.u_on_layer, bas.u_star_on_layer)])
@@ -250,8 +243,7 @@ def dispatch(args):
 
     if cmd == "forward":
         f = _load_input(args.input, config, spec, args.samples)
-        forward, _ = tr.transform_pair(config)
-        image = forward(config, f, spec)
+        image = tr.forward_transform(config, f, spec)
         write_image_csv(image, args.output)
         flagged = image.meta.get("flagged", [])
         print(
@@ -263,8 +255,7 @@ def dispatch(args):
     if cmd == "inverse":
         image = read_image_csv(args.input)
         pts = _per_layer_points(config, spec, args.samples, inverted=True)
-        _, inverse = tr.transform_pair(config)
-        recon = inverse(config, image, pts, spec)
+        recon = tr.inverse_transform(config, image, pts, spec)
         write_function_csv(recon, args.output)
         dropped = recon.meta["dropped_rows"]
         print(

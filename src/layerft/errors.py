@@ -112,14 +112,14 @@ class MissingTraces(LayerFTError):
     """A grid function was asked for junction traces it does not carry."""
 
 
-class UnsupportedDimension(LayerFTError):
+class UnsupportedDimension(ConfigError):
     """Radial machinery asked for an ambient dimension it does not cover."""
 
 
-class NonpositiveHeight(LayerFTError):
+class NonpositiveHeight(ConfigError):
     """Half-space evaluation requested at a height x <= 0."""
 
 
 class WrongMode(LayerFTError):
-    """A semi-axis operation was applied to a full-axis problem or vice
-    versa."""
+    """A semi-axis statement (the operational identity, heat flow, the
+    finite-difference oracle) was applied to a full-axis problem."""

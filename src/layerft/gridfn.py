@@ -202,12 +202,12 @@ class PiecewiseGridFunction:
 class SpectralImage:
     """Transform image sampled on a spectral grid: values[i] = image at lambdas[i].
 
-    values has shape (N, k); k = r for the boundary-value transforms and 2 for
-    the full-axis transform (two independent kernel branches).  basis, set
-    by the forward transforms, is the kernel batch of the grid they built,
-    the one basis type of its geometry (basis.SpectralBasisBatch or
-    axis.AxisBatch): an inversion under the same config object reuses it,
-    and decayed passes it on.  It is not written to CSV.
+    values has shape (N, k), k = basis.branch_count: r on the semi-axis and 2
+    on the full axis (two independent kernel branches).  basis, set by
+    transform.forward_transform, is the kernel batch basis.build_batch built
+    on its grid, the one basis type of its geometry (SpectralBasisBatch or
+    AxisBatch): an inversion under the same config object reuses it, and
+    decayed passes it on.  It is not written to CSV.
     """
 
     lambdas: np.ndarray

@@ -24,7 +24,10 @@ terminates after nu + 1/2 terms, all of which are kept, and is exact, so it
 takes over at X_nu = nu + 1/2, where it is still free of cancellation and
 the series would only add its own.  Every other order keeps 12 terms and
 X_nu = 12, and forward_nd refuses a dimension whose first omitted term,
-|gamma_12| 12^-12, exceeds 2e-9 (even n > 10).
+|gamma_12| 12^-12, exceeds 2e-9 (even n > 10).  The series cancels: at
+X_nu = nu + 1/2 its largest term grows with nu, to 141 times its first at
+n = 61 and 174 at n = 63, and rounding grows with it, so forward_nd also
+refuses an odd n whose largest term there exceeds 160 times the first.
 
 forward_nd takes every lam at once.  The nodes increase along a row, so the
 entries lam rho < X_nu of a row are a prefix of it, its span, read off one
@@ -65,6 +68,7 @@ import numpy as np
 
 from . import transform as _tr
 from .errors import (
+    DimensionMismatch,
     InvariantViolation,
     NonpositiveHeight,
     SizeLimitExceeded,
@@ -87,6 +91,7 @@ _ASYMPTOTIC_TERMS = 6
 # forward_nd refuses an order whose truncated expansion leaves out more than
 # this at the crossover (the first omitted term, |gamma_12| 12^-12)
 _EXPANSION_TOLERANCE = 2e-9
+_SERIES_GROWTH = 160.0      # the most _series_growth that forward_nd admits
 # Bytes of forward_nd work arrays per (lam, rho) entry.  A group of flat
 # series spans takes 32: the squared argument, its weight and the series'
 # term and sum (the node index they are gathered with, 8, is dropped
@@ -160,6 +165,17 @@ def _omitted_term(nu):
     return abs(_gamma_terms(nu, m + 1)[m]) * _crossover(nu) ** -m
 
 
+def _series_growth(nu):
+    """Largest series term at the crossover over the first, for half-integer nu; 0 otherwise.
+
+    Every other order has the crossover 12, where _omitted_term holds it.
+    """
+    if not _half_integer(nu):
+        return 0.0
+    k = np.arange(1, _SERIES_TERMS)
+    return float(np.max(np.cumprod(0.25 * _crossover(nu) ** 2 / (k * (k + nu))), initial=1.0))
+
+
 def _bessel_asymptotic(nu, z):
     """Large-argument expansion; exact for half-integer nu (series terminates)."""
     series = np.polynomial.polynomial.polyval(1.0 / z, _asymptotic_coefficients(nu))
@@ -227,12 +243,20 @@ def _check_dimension(n):
 def _check_forward_dimension(n):
     """The dimension, if forward_nd's Bessel evaluation meets its accuracy there."""
     n = _check_dimension(n)
-    omitted = _omitted_term(0.5 * (n - 2))
+    nu = 0.5 * (n - 2)
+    omitted = _omitted_term(nu)
     if omitted > _EXPANSION_TOLERANCE:
         raise UnsupportedDimension(
             f"radial forward in n = {n} dimensions: the Bessel expansion of order "
-            f"{0.5 * (n - 2):g} leaves out {omitted:.2g} at z = {BESSEL_CROSSOVER:g}, "
+            f"{nu:g} leaves out {omitted:.2g} at z = {BESSEL_CROSSOVER:g}, "
             f"over {_EXPANSION_TOLERANCE:g}"
+        )
+    growth = _series_growth(nu)
+    if growth > _SERIES_GROWTH:
+        raise UnsupportedDimension(
+            f"radial forward in n = {n} dimensions: the Bessel series of order {nu:g} "
+            f"has a term {growth:.3g} times its first at z = {_crossover(nu):g}, "
+            f"over {_SERIES_GROWTH:g}"
         )
     return n
 
@@ -357,8 +381,11 @@ def inverse_nd(image, spec, n=None):
     tau = 0.  Quadrature weights ride along in image.meta["weights"] when the
     image came from forward_nd_image; otherwise the trapezoid rule on the
     stored grid is used (CSV round trips).  An explicit n must be the
-    dimension recorded in the image, if it records one.
+    dimension recorded in the image, if it records one, and the image must
+    have one column.
     """
+    if image.k != 1:
+        raise DimensionMismatch(f"radial image has {image.k} columns, not 1", block="image")
     recorded = image.meta.get("dimension")
     if n is None:
         n = recorded
@@ -383,7 +410,7 @@ def inverse_nd(image, spec, n=None):
     else:
         weights = np.asarray(weights, dtype=float)
 
-    damped = damping_matrix(spec, lams, weights * lams ** (0.5 * n)) @ image.values[:, :1]
+    damped = damping_matrix(spec, lams, weights * lams ** (0.5 * n)) @ image.values
     limit, _err = tau_limit(spec, damped)
     if not np.isfinite(limit[0]):
         # a non-finite row defeats the tail guard (NaN compares false); find it only now

@@ -1,4 +1,8 @@
-"""Forward and inverse transforms over the layered semi-axis.
+"""Forward and inverse transforms over the layered semi-axis and the full axis.
+
+One pair serves both: basis.build_batch reads config.mode and returns the
+kernels of its geometry, whose dual and primal families, each built on
+first use and kept, give the two directions.  On the semi-axis
 
 Forward: image(lam) = sum_m  integral over layer m of u*_m(xi, lam) f_m(xi) dxi
                     + (gamma0 f(l_0) + delta0 f'(l_0))
@@ -8,24 +12,21 @@ The junction correction at l_k is v_k (G_2 F_{k+1} - G_1 F_k) with
 v_k = w^(k)(l_k) M_1k^{-1}, where G_s is the lam^2 coefficient block of side s
 and F_j stacks (value; derivative) traces of f on side j; M_1k^{-1} is the
 one its gate computed (basis.SpectralBasisBatch.pencil_inv).  forward_transform
-reads the traces the lam^2 terms need before the shared driver runs, and adds
-the terms to the image the driver returns.  A junction whose conditions are
-spectral-parameter-free (every G_s the zero block) reads no trace and adds
-no term; the boundary term reads only the traces its lam^2 blocks need.
+reads the traces the lam^2 terms need before the driver _spectral_forward
+runs, and adds the terms to the image the driver returns.  A junction whose
+conditions are spectral-parameter-free (every G_s the zero block) reads no
+trace and adds no term; the boundary term reads only the traces its lam^2
+blocks need.  The full axis has neither term, and its image has the two
+branches as columns (basis.branch_count).
 
-Inverse: f(x) = -(1/(pi i)) * integral over lam > 0 of lam u(x, lam) image(lam).
+Inverse: f(x) = c * integral over lam > 0 of lam u(x, lam) image(lam), with
+the batch's inversion_constant c: -1/(pi i), or +1/(pi i) on the full axis.
 The improper integral is computed with exp(-tau lam) damping on the
 QuadratureSpec tau schedule and Neville-extrapolated to tau = 0.
 
 Both directions use the canonical composite Gauss-Legendre grid of the
 (config, spec) pair; the inverse refuses images sampled elsewhere, because
-its quadrature weights are tied to that grid.  _spectral_forward and
-_spectral_inverse own that grid, the xi rules, the size check, flagging,
-the xi-tail estimate and the damped inversion for the semi-axis and the
-full-axis pair (axis.py) alike; each geometry supplies only the builder of
-its batch of kernel data for every spectral point at once
-(basis.build_batch, axis.build_axis_batch), whose dual and primal give
-the families of the two directions, each built on first use and kept.
+its quadrature weights are tied to that grid.
 
 The basis is built once per image.  The forward image carries its batch
 (SpectralImage.basis), and decayed passes it on.  An inversion takes the
@@ -68,7 +69,6 @@ from .errors import (
     InvariantViolation,
     OutOfDomain,
     RegularityViolation,
-    WrongMode,
 )
 from .gridfn import LayerSamples, PiecewiseGridFunction, SpectralImage
 from .problem import SEMI_AXIS
@@ -186,10 +186,10 @@ def _damped_sums(fam, centres, offsets, fhat, damping):
     return out.reshape(-1, t, a).transpose(1, 0, 2)
 
 
-def _spectral_forward(config, f, spec, lambdas, build):
+def _spectral_forward(config, f, spec, lambdas):
     """Image of f: sum over layers of the dual kernels against f on the xi rules.
 
-    build(config, lams) gives the geometry's batch of kernel data: its flags
+    basis.build_batch gives the geometry's batch of kernel data: its flags
     map the index of each degenerate point to its error, and its dual
     gives per layer the stacked dual Family u*(xi, lam).  The grid is the
     canonical one of (config, spec), or the explicit abscissae lambdas (no
@@ -199,7 +199,7 @@ def _spectral_forward(config, f, spec, lambdas, build):
     flagged the first RegularityViolation is re-raised.
     meta["xi_tail_estimate"] is the largest contribution of the outermost
     xi panel at a truncated end.  The image carries the batch as its basis,
-    for _spectral_inverse to reuse.
+    for inverse_transform to reuse.
     """
     rates = quad.band_edge_rates(config, spec)
     quad._check_size(config, spec, rates)
@@ -217,7 +217,7 @@ def _spectral_forward(config, f, spec, lambdas, build):
         g = weights.ravel()[:, None] * f.values_on(m, nodes.ravel())
         rules.append((centres, offsets, g.reshape(*nodes.shape, f.r)))
 
-    basis = build(config, lams)
+    basis = bas.build_batch(config, lams)
     families = basis.dual
     values = np.zeros((lams.size, families[0].lp.shape[-2]), dtype=complex)
     tails = [np.zeros(lams.size)]
@@ -249,65 +249,6 @@ def _spectral_forward(config, f, spec, lambdas, build):
     return SpectralImage(lambdas=lams, values=values, meta=meta, basis=basis)
 
 
-def _spectral_inverse(config, image, x_points, spec, constant, build):
-    """constant * integral over lam > 0 of lam u(x, lam) image(lam) at x_points.
-
-    The image must sit on the canonical grid of (config, spec).  Its kernels
-    are the primal families of image.basis when that is the batch of this
-    config object on the image's grid, else of build(config, lambdas) (as
-    in _spectral_forward); either way the whole grid's, of which the
-    families keep the finite rows.  NaN (flagged) rows are left out of the
-    quadrature and reported in meta["dropped_rows"]; a flag on a kept row
-    is raised.  The quadrature and exp(-tau lam) weights fold into
-    _damped_sums; quad.tau_limit extrapolates.
-    """
-    rates = quad.band_edge_rates(config, spec)
-    quad._check_size(config, spec, rates, sum(map(np.size, x_points))
-                     if isinstance(x_points, (list, tuple)) else np.size(x_points))
-    grid = quad._lambda_grid(spec, rates)
-    if image.lambdas.size != grid.nodes.size or not np.allclose(
-        image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
-    ):
-        forward = "forward_transform" if config.mode == SEMI_AXIS else "scalar_axis_forward"
-        raise InvariantViolation(
-            "image is not sampled on the canonical spectral grid of this problem and "
-            f"quadrature spec; regenerate it with {forward} under the same spec"
-        )
-
-    keep = np.all(np.isfinite(image.values), axis=1)
-    lams = image.lambdas[keep]
-    if lams.size == 0:
-        raise EmptyImage("all image rows are flagged")
-    fhat = constant * image.values[keep]
-
-    per_layer = _normalize_x_points(config, x_points, spec)
-    edges = np.cumsum([0] + [xs.size for xs in per_layer])
-    basis = image.basis
-    if basis is None or basis.config is not config or not np.array_equal(basis.lam, image.lambdas):
-        basis = build(config, image.lambdas)
-    flagged = [i for i in sorted(basis.flags) if keep[i]]
-    if flagged:
-        raise basis.flags[flagged[0]]
-    families = [fam.rows(keep) for fam in basis.primal]
-    damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
-    damped = np.concatenate([
-        _damped_sums(fam, *_split(xs - fam.center), fhat, damping)[:, :xs.size]
-        for xs, fam in zip(per_layer, families)
-    ], axis=1)
-    limit, err = quad.tau_limit(spec, damped)
-
-    layers_out = [
-        LayerSamples(x=xs, values=limit[a:b])
-        for xs, a, b in zip(per_layer, edges[:-1], edges[1:])
-    ]
-    meta = {
-        "tau_error_estimate": float(np.max(err, initial=0.0)),
-        "dropped_rows": np.flatnonzero(~keep).tolist(),
-        "junction_abscissae": [config.left_end] + list(config.junctions),
-    }
-    return PiecewiseGridFunction(layers=layers_out, traces={}, meta=meta)
-
-
 def forward_transform(config, f, spec, lambdas=None):
     """Transform a sampled function; returns its image on the canonical grid.
 
@@ -316,22 +257,21 @@ def forward_transform(config, f, spec, lambdas=None):
     Spectral points where the problem is degenerate are flagged: their image
     rows are NaN and meta["flagged"] records (index, lam, reason).
     """
-    if config.mode != SEMI_AXIS:
-        raise WrongMode("forward_transform serves semi-axis problems; "
-                        "use scalar_axis_forward for the full axis")
     if f.r != config.r:
         raise DimensionMismatch(
             f"function has {f.r} components, problem has r = {config.r}", block="input"
         )
 
     bnd = config.boundary
+    if bnd is None:         # the full axis: no boundary term, only lam-free junctions
+        return _spectral_forward(config, f, spec, lambdas)
     term = _lambda_sq_term(f, np.hstack([bnd.gamma0, bnd.delta0]), 0, "right")
     # junction k adds v_k (G_2 F_{k+1} - G_1 F_k), v_k = w^(k)(l_k) M_1k^{-1}
     jumps = [(k, _lambda_sq_term(f, iface.lambda_sq_part(2), k, "right")
               - _lambda_sq_term(f, iface.lambda_sq_part(1), k, "left"))
              for k, iface in enumerate(config.interfaces, start=1) if not iface.is_lambda_free]
 
-    image = _spectral_forward(config, f, spec, lambdas, bas.build_batch)
+    image = _spectral_forward(config, f, spec, lambdas)
     for k, jump in jumps:
         wk = bas.w_on_layer(image.basis, k - 1, config.junction(k))
         term = term + wk @ image.basis.pencil_inv[k - 1][0] @ jump
@@ -355,9 +295,6 @@ def _lambda_sq_term(f, block, junction, side):
         if np.any(part):
             term = term + part @ f.trace(junction, side, order)
     return term
-
-
-INVERSION_CONSTANT = -1.0 / (math.pi * 1j)
 
 
 def _normalize_x_points(config, x_points, spec):
@@ -387,22 +324,68 @@ def _normalize_x_points(config, x_points, spec):
 
 
 def inverse_transform(config, image, x_points, spec):
-    """Reconstruct a function from its image on the canonical spectral grid.
+    """Reconstruct a function from its image on the canonical spectral grid of (config, spec).
 
     x_points is either a flat array (points are routed to layers, junction
-    abscissae to the right layer) or a list of per-layer arrays.  Flagged
-    (NaN) image rows are excluded from the quadrature; their indices are
-    reported in meta["dropped_rows"].
+    abscissae to the right layer) or a list of per-layer arrays.  The
+    kernels are the primal families of image.basis when that is the batch
+    of this config object on the image's grid, else of basis.build_batch
+    (as in _spectral_forward); either way the whole grid's, of which the
+    families keep the finite rows.  NaN (flagged) rows are left out of the
+    quadrature and reported in meta["dropped_rows"]; a flag on a kept row
+    is raised.  The quadrature and exp(-tau lam) weights fold into
+    _damped_sums; quad.tau_limit extrapolates.
     """
-    if config.mode != SEMI_AXIS:
-        raise WrongMode("inverse_transform serves semi-axis problems; "
-                        "use scalar_axis_inverse for the full axis")
-    if image.k != config.r:
+    branches = bas.branch_count(config)
+    if image.k != branches:
         raise DimensionMismatch(
-            f"image has {image.k} components, problem has r = {config.r}", block="image"
+            f"image has {image.k} components, the kernels of this problem have {branches}",
+            block="image",
+        )
+    rates = quad.band_edge_rates(config, spec)
+    quad._check_size(config, spec, rates, sum(map(np.size, x_points))
+                     if isinstance(x_points, (list, tuple)) else np.size(x_points))
+    grid = quad._lambda_grid(spec, rates)
+    if image.lambdas.size != grid.nodes.size or not np.allclose(
+        image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
+    ):
+        raise InvariantViolation(
+            "image is not sampled on the canonical spectral grid of this problem and "
+            "quadrature spec; regenerate it with forward_transform under the same spec"
         )
 
-    return _spectral_inverse(config, image, x_points, spec, INVERSION_CONSTANT, bas.build_batch)
+    keep = np.all(np.isfinite(image.values), axis=1)
+    lams = image.lambdas[keep]
+    if lams.size == 0:
+        raise EmptyImage("all image rows are flagged")
+
+    per_layer = _normalize_x_points(config, x_points, spec)
+    edges = np.cumsum([0] + [xs.size for xs in per_layer])
+    basis = image.basis
+    if basis is None or basis.config is not config or not np.array_equal(basis.lam, image.lambdas):
+        basis = bas.build_batch(config, image.lambdas)
+    flagged = [i for i in sorted(basis.flags) if keep[i]]
+    if flagged:
+        raise basis.flags[flagged[0]]
+    fhat = basis.inversion_constant * image.values[keep]
+    families = [fam.rows(keep) for fam in basis.primal]
+    damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
+    damped = np.concatenate([
+        _damped_sums(fam, *_split(xs - fam.center), fhat, damping)[:, :xs.size]
+        for xs, fam in zip(per_layer, families)
+    ], axis=1)
+    limit, err = quad.tau_limit(spec, damped)
+
+    layers_out = [
+        LayerSamples(x=xs, values=limit[a:b])
+        for xs, a, b in zip(per_layer, edges[:-1], edges[1:])
+    ]
+    meta = {
+        "tau_error_estimate": float(np.max(err, initial=0.0)),
+        "dropped_rows": np.flatnonzero(~keep).tolist(),
+        "junction_abscissae": [config.left_end] + list(config.junctions),
+    }
+    return PiecewiseGridFunction(layers=layers_out, traces={}, meta=meta)
 
 
 @dataclass(frozen=True)
@@ -435,25 +418,15 @@ class RoundtripReport:
         return "\n".join(lines)
 
 
-def transform_pair(config):
-    """The (forward, inverse) transforms of the geometry of config."""
-    if config.mode == SEMI_AXIS:
-        return forward_transform, inverse_transform
-    from . import axis  # imported here: axis imports this module
-
-    return axis.scalar_axis_forward, axis.scalar_axis_inverse
-
-
 def roundtrip_report(config, f, spec):
     """Transform f forward, invert, and report reconstruction errors.
 
     Serves both geometries; the report carries the reconstruction on the
     sample abscissae of f within |x| <= x_max.
     """
-    forward, inverse = transform_pair(config)
-    image = forward(config, f, spec)
+    image = forward_transform(config, f, spec)
     window = [ls.x[np.abs(ls.x) <= spec.x_max * (1 + 1e-12)] for ls in f.layers]
-    recon = inverse(config, image, window, spec)
+    recon = inverse_transform(config, image, window, spec)
 
     l2s, sups = [], []
     l2_in_sq = 0.0

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from layerft import axis as ax
 from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import linalg as la

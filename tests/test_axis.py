@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import layerft
-from layerft import axis as ax
 from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import cli
@@ -14,7 +13,6 @@ from layerft.errors import (
     DegenerateBoundary,
     DimensionMismatch,
     InvariantViolation,
-    WrongMode,
 )
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet, ideal_contact
 from layerft.quadrature import QuadratureSpec, lambda_grid
@@ -59,7 +57,7 @@ def connection(q):
 
 def oracle_column(b, q, m, x):
     """The column kernel (-Q-/(c2 w_m), -Q+/(d1 w_m)) on layer m at x, from the oracle Q."""
-    return -ax.row_family(q[m]).at(x)[..., 0, :] / (connection(q) * b.omega[..., m, None])
+    return -bas.row_family(q[m]).at(x)[..., 0, :] / (connection(q) * b.omega[..., m, None])
 
 
 def symmetry_defect(b, q, xs):
@@ -72,7 +70,7 @@ def symmetry_defect(b, q, xs):
     pq = np.empty((2, xs.size) + np.shape(b.lam) + (2,), dtype=complex)
     for m, (p, qm) in enumerate(zip(b.layers, q)):
         x = xs[idx == m].reshape((-1,) + (1,) * np.ndim(b.lam))
-        pq[:, idx == m] = [ax.row_family(ld).at(x)[..., 0, :] for ld in (p, qm)]
+        pq[:, idx == m] = [bas.row_family(ld).at(x)[..., 0, :] for ld in (p, qm)]
     pp, qq = np.moveaxis(pq, 1, -2)                            # (..., Nx, 2)
     n = -(pp / connection(q)[..., None, :]) @ qq.swapaxes(-1, -2)
     scale = np.maximum(np.abs(n).max(axis=(-2, -1)), 1e-300)
@@ -94,7 +92,7 @@ def assert_dual_is_oracle_column(b, q, xs):
 def test_homogeneous_image_is_classical_fourier(load):
     cfg, spec = load("fullaxis")
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=0.7, width=0.6), cfg, spec.x_max)
-    img = ax.scalar_axis_forward(cfg, f, spec)
+    img = tr.forward_transform(cfg, f, spec)
     lam = img.lambdas
     oracle = np.column_stack([
         1j * gauss_ft(lam, 0.7, 0.6) / (2 * lam),
@@ -117,7 +115,7 @@ def test_homogeneous_scaled_medium_image():
 
     spec = QuadratureSpec()
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=0.0, width=0.8), cfg, spec.x_max)
-    img = ax.scalar_axis_forward(cfg, f, spec)
+    img = tr.forward_transform(cfg, f, spec)
     lam = img.lambdas
     oracle = 1j * gauss_ft(lam / a, 0.0, 0.8) / (2 * lam * a)
     assert np.max(np.abs(img.values[:, 0] - oracle)) <= 1e-12
@@ -126,18 +124,18 @@ def test_homogeneous_scaled_medium_image():
 def test_homogeneous_roundtrip(load):
     cfg, spec = load("fullaxis")
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=0.7, width=0.6), cfg, spec.x_max)
-    img = ax.scalar_axis_forward(cfg, f, spec)
+    img = tr.forward_transform(cfg, f, spec)
     xs = f.layers[0].x
-    recon = ax.scalar_axis_inverse(cfg, img, [xs], spec)
+    recon = tr.inverse_transform(cfg, img, [xs], spec)
     assert np.max(np.abs(recon.layers[0].values - f.layers[0].values)) <= 1e-3
 
 
 def test_two_layer_roundtrip(load):
     cfg, spec = load("fullaxis_twolayer")
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=0.5, width=0.5), cfg, spec.x_max)
-    img = ax.scalar_axis_forward(cfg, f, spec)
+    img = tr.forward_transform(cfg, f, spec)
     pts = [ls.x for ls in f.layers]
-    recon = ax.scalar_axis_inverse(cfg, img, pts, spec)
+    recon = tr.inverse_transform(cfg, img, pts, spec)
     sup = max(
         np.max(np.abs(recon.layers[m].values - f.layers[m].values)) for m in range(2)
     )
@@ -148,7 +146,7 @@ def test_kernel_symmetry(load):
     cfg, _ = load("fullaxis_twolayer")
     xs = np.array([-4.0, -1.2, 0.1, 0.5, 0.9, 3.5])
     for lam in (0.3, 1.9, 6.4):
-        b = ax.build_axis_basis(cfg, lam)
+        b = bas.build_basis(cfg, lam)
         q = q_sweep(b)
         assert symmetry_defect(b, q, xs) <= 1e-12
         assert_dual_is_oracle_column(b, q, xs)
@@ -158,22 +156,13 @@ def test_kernel_symmetry(load):
 
 def test_single_layer_centers_at_origin(load):
     cfg, _ = load("fullaxis")
-    b = ax.build_axis_basis(cfg, 1.3)
-    assert b.centers == [0.0] or np.allclose(b.centers, [0.0])
+    b = bas.build_basis(cfg, 1.3)
+    assert [ld.center for ld in b.layers] == [0.0]
     xs = np.linspace(-5, 5, 11)
     p = bas.u_on_layer(b, 0, xs)
     assert p.shape == (xs.size, 1, 2)
     assert np.max(np.abs(p[:, 0, 0] - np.exp(1j * 1.3 * xs))) <= 1e-12
     assert np.max(np.abs(p[:, 0, 1] - np.exp(-1j * 1.3 * xs))) <= 1e-12
-
-
-def test_wrong_mode_guards(load):
-    cfg_semi, spec = load("twolayer")
-    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg_semi, spec.x_max)
-    with pytest.raises(WrongMode):
-        ax.scalar_axis_forward(cfg_semi, f, spec)
-    with pytest.raises(WrongMode):
-        ax.build_axis_basis(cfg_semi, 1.0)
 
 
 def test_image_must_have_two_branches(load):
@@ -184,7 +173,7 @@ def test_image_must_have_two_branches(load):
     grid = lambda_grid(cfg, spec)
     img = SpectralImage(lambdas=grid.nodes, values=np.zeros((grid.nodes.size, 1)), meta={})
     with pytest.raises(DimensionMismatch):
-        ax.scalar_axis_inverse(cfg, img, [np.linspace(-1, 1, 5)], spec)
+        tr.inverse_transform(cfg, img, [np.linspace(-1, 1, 5)], spec)
 
 
 def test_full_axis_validation_rules():
@@ -232,7 +221,7 @@ def test_reflectionless_junction_degenerates():
         ),
         interfaces=(ideal_contact(E, E),),
     )
-    batch = ax.build_axis_batch(cfg, [1.1])
+    batch = bas.build_batch(cfg, [1.1])
     assert not batch.flags and np.isfinite(batch.s).all()
     assert np.max(np.abs(batch.s[0] - J)) <= 1e-12
 
@@ -240,7 +229,7 @@ def test_reflectionless_junction_degenerates():
     blocks.update(beta11=E, alpha21=E)  # one-sided rows: pencil singular
     cfg_bad = dataclasses.replace(cfg, interfaces=(Interface(**blocks),))
     with pytest.raises(Exception) as exc:
-        ax.build_axis_basis(cfg_bad, 1.1)
+        bas.build_basis(cfg_bad, 1.1)
     from layerft.errors import LayerFTError
 
     assert isinstance(exc.value, LayerFTError)
@@ -266,7 +255,7 @@ def three_layer_axis():
 @pytest.mark.parametrize("lam", [0.3, 2.1, 7.5])
 def test_three_layer_sweeps_meet_junction_conditions(lam):
     cfg = three_layer_axis()
-    b = ax.build_axis_basis(cfg, lam)
+    b = bas.build_basis(cfg, lam)
     for k, iface in enumerate(cfg.interfaces, start=1):
         lk = cfg.junction(k)
         for layers in (b.layers, q_sweep(b)):       # P and the oracle's Q families
@@ -276,7 +265,7 @@ def test_three_layer_sweeps_meet_junction_conditions(lam):
 
     # Q- and Q+ start in the left layer as exp(-/+ i q (x - l_1))
     xs = np.linspace(-6.0, -0.5, 9)
-    q, s = np.sqrt(lam**2 + 0.2), xs - b.centers[0]
+    q, s = np.sqrt(lam**2 + 0.2), xs - b.layers[0].center
     qq = bas._omega_stack(q_sweep(b)[0], xs, 1)[:, 0]
     assert np.max(np.abs(qq - np.column_stack([np.exp(-1j * q * s), np.exp(1j * q * s)]))) <= 1e-12
 
@@ -315,7 +304,7 @@ def test_cli_basis_tabulates_the_full_axis_kernels(load, tmp_path):
     assert xs.size == 9
     assert np.max(np.abs(cells[:, 0] - np.exp(1j * lam * xs))) <= 1e-12
     assert np.max(np.abs(cells[:, 1] - np.exp(-1j * lam * xs))) <= 1e-12
-    dual = ax.build_axis_batch(cfg, [lam]).dual[0].at(xs[:, None])[:, 0, :, 0]
+    dual = bas.build_batch(cfg, [lam]).dual[0].at(xs[:, None])[:, 0, :, 0]
     assert np.max(np.abs(cells[:, 2:] - dual)) <= 1e-12 * np.max(np.abs(dual))
 
 
@@ -325,7 +314,7 @@ def test_full_axis_image_carries_the_semi_axis_meta(load):
     tails = []
     for center in (3.0, -11.8, 11.8):
         f = cat.to_grid_function(cat.make_profile("gauss_bump", center=center), cfg, spec.x_max)
-        img = ax.scalar_axis_forward(cfg, f, spec)
+        img = tr.forward_transform(cfg, f, spec)
         tails.append(img.meta["xi_tail_estimate"])
     assert tails[0] <= 1e-12
     assert min(tails[1:]) >= 1e-2
@@ -338,20 +327,21 @@ def axis_arrays(b):
     """Every array of an AxisBatch or of its one-point view, by name."""
     out = {"lam": b.lam, "s": b.s, "omega": b.omega}
     for m, ld in enumerate(b.layers):
-        out.update({f"layers[{m}].{a}": getattr(ld, a) for a in ("mu", "v", "vinv", "coef")})
+        out.update({f"layers[{m}].{a}": getattr(ld, a)
+                    for a in ("mu", "v", "vinv", "coef", "center")})
     return out
 
 
 @pytest.mark.parametrize("name", ["fullaxis_twolayer", "three_layer_axis"])
 def test_axis_batch_matches_pointwise_build(load, name):
-    # every canonical node of one batched build against build_axis_basis there
+    # every canonical node of one batched build against build_basis there
     cfg, spec = load(name) if name != "three_layer_axis" else (three_layer_axis(), QuadratureSpec())
     lams = lambda_grid(cfg, spec).nodes
-    batch = ax.build_axis_batch(cfg, lams)
+    batch = bas.build_batch(cfg, lams)
     assert not batch.flags
     for i, lam in enumerate(lams):
-        b, view = ax.build_axis_basis(cfg, lam), batch.at(i)
-        assert type(b) is type(view) is ax.AxisBatch and b.centers == batch.centers
+        b, view = bas.build_basis(cfg, lam), batch.at(i)
+        assert type(b) is type(view) is bas.AxisBatch
         assert b.flags == view.flags == {}
         ref, got = axis_arrays(b), axis_arrays(view)
         assert ref.keys() == got.keys()
@@ -366,16 +356,18 @@ def test_symmetry_defect_on_a_fine_grid_and_on_a_batch():
     assert set(cfg.layer_index(xs)) == {0, 1, 2}
     lams = np.array([0.3, 2.1, 7.5])
     for lam in lams:
-        b = ax.build_axis_basis(cfg, lam)
+        b = bas.build_basis(cfg, lam)
         defect = symmetry_defect(b, q_sweep(b), xs)
         assert np.ndim(defect) == 0 and defect <= 1e-12
-    batch = ax.build_axis_batch(cfg, lams)
+    batch = bas.build_batch(cfg, lams)
     q = q_sweep(batch)
     per_lam = symmetry_defect(batch, q, xs[::40])
     assert per_lam.shape == lams.shape and np.max(per_lam) <= 1e-12
     assert_dual_is_oracle_column(batch, q, xs[::40])
 
 
-def test_exported_one_point_name_is_the_built_type(load):
-    cfg, _ = load("twolayer")
-    assert isinstance(layerft.build_basis(cfg, 1.0), layerft.SpectralBasisAtLambda)
+def test_every_exported_name_resolves():
+    missing = [name for name in layerft.__all__ if not hasattr(layerft, name)]
+    assert missing == []
+    for gone in ("scalar_axis_forward", "scalar_axis_inverse", "SpectralBasisAtLambda"):
+        assert not hasattr(layerft, gone)

@@ -8,7 +8,6 @@ from layerft.errors import (
     InvariantViolation,
     OutOfDomain,
     RegularityViolation,
-    WrongMode,
 )
 from layerft.problem import Layer, ProblemConfig, dirichlet
 from layerft.quadrature import lambda_grid
@@ -203,12 +202,6 @@ def test_nonpositive_lambda_rejected(load):
         bas.build_basis(cfg, -2.0)
 
 
-def test_full_axis_config_rejected(load):
-    cfg, _ = load("fullaxis")
-    with pytest.raises(WrongMode):
-        bas.build_basis(cfg, 1.0)
-
-
 def test_eval_u_junction_tie_breaks_right(load):
     cfg, _ = load("twolayer")
     b = bas.build_basis(cfg, 1.3)
@@ -373,15 +366,13 @@ def test_batch_diagnostics_keep_the_unflagged_rows(load):
             1.0 + 2.0j, None],
 )
 def test_one_point_builders_refuse_anything_but_one_real_number(load, monkeypatch, lam):
-    from layerft import axis as ax
-
     def no_build(*args):
         raise AssertionError("a refused spectral parameter reached the build")
 
     monkeypatch.setattr(bas, "_build_families", no_build)
-    for build, name in ((bas.build_basis, "twolayer"), (ax.build_axis_basis, "fullaxis_twolayer")):
+    for name in ("twolayer", "fullaxis_twolayer"):
         with pytest.raises(InvariantViolation, match="one real spectral parameter"):
-            build(load(name)[0], lam)
+            bas.build_basis(load(name)[0], lam)
 
 
 def test_one_point_builders_take_any_real_scalar(load):

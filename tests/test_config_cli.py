@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import yaml
 
-from layerft import axis as ax
 from layerft import catalog as cat
 from layerft import cli
 from layerft import transform as tr
@@ -342,15 +341,14 @@ def test_cli_tau_flag_parses(tmp_path):
 def test_cli_roundtrip_writes_reconstruction(tmp_path, monkeypatch, name):
     cfg, spec = parse_config(config_path(name))
     spec = dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
-    module, attr = (tr, "forward_transform") if cfg.mode == "semi-axis" else (ax, "scalar_axis_forward")
-    forward = getattr(module, attr)
+    forward = tr.forward_transform
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return forward(*args, **kwargs)
 
-    monkeypatch.setattr(module, attr, counted)
+    monkeypatch.setattr(tr, "forward_transform", counted)
     out = tmp_path / "recon.csv"
     rc = cli.main(["roundtrip", "--config", config_path(name), "--input", "gauss_bump",
                    "--lambda-max", "10", "--lambda-steps", "200", "--output", str(out)])

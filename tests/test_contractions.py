@@ -34,9 +34,8 @@ def dense(monkeypatch):
 
 
 def pair(cfg, spec, f, window):
-    forward, inverse = tr.transform_pair(cfg)
-    img = forward(cfg, f, spec)
-    recon = inverse(cfg, img, window, spec)
+    img = tr.forward_transform(cfg, f, spec)
+    recon = tr.inverse_transform(cfg, img, window, spec)
     return img.values, np.concatenate([ls.values for ls in recon.layers])
 
 

@@ -190,3 +190,10 @@ def test_huge_samples_is_size_error_before_sampling(workdir, command, monkeypatc
             argv[argv.index(CONFIG)] = config
             rc, err = run(argv)
             assert rc == 3 and "exceeds the limit" in err, (config, samples, err)
+
+
+@pytest.mark.parametrize("flag", [("--heights", "0"), ("--heights", "-1"), ("--dim", "1")])
+def test_out_of_range_poisson_flags_are_configuration_errors(workdir, flag):
+    rc, err = run(argv_for(workdir, "poisson", *flag))
+    assert rc == 3, err
+    assert err.startswith("error: ")

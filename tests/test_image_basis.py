@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from layerft import axis as ax
 from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import operator as op
@@ -55,15 +54,14 @@ def assert_same(a, b):
 @pytest.mark.parametrize("name", SEMI_AXIS + FULL_AXIS)
 def test_reused_and_rebuilt_inversions_are_bit_identical(load, name):
     cfg, spec, f, pts = small(load, name)
-    forward, inverse = tr.transform_pair(cfg)
-    image = forward(cfg, f, spec)
+    image = tr.forward_transform(cfg, f, spec)
     edited = dataclasses.replace(image, values=image.values.copy())
     edited.values[[0, 7, 150, -1]] = np.nan
     for img in (image, image.decayed(0.05), edited):
         assert img.basis is image.basis is not None
-        rebuilt = inverse(cfg, dataclasses.replace(img, basis=None), pts, spec)
-        assert_same(inverse(cfg, img, pts, spec), rebuilt)
-    dropped = inverse(cfg, edited, pts, spec).meta["dropped_rows"]
+        rebuilt = tr.inverse_transform(cfg, dataclasses.replace(img, basis=None), pts, spec)
+        assert_same(tr.inverse_transform(cfg, img, pts, spec), rebuilt)
+    dropped = tr.inverse_transform(cfg, edited, pts, spec).meta["dropped_rows"]
     assert dropped == [0, 7, 150, image.lambdas.size - 1]
 
 
@@ -73,8 +71,7 @@ def test_kept_rows_of_the_whole_grid_equal_a_build_on_them(load, name):
     lams = quad.lambda_grid(cfg, spec).nodes
     keep = np.ones(lams.size, dtype=bool)
     keep[[3, 40, 41, -1]] = False
-    build = bas.build_batch if name == "threelayer_r2" else ax.build_axis_batch
-    whole, part = build(cfg, lams).primal, build(cfg, lams[keep]).primal
+    whole, part = bas.build_batch(cfg, lams).primal, bas.build_batch(cfg, lams[keep]).primal
     for a, b in zip(whole, part):
         a = a.rows(keep)
         for attr in ("mu", "lp", "rp", "lm", "rm"):

@@ -12,6 +12,7 @@ import scipy.special as sp
 from layerft import radial as rad
 from layerft import transform as tr
 from layerft.errors import (
+    DimensionMismatch,
     InvariantViolation,
     NonpositiveHeight,
     SizeLimitExceeded,
@@ -371,6 +372,39 @@ def test_even_dimensions_past_the_expansion_are_refused(n):
     with pytest.raises(UnsupportedDimension, match=f"n = {n} dimensions"):
         rad.forward_nd_image(prof, QuadratureSpec(lambda_max=1e300))
     assert rad._omitted_term(0.5 * (n - 2)) > 2e-9
+
+
+def test_the_highest_accepted_odd_dimension_matches_closed_form():
+    # n = 61: the series' largest term at its crossover z = 30 is 141 times its first
+    assert rad._series_growth(29.5) <= rad._SERIES_GROWTH
+    img = rad.forward_nd_image(gaussian_profile(61), QuadratureSpec(lambda_max=12.0,
+                                                                    lambda_steps=400))
+    exact = closed_form_image(61, 1.0, img.lambdas)
+    assert np.max(np.abs(img.values[:, 0] - exact)) <= 5e-11 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("n", [63, 81, 101])
+def test_odd_dimensions_past_the_series_cancellation_are_refused(n):
+    # the series cancels too much at z = nu + 1/2: refused before the profile
+    # is evaluated, as the even dimensions past the expansion are
+    def untouchable(rho):
+        raise AssertionError("profile evaluated")
+
+    prof = rad.RadialProfile(n=n, fn=untouchable, rho_max=30.0)
+    with pytest.raises(UnsupportedDimension, match=f"n = {n} dimensions"):
+        rad.forward_nd(prof, np.array([0.5, 1.0]))
+    with pytest.raises(UnsupportedDimension, match=f"n = {n} dimensions"):
+        rad.forward_nd_image(prof, QuadratureSpec(lambda_max=12.0, lambda_steps=400))
+    assert rad._series_growth(0.5 * (n - 2)) > rad._SERIES_GROWTH
+
+
+def test_inverse_refuses_an_image_with_more_than_one_column(spec):
+    img = rad.forward_nd_image(
+        gaussian_profile(3), dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
+    )
+    wide = dataclasses.replace(img, values=np.hstack([img.values, 5.0 * img.values]))
+    with pytest.raises(DimensionMismatch, match="2 columns"):
+        rad.inverse_nd(wide, spec)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 10])

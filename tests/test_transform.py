@@ -4,7 +4,6 @@ import time
 import numpy as np
 import pytest
 
-from layerft import axis as ax
 from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import radial as rad
@@ -16,7 +15,6 @@ from layerft.errors import (
     InvariantViolation,
     NonConvergentTail,
     RegularityViolation,
-    WrongMode,
 )
 from layerft.gridfn import (
     LayerSamples,
@@ -29,18 +27,20 @@ from layerft.gridfn import (
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet
 from layerft.quadrature import QuadratureSpec, lambda_grid
 
-from conftest import odd_gaussian_deriv, odd_gaussian_function
+from conftest import CONFIG_DIR, odd_gaussian_deriv, odd_gaussian_function
+
+# every bundled config whose transform runs (singular.cfg flags every point)
+BUNDLED = sorted(p.stem for p in CONFIG_DIR.glob("*.cfg") if p.stem != "singular")
 
 
-def geometry_pair(load, geometry):
-    """(config, spec, f, forward, inverse, window) for one geometry of the driver."""
+def geometry_case(load, geometry):
+    """(config, spec, f, window) for one geometry of the transform pair."""
     if geometry == "semi-axis":
         cfg, spec = load("sine")
-        f = odd_gaussian_function()
-        return cfg, spec, f, tr.forward_transform, tr.inverse_transform, (0.0, 6.0)
+        return cfg, spec, odd_gaussian_function(), (0.0, 6.0)
     cfg, spec = load("fullaxis_twolayer")
     f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
-    return cfg, spec, f, ax.scalar_axis_forward, ax.scalar_axis_inverse, (-6.0, 6.0)
+    return cfg, spec, f, (-6.0, 6.0)
 
 
 def test_forward_matches_classical_sine_image(load):
@@ -61,11 +61,11 @@ def test_roundtrip_single_layer(load):
 
 @pytest.mark.parametrize("geometry", ["semi-axis", "full-axis"])
 def test_inverse_requires_matching_grid(load, geometry):
-    cfg, spec, f, forward, inverse, (lo, hi) = geometry_pair(load, geometry)
-    img = forward(cfg, f, spec)
+    cfg, spec, f, (lo, hi) = geometry_case(load, geometry)
+    img = tr.forward_transform(cfg, f, spec)
     clipped = dataclasses.replace(img, lambdas=img.lambdas[:-1], values=img.values[:-1])
     with pytest.raises(InvariantViolation):
-        inverse(cfg, clipped, np.linspace(lo, 5, 8), spec)
+        tr.inverse_transform(cfg, clipped, np.linspace(lo, 5, 8), spec)
 
 
 def test_forward_on_explicit_lambda_grid(load):
@@ -164,11 +164,25 @@ def test_all_flagged_reraises(load):
         tr.forward_transform(cfg, f, spec)
 
 
-def test_full_axis_config_rejected_by_semi_axis_transform(load):
-    cfg, spec = load("fullaxis")
+@pytest.mark.parametrize("name", BUNDLED)
+def test_one_pair_and_one_builder_serve_every_geometry(load, name):
+    # the same calls on both geometries: config.mode alone picks the kernels
+    cfg, spec = load(name)
+    spec = dataclasses.replace(spec, lambda_max=8.0, lambda_steps=80)
     f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
-    with pytest.raises(WrongMode):
-        tr.forward_transform(cfg, f, spec)
+    kind, branches = ((bas.SpectralBasisBatch, cfg.r) if cfg.mode == "semi-axis"
+                      else (bas.AxisBatch, 2))
+    assert bas.branch_count(cfg) == branches
+    img = tr.forward_transform(cfg, f, spec)
+    assert type(img.basis) is kind and img.k == branches
+    window = [ls.x[np.abs(ls.x) <= spec.x_max] for ls in f.layers]
+    recon = tr.inverse_transform(cfg, img, window, spec)
+    for ls, xs in zip(recon.layers, window):
+        assert ls.values.shape == (xs.size, cfg.r) and np.all(np.isfinite(ls.values))
+    b = bas.build_basis(cfg, 1.3)
+    assert type(b) is kind and b.flags == {} and b.lam == 1.3
+    u = bas.u_on_layer(b, 0, np.array([cfg.layers[0].window(spec.x_max)[1]]))
+    assert u.shape == (1, cfg.r, branches)
 
 
 def test_component_count_mismatch_rejected(load):
@@ -257,17 +271,17 @@ def test_empty_image_rejected(load):
 
 @pytest.mark.parametrize("geometry", ["semi-axis", "full-axis"])
 def test_inverse_reports_dropped_rows(load, geometry):
-    cfg, spec, f, forward, inverse, (lo, hi) = geometry_pair(load, geometry)
+    cfg, spec, f, (lo, hi) = geometry_case(load, geometry)
     spec = dataclasses.replace(spec, lambda_steps=150, lambda_max=12.0)
-    img = forward(cfg, f, spec)
+    img = tr.forward_transform(cfg, f, spec)
     vals = img.values.copy()
     vals[7] = np.nan
     marked = dataclasses.replace(img, values=vals)
     xs = np.linspace(lo, hi, 61)
-    recon = inverse(cfg, marked, xs, spec)
+    recon = tr.inverse_transform(cfg, marked, xs, spec)
     assert recon.meta["dropped_rows"] == [7]
     # one dropped quadrature node barely perturbs the reconstruction
-    clean = inverse(cfg, img, xs, spec)
+    clean = tr.inverse_transform(cfg, img, xs, spec)
     for a, b in zip(recon.layers, clean.layers):
         assert np.max(np.abs(a.values - b.values), initial=0.0) <= 1e-2
 
@@ -287,24 +301,14 @@ def test_tail_guard_raises_nonconvergent_tail(load, case):
         cfg, spec = load(case)
         spec = dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
         f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
-        forward, inverse = (
-            (tr.forward_transform, tr.inverse_transform) if cfg.mode == "semi-axis"
-            else (ax.scalar_axis_forward, ax.scalar_axis_inverse)
-        )
-        img = forward(cfg, f, spec)
+        img = tr.forward_transform(cfg, f, spec)
 
         def invert(s):
-            return inverse(cfg, img, np.linspace(0.0, 4.0, 9), s)
+            return tr.inverse_transform(cfg, img, np.linspace(0.0, 4.0, 9), s)
 
     invert(spec)
     with pytest.raises(NonConvergentTail):
         invert(dataclasses.replace(spec, tail_tolerance=1e-12))
-
-
-def transform_pair(cfg):
-    if cfg.mode == "semi-axis":
-        return tr.forward_transform, tr.inverse_transform
-    return ax.scalar_axis_forward, ax.scalar_axis_inverse
 
 
 def _rel(a, b):
@@ -317,14 +321,13 @@ def test_results_independent_of_chunk_size(load, monkeypatch, name):
     cfg, spec = load(name)
     spec = dataclasses.replace(spec, lambda_max=8.0, lambda_steps=100)
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
-    forward, inverse = transform_pair(cfg)
     window = [ls.x[np.abs(ls.x) <= spec.x_max] for ls in f.layers]
     phases_per_point = 8 * lambda_grid(cfg, spec).nodes.size * cfg.r
     results = []
     for budget in (1, 7 * phases_per_point, 1 << 62):
         monkeypatch.setattr(tr, "_CHUNK_BYTES", budget)
-        img = forward(cfg, f, spec)
-        recon = inverse(cfg, img, window, spec)
+        img = tr.forward_transform(cfg, f, spec)
+        recon = tr.inverse_transform(cfg, img, window, spec)
         results.append((img.values, np.concatenate([ls.values for ls in recon.layers])))
     for img, rec in results[:2]:
         assert _rel(results[2][0], img) <= 1e-13
@@ -337,12 +340,11 @@ def test_oversized_transform_fails_fast(load, name, update):
     # refused from the spec alone, before any grid or kernel is built
     cfg, spec = load(name)
     f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
-    forward, inverse = transform_pair(cfg)
-    img = forward(cfg, f, dataclasses.replace(spec, lambda_max=4.0, lambda_steps=40))
+    img = tr.forward_transform(cfg, f, dataclasses.replace(spec, lambda_max=4.0, lambda_steps=40))
     huge = dataclasses.replace(spec, **update)
     t0 = time.perf_counter()
     with pytest.raises(ConfigError, match="exceeds the limit"):
-        forward(cfg, f, huge)
+        tr.forward_transform(cfg, f, huge)
     with pytest.raises(ConfigError, match="exceeds the limit"):
-        inverse(cfg, img, np.linspace(0.0, 4.0, 201), huge)
+        tr.inverse_transform(cfg, img, np.linspace(0.0, 4.0, 201), huge)
     assert time.perf_counter() - t0 < 1.0
