@@ -61,14 +61,16 @@ the floor, so a regular grid runs none.  Each gated block is inverted
 once, by its gate, and every product uses that inverse: phi0_inv and
 psi0_inv, pencil_inv (M_1^{-1}, M_2^{-1}) for the recursions, the dual
 sweep, the dual junction relation and the forward's junction term; nothing
-solves.  The junction conditions of most problems, and the eigenbasis V of
-most layers, do not depend on lam.  Such a block is computed and gated
-once and kept as a read-only broadcast over the grid (a stride-0 stack,
-which at(i) slices like any other); _matmul multiplies it as one matrix,
-one product over the flattened stack of the other factor instead of one
-per point.  With a real diagonal constant (r = 1, a diagonal a2, ideal
-contact between such layers) every entry of that product is rounded as
-the per-point product rounds it, so the results do not change by a bit.
+solves.  The junction conditions of most problems, the boundary row of a
+lam-free boundary and the eigenbasis V of most layers do not depend on
+lam.  Such a block is computed and gated once and kept as a read-only
+broadcast over the grid (a stride-0 stack, which at(i) slices like any
+other); _matmul multiplies it as one matrix, one product over the
+flattened stack of the other factor instead of one per point, and every
+product that can have such a factor goes through it (its docstring lists
+them).  Grouped so, the products round differently from per-point ones;
+tests/test_rounding.py checks that rounding is not amplified: a one-ulp
+change of every mu moves images and reconstructions by rounding only.
 Degenerate points are flagged, not raised; build_basis is build_batch at
 one point, sliced by at(0), and every diagnostic takes a batch or a
 one-point view alike.  Everything before the boundary functionals is
@@ -135,7 +137,13 @@ def _matmul(a, b):
     Two lam-free factors give their 2-D product.  One gives one product over
     the flattened stack of the other, its rows for a right factor, its
     columns (by the transposes) for a left one, instead of a product per
-    point.  Two stacks multiply point by point.
+    point.  Two stacks multiply point by point.  Every product that can have
+    a lam-free factor takes this route: the wavenumber and junction-pencil
+    products, Family.at (V @ the phased rp), _coef_from_stack (V and V^{-1}),
+    the dual sweep and K = V^{-1} a2^{-1} / (2 i mu) of dual_families, the
+    boundary functionals bnd_row @ Omega(l_0) and the primal coefficients
+    coef @ Phi0^{-1}, coef @ Psi0^{-1} (the tail layer's coef is a broadcast
+    identity).
     """
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:
@@ -194,6 +202,12 @@ def _wavenumber_eig(a2, g2, lams):
             _matmul(u.conj().swapaxes(-1, -2), chol.conj().T))
 
 
+def material_key(layer):
+    """The key by which layers of one material (a2, g2) share their wavenumbers."""
+    return (np.asarray(layer.a2, dtype=complex).tobytes(),
+            np.asarray(layer.g2, dtype=complex).tobytes())
+
+
 def compute_wavenumber(layer, lam):
     """Principal square root q = sqrt(a2^{-1} (lam^2 E + g2)) for one layer.
 
@@ -238,14 +252,22 @@ class Family:
     rm: np.ndarray
 
     def at(self, xs, order=0):
-        """d^order K / dx^order at each x of an (Nx,) xs, or per lam of a stacked K at one x."""
+        """d^order K / dx^order at each x of an (Nx,) xs, or per lam of a stacked K at one x.
+
+        Each half is lp @ (e^{+-i mu s} rp) through _matmul: a lam-free lp (the
+        eigenbasis V of a primal family and of every junction stack) multiplies
+        the phased right factors of all points in one product over the
+        flattened stack; a stacked lp (the dual G blocks) multiplies point by
+        point.
+        """
         if order not in (0, 1, 2):
             raise InvariantViolation(f"unsupported derivative order {order}")
         s = np.asarray(xs, dtype=float)[..., None] - self.center
         ep, em = exp_pair(self.mu * s)
         if order:
             ep, em = ep * (1j * self.mu) ** order, em * (-1j * self.mu) ** order
-        return (self.lp * ep[..., None, :]) @ self.rp + (self.lm * em[..., None, :]) @ self.rm
+        return (_matmul(self.lp, ep[..., :, None] * self.rp)
+                + _matmul(self.lm, em[..., :, None] * self.rm))
 
     def rows(self, index):
         """The stacked Family at the spectral points index of axis 0."""
@@ -296,7 +318,8 @@ class SpectralBasisBatch:
     psi0: np.ndarray
     phi0_inv: np.ndarray
     psi0_inv: np.ndarray
-    bnd_row: np.ndarray    # (..., r, 2r) row (value block | derivative block) at l_0
+    bnd_row: np.ndarray    # (..., r, 2r) (value block | derivative block) at l_0, a broadcast
+                           # row where the boundary is lam-free
     pencils: list          # (M_1, M_2) per junction, (..., 2r, 2r)
     pencil_inv: list       # (M_1^{-1}, M_2^{-1}) per junction, from the gates
     flags: dict
@@ -387,10 +410,12 @@ def _omega_stack(ld, xs, r):
 def _coef_from_stack(ld, y):
     """Coefficients [C+; C-] of the family whose stack (F; F') at the centre is y.
 
-    C+- = 1/2 (y_1 -+ i q^{-1} y_2), with q^{-1} taken in the eigenbasis (no solve).
+    C+- = 1/2 (y_1 -+ i q^{-1} y_2), with i q^{-1} y_2 = i V (V^{-1} y_2 / mu) taken in
+    the eigenbasis (no solve).  With a lam-free V both products run once over
+    the flattened stack y (_matmul).
     """
     r = ld.mu.shape[-1]
-    corr = 1j * (ld.v / ld.mu[..., None, :]) @ _matmul(ld.vinv, y[..., r:, :])   # i q^{-1} y_2
+    corr = 1j * _matmul(ld.v, _matmul(ld.vinv, y[..., r:, :]) / ld.mu[..., :, None])
     return 0.5 * np.concatenate([y[..., :r, :] - corr, y[..., :r, :] + corr], axis=-2)
 
 
@@ -451,11 +476,11 @@ def _build_families(config, lams):
     materials = {}
     lds = []
     for layer, center in zip(config.layers, centers):
-        a2 = np.asarray(layer.a2, dtype=complex)
-        g2 = np.asarray(layer.g2, dtype=complex)
-        key = (a2.tobytes(), g2.tobytes())
+        key = material_key(layer)
         if key not in materials:
-            materials[key] = _wavenumber_eig(a2, g2, lams) + (np.linalg.inv(a2),)
+            a2 = np.asarray(layer.a2, dtype=complex)
+            materials[key] = (_wavenumber_eig(a2, np.asarray(layer.g2, dtype=complex), lams)
+                              + (np.linalg.inv(a2),))
         mu, v, vinv, a2inv = materials[key]
         lds.append(_LayerKernels(
             mu=mu, v=v, vinv=vinv, a2inv=a2inv, center=center,
@@ -501,7 +526,9 @@ def build_batch(config, lams):
 
     bnd = config.boundary
     bnd_row = np.concatenate([bnd.value_row(lams), bnd.deriv_row(lams)], axis=-1)
-    func_row = bnd_row @ _omega_stack(lds[0], config.left_end, r)
+    if bnd.is_lambda_free:          # one row at every lam: one product over the stack below
+        bnd_row = np.broadcast_to(bnd_row[0], bnd_row.shape)
+    func_row = _matmul(bnd_row, _omega_stack(lds[0], config.left_end, r))
     phi0 = func_row[:, :, :r].copy()
     psi0 = func_row[:, :, r:].copy()
     (phi0, phi0_inv), (psi0, psi0_inv) = (_gate(blk, flags, lams, lambda lam: DegenerateBoundary(
@@ -573,7 +600,7 @@ def primal_family(basis, m):
     ld = basis.layers[m]
     # two products, then the difference: for real coefficients M = -conj(P)
     # exactly, so u is exactly imaginary as Phi Phi0^{-1} - Psi Psi0^{-1} is
-    cb = ld.coef[..., :r] @ basis.phi0_inv - ld.coef[..., r:] @ basis.psi0_inv
+    cb = _matmul(ld.coef[..., :r], basis.phi0_inv) - _matmul(ld.coef[..., r:], basis.psi0_inv)
     return ld.family(cb[..., :r, :], cb[..., r:, :])
 
 
@@ -593,6 +620,10 @@ def dual_families(basis):
     Sweeps w forward from w(l_0) = bnd_row through the kept M_1k^{-1} and
     reads each layer's (G_1 V, G_2 V) from w at its left end; it inverts
     nothing, and the placeholder slices of flagged points stay regular.
+    K = (V^{-1} a2^{-1}) / (2 i mu): with a lam-free V the product is one
+    matrix per layer, scaled row by row at each point; with a lam-free
+    boundary row and lam-free blocks the sweep products are one matrix each
+    until the first stacked factor (_matmul).
     """
     r = basis.config.r
     w = basis.bnd_row
@@ -604,7 +635,7 @@ def dual_families(basis):
         w2 = wv[..., r:] * (1j * ld.mu)[..., None, :]
         ep, em = exp_pair(ld.mu * (layer.left - ld.center))[..., None, :]
         g1, g2 = (wv[..., :r] + w2) * ep, (wv[..., :r] - w2) * em
-        k = (ld.vinv / (2j * ld.mu[..., :, None])) @ ld.a2inv
+        k = _matmul(ld.vinv, ld.a2inv) / (2j * ld.mu[..., :, None])
         families.append(Family(ld.mu, ld.center, -g2, k, g1, k))
         if m + 1 < len(basis.layers):      # w at the centre, the right junction: s = 0
             w = np.concatenate([g1 + g2, (g1 - g2) / (1j * ld.mu)[..., None, :]], axis=-1)

@@ -255,6 +255,10 @@ def complex_rows(x, values):
     return np.column_stack([x, np.ascontiguousarray(values, dtype=complex).view(float)])
 
 
+# Rows formatted per write by write_table: bounds the text held at once
+_WRITE_ROWS = 32
+
+
 def write_table(path, header, blocks):
     """Write a CSV table: the header line, then the rows of every block.
 
@@ -262,13 +266,18 @@ def write_table(path, header, blocks):
     are written with 17 significant digits, so that every float64 reads back
     bit-exactly; tail is the literal text that ends each of its rows (the
     text columns of a function CSV, "" in every other table).  Lines end in
-    LF on every platform.
+    LF on every platform.  Each slice of at most _WRITE_ROWS rows is one %
+    format of the repeated row format, byte for byte what np.savetxt writes
+    row by row.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for rows, tail in blocks:
             rows = np.asarray(rows, dtype=float)
-            np.savetxt(fh, rows, fmt=",".join(["%.17g"] * rows.shape[1]) + tail)
+            line = ",".join(["%.17g"] * rows.shape[1]) + tail + "\n"
+            for lo in range(0, rows.shape[0], _WRITE_ROWS):
+                part = rows[lo:lo + _WRITE_ROWS]
+                fh.write((line * part.shape[0]) % tuple(part.ravel().tolist()))
 
 
 def _read_table(path, first, text=()):

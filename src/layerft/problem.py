@@ -15,7 +15,7 @@ organized here as 2r x 2r pencils M_side(lam) acting on stacked
 has the same structure with a single row.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 

@@ -11,8 +11,8 @@ order per panel keeps the rule in its convergent regime:
     ||q_m(lam_max)||_2, so panels are capped at half a period there.
 
 lambda_grid, xi_panels and check_size each compute these band_edge_rates,
-one wavenumber per layer; a transform computes them once and passes them
-to _lambda_grid, _xi_panels and _check_size.
+one wavenumber per distinct material; a transform computes them once and
+passes them to _lambda_grid, _xi_panels and _check_size.
 
 The improper spectral integral of every inversion formula (semi-axis, full
 axis, radial) is damped by exp(-tau lam) on a decreasing schedule of tau
@@ -116,9 +116,16 @@ class LambdaGrid:
 
 
 def band_edge_rates(config, spec):
-    """||q_m(lambda_max)||_2 of every layer m: its fastest spatial oscillation at band edge."""
-    return [np.linalg.norm(_basis.compute_wavenumber(layer, spec.lambda_max), 2)
-            for layer in config.layers]
+    """||q_m(lambda_max)||_2 of every layer m: its fastest spatial oscillation at band edge.
+
+    One wavenumber per distinct material (basis.material_key), shared by its layers.
+    """
+    keys = [_basis.material_key(layer) for layer in config.layers]
+    rates = {}
+    for key, layer in zip(keys, config.layers):
+        if key not in rates:
+            rates[key] = np.linalg.norm(_basis.compute_wavenumber(layer, spec.lambda_max), 2)
+    return [rates[key] for key in keys]
 
 
 def _grid_layout(spec, cap):

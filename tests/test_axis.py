@@ -8,12 +8,7 @@ from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import cli
 from layerft import transform as tr
-from layerft.errors import (
-    ConfigError,
-    DegenerateBoundary,
-    DimensionMismatch,
-    InvariantViolation,
-)
+from layerft.errors import ConfigError, DimensionMismatch
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet, ideal_contact
 from layerft.quadrature import QuadratureSpec, lambda_grid
 

@@ -4,7 +4,6 @@ import pytest
 from layerft import basis as bas
 from layerft.configio import parse_config
 from layerft.errors import (
-    DegenerateBoundary,
     InvariantViolation,
     OutOfDomain,
     RegularityViolation,

@@ -81,6 +81,25 @@ def test_a_build_screens_each_lambda_free_pencil_once(load, monkeypatch):
             assert bas._const(block) is not None
 
 
+@pytest.mark.parametrize("name", ["r2diag", "twolayer"])
+def test_a_build_keeps_its_lambda_free_blocks_as_broadcast_views(load, name):
+    cfg, spec = load(name)
+    lams = quad.lambda_grid(cfg, dataclasses.replace(spec, **PERFBENCH_SPEC)).nodes
+    batch = bas.build_batch(cfg, lams)
+    blocks = [batch.bnd_row] + [a for ld in batch.layers for a in (ld.v, ld.vinv)]
+    blocks += [b for pair in (*batch.pencils, *batch.pencil_inv) for b in pair]
+    for block in blocks:
+        assert block.shape[0] == lams.size and bas._const(block) is not None
+    # one product over the flattened stack rounds like the per-point products, up to 1e-15
+    ld = batch.layers[0]
+    stack = ld.coef[..., :cfg.r]                                    # (N, 2r, r), per lam
+    wide = batch.pencil_inv[0][0]                                   # (N, 2r, 2r), broadcast
+    for a, b in ((wide, stack), (stack.swapaxes(-1, -2), wide), (ld.vinv, stack[:, cfg.r:])):
+        assert bas._const(a) is not None or bas._const(b) is not None
+        want = np.stack([ai @ bi for ai, bi in zip(a, b)])
+        assert np.max(np.abs(bas._matmul(a, b) - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_one_wavenumber_decomposition_per_material(load, monkeypatch):
     cfg, spec = load("laminate")
     assert cfg.n_layers == 20

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from layerft import catalog as cat
 from layerft import cli
 from layerft.configio import parse_config
+from layerft import gridfn
 from layerft.gridfn import (
     SpectralImage,
     read_function_csv,
@@ -247,3 +248,20 @@ def test_lambda_junction_without_traces_names_the_missing_trace(tmp_path):
     rc, _out, err = run(["forward", *argv, "--input", back, "--output", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "no trace stored for junction 1, side 'right', order 0" in err
+
+
+def test_tables_are_written_byte_for_byte_as_savetxt_writes_them(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.2e-310, 2.2250738585072014e-308,
+               1.7976931348623157e308, 0.1, -1 / 3, 1e22, 123456789.0]
+    scales = 10.0 ** rng.integers(-300, 300, (1, 3))
+    many = rng.standard_normal((2 * gridfn._WRITE_ROWS + 5, 3)) * scales     # three slices
+    blocks = [(np.reshape(special[:12], (4, 3)), ",,"), (many, ""), (np.zeros((0, 3)), ",x,0"),
+              (np.array([special[-3:]]), ",left,1")]
+    path = tmp_path / "table.csv"
+    gridfn.write_table(path, ["x", "a", "b"], blocks)
+    ref = io.BytesIO()
+    ref.write(b"x,a,b\n")
+    for rows, tail in blocks:
+        np.savetxt(ref, rows, fmt=",".join(["%.17g"] * 3) + tail)
+    assert path.read_bytes() == ref.getvalue()

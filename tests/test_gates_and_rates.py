@@ -118,14 +118,20 @@ def test_dual_diagnostics_reuse_the_forward_dual_families(load, monkeypatch):
 
 
 def test_a_transform_computes_each_band_edge_wavenumber_once(load, monkeypatch):
-    cfg, spec, f, pts = perfbench_case(load)
     calls = counter(monkeypatch, bas, "compute_wavenumber")
-    image = tr.forward_transform(cfg, f, spec)
-    assert calls[0] == cfg.n_layers
-    tr.inverse_transform(cfg, image, pts, spec)
-    assert calls[0] == 2 * cfg.n_layers
-    tr.inverse_transform(cfg, dataclasses.replace(image, basis=None), pts, spec)
-    assert calls[0] == 3 * cfg.n_layers
+    for name, materials in (("threelayer_r2", 3), ("laminate", 2)):     # 20 layers, 2 materials
+        cfg, spec, f, pts = perfbench_case(load, name)
+        rates = [np.linalg.norm(bas.compute_wavenumber(layer, spec.lambda_max), 2)
+                 for layer in cfg.layers]
+        calls[0] = 0
+        assert quad.band_edge_rates(cfg, spec) == rates        # one per material, bit for bit
+        assert calls[0] == materials
+        image = tr.forward_transform(cfg, f, spec)
+        assert calls[0] == 2 * materials
+        tr.inverse_transform(cfg, image, pts, spec)
+        assert calls[0] == 3 * materials
+        tr.inverse_transform(cfg, dataclasses.replace(image, basis=None), pts, spec)
+        assert calls[0] == 4 * materials
 
 
 def test_cli_forward_computes_the_band_edge_twice(load, monkeypatch, tmp_path):

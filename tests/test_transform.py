@@ -27,7 +27,7 @@ from layerft.gridfn import (
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet
 from layerft.quadrature import QuadratureSpec, lambda_grid
 
-from conftest import CONFIG_DIR, odd_gaussian_deriv, odd_gaussian_function
+from conftest import CONFIG_DIR, odd_gaussian_function
 
 # every bundled config whose transform runs (singular.cfg flags every point)
 BUNDLED = sorted(p.stem for p in CONFIG_DIR.glob("*.cfg") if p.stem != "singular")
