@@ -45,13 +45,15 @@ def _common_flags():
     """
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", required=True, help="problem description file")
-    p.add_argument("--lambda-min", type=float, default=None)
-    p.add_argument("--lambda-max", type=float, default=None)
-    p.add_argument("--lambda-steps", type=int, default=None)
-    p.add_argument("--tau", type=str, default=None,
+    # each spec flag stores to its QuadratureSpec field (_load_problem)
+    p.add_argument("--lambda-min", dest="lambda_min", type=float)
+    p.add_argument("--lambda-max", dest="lambda_max", type=float)
+    p.add_argument("--lambda-steps", dest="lambda_steps", type=int)
+    p.add_argument("--tau", dest="tau_schedule", metavar="TAU",
                    help="comma-separated decreasing damping schedule")
-    p.add_argument("--xmax", type=float, default=None, help="spatial truncation radius")
-    p.add_argument("--xi-order", type=int, default=None,
+    p.add_argument("--xmax", dest="x_max", metavar="XMAX", type=float,
+                   help="spatial truncation radius")
+    p.add_argument("--xi-order", dest="xi_quadrature_order", metavar="XI_ORDER", type=int,
                    help="Gauss-Legendre order of the spatial panels")
     return p
 
@@ -132,25 +134,14 @@ def build_parser():
 def _load_problem(args):
     # a path, not text: any file name parses, and errors name the file
     config, spec = parse_config(pathlib.Path(args.config))
-    updates = {}
-    if args.lambda_min is not None:
-        updates["lambda_min"] = args.lambda_min
-    if args.lambda_max is not None:
-        updates["lambda_max"] = args.lambda_max
-    if args.lambda_steps is not None:
-        updates["lambda_steps"] = args.lambda_steps
-    if args.tau is not None:
+    if args.tau_schedule is not None:
         try:
-            updates["tau_schedule"] = tuple(float(t) for t in args.tau.split(","))
+            args.tau_schedule = tuple(float(t) for t in args.tau_schedule.split(","))
         except ValueError:
-            raise ParseError(f"--tau: cannot parse {args.tau!r}") from None
-    if args.xmax is not None:
-        updates["x_max"] = args.xmax
-    if args.xi_order is not None:
-        updates["xi_quadrature_order"] = args.xi_order
-    if updates:
-        spec = dataclasses.replace(spec, **updates)
-    return config, spec
+            raise ParseError(f"--tau: cannot parse {args.tau_schedule!r}") from None
+    return config, dataclasses.replace(spec, **{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(spec)
+        if getattr(args, f.name, None) is not None})
 
 
 def _check_samples(config, spec, samples, inverted):

@@ -14,6 +14,7 @@ emit_config writes the fully expanded long form with 17-significant-digit
 floats, so parse -> emit -> parse is the identity on every stored number.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,15 +35,6 @@ from .problem import (
 from .quadrature import QuadratureSpec
 
 _SECTIONS = ("problem", "layers", "interfaces", "boundary", "quadrature")
-_QUAD_FIELDS = (
-    "lambda_min",
-    "lambda_max",
-    "lambda_steps",
-    "tau_schedule",
-    "x_max",
-    "xi_quadrature_order",
-    "tail_tolerance",
-)
 
 
 def _num(value, name):
@@ -96,6 +88,12 @@ def _matrix(value, r, name):
     )
 
 
+def _blocks(entry, names, r, where):
+    """The named r x r blocks of a section; one it omits is zero."""
+    return {name: _matrix(entry[name], r, f"{where}.{name}") if name in entry
+            else np.zeros((r, r), dtype=complex) for name in names}
+
+
 def _quad_number(value, name, integral=False):
     """A finite quadrature number (an integer where integral is set)."""
     try:
@@ -108,10 +106,28 @@ def _quad_number(value, name, integral=False):
     return int(x) if integral else x
 
 
-def _require_map(value, name):
+def _quad_value(value, field):
+    """One quadrature key read as its QuadratureSpec field's type: number, integer or list."""
+    if field.type is tuple:
+        if not isinstance(value, list) or not value:
+            raise ParseError(f"quadrature.{field.name} must be a nonempty list")
+        return tuple(_quad_number(v, field.name) for v in value)
+    return _quad_number(value, field.name, integral=field.type is int)
+
+
+def _require_map(value, where, allowed=None, what="unknown keys"):
+    """value, if it is a mapping whose keys all lie in allowed (None: any keys)."""
     if not isinstance(value, dict):
-        raise ParseError(f"section {name!r} must be a mapping")
+        raise ParseError(f"section {where!r} must be a mapping")
+    extra = allowed is not None and set(value) - set(allowed)
+    if extra:
+        raise ParseError(f"{where}: {what} {sorted(extra, key=str)}")
     return value
+
+
+def _keys(cls):
+    """The section keys a dataclass declares: its field names."""
+    return [f.name for f in dataclasses.fields(cls)]
 
 
 def parse_config(source):
@@ -153,35 +169,20 @@ def parse_config(source):
     mode = problem.get("mode", SEMI_AXIS)
     if mode not in (SEMI_AXIS, FULL_AXIS):
         raise ParseError(f"problem.mode must be '{SEMI_AXIS}' or '{FULL_AXIS}', got {mode!r}")
-    extra = set(problem) - {"r", "mode"}
-    if extra:
-        raise ParseError(f"problem: unknown keys {sorted(extra, key=str)}")
+    _require_map(problem, "problem", ("r", "mode"))
 
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("layers: need a nonempty list")
     layers = []
     for i, entry in enumerate(raw_layers):
-        entry = _require_map(entry, f"layers[{i}]")
-        extra = set(entry) - {"left", "right", "a2", "g2"}
-        if extra:
-            raise ParseError(f"layers[{i}]: unknown keys {sorted(extra, key=str)}")
+        where = f"layers[{i}]"
+        _require_map(entry, where, _keys(Layer))
         if "left" not in entry or "right" not in entry or "a2" not in entry:
-            raise ParseError(f"layers[{i}]: left, right and a2 are required")
-        a2 = _matrix(entry["a2"], r, f"layers[{i}].a2")
-        g2 = (
-            _matrix(entry["g2"], r, f"layers[{i}].g2")
-            if "g2" in entry
-            else np.zeros((r, r), dtype=complex)
-        )
-        layers.append(
-            Layer(
-                left=_bound(entry["left"], f"layers[{i}].left"),
-                right=_bound(entry["right"], f"layers[{i}].right"),
-                a2=a2,
-                g2=g2,
-            )
-        )
+            raise ParseError(f"{where}: left, right and a2 are required")
+        blocks = _blocks(entry, ("a2", "g2"), r, where)
+        layers.append(Layer(left=_bound(entry["left"], f"{where}.left"),
+                            right=_bound(entry["right"], f"{where}.right"), **blocks))
 
     raw_ifaces = doc.get("interfaces", [])
     if raw_ifaces is None:
@@ -190,74 +191,35 @@ def parse_config(source):
         raise ParseError("interfaces: expected a list")
     interfaces = []
     for i, entry in enumerate(raw_ifaces):
-        entry = _require_map(entry, f"interfaces[{i}]")
-        if entry.get("ideal_contact"):
-            extra = set(entry) - {"ideal_contact"}
-            if extra:
-                raise ParseError(f"interfaces[{i}]: ideal_contact excludes explicit blocks "
-                                 f"{sorted(extra, key=str)}")
+        where = f"interfaces[{i}]"
+        if _require_map(entry, where).get("ideal_contact"):
+            _require_map(entry, where, ("ideal_contact",), "ideal_contact excludes explicit blocks")
             if i + 1 >= len(layers):
-                raise ParseError(f"interfaces[{i}]: no adjacent layer pair")
+                raise ParseError(f"{where}: no adjacent layer pair")
             interfaces.append(ideal_contact(layers[i].a2, layers[i + 1].a2))
-            continue
-        extra = set(entry) - set(Interface.BLOCK_NAMES)
-        if extra:
-            raise ParseError(f"interfaces[{i}]: unknown blocks {sorted(extra, key=str)}")
-        blocks = {
-            name: (
-                _matrix(entry[name], r, f"interfaces[{i}].{name}")
-                if name in entry
-                else np.zeros((r, r), dtype=complex)
-            )
-            for name in Interface.BLOCK_NAMES
-        }
-        interfaces.append(Interface(**blocks))
+        else:
+            _require_map(entry, where, Interface.BLOCK_NAMES, "unknown blocks")
+            interfaces.append(Interface(**_blocks(entry, Interface.BLOCK_NAMES, r, where)))
 
     boundary = None
-    if "boundary" in doc and doc["boundary"] is not None:
+    if doc.get("boundary") is not None:
         entry = _require_map(doc["boundary"], "boundary")
-        if entry.get("dirichlet"):
-            if set(entry) - {"dirichlet"}:
-                raise ParseError("boundary: dirichlet excludes explicit blocks")
-            boundary = dirichlet(r)
-        elif entry.get("neumann"):
-            if set(entry) - {"neumann"}:
-                raise ParseError("boundary: neumann excludes explicit blocks")
-            boundary = neumann(r)
+        for key, shorthand in (("dirichlet", dirichlet), ("neumann", neumann)):
+            if entry.get(key):
+                if set(entry) - {key}:
+                    raise ParseError(f"boundary: {key} excludes explicit blocks")
+                boundary = shorthand(r)
+                break
         else:
-            extra = set(entry) - {"alpha0", "beta0", "gamma0", "delta0"}
-            if extra:
-                raise ParseError(f"boundary: unknown blocks {sorted(extra, key=str)}")
-            blocks = {
-                name: (
-                    _matrix(entry[name], r, f"boundary.{name}")
-                    if name in entry
-                    else np.zeros((r, r), dtype=complex)
-                )
-                for name in ("alpha0", "beta0", "gamma0", "delta0")
-            }
+            _require_map(entry, "boundary", Boundary.BLOCK_NAMES, "unknown blocks")
+            blocks = _blocks(entry, Boundary.BLOCK_NAMES, r, "boundary")
             if all(np.all(b == 0) for b in blocks.values()):
                 raise InvariantViolation("boundary: all blocks are zero")
             boundary = Boundary(**blocks)
 
-    quad_entry = _require_map(doc.get("quadrature", {}) or {}, "quadrature")
-    extra = set(quad_entry) - set(_QUAD_FIELDS)
-    if extra:
-        raise ParseError(f"quadrature: unknown keys {sorted(extra, key=str)}")
-    kwargs = {}
-    for key in _QUAD_FIELDS:
-        if key not in quad_entry:
-            continue
-        val = quad_entry[key]
-        if key == "tau_schedule":
-            if not isinstance(val, list) or not val:
-                raise ParseError("quadrature.tau_schedule must be a nonempty list")
-            kwargs[key] = tuple(_quad_number(v, "tau_schedule") for v in val)
-        elif key in ("lambda_steps", "xi_quadrature_order"):
-            kwargs[key] = _quad_number(val, key, integral=True)
-        else:
-            kwargs[key] = _quad_number(val, key)
-    spec = QuadratureSpec(**kwargs)
+    quad_entry = _require_map(doc.get("quadrature", {}) or {}, "quadrature", _keys(QuadratureSpec))
+    spec = QuadratureSpec(**{f.name: _quad_value(quad_entry[f.name], f)
+                             for f in dataclasses.fields(QuadratureSpec) if f.name in quad_entry})
 
     config = ProblemConfig(
         r=r, mode=mode, layers=tuple(layers), interfaces=tuple(interfaces),
@@ -284,39 +246,27 @@ def _emit_bound(v):
     return float(v)
 
 
+# The emitter of each field type; a float is a layer bound or a finite quadrature number.
+_EMITTERS = {float: _emit_bound, int: int, tuple: lambda v: [float(t) for t in v],
+             np.ndarray: _emit_matrix}
+
+
+def _emit_section(obj):
+    """A dataclass as a section: each field in declaration order, written by its type."""
+    return {f.name: _EMITTERS[f.type](getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
 def emit_config(config, spec=None, path=None):
     """Serialize to the long-form document; returns the YAML text."""
     doc = {
         "problem": {"r": config.r, "mode": config.mode},
-        "layers": [
-            {
-                "left": _emit_bound(l.left),
-                "right": _emit_bound(l.right),
-                "a2": _emit_matrix(l.a2),
-                "g2": _emit_matrix(l.g2),
-            }
-            for l in config.layers
-        ],
-        "interfaces": [
-            {name: _emit_matrix(getattr(iface, name)) for name in Interface.BLOCK_NAMES}
-            for iface in config.interfaces
-        ],
+        "layers": [_emit_section(layer) for layer in config.layers],
+        "interfaces": [_emit_section(iface) for iface in config.interfaces],
     }
     if config.boundary is not None:
-        doc["boundary"] = {
-            name: _emit_matrix(getattr(config.boundary, name))
-            for name in ("alpha0", "beta0", "gamma0", "delta0")
-        }
+        doc["boundary"] = _emit_section(config.boundary)
     if spec is not None:
-        doc["quadrature"] = {
-            "lambda_min": float(spec.lambda_min),
-            "lambda_max": float(spec.lambda_max),
-            "lambda_steps": int(spec.lambda_steps),
-            "tau_schedule": [float(t) for t in spec.tau_schedule],
-            "x_max": float(spec.x_max),
-            "xi_quadrature_order": int(spec.xi_quadrature_order),
-            "tail_tolerance": float(spec.tail_tolerance),
-        }
+        doc["quadrature"] = _emit_section(spec)
     text = yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
     if path is not None:
         with open(path, "w") as fh:

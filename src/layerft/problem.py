@@ -157,8 +157,10 @@ class Boundary:
     gamma0: np.ndarray
     delta0: np.ndarray
 
+    BLOCK_NAMES = ("alpha0", "beta0", "gamma0", "delta0")
+
     def validate(self, r, name="boundary"):
-        for key in ("alpha0", "beta0", "gamma0", "delta0"):
+        for key in self.BLOCK_NAMES:
             _block(getattr(self, key), r, f"{name}.{key}")
 
     def value_row(self, lam):
