@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error, 3 bad problem
 description or a file that cannot be read or written (including a transform
-past quadrature.MAX_TRANSFORM_SIZE),
+past quadrature.MAX_TRANSFORM_SIZE and a document past configio.MAX_BLOCK_BYTES),
 4 regularity violation at a junction, 5 internal error (an exception that is
 not a LayerFTError; one line on stderr instead of a traceback).
 """

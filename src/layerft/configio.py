@@ -8,7 +8,11 @@ sixteen blocks alpha11..delta22; missing blocks are zero) or via the
 shorthand `ideal_contact: true`, which expands to value continuity plus
 continuity of the stiffness-weighted flux of the two adjacent layers.  The
 boundary section accepts `dirichlet: true`, `neumann: true`, or explicit
-blocks alpha0/beta0/gamma0/delta0.
+blocks alpha0/beta0/gamma0/delta0.  Those three are the only booleans: a
+YAML true/yes/on where a number belongs is refused, not read as 1.  A
+document whose blocks would take more than MAX_BLOCK_BYTES is refused before
+any is converted: YAML aliases let a short text name one big matrix in every
+layer.
 
 emit_config writes the fully expanded long form with 17-significant-digit
 floats, so parse -> emit -> parse is the identity on every stored number.
@@ -20,7 +24,7 @@ import math
 import numpy as np
 import yaml
 
-from .errors import DimensionMismatch, InvariantViolation, ParseError
+from .errors import DimensionMismatch, InvariantViolation, ParseError, SizeLimitExceeded
 from .problem import (
     FULL_AXIS,
     SEMI_AXIS,
@@ -35,11 +39,13 @@ from .problem import (
 from .quadrature import QuadratureSpec
 
 _SECTIONS = ("problem", "layers", "interfaces", "boundary", "quadrature")
+# Memory the complex r x r blocks of one document may take (parse_config).
+MAX_BLOCK_BYTES = 1 << 28
 
 
 def _num(value, name):
     try:
-        if isinstance(value, (int, float, complex)):
+        if isinstance(value, (int, float, complex)) and not isinstance(value, bool):
             return complex(value)
         if isinstance(value, str):
             return complex(value.replace(" ", ""))
@@ -59,7 +65,7 @@ def _bound(value, name):
             return float(s)
         except ValueError:
             raise ParseError(f"{name}: cannot read {value!r} as a coordinate") from None
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return float(value)
         except OverflowError:
@@ -97,6 +103,8 @@ def _blocks(entry, names, r, where):
 def _quad_number(value, name, integral=False):
     """A finite quadrature number (an integer where integral is set)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(f"quadrature.{name}: cannot read {value!r} as a number") from None
@@ -174,6 +182,16 @@ def parse_config(source):
     raw_layers = doc.get("layers")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("layers: need a nonempty list")
+    raw_ifaces = doc.get("interfaces", [])
+    if raw_ifaces is None:
+        raw_ifaces = []
+    # two blocks per layer, sixteen per junction and four at l_0, counted before any is read
+    n_ifaces = len(raw_ifaces) if isinstance(raw_ifaces, list) else 0
+    n_blocks = 2 * len(raw_layers) + 16 * n_ifaces + 4
+    if 16 * r * r * n_blocks > MAX_BLOCK_BYTES:
+        raise SizeLimitExceeded(
+            f"{len(raw_layers)} layers and {n_ifaces} interfaces at r = {r}: {n_blocks} blocks "
+            f"of r x r complex entries exceed the limit of {MAX_BLOCK_BYTES} bytes")
     layers = []
     for i, entry in enumerate(raw_layers):
         where = f"layers[{i}]"
@@ -184,9 +202,6 @@ def parse_config(source):
         layers.append(Layer(left=_bound(entry["left"], f"{where}.left"),
                             right=_bound(entry["right"], f"{where}.right"), **blocks))
 
-    raw_ifaces = doc.get("interfaces", [])
-    if raw_ifaces is None:
-        raw_ifaces = []
     if not isinstance(raw_ifaces, list):
         raise ParseError("interfaces: expected a list")
     interfaces = []

@@ -35,7 +35,8 @@ class InvariantViolation(ConfigError):
 
 
 class SizeLimitExceeded(ConfigError):
-    """The requested transform is larger than quadrature.MAX_TRANSFORM_SIZE."""
+    """A transform past quadrature.MAX_TRANSFORM_SIZE, or a document whose blocks
+    would take more than configio.MAX_BLOCK_BYTES."""
 
 
 class NonSquare(LayerFTError):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +9,11 @@ import yaml
 
 from layerft import catalog as cat
 from layerft import cli
+from layerft import configio
 from layerft import transform as tr
 from layerft.configio import emit_config, parse_config
-from layerft.errors import DimensionMismatch, InvariantViolation, ParseError
-from layerft.problem import Interface
+from layerft.errors import DimensionMismatch, InvariantViolation, ParseError, SizeLimitExceeded
+from layerft.problem import Boundary, Interface
 from layerft.quadrature import QuadratureSpec
 
 from conftest import config_path, run_cli
@@ -44,7 +46,7 @@ def test_parse_emit_parse_is_identity(name):
     if cfg.boundary is None:
         assert cfg2.boundary is None
     else:
-        for blk in ("alpha0", "beta0", "gamma0", "delta0"):
+        for blk in Boundary.BLOCK_NAMES:
             assert np.array_equal(getattr(cfg.boundary, blk), getattr(cfg2.boundary, blk))
     assert spec2 == spec
 
@@ -128,6 +130,56 @@ def test_nonfinite_or_fractional_quadrature_rejected(tmp_path, key, value):
     parsed = yaml.safe_load(value)
     with pytest.raises(InvariantViolation):
         QuadratureSpec(**{key: tuple(parsed) if isinstance(parsed, list) else parsed})
+
+
+SINE = Path(config_path("sine")).read_text()
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("right: inf", "right: yes", "layers[0].right"),
+    ("a2: 1.0", "a2: on", "layers[0].a2"),
+    ("lambda_min: 1.0e-4", "lambda_min: true", "quadrature.lambda_min"),
+    ("lambda_steps: 2000", "lambda_steps: yes", "quadrature.lambda_steps"),
+    ("quadrature:\n", "quadrature:\n  tau_schedule: [0.01, true]\n", "quadrature.tau_schedule"),
+])
+def test_yaml_booleans_are_not_numbers(tmp_path, capsys, old, new, field):
+    # YAML reads yes/on/true as True, and True == 1: a number must not take it
+    assert SINE.count(old) == 1
+    path = tmp_path / "bool.cfg"
+    path.write_text(SINE.replace(old, new))
+    with pytest.raises(ParseError, match=f"^{re.escape(field)}.*cannot read True"):
+        parse_config(str(path))
+    assert cli.main(["emit", "--config", str(path)]) == 3
+    assert field in capsys.readouterr().err
+
+
+def test_yaml_boolean_interface_block_is_not_a_number():
+    text = Path(config_path("lambda_interface")).read_text().replace("beta11: 1.0", "beta11: true")
+    with pytest.raises(ParseError, match=r"^interfaces\[0\]\.beta11: cannot read True"):
+        parse_config(text)
+
+
+def test_aliased_blocks_are_refused_before_any_is_read(tmp_path, monkeypatch, capsys):
+    # one anchored 60 x 60 matrix named by 300 layers: 36 kB of text for 310 MB of blocks
+    row = ", ".join(["0.0"] * 60)
+    a2 = "[" + ", ".join(f"[{row[:5 * i]}1.0{row[5 * i + 3:]}]" for i in range(60)) + "]"
+    layers = [f"  - {{left: 0.0, right: 1.0, a2: &A {a2}}}"]
+    layers += [f"  - {{left: {m}.0, right: {m + 1}.0, a2: *A}}" for m in range(1, 299)]
+    layers += ["  - {left: 299.0, right: inf, a2: *A}"]
+    text = ("problem: {r: 60}\nlayers:\n" + "\n".join(layers) + "\ninterfaces:\n"
+            + "  - {ideal_contact: true}\n" * 299 + "boundary: {dirichlet: true}\n")
+    assert len(text) < 40_000
+
+    def no_matrix(*_args):
+        raise AssertionError("a block was converted before the size check")
+
+    monkeypatch.setattr(configio, "_matrix", no_matrix)
+    with pytest.raises(SizeLimitExceeded, match="5388 blocks"):
+        parse_config(text)
+    path = tmp_path / "alias.cfg"
+    path.write_text(text)
+    assert cli.main(["emit", "--config", str(path)]) == 3
+    assert "300 layers and 299 interfaces at r = 60" in capsys.readouterr().err
 
 
 def test_yaml_error_carries_location():
@@ -366,6 +418,37 @@ def test_cli_roundtrip_writes_reconstruction(tmp_path, monkeypatch, name):
     assert np.array_equal([complex(float(row["re_1"]), float(row["im_1"])) for row in rows], values)
     reference = np.concatenate([f.values_on(m, ls.x)[:, 0] for m, ls in enumerate(recon.layers)])
     assert np.max(np.abs(values - reference)) <= 1e-2
+
+
+@pytest.mark.parametrize("flag, text, field, value", [
+    ("--lambda-min", "0.01", "lambda_min", 0.01),
+    ("--lambda-max", "25", "lambda_max", 25.0),
+    ("--lambda-steps", "300", "lambda_steps", 300),
+    ("--tau", "0.02,0.01", "tau_schedule", (0.02, 0.01)),
+    ("--xmax", "7.5", "x_max", 7.5),
+    ("--xi-order", "9", "xi_quadrature_order", 9),
+])
+def test_each_spec_flag_sets_its_own_field(tmp_path, flag, text, field, value):
+    _, spec = parse_config(config_path("sine"))
+    assert getattr(spec, field) != value
+    out = tmp_path / "long.cfg"
+    assert cli.main(["emit", "--config", config_path("sine"), flag, text, "--output", str(out)]) == 0
+    assert parse_config(str(out))[1] == dataclasses.replace(spec, **{field: value})
+
+
+def test_every_quadrature_field_survives_parse_emit_parse():
+    values = {"lambda_min": 0.003, "lambda_max": 17.5, "lambda_steps": 321,
+              "tau_schedule": [0.04, 0.02, 0.005], "x_max": 6.25, "xi_quadrature_order": 7,
+              "tail_tolerance": 2.5}
+    assert list(values) == [f.name for f in dataclasses.fields(QuadratureSpec)]
+    default = QuadratureSpec()
+    assert all(getattr(default, k) != (tuple(v) if isinstance(v, list) else v)
+               for k, v in values.items())
+    doc = yaml.safe_load(SINE)
+    doc["quadrature"] = values
+    config, spec = parse_config(yaml.safe_dump(doc))
+    assert spec == QuadratureSpec(**values)
+    assert parse_config(emit_config(config, spec))[1] == spec
 
 
 def test_cli_oversized_transform_exits_3(tmp_path):
