@@ -161,9 +161,7 @@ def test_yaml_boolean_interface_block_is_not_a_number():
 
 def test_aliased_blocks_are_refused_before_any_is_read(tmp_path, monkeypatch, capsys):
     # one anchored 60 x 60 matrix named by 300 layers: 36 kB of text for 310 MB of blocks
-    row = ", ".join(["0.0"] * 60)
-    a2 = "[" + ", ".join(f"[{row[:5 * i]}1.0{row[5 * i + 3:]}]" for i in range(60)) + "]"
-    layers = [f"  - {{left: 0.0, right: 1.0, a2: &A {a2}}}"]
+    layers = [f"  - {{left: 0.0, right: 1.0, a2: &A {np.eye(60).tolist()}}}"]
     layers += [f"  - {{left: {m}.0, right: {m + 1}.0, a2: *A}}" for m in range(1, 299)]
     layers += ["  - {left: 299.0, right: inf, a2: *A}"]
     text = ("problem: {r: 60}\nlayers:\n" + "\n".join(layers) + "\ninterfaces:\n"
