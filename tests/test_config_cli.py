@@ -160,7 +160,7 @@ def test_yaml_boolean_interface_block_is_not_a_number():
 
 
 def test_aliased_blocks_are_refused_before_any_is_read(tmp_path, monkeypatch, capsys):
-    # one anchored 60 x 60 matrix named by 300 layers: 36 kB of text for 310 MB of blocks
+    # one anchored 60 x 60 matrix named by 300 layers: 38 kB of text for 310 MB of blocks
     layers = [f"  - {{left: 0.0, right: 1.0, a2: &A {np.eye(60).tolist()}}}"]
     layers += [f"  - {{left: {m}.0, right: {m + 1}.0, a2: *A}}" for m in range(1, 299)]
     layers += ["  - {left: 299.0, right: inf, a2: *A}"]
