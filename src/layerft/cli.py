@@ -149,7 +149,7 @@ def _check_samples(config, spec, samples, inverted):
 
     Arithmetic only, no wavenumbers: the size is n_layers x samples x r^2,
     times lambda_steps where the samples are the inversion's points (a lower
-    bound of what quad.check_size multiplies them by); the bytes are those of
+    bound of what quad.plan multiplies them by); the bytes are those of
     a kernel table row per sample, the largest sampled array of any command:
     the abscissa and the Re/Im cells of two r x r blocks.
     """
@@ -165,7 +165,7 @@ def _check_samples(config, spec, samples, inverted):
 def _load_input(text, config, spec, samples, inverted=False):
     if cat.is_profile_reference(text):
         _check_samples(config, spec, samples, inverted)
-        quad.check_size(config, spec)       # before sampling out to x_max
+        quad.plan(config, spec)             # its size check, before sampling out to x_max
         profile = cat.parse_profile(text)
         return cat.to_grid_function(profile, config, spec.x_max, samples_per_layer=samples)
     return read_function_csv(text, config)

@@ -8,11 +8,12 @@ sixteen blocks alpha11..delta22; missing blocks are zero) or via the
 shorthand `ideal_contact: true`, which expands to value continuity plus
 continuity of the stiffness-weighted flux of the two adjacent layers.  The
 boundary section accepts `dirichlet: true`, `neumann: true`, or explicit
-blocks alpha0/beta0/gamma0/delta0.  Those three are the only booleans: a
-YAML true/yes/on where a number belongs is refused, not read as 1.  A
-document whose blocks would take more than MAX_BLOCK_BYTES is refused before
-any is converted: YAML aliases let a short text name one big matrix in every
-layer.
+blocks alpha0/beta0/gamma0/delta0.  Those three are the only booleans and
+take nothing else: true selects the shorthand, false reads as if the key
+were absent, and a YAML true/yes/on where a number belongs is refused, not
+read as 1.  A document whose blocks would take more than MAX_BLOCK_BYTES is
+refused before any is converted: YAML aliases let a short text name one big
+matrix in every layer.
 
 emit_config writes the fully expanded long form with 17-significant-digit
 floats, so parse -> emit -> parse is the identity on every stored number.
@@ -133,6 +134,14 @@ def _require_map(value, where, allowed=None, what="unknown keys"):
     return value
 
 
+def _shorthand(entry, keys, where):
+    """(entry less its shorthand keys, those set true); each takes a YAML boolean only."""
+    for key in keys:
+        if not isinstance(entry.get(key, False), bool):
+            raise ParseError(f"{where}.{key}: expected true or false, got {entry[key]!r}")
+    return {k: v for k, v in entry.items() if k not in keys}, [k for k in keys if entry.get(k)]
+
+
 def _keys(cls):
     """The section keys a dataclass declares: its field names."""
     return [f.name for f in dataclasses.fields(cls)]
@@ -207,8 +216,9 @@ def parse_config(source):
     interfaces = []
     for i, entry in enumerate(raw_ifaces):
         where = f"interfaces[{i}]"
-        if _require_map(entry, where).get("ideal_contact"):
-            _require_map(entry, where, ("ideal_contact",), "ideal_contact excludes explicit blocks")
+        entry, shorthand = _shorthand(_require_map(entry, where), ("ideal_contact",), where)
+        if shorthand:
+            _require_map(entry, where, (), "ideal_contact excludes explicit blocks")
             if i + 1 >= len(layers):
                 raise ParseError(f"{where}: no adjacent layer pair")
             interfaces.append(ideal_contact(layers[i].a2, layers[i + 1].a2))
@@ -218,13 +228,13 @@ def parse_config(source):
 
     boundary = None
     if doc.get("boundary") is not None:
-        entry = _require_map(doc["boundary"], "boundary")
-        for key, shorthand in (("dirichlet", dirichlet), ("neumann", neumann)):
-            if entry.get(key):
-                if set(entry) - {key}:
-                    raise ParseError(f"boundary: {key} excludes explicit blocks")
-                boundary = shorthand(r)
-                break
+        shorthands = {"dirichlet": dirichlet, "neumann": neumann}
+        entry, shorthand = _shorthand(_require_map(doc["boundary"], "boundary"),
+                                      shorthands, "boundary")
+        if shorthand:
+            if entry or len(shorthand) > 1:
+                raise ParseError(f"boundary: {shorthand[0]} excludes explicit blocks")
+            boundary = shorthands[shorthand[0]](r)
         else:
             _require_map(entry, "boundary", Boundary.BLOCK_NAMES, "unknown blocks")
             blocks = _blocks(entry, Boundary.BLOCK_NAMES, r, "boundary")
@@ -232,7 +242,9 @@ def parse_config(source):
                 raise InvariantViolation("boundary: all blocks are zero")
             boundary = Boundary(**blocks)
 
-    quad_entry = _require_map(doc.get("quadrature", {}) or {}, "quadrature", _keys(QuadratureSpec))
+    quad_entry = doc.get("quadrature")
+    quad_entry = _require_map({} if quad_entry is None else quad_entry, "quadrature",
+                              _keys(QuadratureSpec))
     spec = QuadratureSpec(**{f.name: _quad_value(quad_entry[f.name], f)
                              for f in dataclasses.fields(QuadratureSpec) if f.name in quad_entry})
 

@@ -135,11 +135,6 @@ def screened_rcond(a):
     return rc, inv
 
 
-def block2x2(a, b, c, d):
-    """Assemble [[a, b], [c, d]] from four equal r x r blocks."""
-    return np.block([[a, b], [c, d]])
-
-
 def _hermitian_min_eig(m, tol):
     """(smallest eigenvalue of m, bound) with bound = tol max(1, max |m_ij|).
 

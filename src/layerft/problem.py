@@ -105,8 +105,8 @@ class Interface:
         parts = {}
         for s in (1, 2):
             for kind, (v, d) in (("free", ("beta", "alpha")), ("sq", ("gamma", "delta"))):
-                blk = linalg.block2x2(self._side(v, 1, s), self._side(d, 1, s),
-                                      self._side(v, 2, s), self._side(d, 2, s))
+                blk = np.block([[self._side(v, 1, s), self._side(d, 1, s)],
+                                [self._side(v, 2, s), self._side(d, 2, s)]])
                 blk.flags.writeable = False
                 parts[kind, s] = blk
         return parts

@@ -10,9 +10,10 @@ order per panel keeps the rule in its convergent regime:
   * spatial axis: within layer m the kernels oscillate at most at rate
     ||q_m(lam_max)||_2, so panels are capped at half a period there.
 
-lambda_grid, xi_panels and check_size each compute these band_edge_rates,
-one wavenumber per distinct material; a transform computes them once and
-passes them to _lambda_grid, _xi_panels and _check_size.
+plan derives both from one band_edge_rates pass (one wavenumber per
+distinct material) and checks the transform's size on the panel counts
+before it builds a node: each transform, and the CLI before it samples its
+input, calls it once.  lambda_grid and xi_rules are views of it.
 
 The improper spectral integral of every inversion formula (semi-axis, full
 axis, radial) is damped by exp(-tau lam) on a decreasing schedule of tau
@@ -23,6 +24,7 @@ values (damping_matrix) and extrapolated to tau = 0 with a Neville table
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,84 +157,45 @@ def spectral_grid(spec, cap):
     return LambdaGrid(nodes=nodes, weights=weights, n_panels=n_panels, order=order)
 
 
-def _lambda_cap(spec, rates):
-    """Panel cap pi / (4 x_max s_rate): a quarter period of exp(i lam s_rate x_max)."""
-    s_rate = max(rates) / spec.lambda_max
-    return math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12))
-
-
-def lambda_grid(config, spec):
-    """Canonical spectral grid of (config, spec); panels are capped by _lambda_cap."""
-    return _lambda_grid(spec, band_edge_rates(config, spec))
-
-
-def _lambda_grid(spec, rates):
-    """lambda_grid from the band_edge_rates of its (config, spec)."""
-    return spectral_grid(spec, _lambda_cap(spec, rates))
-
-
-def _xi_layout(config, spec, rates):
-    """Per-layer (a, b, n_panels) of xi_rules, clipped to |x| <= x_max; None when empty."""
-    layout = []
-    for layer, rate in zip(config.layers, rates):
-        a, b = layer.window(spec.x_max)
-        cap = math.pi / max(rate, 1e-12)
-        layout.append((a, b, max(1, math.ceil((b - a) / cap))) if b > a else None)
-    return layout
-
-
-def xi_panels(config, spec):
-    """Per-layer spatial rules in panel form, clipped to |x| <= x_max.
-
-    Returns one (centres, offsets, weights) triple per layer: node j of panel
-    q is centres[q] + offsets[j], with weight weights[q, j].  A layer's
-    panels are uniform, so they share one set of offsets.  A layer lying
-    entirely beyond the truncation radius gets no panels.  Panels are capped
-    at half a period of the layer's fastest oscillation.
-    """
-    return _xi_panels(config, spec, band_edge_rates(config, spec))
-
-
-def _xi_panels(config, spec, rates):
-    """xi_panels from the band_edge_rates of its (config, spec)."""
-    xr, wr = _leggauss(spec.xi_quadrature_order)
-    rules = []
-    for lay in _xi_layout(config, spec, rates):
-        a, b, n = lay or (0.0, 0.0, 0)
-        half = 0.5 * (b - a) / max(n, 1)
-        centres = a + half * (2 * np.arange(n) + 1)
-        rules.append((centres, half * xr, np.tile(half * wr, (n, 1))))
-    return rules
-
-
-def xi_rules(config, spec):
-    """xi_panels flattened: per layer the (nodes, weights) of its composite rule."""
-    return [(np.add.outer(c, t).ravel(), w.ravel()) for c, t, w in xi_panels(config, spec)]
-
-
 # Largest (lambda nodes) x (spatial points) x r^2 a transform takes on.  The
 # spectral contraction costs a few complex multiply-adds per unit of it, so
 # at the limit a transform runs for minutes.
 MAX_TRANSFORM_SIZE = 10**9
 
 
-def check_size(config, spec, n_points=None):
-    """Refuse a transform of more than MAX_TRANSFORM_SIZE (SizeLimitExceeded).
+class Plan(NamedTuple):
+    """The quadrature of a (config, spec) pair.
 
-    The size is max(lambda_steps, canonical lambda nodes) x n_points x r^2,
-    with n_points defaulting to the spatial nodes of xi_rules.  Every count
-    comes from the spec alone, so nothing large is allocated before the check.
+    grid is the canonical LambdaGrid; panels holds one (centres, offsets,
+    weights) triple per layer: node j of panel q is centres[q] + offsets[j],
+    with weight weights[q, j].  A layer's panels are uniform, so they share
+    one set of offsets; a layer lying entirely beyond x_max has none.
     """
-    _check_size(config, spec, band_edge_rates(config, spec), n_points)
+
+    grid: LambdaGrid
+    panels: list
 
 
-def _check_size(config, spec, rates, n_points=None):
-    """check_size from the band_edge_rates of its (config, spec)."""
-    n_lambda = max(spec.lambda_steps, math.prod(_grid_layout(spec, _lambda_cap(spec, rates))))
+def plan(config, spec, n_points=None):
+    """The Plan of (config, spec), refusing a transform past MAX_TRANSFORM_SIZE first.
+
+    One band_edge_rates pass caps the lambda panels at a quarter period of
+    exp(i lam s_rate x_max) and each layer's xi panels, clipped to
+    |x| <= x_max, at half a period of its fastest oscillation.  The size is
+    max(lambda_steps, canonical lambda nodes) x n_points x r^2, n_points
+    defaulting to the xi nodes; it is checked on the layouts alone
+    (SizeLimitExceeded), before any node is allocated.
+    """
+    rates = band_edge_rates(config, spec)
+    s_rate = max(rates) / spec.lambda_max
+    n_panels, order = _grid_layout(spec, math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12)))
+    windows = [layer.window(spec.x_max) for layer in config.layers]
+    counts = [max(1, math.ceil((b - a) / (math.pi / max(rate, 1e-12)))) if b > a else 0
+              for (a, b), rate in zip(windows, rates)]
     if n_points is None:
-        n_points = sum(lay[2] for lay in _xi_layout(config, spec, rates) if lay)
-        n_points *= spec.xi_quadrature_order
-    n_lambda, n_points = float(n_lambda), float(n_points)     # either may be a huge int
+        n_points = sum(counts) * spec.xi_quadrature_order
+    # either count may be a huge int
+    n_lambda, n_points = float(max(spec.lambda_steps, n_panels * order)), float(n_points)
     size = n_lambda * n_points * config.r**2
     if size > MAX_TRANSFORM_SIZE:
         raise SizeLimitExceeded(
@@ -240,6 +203,26 @@ def _check_size(config, spec, rates, n_points=None):
             f"{size:.3g} exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_steps, "
             "x_max or the number of evaluation points"
         )
+
+    grid = LambdaGrid(*composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order),
+                      n_panels=n_panels, order=order)
+    xr, wr = _leggauss(spec.xi_quadrature_order)
+    panels = []
+    for (a, b), n in zip(windows, counts):
+        half = 0.5 * (b - a) / n if n else 0.0
+        centres = a + half * (2 * np.arange(n) + 1)
+        panels.append((centres, half * xr, np.tile(half * wr, (n, 1))))
+    return Plan(grid, panels)
+
+
+def lambda_grid(config, spec):
+    """The canonical spectral grid of plan(config, spec)."""
+    return plan(config, spec).grid
+
+
+def xi_rules(config, spec):
+    """The xi panels of plan(config, spec) flattened: per layer (nodes, weights)."""
+    return [(np.add.outer(c, t).ravel(), w.ravel()) for c, t, w in plan(config, spec).panels]
 
 
 def neville_to_zero(taus, values):

@@ -24,9 +24,12 @@ the batch's inversion_constant c: -1/(pi i), or +1/(pi i) on the full axis.
 The improper integral is computed with exp(-tau lam) damping on the
 QuadratureSpec tau schedule and Neville-extrapolated to tau = 0.
 
-Both directions use the canonical composite Gauss-Legendre grid of the
-(config, spec) pair; the inverse refuses images sampled elsewhere, because
-its quadrature weights are tied to that grid.
+Both directions take their quadrature from one quad.plan call: the
+canonical composite Gauss-Legendre grid of the (config, spec) pair and the
+forward's per-layer xi panels, after the transform's size check.  The
+inverse refuses images sampled elsewhere, because its quadrature weights
+are tied to that grid.  It evaluates at one increasing point array per
+layer, config.n_layers of them.
 
 The basis is built once per image.  The forward image carries its batch
 (SpectralImage.basis), and decayed passes it on.  An inversion takes the
@@ -49,7 +52,7 @@ e^{i mu s} (_phase, by the one rule basis.exp_pair), and complex mu
 sums a family against data over x (forward) and _damped_sums over
 (lam, k) with the exp(-tau lam) damping folded in (inverse), both over the
 blocks of _phase_blocks, whose work arrays stay within _CHUNK_BYTES.  The
-forward's blocks are the uniform panels of quad.xi_panels; the inverse
+forward's blocks are the uniform xi panels of the plan; the inverse
 splits each layer's evaluation points with _split, which finds the arithmetic
 progressions every caller passes.  Any other point set is its own centres
 with the single offset 0: the dense sum, the same code.
@@ -79,16 +82,18 @@ _CHUNK_BYTES = 1 << 20
 _COMPLEX_BYTES = 16
 
 
-def _split(s):
-    """(centres, offsets) of points s for the factored contractions.
+def _split(xs, center):
+    """(centres, offsets) of points s = xs - center for the factored contractions.
 
-    An arithmetic progression (every point within 4 ulps of max|s| of the
-    fitted one, so that the factored phases err no more than the dense ones)
-    splits into blocks of about sqrt(len(s)) points, each centred on its
-    midpoint: s = (centres[:, None] + offsets).ravel()[:len(s)], the last
-    block running past the end.  Any other point set is its own centres with
+    An arithmetic progression (every point within 4 ulps of max|xs| of the
+    fitted one: np.linspace rounds relative to the abscissae xs, and the
+    dense phases then err as much) splits into blocks of about
+    sqrt(len(s)) points, each centred on its midpoint:
+    s = (centres[:, None] + offsets).ravel()[:len(s)], the last block
+    running past the end.  Any other point set is its own centres with
     offsets [0]: the dense sum.
     """
+    s = xs - center
     n = s.size
     size = max(1, round(math.sqrt(n)))
     if size > 1:
@@ -97,7 +102,7 @@ def _split(s):
         centres = s[0] + h * (size * np.arange(-(-n // size)) + mid)
         offsets = h * (np.arange(size) - mid)
         fit = np.add.outer(centres, offsets).ravel()[:n]
-        if np.max(np.abs(fit - s)) <= 4 * np.finfo(float).eps * np.max(np.abs(s)):
+        if np.max(np.abs(fit - s)) <= 4 * np.finfo(float).eps * np.max(np.abs(xs)):
             return centres, offsets
     return s, np.zeros(1)
 
@@ -187,32 +192,29 @@ def _damped_sums(fam, centres, offsets, fhat, damping):
 
 
 def _spectral_forward(config, f, spec, lambdas):
-    """Image of f: sum over layers of the dual kernels against f on the xi rules.
+    """Image of f: sum over layers of the dual kernels against f on the xi panels.
 
     basis.build_batch gives the geometry's batch of kernel data: its flags
     map the index of each degenerate point to its error, and its dual
-    gives per layer the stacked dual Family u*(xi, lam).  The grid is the
-    canonical one of (config, spec), or the explicit abscissae lambdas (no
-    weights, not canonical); the size check, the grid and the xi rules
-    share one quad.band_edge_rates.  A flagged point's row is set to NaN
-    and meta["flagged"] records (index, lam, reason); if every row is
-    flagged the first RegularityViolation is re-raised.
+    gives per layer the stacked dual Family u*(xi, lam).  One quad.plan
+    gives the xi panels and the grid: its canonical one, or the explicit
+    abscissae lambdas (no weights, not canonical).  A flagged point's row
+    is set to NaN and meta["flagged"] records (index, lam, reason); if
+    every row is flagged the first RegularityViolation is re-raised.
     meta["xi_tail_estimate"] is the largest contribution of the outermost
     xi panel at a truncated end.  The image carries the batch as its basis,
     for inverse_transform to reuse.
     """
-    rates = quad.band_edge_rates(config, spec)
-    quad._check_size(config, spec, rates)
+    grid, panels = quad.plan(config, spec)
     canonical = lambdas is None
     if canonical:
-        grid = quad._lambda_grid(spec, rates)
         lams = grid.nodes
     else:
         lams = np.asarray(lambdas, dtype=float).ravel()
         if lams.size == 0:
             raise EmptyImage("no spectral points requested")
     rules = []
-    for m, (centres, offsets, weights) in enumerate(quad._xi_panels(config, spec, rates)):
+    for m, (centres, offsets, weights) in enumerate(panels):
         nodes = np.add.outer(centres, offsets)
         g = weights.ravel()[:, None] * f.values_on(m, nodes.ravel())
         rules.append((centres, offsets, g.reshape(*nodes.shape, f.r)))
@@ -298,15 +300,13 @@ def _lambda_sq_term(f, block, junction, side):
 
 
 def _normalize_x_points(config, x_points, spec):
-    """Return per-layer abscissa arrays from a flat array or per-layer list."""
-    if isinstance(x_points, (list, tuple)) and all(
-        isinstance(p, np.ndarray) or isinstance(p, (list, tuple)) for p in x_points
-    ) and len(x_points) == config.n_layers:
-        per_layer = [np.asarray(p, dtype=float).ravel() for p in x_points]
-    else:
-        flat = np.asarray(x_points, dtype=float).ravel()
-        idx = config.layer_index(flat)
-        per_layer = [np.unique(flat[idx == m]) for m in range(config.n_layers)]
+    """x_points, one array per layer, as flat float arrays checked against their layers."""
+    if len(x_points) != config.n_layers:
+        raise DimensionMismatch(
+            f"{len(x_points)} arrays of evaluation points for {config.n_layers} layers",
+            block="x_points",
+        )
+    per_layer = [np.asarray(p, dtype=float).ravel() for p in x_points]
     hi = spec.x_max * (1 + 1e-12)
     lo = config.left_end if config.mode == SEMI_AXIS else -hi
     for m, xs in enumerate(per_layer):
@@ -326,12 +326,12 @@ def _normalize_x_points(config, x_points, spec):
 def inverse_transform(config, image, x_points, spec):
     """Reconstruct a function from its image on the canonical spectral grid of (config, spec).
 
-    x_points is either a flat array (points are routed to layers, junction
-    abscissae to the right layer) or a list of per-layer arrays.  The
-    kernels are the primal families of image.basis when that is the batch
-    of this config object on the image's grid, else of basis.build_batch
-    (as in _spectral_forward); either way the whole grid's, of which the
-    families keep the finite rows.  NaN (flagged) rows are left out of the
+    x_points holds one increasing array of evaluation points per layer
+    (config.layer_index routes a flat set, junction abscissae to the right
+    layer).  The kernels are the primal families of image.basis when that
+    is the batch of this config object on the image's grid, else of
+    basis.build_batch (as in _spectral_forward); either way the whole
+    grid's, of which the families keep the finite rows.  NaN (flagged) rows are left out of the
     quadrature and reported in meta["dropped_rows"]; a flag on a kept row
     is raised.  The quadrature and exp(-tau lam) weights fold into
     _damped_sums; quad.tau_limit extrapolates.
@@ -342,10 +342,7 @@ def inverse_transform(config, image, x_points, spec):
             f"image has {image.k} components, the kernels of this problem have {branches}",
             block="image",
         )
-    rates = quad.band_edge_rates(config, spec)
-    quad._check_size(config, spec, rates, sum(map(np.size, x_points))
-                     if isinstance(x_points, (list, tuple)) else np.size(x_points))
-    grid = quad._lambda_grid(spec, rates)
+    grid = quad.plan(config, spec, sum(map(np.size, x_points))).grid
     if image.lambdas.size != grid.nodes.size or not np.allclose(
         image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
     ):
@@ -371,7 +368,7 @@ def inverse_transform(config, image, x_points, spec):
     families = [fam.rows(keep) for fam in basis.primal]
     damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
     damped = np.concatenate([
-        _damped_sums(fam, *_split(xs - fam.center), fhat, damping)[:, :xs.size]
+        _damped_sums(fam, *_split(xs, fam.center), fhat, damping)[:, :xs.size]
         for xs, fam in zip(per_layer, families)
     ], axis=1)
     limit, err = quad.tau_limit(spec, damped)

@@ -76,6 +76,12 @@ def odd_gaussian_function(x_max=12.0, samples=241):
     )
 
 
+def by_layer(config, xs):
+    """Points xs routed to the layers of config (config.layer_index): inverse_transform's form."""
+    index = config.layer_index(xs)
+    return [xs[index == m] for m in range(config.n_layers)]
+
+
 # --- acceptance criterion reporting ----------------------------------------
 
 

@@ -97,6 +97,37 @@ boundary: {dirichlet: true}
         parse_config(text)
 
 
+@pytest.mark.parametrize("where, key", [("interfaces[0]", "ideal_contact"),
+                                        ("boundary", "dirichlet"), ("boundary", "neumann")])
+@pytest.mark.parametrize("value", [False, 2, 0, "no", None])
+def test_shorthand_flags_take_a_yaml_boolean(tmp_path, capsys, where, key, value):
+    # false reads as if the key were absent, so the explicit blocks of the long form are
+    # read; true selects the shorthand (test_shorthand_exclusivity); anything else is refused
+    long_form = emit_config(*parse_config(config_path("twolayer")))
+    doc = yaml.safe_load(long_form)
+    (doc["interfaces"][0] if key == "ideal_contact" else doc["boundary"])[key] = value
+    path = tmp_path / "flag.cfg"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    if value is False:
+        assert emit_config(*parse_config(str(path))) == long_form
+        return
+    with pytest.raises(ParseError, match=rf"^{re.escape(where)}\.{key}: expected true or false"):
+        parse_config(str(path))
+    assert cli.main(["emit", "--config", str(path)]) == 3
+    assert f"{where}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "false", "[]", "''", "null"])
+def test_quadrature_section_must_be_a_mapping(value):
+    text = ("problem: {r: 1}\nlayers: [{left: 0.0, right: inf, a2: 1.0}]\n"
+            f"boundary: {{dirichlet: true}}\nquadrature: {value}\n")
+    if value == "null":                 # no section: the default spec
+        assert parse_config(text)[1] == QuadratureSpec()
+        return
+    with pytest.raises(ParseError, match="section 'quadrature' must be a mapping"):
+        parse_config(text)
+
+
 def test_all_zero_boundary_rejected():
     text = """
 problem: {r: 1}

@@ -17,20 +17,23 @@ from layerft import catalog as cat
 from layerft import quadrature as quad
 from layerft import transform as tr
 
-CONFIGS = ["fullaxis", "fullaxis_twolayer", "lambda_interface", "r2diag", "sine",
+from conftest import by_layer
+
+CONFIGS = ["fullaxis", "fullaxis_twolayer", "lambda_interface", "laminate", "r2diag", "sine",
            "threelayer_r2", "twolayer"]
 
 
 def dense(monkeypatch):
     """Make every contraction of the transforms take the degenerate (dense) form."""
-    panels = quad._xi_panels
+    plan = quad.plan
 
-    def point_panels(config, spec, rates):
-        return [(np.add.outer(c, t).ravel(), np.zeros(1), w.reshape(-1, 1))
-                for c, t, w in panels(config, spec, rates)]
+    def point_panels(*args):
+        grid, panels = plan(*args)
+        return quad.Plan(grid, [(np.add.outer(c, t).ravel(), np.zeros(1), w.reshape(-1, 1))
+                                for c, t, w in panels])
 
-    monkeypatch.setattr(quad, "_xi_panels", point_panels)
-    monkeypatch.setattr(tr, "_split", lambda s: (s, np.zeros(1)))
+    monkeypatch.setattr(quad, "plan", point_panels)
+    monkeypatch.setattr(tr, "_split", lambda xs, center: (xs - center, np.zeros(1)))
 
 
 def pair(cfg, spec, f, window):
@@ -46,7 +49,7 @@ def test_factored_transforms_match_the_dense_sums(load, monkeypatch, name):
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
     window = [ls.x[np.abs(ls.x) <= spec.x_max] for ls in f.layers]
     split, offsets = tr._split, []
-    monkeypatch.setattr(tr, "_split", lambda s: offsets.append(split(s)[1]) or split(s))
+    monkeypatch.setattr(tr, "_split", lambda *a: offsets.append(split(*a)[1]) or split(*a))
     img, rec = pair(cfg, spec, f, window)
     assert all(o.size > 1 for o in offsets)         # every layer took the factored form
     dense(monkeypatch)
@@ -61,13 +64,13 @@ def test_non_progressions_take_the_dense_path(load):
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
     img = tr.forward_transform(cfg, f, spec)
     grid = np.linspace(0.0, 6.0, 121)
-    full = tr.inverse_transform(cfg, img, grid, spec)
+    full = tr.inverse_transform(cfg, img, by_layer(cfg, grid), spec)
     on_grid = np.concatenate([ls.values for ls in full.layers])
     union = np.union1d(grid[::4], grid[::6])
     for idx in (np.searchsorted(grid, union), [37], [37, 90]):
-        pts = grid[idx]
-        for xs in tr._normalize_x_points(cfg, pts, spec):
-            centres, offsets = tr._split(xs)
+        pts = by_layer(cfg, grid[idx])
+        for xs in pts:
+            centres, offsets = tr._split(xs, 0.0)
             assert np.array_equal(offsets, [0.0]) and np.array_equal(centres, xs)
         sub = tr.inverse_transform(cfg, img, pts, spec)
         got = np.concatenate([ls.values for ls in sub.layers])
@@ -93,7 +96,7 @@ def test_contractions_match_direct_exponential_sums(kind):
     rng = np.random.default_rng(11)
     fam = random_family(rng, MU_KINDS[kind] * rng.uniform(0.5, 6.0, (9, 2)), center=0.5)
     xs = np.linspace(-1.0, 2.0, 61)
-    centres, offsets = tr._split(xs - fam.center)
+    centres, offsets = tr._split(xs, fam.center)
     assert offsets.size > 1
     ep = np.exp(1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
     em = np.exp(-1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
@@ -121,7 +124,7 @@ def test_exponential_count_of_each_contraction(monkeypatch, kind):
     # complex mu: twice that, one per sign
     rng = np.random.default_rng(5)
     fam = random_family(rng, MU_KINDS[kind] * rng.uniform(0.5, 6.0, (40, 2)), center=0.5)
-    centres, offsets = tr._split(np.linspace(-1.0, 2.0, 61) - fam.center)
+    centres, offsets = tr._split(np.linspace(-1.0, 2.0, 61), fam.center)
     q, j = centres.size, offsets.size
     signs = 1 if kind == "real" else 2
     counted = []
@@ -144,7 +147,7 @@ def test_exponential_count_of_each_contraction(monkeypatch, kind):
 def test_work_arrays_stay_within_the_chunk_budget(monkeypatch, direction):
     rng = np.random.default_rng(3)
     fam = random_family(rng, rng.uniform(0.0, 12.0, (300, 2)), center=1.0)
-    centres, offsets = tr._split(np.linspace(0.0, 12.0, 1101) - fam.center)
+    centres, offsets = tr._split(np.linspace(0.0, 12.0, 1101), fam.center)
     g = rng.standard_normal((centres.size, offsets.size, 2)) + 0j
     fhat = rng.standard_normal((300, 2)) + 0j
     damping = rng.uniform(0.5, 1.0, (3, 300))

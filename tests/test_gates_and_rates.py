@@ -21,7 +21,7 @@ from test_transform import singular_at_two
 
 PERFBENCH_SPEC = {"lambda_max": 12.0, "lambda_steps": 400}
 
-# (n_panels, order, xi panels per layer) of lambda_grid / xi_panels at the default spec and at
+# (n_panels, order, xi panels per layer) of the quadrature plan at the default spec and at
 # PERFBENCH_SPEC, as computed when every function took its own band-edge wavenumbers
 LAYOUTS = {
     "fullaxis": [(612, 3, (306,)), (184, 2, (92,))],
@@ -144,29 +144,30 @@ def test_cli_forward_computes_the_band_edge_twice(load, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
-def test_grid_rules_and_size_check_keep_their_layout(load, name):
+def test_grid_rules_and_size_check_keep_their_layout(load, monkeypatch, name):
     cfg, spec0 = load(name)
     for spec, (n_panels, order, xi) in zip(
             (spec0, dataclasses.replace(spec0, **PERFBENCH_SPEC)), LAYOUTS[name]):
-        rates = quad.band_edge_rates(cfg, spec)
-        grid = quad.lambda_grid(cfg, spec)
+        grid, panels = quad.plan(cfg, spec)
         assert (grid.n_panels, grid.order) == (n_panels, order)
         nodes, weights = quad.composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order)
         assert np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights)
-        assert np.array_equal(quad._lambda_grid(spec, rates).nodes, grid.nodes)
-        panels = quad.xi_panels(cfg, spec)
+        assert np.array_equal(quad.lambda_grid(cfg, spec).nodes, grid.nodes)
         assert tuple(c.size for c, _, _ in panels) == xi
-        for a, b in zip(panels, quad._xi_panels(cfg, spec, rates)):
-            assert all(np.array_equal(p, q) for p, q in zip(a, b))
-        # the size check passes up to the limit and refuses one point more
+        # the size check passes up to the limit and refuses one point more, for an
+        # explicit point count and for the default one, the xi nodes
         n_lambda = max(spec.lambda_steps, n_panels * order)
         n_ok = quad.MAX_TRANSFORM_SIZE // (n_lambda * cfg.r**2)
-        for check in (lambda n: quad.check_size(cfg, spec, n),
-                      lambda n: quad._check_size(cfg, spec, rates, n)):
-            check(n_ok)
-            with pytest.raises(SizeLimitExceeded):
-                check(n_ok + 1)
-        quad.check_size(cfg, spec)
+        quad.plan(cfg, spec, n_ok)
+        with pytest.raises(SizeLimitExceeded):
+            quad.plan(cfg, spec, n_ok + 1)
+        default = n_lambda * sum(xi) * spec.xi_quadrature_order * cfg.r**2
+        monkeypatch.setattr(quad, "MAX_TRANSFORM_SIZE", default)
+        quad.plan(cfg, spec)
+        monkeypatch.setattr(quad, "MAX_TRANSFORM_SIZE", default - 1)
+        with pytest.raises(SizeLimitExceeded):
+            quad.plan(cfg, spec)
+        monkeypatch.undo()
 
 
 # --- every gated block inverted once, by its gate -----------------------------------------

@@ -89,14 +89,6 @@ def test_as_square_rejects_rectangular():
         la.as_square(np.zeros((2, 3)), "block")
 
 
-def test_block2x2_layout():
-    a, b, c, d = (np.full((2, 2), v) for v in (1.0, 2.0, 3.0, 4.0))
-    m = la.block2x2(a, b, c, d)
-    assert m.shape == (4, 4)
-    assert np.all(m[:2, :2] == 1.0) and np.all(m[:2, 2:] == 2.0)
-    assert np.all(m[2:, :2] == 3.0) and np.all(m[2:, 2:] == 4.0)
-
-
 def test_rcond_identity_and_singular():
     assert la.rcond(np.eye(4)) == pytest.approx(1.0)
     assert la.rcond(np.zeros((3, 3))) == 0.0

@@ -27,7 +27,7 @@ from layerft.gridfn import (
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet
 from layerft.quadrature import QuadratureSpec, lambda_grid
 
-from conftest import CONFIG_DIR, odd_gaussian_function
+from conftest import CONFIG_DIR, by_layer, odd_gaussian_function
 
 # every bundled config whose transform runs (singular.cfg flags every point)
 BUNDLED = sorted(p.stem for p in CONFIG_DIR.glob("*.cfg") if p.stem != "singular")
@@ -65,7 +65,20 @@ def test_inverse_requires_matching_grid(load, geometry):
     img = tr.forward_transform(cfg, f, spec)
     clipped = dataclasses.replace(img, lambdas=img.lambdas[:-1], values=img.values[:-1])
     with pytest.raises(InvariantViolation):
-        tr.inverse_transform(cfg, clipped, np.linspace(lo, 5, 8), spec)
+        tr.inverse_transform(cfg, clipped, by_layer(cfg, np.linspace(lo, 5, 8)), spec)
+
+
+@pytest.mark.parametrize("geometry", ["semi-axis", "full-axis"])
+def test_inverse_takes_one_point_array_per_layer(load, geometry):
+    cfg, spec, f, (lo, hi) = geometry_case(load, geometry)
+    spec = dataclasses.replace(spec, lambda_max=8.0, lambda_steps=100)
+    img = tr.forward_transform(cfg, f, spec)
+    pts = by_layer(cfg, np.linspace(lo, hi, 9))
+    tr.inverse_transform(cfg, img, pts, spec)
+    # one array too few or too many, or a flat array of points, is not the per-layer form
+    for wrong in (pts[1:], pts + [pts[0]], np.linspace(lo, hi, 9)):
+        with pytest.raises(DimensionMismatch):
+            tr.inverse_transform(cfg, img, wrong, spec)
 
 
 def test_forward_on_explicit_lambda_grid(load):
@@ -277,7 +290,7 @@ def test_inverse_reports_dropped_rows(load, geometry):
     vals = img.values.copy()
     vals[7] = np.nan
     marked = dataclasses.replace(img, values=vals)
-    xs = np.linspace(lo, hi, 61)
+    xs = by_layer(cfg, np.linspace(lo, hi, 61))
     recon = tr.inverse_transform(cfg, marked, xs, spec)
     assert recon.meta["dropped_rows"] == [7]
     # one dropped quadrature node barely perturbs the reconstruction
@@ -304,7 +317,7 @@ def test_tail_guard_raises_nonconvergent_tail(load, case):
         img = tr.forward_transform(cfg, f, spec)
 
         def invert(s):
-            return tr.inverse_transform(cfg, img, np.linspace(0.0, 4.0, 9), s)
+            return tr.inverse_transform(cfg, img, by_layer(cfg, np.linspace(0.0, 4.0, 9)), s)
 
     invert(spec)
     with pytest.raises(NonConvergentTail):
@@ -346,5 +359,5 @@ def test_oversized_transform_fails_fast(load, name, update):
     with pytest.raises(ConfigError, match="exceeds the limit"):
         tr.forward_transform(cfg, f, huge)
     with pytest.raises(ConfigError, match="exceeds the limit"):
-        tr.inverse_transform(cfg, img, np.linspace(0.0, 4.0, 201), huge)
+        tr.inverse_transform(cfg, img, by_layer(cfg, np.linspace(0.0, 4.0, 201)), huge)
     assert time.perf_counter() - t0 < 1.0
