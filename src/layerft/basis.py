@@ -269,11 +269,6 @@ class Family:
         return (_matmul(self.lp, ep[..., :, None] * self.rp)
                 + _matmul(self.lm, em[..., :, None] * self.rm))
 
-    def rows(self, index):
-        """The stacked Family at the spectral points index of axis 0."""
-        return replace(self, mu=self.mu[index], lp=self.lp[index], rp=self.rp[index],
-                       lm=self.lm[index], rm=self.rm[index])
-
 
 @dataclass
 class _LayerKernels:

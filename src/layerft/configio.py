@@ -283,7 +283,7 @@ def _emit_section(obj):
     return {f.name: _EMITTERS[f.type](getattr(obj, f.name)) for f in dataclasses.fields(obj)}
 
 
-def emit_config(config, spec=None, path=None):
+def emit_config(config, spec=None):
     """Serialize to the long-form document; returns the YAML text."""
     doc = {
         "problem": {"r": config.r, "mode": config.mode},
@@ -294,8 +294,4 @@ def emit_config(config, spec=None, path=None):
         doc["boundary"] = _emit_section(config.boundary)
     if spec is not None:
         doc["quadrature"] = _emit_section(spec)
-    text = yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)

@@ -147,10 +147,6 @@ class PiecewiseGridFunction:
 
     # --- traces -----------------------------------------------------------
 
-    def has_trace(self, junction, side, order):
-        arr = self.traces.get((junction, side))
-        return arr is not None and order < arr.shape[0]
-
     def trace(self, junction, side, order):
         arr = self.traces.get((junction, side))
         if arr is None or order >= arr.shape[0]:

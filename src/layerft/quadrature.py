@@ -225,6 +225,15 @@ def xi_rules(config, spec):
     return [(np.add.outer(c, t).ravel(), w.ravel()) for c, t, w in plan(config, spec).panels]
 
 
+def _neville(taus, table):
+    """Neville's value at tau = 0 of the polynomial through (taus[i], table[i])."""
+    col = table
+    for j in range(1, len(table)):
+        col = [(taus[i + j] * col[i] - taus[i] * col[i + 1]) / (taus[i + j] - taus[i])
+               for i in range(len(col) - 1)]
+    return col[0]
+
+
 def neville_to_zero(taus, values):
     """Extrapolate samples values[i] ~ F(taus[i]) to tau = 0.
 
@@ -232,28 +241,15 @@ def neville_to_zero(taus, values):
     full-table value and the value obtained after dropping the coarsest tau —
     a standard a-posteriori estimate of the extrapolation error.
     """
-    taus = np.asarray(taus, dtype=float)
-    m = taus.size
+    taus = [float(t) for t in taus]     # Python floats: the cheapest scalars for the table
+    m = len(taus)
     table = [np.asarray(v, dtype=complex) for v in values]
     if m != len(table):
         raise InvariantViolation("tau schedule and value list length mismatch")
     if m == 1:
         return table[0], np.full_like(table[0], np.nan, dtype=float)
-    prev_first = None
-    col = table
-    for j in range(1, m):
-        nxt = []
-        for i in range(m - j):
-            t_lo, t_hi = taus[i + j], taus[i]
-            nxt.append((t_lo * col[i] - t_hi * col[i + 1]) / (t_lo - t_hi))
-        if len(nxt) == 2:
-            prev_first = nxt[1]
-        col = nxt
-    limit = col[0]
-    if prev_first is None:          # m == 2
-        prev_first = table[1]
-    err = np.abs(limit - prev_first)
-    return limit, err
+    limit = _neville(taus, table)
+    return limit, np.abs(limit - _neville(taus[1:], table[1:]))
 
 
 def damping_matrix(spec, lams, coeff):

@@ -374,41 +374,30 @@ def forward_nd_image(profile, spec):
     )
 
 
-def inverse_nd(image, spec, n=None):
+def inverse_nd(image, spec):
     """Value at the origin from a radial image: integral of lam^(n/2) image.
 
-    Damped with exp(-tau lam) on the QuadratureSpec tau schedule and extrapolated to
-    tau = 0.  Quadrature weights ride along in image.meta["weights"] when the
-    image came from forward_nd_image; otherwise the trapezoid rule on the
-    stored grid is used (CSV round trips).  An explicit n must be the
-    dimension recorded in the image, if it records one, and the image must
-    have one column.
+    Damped with exp(-tau lam) on the QuadratureSpec tau schedule and
+    extrapolated to tau = 0, on the quadrature weights and dimension n that
+    forward_nd_image records in image.meta; an image without them (one read
+    from CSV) is refused.  The image must have one column and one weight
+    per spectral point.
     """
     if image.k != 1:
         raise DimensionMismatch(f"radial image has {image.k} columns, not 1", block="image")
-    recorded = image.meta.get("dimension")
-    if n is None:
-        n = recorded
-        if n is None:
-            raise InvariantViolation(
-                "dimension not recorded in the image; pass n explicitly"
-            )
-    elif recorded is not None and n != recorded:
-        raise InvariantViolation(f"dimension n = {n} differs from the image's dimension {recorded}")
-    n = _check_dimension(n)
+    if "weights" not in image.meta or "dimension" not in image.meta:
+        raise InvariantViolation(
+            "radial image records no quadrature weights or dimension; "
+            "regenerate it with forward_nd_image"
+        )
+    n = _check_dimension(image.meta["dimension"])
     lams = image.lambdas
-    weights = image.meta.get("weights")
-    if weights is None:
-        if lams.size < 2:
-            raise InvariantViolation(
-                "cannot integrate a single-point image without quadrature weights"
-            )
-        weights = np.empty_like(lams)
-        weights[1:-1] = 0.5 * (lams[2:] - lams[:-2])
-        weights[0] = 0.5 * (lams[1] - lams[0])
-        weights[-1] = 0.5 * (lams[-1] - lams[-2])
-    else:
-        weights = np.asarray(weights, dtype=float)
+    weights = np.asarray(image.meta["weights"], dtype=float)
+    if weights.shape != lams.shape:
+        raise DimensionMismatch(
+            f"radial image has {weights.size} quadrature weights for {lams.size} spectral points",
+            block="image",
+        )
 
     damped = damping_matrix(spec, lams, weights * lams ** (0.5 * n)) @ image.values
     limit, _err = tau_limit(spec, damped)

@@ -36,9 +36,9 @@ The basis is built once per image.  The forward image carries its batch
 primal families from that batch when the batch was built for the same
 config object (is, not ==) on exactly the image's abscissae; otherwise,
 for an image read from CSV or an equal config parsed anew, it builds the
-batch as the forward does.  Either way it works on the image's whole grid
-and keeps the rows of the finite image values, so a reused and a rebuilt
-inversion agree bit for bit.
+batch as the forward does.  Either way it integrates over the image's
+whole grid, with weight and value 0 at a non-finite (dropped) row, so a
+reused and a rebuilt inversion agree bit for bit.
 
 There is no loop over spectral points: basis.build_batch builds the whole
 grid at once, and every kernel of either geometry is a basis.Family,
@@ -243,10 +243,6 @@ def _spectral_forward(config, f, spec, lambdas):
         )
 
     meta = {"canonical": canonical, "flagged": flagged}
-    if canonical:
-        meta["weights"] = grid.weights
-        meta["n_panels"] = grid.n_panels
-        meta["order"] = grid.order
     meta["xi_tail_estimate"] = float(np.nanmax(np.delete(tails, sorted(flags), axis=1)))
     return SpectralImage(lambdas=lams, values=values, meta=meta, basis=basis)
 
@@ -312,7 +308,7 @@ def _normalize_x_points(config, x_points, spec):
     for m, xs in enumerate(per_layer):
         if xs.size == 0:
             continue
-        if xs.min() < lo - 1e-12 or xs.max() > hi:
+        if not (xs.min() >= lo - 1e-12 and xs.max() <= hi):     # NaN fails both
             raise OutOfDomain(
                 f"evaluation points for layer {m} fall outside [{lo}, {spec.x_max}]"
             )
@@ -331,10 +327,10 @@ def inverse_transform(config, image, x_points, spec):
     layer).  The kernels are the primal families of image.basis when that
     is the batch of this config object on the image's grid, else of
     basis.build_batch (as in _spectral_forward); either way the whole
-    grid's, of which the families keep the finite rows.  NaN (flagged) rows are left out of the
-    quadrature and reported in meta["dropped_rows"]; a flag on a kept row
-    is raised.  The quadrature and exp(-tau lam) weights fold into
-    _damped_sums; quad.tau_limit extrapolates.
+    grid's.  A NaN (flagged) row gets quadrature weight 0 and value 0, so
+    its term is an exact zero, and is reported in meta["dropped_rows"]; a
+    flag on a kept row is raised.  The quadrature and exp(-tau lam) weights
+    fold into _damped_sums; quad.tau_limit extrapolates.
     """
     branches = bas.branch_count(config)
     if image.k != branches:
@@ -352,8 +348,7 @@ def inverse_transform(config, image, x_points, spec):
         )
 
     keep = np.all(np.isfinite(image.values), axis=1)
-    lams = image.lambdas[keep]
-    if lams.size == 0:
+    if not keep.any():
         raise EmptyImage("all image rows are flagged")
 
     per_layer = _normalize_x_points(config, x_points, spec)
@@ -364,12 +359,13 @@ def inverse_transform(config, image, x_points, spec):
     flagged = [i for i in sorted(basis.flags) if keep[i]]
     if flagged:
         raise basis.flags[flagged[0]]
-    fhat = basis.inversion_constant * image.values[keep]
-    families = [fam.rows(keep) for fam in basis.primal]
-    damping = quad.damping_matrix(spec, lams, grid.weights[keep] * lams)
+    # a dropped row takes value 0 and weight 0: either alone leaves NaN * 0 = NaN
+    fhat = basis.inversion_constant * np.where(keep[:, None], image.values, 0.0)
+    lams = image.lambdas
+    damping = quad.damping_matrix(spec, lams, np.where(keep, grid.weights, 0.0) * lams)
     damped = np.concatenate([
         _damped_sums(fam, *_split(xs, fam.center), fhat, damping)[:, :xs.size]
-        for xs, fam in zip(per_layer, families)
+        for xs, fam in zip(per_layer, basis.primal)
     ], axis=1)
     limit, err = quad.tau_limit(spec, damped)
 

@@ -19,6 +19,7 @@ from conftest import config_path
 
 SEMI_AXIS = ["sine", "twolayer", "threelayer_r2", "r2diag", "lambda_interface"]
 FULL_AXIS = ["fullaxis", "fullaxis_twolayer"]
+FAMILY_ARRAYS = ("mu", "lp", "rp", "lm", "rm")
 
 
 def small(load, name, profile="gauss_bump"):
@@ -73,9 +74,32 @@ def test_kept_rows_of_the_whole_grid_equal_a_build_on_them(load, name):
     keep[[3, 40, 41, -1]] = False
     whole, part = bas.build_batch(cfg, lams).primal, bas.build_batch(cfg, lams[keep]).primal
     for a, b in zip(whole, part):
-        a = a.rows(keep)
-        for attr in ("mu", "lp", "rp", "lm", "rm"):
-            assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+        for attr in FAMILY_ARRAYS:
+            assert getattr(a, attr)[keep].tobytes() == getattr(b, attr).tobytes()
+
+
+def sliced_inverse(cfg, image, pts, spec):
+    """Reference: the tau-limit per layer with the dropped rows sliced out of every array."""
+    keep = np.all(np.isfinite(image.values), axis=1)
+    lams = image.lambdas[keep]
+    fhat = image.basis.inversion_constant * image.values[keep]
+    damping = quad.damping_matrix(spec, lams, quad.lambda_grid(cfg, spec).weights[keep] * lams)
+    out = []
+    for xs, fam in zip(pts, image.basis.primal):
+        fam = dataclasses.replace(fam, **{a: getattr(fam, a)[keep] for a in FAMILY_ARRAYS})
+        damped = tr._damped_sums(fam, *tr._split(xs, fam.center), fhat, damping)[:, :xs.size]
+        out.append(quad.tau_limit(spec, damped)[0])
+    return out
+
+
+@pytest.mark.parametrize("name", ["twolayer", "threelayer_r2", "fullaxis_twolayer"])
+def test_dropped_rows_weigh_zero_like_sliced_ones(load, name):
+    cfg, spec, f, pts = small(load, name)
+    image = tr.forward_transform(cfg, f, spec)
+    image.values[[0, 7, 150, 151, -1]] = np.nan
+    recon = np.concatenate([ls.values for ls in tr.inverse_transform(cfg, image, pts, spec).layers])
+    ref = np.concatenate(sliced_inverse(cfg, image, pts, spec))
+    assert np.max(np.abs(recon - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_solve_heat_builds_once(load, builds):

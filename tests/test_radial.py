@@ -18,6 +18,7 @@ from layerft.errors import (
     SizeLimitExceeded,
     UnsupportedDimension,
 )
+from layerft.gridfn import read_image_csv, write_image_csv
 from layerft.quadrature import MAX_TRANSFORM_SIZE, QuadratureSpec, composite_gauss, panel_gauss
 
 from conftest import SRC_DIR
@@ -91,17 +92,28 @@ def test_heat_decay_at_origin(spec):
 def test_inverse_needs_dimension(spec):
     img = rad.forward_nd_image(gaussian_profile(3), spec)
     img.meta.pop("dimension")
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="forward_nd_image"):
         rad.inverse_nd(img, spec)
-    assert rad.inverse_nd(img, spec, n=3) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_inverse_refuses_a_dimension_other_than_the_images(spec):
-    img = rad.forward_nd_image(gaussian_profile(2), spec)
-    assert rad.inverse_nd(img, spec, n=2) == pytest.approx(1.0, abs=1e-6)
-    for n in (3, 5):
-        with pytest.raises(InvariantViolation, match="differs from the image's dimension 2"):
-            rad.inverse_nd(img, spec, n=n)
+def test_inverse_refuses_an_image_read_from_csv(spec, tmp_path):
+    # the CSV keeps the grid and the values, not the quadrature weights or the dimension
+    img = rad.forward_nd_image(gaussian_profile(3), spec)
+    write_image_csv(img, tmp_path / "radial.csv")
+    read = read_image_csv(tmp_path / "radial.csv")
+    assert read.lambdas.tobytes() == img.lambdas.tobytes()
+    with pytest.raises(InvariantViolation, match="forward_nd_image"):
+        rad.inverse_nd(read, spec)
+
+
+def test_inverse_refuses_weights_of_another_grid(spec):
+    img = rad.forward_nd_image(
+        gaussian_profile(3), dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
+    )
+    cut = dataclasses.replace(img, lambdas=img.lambdas[:-1], values=img.values[:-1])
+    sizes = f"{img.lambdas.size} quadrature weights for {cut.lambdas.size} spectral points"
+    with pytest.raises(DimensionMismatch, match=sizes):
+        rad.inverse_nd(cut, spec)
 
 
 def test_forward_scalar_and_array_lambda(spec):

@@ -1,4 +1,5 @@
-"""Every top-level function and class in src/ is reached, or an allow-list says why not.
+"""Every top-level function and class in src/, and every method and property of such a
+class but the dunders, is reached, or an allow-list says why not.
 
 A definition counts as reached when its name is read by other src/ code (outside
 its own body), by a script, by the package's __all__, or by the benchmark: an
@@ -16,6 +17,8 @@ ALLOWED = {
     "basis.boundary_residual": "tier-1 oracle of the boundary condition",
     "basis.dual_boundary_residual": "tier-1 oracle of the dual boundary condition",
     "linalg.solve_linear": "acceptance criterion 10 calls it",
+    "problem.ProblemConfig.n_interfaces": "acceptance criteria 2 and 3 call it",
+    "basis.SpectralBasisBatch.coefficients": "acceptance criterion 2 calls it",
 }
 
 
@@ -58,23 +61,38 @@ def outside_names(scripts, init, tracing, workloads):
     return found
 
 
+def definitions(tree):
+    """(qualified name, node) of each top-level def and class, then of its non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def unreached(modules, outside):
-    """module.name of each top-level def or class of modules ({stem: source}) nothing reaches."""
+    """module.name of each definition of modules ({stem: source}) nothing reaches."""
     trees = {stem: ast.parse(text) for stem, text in modules.items()}
     missing = []
     for stem, tree in trees.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in outside:
+        for qualified, node in definitions(tree):
+            if node.name in outside:
                 continue
             if not any(node.name in names_read(t, skip=node) for t in trees.values()):
-                missing.append(f"{stem}.{node.name}")
+                missing.append(f"{stem}.{qualified}")
     return missing
 
 
 def test_the_check_finds_a_planted_unreachable_function():
     modules = {
         "a": "def used():\n    return helper()\n\ndef helper():\n    return 1\n\n"
-             "def orphan():\n    return orphan()\n\nclass Shown:\n    pass\n",
+             "def orphan():\n    return orphan()\n\nclass Shown:\n"
+             "    def __init__(self):\n        self.called()\n\n"
+             "    def called(self):\n        pass\n\n"
+             "    @property\n    def unread(self):\n        return self.unread\n",
         "b": "from .a import used\n\ndef bench_only():\n    return used()\n\n"
              "def traced():\n    pass\n\ndef scripted():\n    pass\n",
     }
@@ -84,9 +102,9 @@ def test_the_check_finds_a_planted_unreachable_function():
         tracing="ENTRIES = ((\"b.traced\", [(\"layerft.b\", \"traced\")], None),)\n",
         workloads="import layerft.b as b\nb.bench_only()\n",
     )
-    assert unreached(modules, outside) == ["a.orphan"]
-    assert unreached(modules, set()) == ["a.orphan", "a.Shown", "b.bench_only", "b.traced",
-                                         "b.scripted"]
+    assert unreached(modules, outside) == ["a.orphan", "a.Shown.unread"]
+    assert unreached(modules, set()) == ["a.orphan", "a.Shown", "a.Shown.unread", "b.bench_only",
+                                         "b.traced", "b.scripted"]
 
 
 def test_every_src_definition_is_reached_or_allowed():

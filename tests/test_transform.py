@@ -14,6 +14,7 @@ from layerft.errors import (
     EmptyImage,
     InvariantViolation,
     NonConvergentTail,
+    OutOfDomain,
     RegularityViolation,
 )
 from layerft.gridfn import (
@@ -25,7 +26,7 @@ from layerft.gridfn import (
     write_image_csv,
 )
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet
-from layerft.quadrature import QuadratureSpec, lambda_grid
+from layerft.quadrature import QuadratureSpec, lambda_grid, neville_to_zero
 
 from conftest import CONFIG_DIR, by_layer, odd_gaussian_function
 
@@ -79,6 +80,21 @@ def test_inverse_takes_one_point_array_per_layer(load, geometry):
     for wrong in (pts[1:], pts + [pts[0]], np.linspace(lo, hi, 9)):
         with pytest.raises(DimensionMismatch):
             tr.inverse_transform(cfg, img, wrong, spec)
+
+
+def test_non_finite_evaluation_points_are_refused_before_any_contraction(load, monkeypatch):
+    cfg, spec = load("twolayer")
+    spec = dataclasses.replace(spec, lambda_max=8.0, lambda_steps=100)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
+    img = tr.forward_transform(cfg, f, spec)
+
+    def contracted(*args):
+        raise AssertionError("contraction ran")
+
+    monkeypatch.setattr(tr, "_damped_sums", contracted)
+    for first in ([np.nan], [0.2, np.nan, 0.5]):
+        with pytest.raises(OutOfDomain, match="layer 0"):
+            tr.inverse_transform(cfg, img, [np.array(first), np.array([2.0])], spec)
 
 
 def test_forward_on_explicit_lambda_grid(load):
@@ -297,6 +313,39 @@ def test_inverse_reports_dropped_rows(load, geometry):
     clean = tr.inverse_transform(cfg, img, xs, spec)
     for a, b in zip(recon.layers, clean.layers):
         assert np.max(np.abs(a.values - b.values), initial=0.0) <= 1e-2
+
+
+def neville_reference(taus, values):
+    """neville_to_zero as one table that keeps its second-to-last column's last entry."""
+    taus = np.asarray(taus, dtype=float)
+    m = taus.size
+    table = [np.asarray(v, dtype=complex) for v in values]
+    if m == 1:
+        return table[0], np.full_like(table[0], np.nan, dtype=float)
+    prev_first = None
+    col = table
+    for j in range(1, m):
+        nxt = []
+        for i in range(m - j):
+            t_lo, t_hi = taus[i + j], taus[i]
+            nxt.append((t_lo * col[i] - t_hi * col[i + 1]) / (t_lo - t_hi))
+        if len(nxt) == 2:
+            prev_first = nxt[1]
+        col = nxt
+    limit = col[0]
+    if prev_first is None:          # m == 2
+        prev_first = table[1]
+    return limit, np.abs(limit - prev_first)
+
+
+def test_neville_to_zero_matches_the_one_table_reference():
+    rng = np.random.default_rng(7)
+    schedules = [QuadratureSpec().tau_schedule]
+    schedules += [np.sort(rng.uniform(1e-4, 1e-1, m))[::-1] for m in range(1, 6)]
+    for taus in schedules:
+        values = rng.standard_normal((len(taus), 4, 3)) + 1j * rng.standard_normal((len(taus), 4, 3))
+        for got, want in zip(neville_to_zero(taus, values), neville_reference(taus, values)):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", ["twolayer", "fullaxis_twolayer", "radial_n3"])
