@@ -309,8 +309,6 @@ class SpectralBasisBatch:
     lam: np.ndarray
     config: object
     layers: list
-    phi0: np.ndarray
-    psi0: np.ndarray
     phi0_inv: np.ndarray
     psi0_inv: np.ndarray
     bnd_row: np.ndarray    # (..., r, 2r) (value block | derivative block) at l_0, a broadcast
@@ -337,8 +335,8 @@ class SpectralBasisBatch:
 
     def at(self, i):
         return replace(self, lam=self.lam[i], layers=[ld.at(i) for ld in self.layers],
-                       phi0=self.phi0[i], psi0=self.psi0[i], phi0_inv=self.phi0_inv[i],
-                       psi0_inv=self.psi0_inv[i], bnd_row=self.bnd_row[i],
+                       phi0_inv=self.phi0_inv[i], psi0_inv=self.psi0_inv[i],
+                       bnd_row=self.bnd_row[i],
                        pencils=[(m1[i], m2[i]) for m1, m2 in self.pencils],
                        pencil_inv=[(m1[i], m2[i]) for m1, m2 in self.pencil_inv], flags={})
 
@@ -524,18 +522,15 @@ def build_batch(config, lams):
     if bnd.is_lambda_free:          # one row at every lam: one product over the stack below
         bnd_row = np.broadcast_to(bnd_row[0], bnd_row.shape)
     func_row = _matmul(bnd_row, _omega_stack(lds[0], config.left_end, r))
-    phi0 = func_row[:, :, :r].copy()
-    psi0 = func_row[:, :, r:].copy()
-    (phi0, phi0_inv), (psi0, psi0_inv) = (_gate(blk, flags, lams, lambda lam: DegenerateBoundary(
+    # copies: the gate writes identities into flagged rows
+    phi0_inv, psi0_inv = (_gate(blk.copy(), flags, lams, lambda lam: DegenerateBoundary(
         f"boundary functional of the {name} family is singular at lam = {lam}", lam=lam,
-    )) for name, blk in (("Phi", phi0), ("Psi", psi0)))
+    ))[1] for name, blk in (("Phi", func_row[:, :, :r]), ("Psi", func_row[:, :, r:])))
 
     return SpectralBasisBatch(
         lam=lams,
         config=config,
         layers=lds,
-        phi0=phi0,
-        psi0=psi0,
         phi0_inv=phi0_inv,
         psi0_inv=psi0_inv,
         bnd_row=bnd_row,
@@ -638,14 +633,14 @@ def dual_families(basis):
     return families
 
 
-def u_on_layer(basis, m, xs, order=0):
-    """Primal kernel u (or a derivative) on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
-    return basis.primal[m].at(xs, order)
+def u_on_layer(basis, m, xs):
+    """Primal kernel u on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
+    return basis.primal[m].at(xs)
 
 
-def u_star_on_layer(basis, m, xs, order=0):
-    """Dual kernel u* (or a derivative) on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
-    return basis.dual[m].at(xs, order)
+def u_star_on_layer(basis, m, xs):
+    """Dual kernel u* on layer m, as Family.at: (Nx, r, r) or (N, r, r)."""
+    return basis.dual[m].at(xs)
 
 
 def row_function(fam, a2, xs):
@@ -658,14 +653,14 @@ def w_on_layer(basis, m, xs):
     return row_function(basis.dual[m], basis.config.layers[m].a2, xs)
 
 
-def eval_u(basis, x, order=0):
+def eval_u(basis, x):
     """u(x, lam) as an r x r matrix; junction abscissae resolve to the right layer."""
-    return u_on_layer(basis, basis.config.layer_index(float(x)), float(x), order)
+    return u_on_layer(basis, basis.config.layer_index(float(x)), float(x))
 
 
-def eval_u_star(basis, x, order=0):
+def eval_u_star(basis, x):
     """u*(x, lam) as an r x r matrix; junction abscissae resolve to the right layer."""
-    return u_star_on_layer(basis, basis.config.layer_index(float(x)), float(x), order)
+    return u_star_on_layer(basis, basis.config.layer_index(float(x)), float(x))
 
 
 # --- diagnostics: a 0-d value for a one-point view, one per lam for a batch ---

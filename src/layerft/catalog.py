@@ -200,7 +200,6 @@ def to_grid_function(profile, config, x_max, samples_per_layer=401, amplitudes=N
         xs = np.linspace(a, b, n)
         layers.append(LayerSamples(x=xs, values=np.outer(profile(xs), amp)))
 
-    junction_x = [config.left_end] + list(config.junctions)
     traces = {}
     if np.isfinite(config.left_end):
         traces[(0, "right")] = np.array(
@@ -219,10 +218,5 @@ def to_grid_function(profile, config, x_max, samples_per_layer=401, amplitudes=N
         layers=layers,
         traces=traces,
         evaluator=evaluator,
-        meta={
-            "catalog": profile.name,
-            "params": dict(profile.params),
-            "amplitudes": amp.copy(),
-            "junction_abscissae": junction_x,
-        },
+        meta={"junction_abscissae": [config.left_end] + list(config.junctions)},
     )

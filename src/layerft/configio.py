@@ -151,9 +151,7 @@ def parse_config(source):
     """Parse a document (text or path-like) into (ProblemConfig, QuadratureSpec)."""
     text = source
     label = "<string>"
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and "\n" not in source and source.endswith((".cfg", ".yml", ".yaml")):
+    if isinstance(source, str) and "\n" not in source and source.endswith((".cfg", ".yml", ".yaml")):
         label = source
         with open(source) as fh:
             text = fh.read()

@@ -233,9 +233,8 @@ class SpectralImage:
         if not (math.isfinite(t) and t >= 0):
             raise InvariantViolation(f"time must be finite and nonnegative, got {t}")
         factor = np.exp(-self.lambdas**2 * t)
-        meta = dict(self.meta)
-        meta["heat_time"] = meta.get("heat_time", 0.0) + t
-        return SpectralImage(self.lambdas, self.values * factor[:, None], meta, self.basis)
+        values = self.values * factor[:, None]
+        return SpectralImage(self.lambdas, values, dict(self.meta), self.basis)
 
 
 # --- CSV ------------------------------------------------------------------
@@ -334,7 +333,7 @@ def read_image_csv(path):
     if not lines:
         raise EmptyImage(f"{path}: no image rows")
     values = np.ascontiguousarray(nums[:, 1:]).view(complex)
-    return SpectralImage(nums[:, 0], values, meta={"source": str(path)})
+    return SpectralImage(nums[:, 0], values)
 
 
 def write_function_csv(f, path):
@@ -414,5 +413,5 @@ def read_function_csv(path, config):
     return PiecewiseGridFunction(
         layers=layers,
         traces=traces,
-        meta={"source": str(path), "junction_abscissae": junction_x},
+        meta={"junction_abscissae": junction_x},
     )

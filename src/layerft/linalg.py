@@ -20,6 +20,9 @@ RCOND_FLOOR = 1e-12
 # |Im| <= CUT_TOL * spectral scale count as sitting on the cut
 CUT_TOL = 1e-12
 
+# largest 2-norm matrix_exp takes
+EXP_MAX_NORM = 4096.0
+
 
 def as_square(m, name="matrix"):
     a = np.asarray(m, dtype=complex)
@@ -56,38 +59,31 @@ def principal_sqrt(m):
     return np.asarray(sqrtm(a), dtype=complex)
 
 
-def matrix_exp(m, max_norm=4096.0):
+def matrix_exp(m):
     """Matrix exponential e^m (scaling-and-squaring).
 
-    Refuses arguments with 2-norm above ``max_norm``: upstream code always
+    Refuses arguments with 2-norm above EXP_MAX_NORM: upstream code always
     rescales/centers its exponents, so a huge norm here means a bug or an
     unusable parameter combination rather than a legitimate request.
     """
     a = as_square(m, "matrix_exp")
     nrm = float(np.linalg.norm(a, 2)) if a.size else 0.0
-    if nrm > max_norm:
-        raise OverflowRisk(f"matrix_exp: ||m||_2 = {nrm:.3g} exceeds {max_norm:.3g}")
+    if nrm > EXP_MAX_NORM:
+        raise OverflowRisk(f"matrix_exp: ||m||_2 = {nrm:.3g} exceeds {EXP_MAX_NORM:.3g}")
     from scipy.linalg import expm
 
     return np.asarray(expm(a), dtype=complex)
 
 
-def solve_linear(a, b, err=Singular, context=""):
-    """Solve a @ x = b with a reciprocal-condition gate.
-
-    ``err`` lets callers map near-singularity onto their own exception type
-    (e.g. a singular interface pencil is a regularity failure, not a generic
-    linear-algebra error).
-    """
-    a = as_square(a, context or "solve_linear")
+def solve_linear(a, b):
+    """Solve a @ x = b with a reciprocal-condition gate (Singular below RCOND_FLOOR)."""
+    a = as_square(a, "solve_linear")
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
-        raise NonSquare(
-            f"{context or 'solve_linear'}: rhs has {b.shape[0]} rows, matrix has {a.shape[0]}"
-        )
+        raise NonSquare(f"solve_linear: rhs has {b.shape[0]} rows, matrix has {a.shape[0]}")
     rc = rcond(a)
     if not np.isfinite(rc) or rc < RCOND_FLOOR:
-        raise err(f"{context or 'solve_linear'}: reciprocal condition {rc:.3g} below floor")
+        raise Singular(f"solve_linear: reciprocal condition {rc:.3g} below floor")
     return np.linalg.solve(a, b)
 
 
@@ -135,8 +131,8 @@ def screened_rcond(a):
     return rc, inv
 
 
-def _hermitian_min_eig(m, tol):
-    """(smallest eigenvalue of m, bound) with bound = tol max(1, max |m_ij|).
+def _hermitian_min_eig(m):
+    """(smallest eigenvalue of m, bound) with bound = 1e-10 max(1, max |m_ij|).
 
     None when m is not square or not Hermitian to within bound.  m is halved
     before its Hermitian and skew parts are formed, so that neither
@@ -145,17 +141,17 @@ def _hermitian_min_eig(m, tol):
     h = 0.5 * np.asarray(m, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         return None
-    bound = tol * max(2.0 * float(np.max(np.abs(h))), 1.0)
+    bound = 1e-10 * max(2.0 * float(np.max(np.abs(h))), 1.0)
     if np.max(np.abs(h - h.conj().T)) > 0.5 * bound:
         return None
     return float(np.min(np.linalg.eigvalsh(h + h.conj().T))), bound
 
 
-def hermitian_positive_definite(m, tol=1e-10):
-    found = _hermitian_min_eig(m, tol)
+def hermitian_positive_definite(m):
+    found = _hermitian_min_eig(m)
     return found is not None and found[0] > found[1]
 
 
-def hermitian_positive_semidefinite(m, tol=1e-10):
-    found = _hermitian_min_eig(m, tol)
+def hermitian_positive_semidefinite(m):
+    found = _hermitian_min_eig(m)
     return found is not None and found[0] >= -found[1]

@@ -161,10 +161,8 @@ def apply_B(config, f):
     layers_out = [LayerSamples(x=ls.x.copy(), values=v) for ls, v in zip(f.layers, values)]
     ends = [(0, "right")] + [(k, s) for k in range(1, config.n_layers) for s in ("left", "right")]
     traces = {(k, s): stack(k - (s == "left"), k) for k, s in ends}
-    meta = dict(f.meta)
-    meta["junction_abscissae"] = junction_x
-    meta["operator"] = "a2 f'' + g2 f"
-    return PiecewiseGridFunction(layers=layers_out, traces=traces, evaluator=evaluator, meta=meta)
+    return PiecewiseGridFunction(layers=layers_out, traces=traces, evaluator=evaluator,
+                                 meta={"junction_abscissae": junction_x})
 
 
 # --- junction/boundary compatibility ---------------------------------------
@@ -455,7 +453,6 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
         meta={
             "dt": step,
             "steps": n_steps,
-            "dx": [float(g[1] - g[0]) for g in grids],
             "junction_abscissae": [config.left_end] + list(config.junctions),
         },
     )

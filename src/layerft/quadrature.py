@@ -110,11 +110,6 @@ class LambdaGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    n_panels: int
-    order: int
-
-    def __len__(self):
-        return self.nodes.size
 
 
 def band_edge_rates(config, spec):
@@ -152,9 +147,7 @@ def spectral_grid(spec, cap):
 
     The per-panel order is chosen so the total node count tracks lambda_steps.
     """
-    n_panels, order = _grid_layout(spec, cap)
-    nodes, weights = composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order)
-    return LambdaGrid(nodes=nodes, weights=weights, n_panels=n_panels, order=order)
+    return LambdaGrid(*composite_gauss(spec.lambda_min, spec.lambda_max, *_grid_layout(spec, cap)))
 
 
 # Largest (lambda nodes) x (spatial points) x r^2 a transform takes on.  The
@@ -188,7 +181,8 @@ def plan(config, spec, n_points=None):
     """
     rates = band_edge_rates(config, spec)
     s_rate = max(rates) / spec.lambda_max
-    n_panels, order = _grid_layout(spec, math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12)))
+    cap = math.pi / (4.0 * spec.x_max * max(s_rate, 1e-12))
+    n_panels, order = _grid_layout(spec, cap)
     windows = [layer.window(spec.x_max) for layer in config.layers]
     counts = [max(1, math.ceil((b - a) / (math.pi / max(rate, 1e-12)))) if b > a else 0
               for (a, b), rate in zip(windows, rates)]
@@ -204,8 +198,7 @@ def plan(config, spec, n_points=None):
             "x_max or the number of evaluation points"
         )
 
-    grid = LambdaGrid(*composite_gauss(spec.lambda_min, spec.lambda_max, n_panels, order),
-                      n_panels=n_panels, order=order)
+    grid = spectral_grid(spec, cap)
     xr, wr = _leggauss(spec.xi_quadrature_order)
     panels = []
     for (a, b), n in zip(windows, counts):

@@ -370,7 +370,7 @@ def forward_nd_image(profile, spec):
     return SpectralImage(
         lambdas=grid.nodes,
         values=values[:, None].astype(complex),
-        meta={"weights": grid.weights, "dimension": n, "rho_max": profile.rho_max},
+        meta={"weights": grid.weights, "dimension": n},
     )
 
 

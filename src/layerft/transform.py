@@ -206,8 +206,7 @@ def _spectral_forward(config, f, spec, lambdas):
     for inverse_transform to reuse.
     """
     grid, panels = quad.plan(config, spec)
-    canonical = lambdas is None
-    if canonical:
+    if lambdas is None:
         lams = grid.nodes
     else:
         lams = np.asarray(lambdas, dtype=float).ravel()
@@ -242,7 +241,7 @@ def _spectral_forward(config, f, spec, lambdas):
             lam=flagged[0][1],
         )
 
-    meta = {"canonical": canonical, "flagged": flagged}
+    meta = {"flagged": flagged}
     meta["xi_tail_estimate"] = float(np.nanmax(np.delete(tails, sorted(flags), axis=1)))
     return SpectralImage(lambdas=lams, values=values, meta=meta, basis=basis)
 
@@ -322,9 +321,10 @@ def _normalize_x_points(config, x_points, spec):
 def inverse_transform(config, image, x_points, spec):
     """Reconstruct a function from its image on the canonical spectral grid of (config, spec).
 
-    x_points holds one increasing array of evaluation points per layer
-    (config.layer_index routes a flat set, junction abscissae to the right
-    layer).  The kernels are the primal families of image.basis when that
+    x_points holds one increasing array of evaluation points per layer, and
+    another count of arrays is DimensionMismatch: a caller with a flat set
+    routes it with config.layer_index, junction abscissae to the right
+    layer.  The kernels are the primal families of image.basis when that
     is the batch of this config object on the image's grid, else of
     basis.build_batch (as in _spectral_forward); either way the whole
     grid's.  A NaN (flagged) row gets quadrature weight 0 and value 0, so

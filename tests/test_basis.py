@@ -40,10 +40,10 @@ def test_sine_kernel_derivatives_exact(load):
     lam = 2.9
     b = bas.build_basis(cfg, lam)
     xs = np.linspace(0.0, 8.0, 17)
-    u1 = bas.u_on_layer(b, 0, xs, order=1)[:, 0, 0]
-    u2 = bas.u_on_layer(b, 0, xs, order=2)[:, 0, 0]
-    s1 = bas.u_star_on_layer(b, 0, xs, order=1)[:, 0, 0]
-    s2 = bas.u_star_on_layer(b, 0, xs, order=2)[:, 0, 0]
+    u1 = b.primal[0].at(xs, 1)[:, 0, 0]
+    u2 = b.primal[0].at(xs, 2)[:, 0, 0]
+    s1 = b.dual[0].at(xs, 1)[:, 0, 0]
+    s2 = b.dual[0].at(xs, 2)[:, 0, 0]
     assert np.max(np.abs(u1 - 2j * lam * np.cos(lam * xs))) <= 1e-12
     assert np.max(np.abs(u2 + 2j * lam**2 * np.sin(lam * xs))) <= 1e-11
     assert np.max(np.abs(s1 + np.cos(lam * xs))) <= 1e-12
@@ -83,11 +83,11 @@ def test_kernel_second_derivative_vs_finite_difference(load):
         xs = np.array([x0 - h, x0, x0 + h])
         u = bas.u_on_layer(b, m, xs)
         fd = (u[0] - 2 * u[1] + u[2]) / h**2
-        exact = bas.u_on_layer(b, m, [x0], order=2)[0]
+        exact = b.primal[m].at([x0], 2)[0]
         assert np.max(np.abs(fd - exact)) <= 1e-5 * max(1.0, np.max(np.abs(exact)))
         us = bas.u_star_on_layer(b, m, xs)
         fds = (us[0] - 2 * us[1] + us[2]) / h**2
-        exacts = bas.u_star_on_layer(b, m, [x0], order=2)[0]
+        exacts = b.dual[m].at([x0], 2)[0]
         assert np.max(np.abs(fds - exacts)) <= 1e-5 * max(1.0, np.max(np.abs(exacts)))
 
 
@@ -152,7 +152,7 @@ def test_dual_row_function_matches_definition(load, name):
     cfg = lambda_variant(*LAMBDA_VARIANTS[name]) if name in LAMBDA_VARIANTS else load(name)[0]
     for lam in (0.05, 3.3, 11.9):
         b = bas.build_basis(cfg, lam)
-        func_row = np.hstack([b.phi0, b.psi0])
+        func_row = b.bnd_row @ bas._omega_stack(b.layers[0], cfg.left_end, cfg.r)
         for m, layer in enumerate(cfg.layers):
             right = layer.right if np.isfinite(layer.right) else layer.left + 4.0
             xs = np.linspace(layer.left, right, 13)

@@ -366,6 +366,22 @@ def test_cli_exit_code_numerical(tmp_path):
     assert "compatibility" in r.stderr
 
 
+def test_heat_fd_check_skips_the_oracle_on_lambda_dependent_conditions(tmp_path, capsys):
+    # the finite-difference oracle needs lambda-free conditions: heat says so on stderr,
+    # skips it and writes the solution it writes without --fd-check
+    args = ["heat", "--config", config_path("lambda_interface"), "--input",
+            "gauss_bump:center=6,width=0.3", "--time", "0.05", "--lambda-max", "10",
+            "--lambda-steps", "100"]
+    checked, plain = tmp_path / "checked.csv", tmp_path / "plain.csv"
+    assert cli.main([*args, "--fd-check", "--output", str(checked)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ("finite-difference oracle unavailable: interface conditions depend on the "
+                   "spectral parameter\n")
+    assert out == f"heat solution at t = 0.05 written to {checked}\n"
+    assert cli.main([*args, "--output", str(plain)]) == 0
+    assert checked.read_bytes() == plain.read_bytes()
+
+
 def test_cli_inverse_foreign_grid_is_config_error(tmp_path):
     img = tmp_path / "img.csv"
     r = run_cli("forward", "--config", config_path("sine"), "--input", "gauss_bump",

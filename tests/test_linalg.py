@@ -79,11 +79,6 @@ def test_solve_linear_singular_gate():
         la.solve_linear(np.zeros((2, 2)), np.eye(2))
 
 
-def test_solve_linear_context_in_message():
-    with pytest.raises(Singular, match="junction pencil"):
-        la.solve_linear(np.zeros((2, 2)), np.eye(2), context="junction pencil")
-
-
 def test_as_square_rejects_rectangular():
     with pytest.raises(NonSquare):
         la.as_square(np.zeros((2, 3)), "block")

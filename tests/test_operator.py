@@ -178,7 +178,6 @@ def test_heat_semigroup_in_image_space(load):
     twice = op.heat_image(op.heat_image(img, 0.03), 0.07)
     direct = op.heat_image(img, 0.10)
     assert np.max(np.abs(twice.values - direct.values)) <= 1e-8
-    assert twice.meta["heat_time"] == pytest.approx(0.10)
 
 
 def test_heat_rejects_negative_time(load):

@@ -1,15 +1,28 @@
-"""Every top-level function and class in src/, and every method and property of such a
-class but the dunders, is reached, or an allow-list says why not.
+"""Everything src/ declares has a user, or an allow-list says why not.
 
-A definition counts as reached when its name is read by other src/ code (outside
-its own body), by a script, by the package's __all__, or by the benchmark: an
-ENTRIES name in perfbench/tracing.py or a call in perfbench/workloads.py.
+- Every top-level function and class, and every method and property of such a
+  class but the dunders, is reached: its name is read by other src/ code
+  (outside its own body), by a script, by the package's __all__, or by the
+  benchmark (an ENTRIES name in perfbench/tracing.py or a call in
+  perfbench/workloads.py).
+- Every parameter with a default of such a function or method (an __init__
+  under its class's name) is passed, by keyword or by position, by some call
+  in src/, a script or perfbench/workloads.py.  A call with *args or **kwargs
+  passes every parameter.  A value no caller sets is a constant.
+- Every annotated field of a top-level class is read as an attribute by that
+  code, not counting the reads of a one-point view's replace(self, ...).
+- Every string key src/ stores in a meta mapping (a meta= dict literal,
+  meta = {...} or meta[key] = ...) is read by that code with meta[key] or
+  meta.get(key).
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+INTERFACE_BLOCK = "read by name through Interface._side and configio._emit_section"
 
 ALLOWED = {
     "basis.junction_residual_primal": "tier-1 oracle of the junction conditions (ROADMAP item 2)",
@@ -19,6 +32,10 @@ ALLOWED = {
     "linalg.solve_linear": "acceptance criterion 10 calls it",
     "problem.ProblemConfig.n_interfaces": "acceptance criteria 2 and 3 call it",
     "basis.SpectralBasisBatch.coefficients": "acceptance criterion 2 calls it",
+    "transform.forward_transform(lambdas)": "acceptance criterion 4 passes explicit abscissae",
+    **{f"problem.Interface.{kind}{j}{s}": INTERFACE_BLOCK
+       for kind in ("alpha", "beta", "gamma", "delta") for j in "12" for s in "12"},
+    'meta["xi_tail_estimate"]': "ROADMAP item 2's xi-tail health number; test_axis.py reads it",
 }
 
 
@@ -86,6 +103,148 @@ def unreached(modules, outside):
     return missing
 
 
+def calls(trees):
+    """{callee name: [(positional count, keyword names)]} of every call in trees.
+
+    A call with *args or **kwargs passes everything: (inf, None).
+    """
+    found = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                star = (any(isinstance(a, ast.Starred) for a in node.args)
+                        or any(k.arg is None for k in node.keywords))
+                found.setdefault(name, []).append(
+                    (math.inf, None) if star else (len(node.args), {k.arg for k in node.keywords}))
+    return found
+
+
+def defaulted(qualified, callee, node, skip):
+    """(qualified, callee, parameter, call position or None) of each defaulted parameter of node.
+
+    skip is the number of leading parameters a call does not pass (self); a
+    keyword-only parameter has no position.
+    """
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield qualified, callee, arg.arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield qualified, callee, arg.arg, None
+
+
+def defaulted_parameters(tree):
+    """defaulted() of every top-level function and every method of a top-level class.
+
+    An __init__ is called, and named, by its class's name.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from defaulted(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    callee = node.name if item.name == "__init__" else item.name
+                    qualified = node.name if item.name == "__init__" else f"{node.name}.{callee}"
+                    yield from defaulted(qualified, callee, item, 0 if static else 1)
+
+
+def unset_parameters(modules, readers):
+    """module.function(parameter) of each defaulted parameter that no call passes.
+
+    The calls are those of modules ({stem: source}) and of readers (sources).
+    """
+    trees = {stem: ast.parse(text) for stem, text in modules.items()}
+    passed = calls([*trees.values(), *map(ast.parse, readers)])
+    missing = []
+    for stem, tree in trees.items():
+        for qualified, callee, name, position in defaulted_parameters(tree):
+            if not any(keys is None or name in keys or (position is not None and count > position)
+                       for count, keys in passed.get(callee, ())):
+                missing.append(f"{stem}.{qualified}({name})")
+    return missing
+
+
+def self_copy(node):
+    """Whether node is replace(self, ...), the one-point view an at method returns."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "replace"
+            and bool(node.args) and getattr(node.args[0], "id", None) == "self")
+
+
+def attributes_read(tree):
+    """Attribute names tree loads, outside every self_copy."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if self_copy(node):
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unread_fields(modules, readers):
+    """module.Class.field of each annotated field of a top-level class no code reads."""
+    trees = {stem: ast.parse(text) for stem, text in modules.items()}
+    read = set().union(*map(attributes_read, [*trees.values(), *map(ast.parse, readers)]))
+    missing = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                missing += [f"{stem}.{node.name}.{item.target.id}" for item in node.body
+                            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                            and item.target.id not in read]
+    return missing
+
+
+def is_meta(node):
+    """Whether node is a meta mapping: the name meta or an attribute .meta."""
+    return getattr(node, "id", getattr(node, "attr", None)) == "meta"
+
+
+def meta_keys_stored(tree):
+    """String keys tree stores in a meta mapping: meta={...}, meta = {...}, meta[key] = ..."""
+    keys = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.keyword) and node.arg == "meta"
+                and isinstance(node.value, ast.Dict)):
+            keys += node.value.keys
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if is_meta(target) and isinstance(node.value, ast.Dict):
+                    keys += node.value.keys
+                elif isinstance(target, ast.Subscript) and is_meta(target.value):
+                    keys.append(target.slice)
+    return {k.value for k in keys if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+
+
+def meta_keys_read(tree):
+    """String keys tree reads from a meta mapping: meta[key] or meta.get(key)."""
+    keys = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and is_meta(node.value)):
+            keys.append(node.slice)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get"
+              and is_meta(node.func.value) and node.args):
+            keys.append(node.args[0])
+    return {k.value for k in keys if isinstance(k, ast.Constant) and isinstance(k.value, str)}
+
+
+def unread_meta_keys(modules, readers):
+    """meta["key"] of each key modules store in a meta mapping and no code reads."""
+    trees = [ast.parse(text) for text in modules.values()]
+    stored = set().union(*map(meta_keys_stored, trees))
+    read = set().union(*map(meta_keys_read, [*trees, *map(ast.parse, readers)]))
+    return [f'meta["{key}"]' for key in sorted(stored - read)]
+
+
 def test_the_check_finds_a_planted_unreachable_function():
     modules = {
         "a": "def used():\n    return helper()\n\ndef helper():\n    return 1\n\n"
@@ -107,14 +266,51 @@ def test_the_check_finds_a_planted_unreachable_function():
                                          "b.traced", "b.scripted"]
 
 
+def test_the_check_finds_a_planted_default_no_caller_sets():
+    modules = {
+        "a": "def f(x, scale=1.0, *, mode='a', quiet=False):\n    return x\n\n"
+             "class K:\n    def __init__(self, n=1, m=2):\n        pass\n\n"
+             "    def at(self, i, order=0):\n        return i\n\n"
+             "    @staticmethod\n    def s(v=0):\n        return v\n",
+        "b": "from .a import K, f\n\ndef g(*args):\n    return f(1, 2), K(3).at(0), K.s(*args)\n",
+    }
+    script = "from layerft.a import f\nf(0, mode='b')\n"
+    assert unset_parameters(modules, [script]) == ["a.f(quiet)", "a.K(m)", "a.K.at(order)"]
+    assert unset_parameters(modules, []) == ["a.f(mode)", "a.f(quiet)", "a.K(m)", "a.K.at(order)"]
+
+
+def test_the_check_finds_a_planted_unread_field():
+    modules = {
+        "a": "@dataclass\nclass P:\n    x: float\n    y: float\n    z: float = 0.0\n\n"
+             "    def at(self, i):\n        return replace(self, x=self.x[i], z=self.z[i])\n\n"
+             "def use(p):\n    p.z = 1.0\n    return p.y\n",
+    }
+    assert unread_fields(modules, ["print(p.x)\n"]) == ["a.P.z"]
+    assert unread_fields(modules, []) == ["a.P.x", "a.P.z"]
+
+
+def test_the_check_finds_a_planted_unread_meta_key():
+    modules = {
+        "a": "def make(x):\n    meta = {'kept': 1, 'lost': 2}\n    meta['late'] = 3\n"
+             "    return Image(x, meta={'direct': 4})\n\n"
+             "def show(image):\n    return image.meta['kept'], image.meta.get('direct')\n",
+    }
+    assert unread_meta_keys(modules, ["print(image.meta['late'])\n"]) == ['meta["lost"]']
+    assert unread_meta_keys(modules, []) == ['meta["late"]', 'meta["lost"]']
+
+
 def test_every_src_definition_is_reached_or_allowed():
     modules = {p.stem: p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))}
+    scripts = [p.read_text() for p in sorted((ROOT / "scripts").glob("*.py"))]
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text()
     outside = outside_names(
-        scripts=[p.read_text() for p in sorted((ROOT / "scripts").glob("*.py"))],
+        scripts=scripts,
         init=(ROOT / "src" / "layerft" / "__init__.py").read_text(),
         tracing=(ROOT / "perfbench" / "tracing.py").read_text(),
-        workloads=(ROOT / "perfbench" / "workloads.py").read_text(),
+        workloads=workloads,
     )
-    found = unreached(modules, outside)
+    readers = [*scripts, workloads]
+    found = (unreached(modules, outside) + unset_parameters(modules, readers)
+             + unread_fields(modules, readers) + unread_meta_keys(modules, readers))
     assert sorted(set(found) - set(ALLOWED)) == [], "unreached and not allowed"
     assert sorted(set(ALLOWED) - set(found)) == [], "allowed but reached: drop the entry"
