@@ -214,9 +214,4 @@ def to_grid_function(profile, config, x_max, samples_per_layer=401, amplitudes=N
     def evaluator(x, order=0):
         return np.outer(profile.deriv(np.asarray(x, dtype=float), order), amp)
 
-    return PiecewiseGridFunction(
-        layers=layers,
-        traces=traces,
-        evaluator=evaluator,
-        meta={"junction_abscissae": [config.left_end] + list(config.junctions)},
-    )
+    return PiecewiseGridFunction(layers=layers, traces=traces, evaluator=evaluator)

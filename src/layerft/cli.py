@@ -247,7 +247,7 @@ def dispatch(args):
         image = read_image_csv(args.input)
         pts = _per_layer_points(config, spec, args.samples, inverted=True)
         recon = tr.inverse_transform(config, image, pts, spec)
-        write_function_csv(recon, args.output)
+        write_function_csv(recon, args.output, config)
         dropped = recon.meta["dropped_rows"]
         print(
             f"reconstruction written to {args.output} "
@@ -261,7 +261,7 @@ def dispatch(args):
         report = tr.roundtrip_report(config, f, spec)
         print(report)
         if args.output:
-            write_function_csv(report.reconstruction, args.output)
+            write_function_csv(report.reconstruction, args.output, config)
         return 0
 
     if cmd == "identity":
@@ -296,7 +296,7 @@ def dispatch(args):
         else:
             pts = _per_layer_points(config, spec, args.samples, inverted=True)
             u = op.solve_heat(config, f0, args.time, pts, spec)
-        write_function_csv(u, args.output)
+        write_function_csv(u, args.output, config)
         print(f"heat solution at t = {args.time} written to {args.output}")
         return 0
 

@@ -22,10 +22,12 @@ ending in LF.  Complex values take two columns, re then im.  The tables:
   poisson   x,y,value
 
 Function and image tables are read back by read_function_csv and
-read_image_csv.  Bulk sample rows of a function leave the two trace columns
-empty; trace rows put the junction abscissa in x, "left"/"right" in
-trace_side and the derivative order in trace_order.  An image row of a
-flagged spectral point reads nan,0 in every component.
+read_image_csv.  Both function-table functions take the problem config,
+the one source of junction abscissae.  Bulk sample rows of a function leave
+the two trace columns empty; a trace row puts its junction's abscissa in x
+(config.left_end for junction 0, config.junction(k) for k >= 1),
+"left"/"right" in trace_side and the derivative order in trace_order.  An
+image row of a flagged spectral point reads nan,0 in every component.
 """
 
 import csv
@@ -159,6 +161,23 @@ class PiecewiseGridFunction:
                 f"trace (junction {junction}, {side}, order {order}) has shape {row.shape}"
             )
         return row
+
+    def trace_product(self, block, junction, side):
+        """block @ (f; f') at one side of a junction, reading only the traces it needs.
+
+        block is (rows, 2r): its columns act on the value trace, then on the
+        derivative trace.  A trace whose columns of block are all zero is not
+        read, so data without traces (an inverse reconstruction) meet
+        conditions that do not involve them; a trace that is needed and
+        missing raises MissingTraces.
+        """
+        r = self.r
+        out = np.zeros(block.shape[0], dtype=complex)
+        for order in (0, 1):
+            part = block[:, order * r:(order + 1) * r]
+            if np.any(part):
+                out = out + part @ self.trace(junction, side, order)
+        return out
 
     # --- evaluation -------------------------------------------------------
 
@@ -336,19 +355,13 @@ def read_image_csv(path):
     return SpectralImage(nums[:, 0], values)
 
 
-def write_function_csv(f, path):
+def write_function_csv(f, path, config):
+    """Write f as a function table, each trace row at its junction's abscissa in config."""
     header = ["x", *complex_columns(range(1, f.r + 1)), "trace_side", "trace_order"]
     blocks = [(complex_rows(ls.x, ls.values), ",,") for ls in f.layers]
-    junction_x = f.meta.get("junction_abscissae")
     for junction, side in sorted(f.traces):
         arr = f.traces[(junction, side)]
-        if junction_x is not None and junction < len(junction_x):
-            xj = junction_x[junction]
-        else:
-            # fall back to the sampled endpoint adjacent to the junction
-            xj = f.layers[junction].x[0] if side == "right" and junction == 0 else (
-                f.layers[junction - 1].x[-1] if side == "left" else f.layers[junction].x[0]
-            )
+        xj = config.junction(junction) if junction else config.left_end
         rows = complex_rows(np.full(arr.shape[0], xj), arr)
         blocks += [(rows[order:order + 1], f",{side},{order}") for order in range(arr.shape[0])]
     write_table(path, header, blocks)
@@ -385,8 +398,7 @@ def read_function_csv(path, config):
     pieces = _split_layers(nums[bulk, 0], values[bulk], config)
     layers = [LayerSamples(x=x, values=v) for x, v in pieces]
 
-    # junction abscissae: index 0 is l_0 (semi-axis), k >= 1 the interior junctions
-    junction_x = [config.left_end] + list(config.junctions)
+    junction_x = [config.left_end, *config.junctions]
     traces = {}
     staged = {}
     for i in np.flatnonzero(~bulk):
@@ -410,8 +422,4 @@ def read_function_csv(path, config):
             )
         traces[key] = np.array([by_order[o] for o in orders], dtype=complex)
 
-    return PiecewiseGridFunction(
-        layers=layers,
-        traces=traces,
-        meta={"junction_abscissae": junction_x},
-    )
+    return PiecewiseGridFunction(layers=layers, traces=traces)

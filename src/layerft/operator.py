@@ -13,7 +13,10 @@ spectral-parameter-free part and the lam^2 part of the conditions must hold
 separately.  That hypothesis is checked (not assumed) by one gate on
 lambda_split_residuals, shared with solve_heat; violations raise
 ConjugationViolated.  verify_basic_identity evaluates both sides on the
-canonical spectral grid and reports the residual per spectral point.
+canonical spectral grid and reports the residual per spectral point.  Every
+residual of the gate, and the lam-free half of the brace, is a block @
+(f; f') of PiecewiseGridFunction.trace_product, the one trace rule that the
+forward transform's lam^2 terms also use.
 
 apply_B forms every value and trace by one rule, b_of(m, lo, hi) =
 hi a2_m^T + lo g2_m^T on rows (lo, hi) = (f, f'') or (f', f''').  Exact
@@ -38,6 +41,7 @@ from .errors import (
     ConjugationViolated,
     GridTooCoarse,
     InvariantViolation,
+    RegularityViolation,
     SizeLimitExceeded,
     UnstableStep,
     WrongMode,
@@ -161,8 +165,7 @@ def apply_B(config, f):
     layers_out = [LayerSamples(x=ls.x.copy(), values=v) for ls, v in zip(f.layers, values)]
     ends = [(0, "right")] + [(k, s) for k in range(1, config.n_layers) for s in ("left", "right")]
     traces = {(k, s): stack(k - (s == "left"), k) for k, s in ends}
-    return PiecewiseGridFunction(layers=layers_out, traces=traces, evaluator=evaluator,
-                                 meta={"junction_abscissae": junction_x})
+    return PiecewiseGridFunction(layers=layers_out, traces=traces, evaluator=evaluator)
 
 
 # --- junction/boundary compatibility ---------------------------------------
@@ -174,23 +177,20 @@ def lambda_split_residuals(config, f):
     Junction k must satisfy both B_1 F_k = B_2 F_{k+1} (parameter-free part)
     and G_1 F_k = G_2 F_{k+1} (lam^2 part) separately; the boundary analogue
     splits into (beta0, alpha0) and (gamma0, delta0) rows vanishing on the
-    boundary traces.
+    boundary traces.  Every residual is PiecewiseGridFunction.trace_product,
+    so only the traces its blocks act on are read.
     """
     out = {"junction_value": [], "junction_lam2": []}
-    for k in range(1, config.n_layers):
-        fl = np.concatenate([f.trace(k, "left", 0), f.trace(k, "left", 1)])
-        fr = np.concatenate([f.trace(k, "right", 0), f.trace(k, "right", 1)])
-        iface = config.interfaces[k - 1]
-        b = iface.lambda_free_part(1) @ fl - iface.lambda_free_part(2) @ fr
-        g = iface.lambda_sq_part(1) @ fl - iface.lambda_sq_part(2) @ fr
-        out["junction_value"].append(float(np.max(np.abs(b))))
-        out["junction_lam2"].append(float(np.max(np.abs(g))))
-    if config.boundary is not None:
-        f0 = f.trace(0, "right", 0)
-        f1 = f.trace(0, "right", 1)
-        bnd = config.boundary
-        out["boundary_value"] = float(np.max(np.abs(bnd.beta0 @ f0 + bnd.alpha0 @ f1)))
-        out["boundary_lam2"] = float(np.max(np.abs(bnd.gamma0 @ f0 + bnd.delta0 @ f1)))
+    for k, iface in enumerate(config.interfaces, start=1):
+        for key, part in (("junction_value", iface.lambda_free_part),
+                          ("junction_lam2", iface.lambda_sq_part)):
+            res = f.trace_product(part(1), k, "left") - f.trace_product(part(2), k, "right")
+            out[key].append(float(np.max(np.abs(res))))
+    bnd = config.boundary
+    if bnd is not None:
+        for key, blocks in (("boundary_value", (bnd.beta0, bnd.alpha0)),
+                            ("boundary_lam2", (bnd.gamma0, bnd.delta0))):
+            out[key] = float(np.max(np.abs(f.trace_product(np.hstack(blocks), 0, "right"))))
     return out
 
 
@@ -259,9 +259,7 @@ def verify_basic_identity(config, f, spec, include_boundary_term=True):
     )
 
     bnd = config.boundary
-    f0 = f.trace(0, "right", 0)
-    f1 = f.trace(0, "right", 1)
-    brace = bnd.beta0 @ f0 + bnd.alpha0 @ f1
+    brace = f.trace_product(np.hstack([bnd.beta0, bnd.alpha0]), 0, "right")
     if not bnd.is_lambda_free:
         a2_first = np.asarray(config.layers[0].a2, dtype=complex)
         f2 = f.trace(0, "right", 2)
@@ -324,7 +322,8 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     sampled f0 have no imaginary part, and in complex arithmetic otherwise;
     the returned layer values are complex either way.  The unknowns are
     ordered node-major, so the implicit matrix is banded and its sparse LU
-    keeps the natural order, which adds no fill.
+    keeps the natural order, which adds no fill.  Conditions that leave that
+    matrix singular (zero junction blocks) raise RegularityViolation.
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("fd_reference serves the semi-axis problem")
@@ -436,8 +435,15 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     from scipy.sparse import csc_matrix, csr_matrix
     from scipy.sparse.linalg import splu
 
+    a_im = assemble(i_im, j_im, v_im, csc_matrix)
     # node-major unknowns keep the matrix banded: natural order factors it without fill
-    solver = splu(assemble(i_im, j_im, v_im, csc_matrix), permc_spec="NATURAL")
+    try:
+        solver = splu(a_im, permc_spec="NATURAL")
+    except RuntimeError:            # SuperLU: "Factor is exactly singular"
+        raise RegularityViolation(
+            "finite-difference oracle: the Crank-Nicolson matrix is exactly singular; "
+            "the junction or boundary conditions do not determine the endpoint values"
+        ) from None
     a_ex = assemble(i_ex, j_ex, v_ex, csr_matrix)
 
     for _ in range(n_steps):
@@ -447,12 +453,4 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     for m, g in enumerate(grids):
         vals = u[offsets[m] * r : offsets[m + 1] * r].reshape(g.size, r)
         layers.append(LayerSamples(x=g, values=vals))
-    return PiecewiseGridFunction(
-        layers=layers,
-        traces={},
-        meta={
-            "dt": step,
-            "steps": n_steps,
-            "junction_abscissae": [config.left_end] + list(config.junctions),
-        },
-    )
+    return PiecewiseGridFunction(layers=layers, meta={"dt": step, "steps": n_steps})

@@ -13,11 +13,12 @@ v_k = w^(k)(l_k) M_1k^{-1}, where G_s is the lam^2 coefficient block of side s
 and F_j stacks (value; derivative) traces of f on side j; M_1k^{-1} is the
 one its gate computed (basis.SpectralBasisBatch.pencil_inv).  forward_transform
 reads the traces the lam^2 terms need before the driver _spectral_forward
-runs, and adds the terms to the image the driver returns.  A junction whose
-conditions are spectral-parameter-free (every G_s the zero block) reads no
-trace and adds no term; the boundary term reads only the traces its lam^2
-blocks need.  The full axis has neither term, and its image has the two
-branches as columns (basis.branch_count).
+runs, and adds the terms to the image the driver returns.  Every block @
+(f; f') is PiecewiseGridFunction.trace_product, the one trace rule, which
+reads only the traces whose columns of the block are nonzero: a junction
+whose conditions are spectral-parameter-free (every G_s the zero block)
+reads no trace and adds no term.  The full axis has neither term, and its
+image has the two branches as columns (basis.branch_count).
 
 Inverse: f(x) = c * integral over lam > 0 of lam u(x, lam) image(lam), with
 the batch's inversion_constant c: -1/(pi i), or +1/(pi i) on the full axis.
@@ -262,10 +263,10 @@ def forward_transform(config, f, spec, lambdas=None):
     bnd = config.boundary
     if bnd is None:         # the full axis: no boundary term, only lam-free junctions
         return _spectral_forward(config, f, spec, lambdas)
-    term = _lambda_sq_term(f, np.hstack([bnd.gamma0, bnd.delta0]), 0, "right")
+    term = f.trace_product(np.hstack([bnd.gamma0, bnd.delta0]), 0, "right")
     # junction k adds v_k (G_2 F_{k+1} - G_1 F_k), v_k = w^(k)(l_k) M_1k^{-1}
-    jumps = [(k, _lambda_sq_term(f, iface.lambda_sq_part(2), k, "right")
-              - _lambda_sq_term(f, iface.lambda_sq_part(1), k, "left"))
+    jumps = [(k, f.trace_product(iface.lambda_sq_part(2), k, "right")
+              - f.trace_product(iface.lambda_sq_part(1), k, "left"))
              for k, iface in enumerate(config.interfaces, start=1) if not iface.is_lambda_free]
 
     image = _spectral_forward(config, f, spec, lambdas)
@@ -276,29 +277,17 @@ def forward_transform(config, f, spec, lambdas=None):
     return image
 
 
-def _lambda_sq_term(f, block, junction, side):
-    """block @ (f; f') at one side of a junction, reading only the traces it needs.
-
-    block is (rows, 2r): the lam^2 coefficients of the value and derivative
-    traces.  A trace whose columns of block are all zero is not read, so
-    data without traces (a function CSV written by inverse) transform under
-    lam-free conditions; a trace that is needed and missing raises
-    MissingTraces.
-    """
-    r = f.r
-    term = np.zeros(block.shape[0], dtype=complex)
-    for order in (0, 1):
-        part = block[:, order * r:(order + 1) * r]
-        if np.any(part):
-            term = term + part @ f.trace(junction, side, order)
-    return term
-
-
 def _normalize_x_points(config, x_points, spec):
-    """x_points, one array per layer, as flat float arrays checked against their layers."""
-    if len(x_points) != config.n_layers:
+    """x_points, one array per layer, as flat float arrays checked against their layers.
+
+    A flat array of points is refused whatever its length: read as one
+    point per layer, it would route its points to layers by position.
+    """
+    flat = any(np.ndim(p) == 0 for p in x_points)
+    if flat or len(x_points) != config.n_layers:
         raise DimensionMismatch(
-            f"{len(x_points)} arrays of evaluation points for {config.n_layers} layers",
+            f"expected one array of evaluation points per layer, {config.n_layers} arrays; "
+            f"got {len(x_points)} {'single points' if flat else 'arrays'}",
             block="x_points",
         )
     per_layer = [np.asarray(p, dtype=float).ravel() for p in x_points]
@@ -322,15 +311,16 @@ def inverse_transform(config, image, x_points, spec):
     """Reconstruct a function from its image on the canonical spectral grid of (config, spec).
 
     x_points holds one increasing array of evaluation points per layer, and
-    another count of arrays is DimensionMismatch: a caller with a flat set
-    routes it with config.layer_index, junction abscissae to the right
-    layer.  The kernels are the primal families of image.basis when that
-    is the batch of this config object on the image's grid, else of
-    basis.build_batch (as in _spectral_forward); either way the whole
-    grid's.  A NaN (flagged) row gets quadrature weight 0 and value 0, so
-    its term is an exact zero, and is reported in meta["dropped_rows"]; a
-    flag on a kept row is raised.  The quadrature and exp(-tau lam) weights
-    fold into _damped_sums; quad.tau_limit extrapolates.
+    another count of arrays, or a flat array of points, is
+    DimensionMismatch: a caller with a flat set routes it with
+    config.layer_index, junction abscissae to the right layer.  The kernels
+    are the primal families of image.basis when that is the batch of this
+    config object on the image's grid, else of basis.build_batch (as in
+    _spectral_forward); either way the whole grid's.  A NaN (flagged) row
+    gets quadrature weight 0 and value 0, so its term is an exact zero, and
+    is reported in meta["dropped_rows"]; a flag on a kept row is raised.
+    The quadrature and exp(-tau lam) weights fold into _damped_sums;
+    quad.tau_limit extrapolates.
     """
     branches = bas.branch_count(config)
     if image.k != branches:
@@ -376,9 +366,8 @@ def inverse_transform(config, image, x_points, spec):
     meta = {
         "tau_error_estimate": float(np.max(err, initial=0.0)),
         "dropped_rows": np.flatnonzero(~keep).tolist(),
-        "junction_abscissae": [config.left_end] + list(config.junctions),
     }
-    return PiecewiseGridFunction(layers=layers_out, traces={}, meta=meta)
+    return PiecewiseGridFunction(layers=layers_out, meta=meta)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ def odd_gaussian_function(x_max=12.0, samples=241):
         layers=[LayerSamples(x=xs, values=odd_gaussian_deriv(xs, 0))],
         traces={(0, "right"): np.stack([odd_gaussian_deriv(np.zeros(1), o)[0] for o in range(4)])},
         evaluator=odd_gaussian_deriv,
-        meta={"junction_abscissae": []},
     )
 
 

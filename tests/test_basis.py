@@ -204,10 +204,11 @@ def test_nonpositive_lambda_rejected(load):
 def test_eval_u_junction_tie_breaks_right(load):
     cfg, _ = load("twolayer")
     b = bas.build_basis(cfg, 1.3)
-    from_layer2 = bas.u_on_layer(b, 1, [1.0])[0]
-    assert np.allclose(bas.eval_u(b, 1.0), from_layer2, atol=1e-14)
-    with pytest.raises(OutOfDomain):
-        bas.eval_u(b, -0.1)
+    for point, on_layer in ((bas.eval_u, bas.u_on_layer), (bas.eval_u_star, bas.u_star_on_layer)):
+        from_layer2 = on_layer(b, 1, [1.0])[0]
+        assert np.allclose(point(b, 1.0), from_layer2, atol=1e-14)
+        with pytest.raises(OutOfDomain):
+            point(b, -0.1)
 
 
 def test_neumann_boundary_kernels():

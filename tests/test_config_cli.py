@@ -350,10 +350,14 @@ def test_nonfinite_profile_parameters_rejected(tmp_path, name, key, value):
 
 
 def test_cli_exit_code_regularity(tmp_path):
-    r = run_cli("forward", "--config", config_path("singular"), "--input", "gauss_bump",
-                "--output", str(tmp_path / "o.csv"), "--lambda-steps", "50")
-    assert r.returncode == 4
-    assert "junction" in r.stderr
+    # singular.cfg's zero junction blocks: the transform's pencils and heat's
+    # finite-difference oracle both report them as a regularity violation
+    for args in (["forward", "--input", "gauss_bump", "--lambda-steps", "50"],
+                 ["heat", "--input", "gauss_bump:center=3.2,width=0.38", "--time", "0.05",
+                  "--fd-check", "--fd-dx", "0.05", "--lambda-max", "12", "--lambda-steps", "400"]):
+        r = run_cli(*args, "--config", config_path("singular"), "--output", str(tmp_path / "o.csv"))
+        assert r.returncode == 4, r.stderr
+        assert "junction" in r.stderr
 
 
 def test_cli_exit_code_numerical(tmp_path):

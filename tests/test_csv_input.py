@@ -56,7 +56,7 @@ def valid(tmp_path_factory):
     f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max,
                              samples_per_layer=41)
     function_csv, image_csv = str(base / "f.csv"), str(base / "image.csv")
-    write_function_csv(f, function_csv)
+    write_function_csv(f, function_csv, cfg)
     rc, _out, err = run(["forward", "--config", CONFIG, "--input", function_csv,
                          "--output", image_csv, *SPEC])
     assert rc == 0, err
@@ -216,16 +216,19 @@ def test_image_and_function_csv_read_back_bit_exactly(tmp_path):
     assert back.lambdas.tobytes() == image.lambdas.tobytes()
     assert back.values.tobytes() == image.values.tobytes()
 
-    f = cat.to_grid_function(cat.make_profile("sine_packet"), cfg, spec.x_max,
-                             samples_per_layer=41)
-    assert f.traces
-    write_function_csv(f, tmp_path / "f.csv")
-    g = read_function_csv(tmp_path / "f.csv", cfg)
-    for a, b in zip(f.layers, g.layers, strict=True):
-        assert a.x.tobytes() == b.x.tobytes() and a.values.tobytes() == b.values.tobytes()
-    assert sorted(g.traces) == sorted(f.traces)
-    for key, arr in f.traces.items():
-        assert np.asarray(arr, dtype=complex).tobytes() == g.traces[key].tobytes()
+    # twolayer at x_max 0.5 samples short of its junction at 1, where its trace rows sit
+    two, _ = parse_config(config_path("twolayer"))
+    for config, x_max in ((cfg, spec.x_max), (two, 0.5)):
+        f = cat.to_grid_function(cat.make_profile("sine_packet"), config, x_max,
+                                 samples_per_layer=41)
+        assert f.traces
+        write_function_csv(f, tmp_path / "f.csv", config)
+        g = read_function_csv(tmp_path / "f.csv", config)
+        for a, b in zip(f.layers, g.layers, strict=True):
+            assert a.x.tobytes() == b.x.tobytes() and a.values.tobytes() == b.values.tobytes()
+        assert sorted(g.traces) == sorted(f.traces)
+        for key, arr in f.traces.items():
+            assert np.asarray(arr, dtype=complex).tobytes() == g.traces[key].tobytes()
 
 
 @pytest.mark.parametrize("name", ["sine", "twolayer", "r2diag", "threelayer_r2"])

@@ -2,9 +2,9 @@
 
 - Every top-level function and class, and every method and property of such a
   class but the dunders, is reached: its name is read by other src/ code
-  (outside its own body), by a script, by the package's __all__, or by the
-  benchmark (an ENTRIES name in perfbench/tracing.py or a call in
-  perfbench/workloads.py).
+  (outside its own body), by a script, or by the benchmark (an ENTRIES name in
+  perfbench/tracing.py or a call in perfbench/workloads.py).  An export (the
+  package __init__'s import, or its __all__) is not a use.
 - Every parameter with a default of such a function or method (an __init__
   under its class's name) is passed, by keyword or by position, by some call
   in src/, a script or perfbench/workloads.py.  A call with *args or **kwargs
@@ -33,6 +33,11 @@ ALLOWED = {
     "problem.ProblemConfig.n_interfaces": "acceptance criteria 2 and 3 call it",
     "basis.SpectralBasisBatch.coefficients": "acceptance criterion 2 calls it",
     "transform.forward_transform(lambdas)": "acceptance criterion 4 passes explicit abscissae",
+    "basis.eval_u": "exported; test_basis.py's test_eval_u_junction_tie_breaks_right calls it",
+    "basis.eval_u_star": "exported; test_basis.py's test_eval_u_junction_tie_breaks_right "
+                         "calls it",
+    "radial.bessel_j": "exported; test_radial.py's test_bessel_matches_scipy and "
+                       "test_bessel_integer_reflection call it",
     **{f"problem.Interface.{kind}{j}{s}": INTERFACE_BLOCK
        for kind in ("alpha", "beta", "gamma", "delta") for j in "12" for s in "12"},
     'meta["xi_tail_estimate"]': "ROADMAP item 2's xi-tail health number; test_axis.py reads it",
@@ -62,10 +67,9 @@ def assigned(tree, name):
                 and any(getattr(t, "id", None) == name for t in node.targets))
 
 
-def outside_names(scripts, init, tracing, workloads):
-    """What the sources beyond src/ code reach: script names, __all__, the benchmark's."""
+def outside_names(scripts, tracing, workloads):
+    """What the sources beyond src/ code reach: script names and the benchmark's."""
     found = set().union(*(names_read(ast.parse(text)) for text in scripts))
-    found |= set(ast.literal_eval(assigned(ast.parse(init), "__all__")))
     for node in ast.walk(assigned(ast.parse(tracing), "ENTRIES")):
         # ("layerft.module", "name") pairs
         if (isinstance(node, ast.Tuple) and len(node.elts) == 2
@@ -91,14 +95,18 @@ def definitions(tree):
 
 
 def unreached(modules, outside):
-    """module.name of each definition of modules ({stem: source}) nothing reaches."""
+    """module.name of each definition of modules ({stem: source}) nothing reaches.
+
+    The names the package __init__ imports are exports, not uses.
+    """
     trees = {stem: ast.parse(text) for stem, text in modules.items()}
+    readers = [tree for stem, tree in trees.items() if stem != "__init__"]
     missing = []
     for stem, tree in trees.items():
         for qualified, node in definitions(tree):
             if node.name in outside:
                 continue
-            if not any(node.name in names_read(t, skip=node) for t in trees.values()):
+            if not any(node.name in names_read(t, skip=node) for t in readers):
                 missing.append(f"{stem}.{qualified}")
     return missing
 
@@ -254,14 +262,15 @@ def test_the_check_finds_a_planted_unreachable_function():
              "    @property\n    def unread(self):\n        return self.unread\n",
         "b": "from .a import used\n\ndef bench_only():\n    return used()\n\n"
              "def traced():\n    pass\n\ndef scripted():\n    pass\n",
+        "__init__": "from .a import Shown\n\n__all__ = ['Shown']\n",
     }
     outside = outside_names(
         scripts=["from layerft.b import scripted\nscripted()\n"],
-        init="__all__ = ['Shown']\n",
         tracing="ENTRIES = ((\"b.traced\", [(\"layerft.b\", \"traced\")], None),)\n",
         workloads="import layerft.b as b\nb.bench_only()\n",
     )
-    assert unreached(modules, outside) == ["a.orphan", "a.Shown.unread"]
+    # an export alone does not reach Shown
+    assert unreached(modules, outside) == ["a.orphan", "a.Shown", "a.Shown.unread"]
     assert unreached(modules, set()) == ["a.orphan", "a.Shown", "a.Shown.unread", "b.bench_only",
                                          "b.traced", "b.scripted"]
 
@@ -305,7 +314,6 @@ def test_every_src_definition_is_reached_or_allowed():
     workloads = (ROOT / "perfbench" / "workloads.py").read_text()
     outside = outside_names(
         scripts=scripts,
-        init=(ROOT / "src" / "layerft" / "__init__.py").read_text(),
         tracing=(ROOT / "perfbench" / "tracing.py").read_text(),
         workloads=workloads,
     )

@@ -57,7 +57,7 @@ def function_csv(tmp_path_factory):
     config, spec = parse_config(config_path("twolayer"))
     path = str(tmp_path_factory.mktemp("startup") / "function.csv")
     write_function_csv(cat.to_grid_function(cat.make_profile("gauss_bump"), config, spec.x_max),
-                       path)
+                       path, config)
     return path
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from layerft import basis as bas
 from layerft import catalog as cat
+from layerft import operator as op
 from layerft import quadrature as quad
 from layerft import radial as rad
 from layerft import transform as tr
@@ -14,6 +15,7 @@ from layerft.errors import (
     DimensionMismatch,
     EmptyImage,
     InvariantViolation,
+    MissingTraces,
     NonConvergentTail,
     OutOfDomain,
     RegularityViolation,
@@ -77,10 +79,30 @@ def test_inverse_takes_one_point_array_per_layer(load, geometry):
     img = tr.forward_transform(cfg, f, spec)
     pts = by_layer(cfg, np.linspace(lo, hi, 9))
     tr.inverse_transform(cfg, img, pts, spec)
-    # one array too few or too many, or a flat array of points, is not the per-layer form
-    for wrong in (pts[1:], pts + [pts[0]], np.linspace(lo, hi, 9)):
+    # one array too few or too many, or a flat array of points, is not the per-layer form,
+    # even when the flat array has one point per layer
+    for wrong in (pts[1:], pts + [pts[0]], np.linspace(lo, hi, 9),
+                  np.linspace(lo, hi, cfg.n_layers)):
         with pytest.raises(DimensionMismatch):
             tr.inverse_transform(cfg, img, wrong, spec)
+
+
+def test_trace_rule_reads_only_the_traces_a_block_needs(load):
+    # a reconstruction carries no traces: twolayer's lam-free junction reads none in the
+    # forward, while lambda_interface's lam^2 terms and the split residuals need them
+    cfg, spec = load("twolayer")
+    spec = dataclasses.replace(spec, lambda_max=8.0, lambda_steps=100)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
+    recon = tr.inverse_transform(cfg, tr.forward_transform(cfg, f, spec),
+                                 [ls.x for ls in f.layers], spec)
+    assert not recon.traces
+    assert np.isfinite(tr.forward_transform(cfg, recon, spec).values).all()
+    with pytest.raises(MissingTraces):
+        op.lambda_split_residuals(cfg, recon)
+    lam_cfg, _ = load("lambda_interface")
+    assert lam_cfg.junctions == cfg.junctions
+    with pytest.raises(MissingTraces, match="junction 1"):
+        tr.forward_transform(lam_cfg, recon, spec)
 
 
 def test_non_finite_evaluation_points_are_refused_before_any_contraction(load, monkeypatch):
@@ -236,7 +258,7 @@ def test_function_csv_roundtrip_preserves_traces(tmp_path, load):
     cfg, spec = load("twolayer")
     f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
     path = tmp_path / "f.csv"
-    write_function_csv(f, path)
+    write_function_csv(f, path, cfg)
     back = read_function_csv(path, cfg)
     assert back.n_layers == f.n_layers
     for m in range(f.n_layers):
