@@ -122,13 +122,15 @@ from .problem import FULL_AXIS
 def _const(a):
     """The one matrix of a lam-free factor, or None for a factor that varies over lam.
 
-    A lam-free factor is 2-D, or a stack that np.broadcast_to made from one
-    matrix (stride 0 on every stack axis): the form in which a batch keeps
-    its lam-free blocks, read-only and sliced by at(i) like any stack.
+    A lam-free factor is 2-D, or a nonempty stack that np.broadcast_to made
+    from one matrix (stride 0 on every stack axis): the form in which a
+    batch keeps its lam-free blocks, read-only and sliced by at(i) like any
+    stack.  An empty stack has no matrix to read and is a stack like any
+    other.
     """
     if a.ndim == 2:
         return a
-    return a[(0,) * (a.ndim - 2)] if not any(a.strides[:-2]) else None
+    return a[(0,) * (a.ndim - 2)] if a.size and not any(a.strides[:-2]) else None
 
 
 def _matmul(a, b):

@@ -182,9 +182,11 @@ def to_grid_function(profile, config, x_max, samples_per_layer=401, amplitudes=N
     """Sample a profile into a PiecewiseGridFunction with exact traces.
 
     The scalar profile multiplies a fixed amplitude vector (default: all
-    ones).  Traces carry orders 0..3 at the left boundary and orders 0..1 on
-    both sides of every interior junction; the evaluator closes over the
-    profile so quadratures see exact values at arbitrary abscissae.
+    ones).  A layer past x_max (an empty window) gets no samples, as
+    quad.plan gives it no panels.  Traces carry orders 0..3 at the left
+    boundary and orders 0..1 on both sides of every interior junction; the
+    evaluator closes over the profile so quadratures see exact values at
+    arbitrary abscissae.
     """
     amp = np.ones(config.r, dtype=complex) if amplitudes is None else np.asarray(
         amplitudes, dtype=complex
@@ -193,11 +195,7 @@ def to_grid_function(profile, config, x_max, samples_per_layer=401, amplitudes=N
     layers = []
     for layer in config.layers:
         a, b = layer.window(x_max)
-        if b <= a:
-            # degenerate window: keep a minimal stub so layer counts line up
-            a, b = layer.left, layer.left + 1e-3
-        n = max(4, int(samples_per_layer))
-        xs = np.linspace(a, b, n)
+        xs = np.linspace(a, b, max(4, int(samples_per_layer))) if b > a else np.empty(0)
         layers.append(LayerSamples(x=xs, values=np.outer(profile(xs), amp)))
 
     traces = {}

@@ -77,18 +77,14 @@ def _bound(value, name):
 def _matrix(value, r, name):
     if isinstance(value, (int, float, complex, str)):
         if r != 1:
-            raise DimensionMismatch(
-                f"{name} is a scalar but the problem has r = {r}", block=name
-            )
+            raise DimensionMismatch(f"{name} is a scalar but the problem has r = {r}")
         return np.array([[_num(value, name)]], dtype=complex)
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
         raise ParseError(f"{name}: expected an r x r nested list")
     rows = len(value)
     cols = {len(row) for row in value}
     if rows != r or cols != {r}:
-        raise DimensionMismatch(
-            f"{name} is {rows}x{sorted(cols)} but the problem has r = {r}", block=name
-        )
+        raise DimensionMismatch(f"{name} is {rows}x{sorted(cols)} but the problem has r = {r}")
     return np.array(
         [[_num(v, f"{name}[{i}][{j}]") for j, v in enumerate(row)] for i, row in enumerate(value)],
         dtype=complex,

@@ -21,10 +21,6 @@ class ParseError(ConfigError):
 class DimensionMismatch(ConfigError):
     """Arrays in a problem description disagree about the block size r."""
 
-    def __init__(self, message, block=None):
-        super().__init__(message)
-        self.block = block
-
 
 class InvariantViolation(ConfigError):
     """A structural assumption of the method does not hold.

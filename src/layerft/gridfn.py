@@ -104,7 +104,7 @@ class LayerSamples:
             raise InvariantViolation(
                 f"layer values shaped {self.values.shape} do not match {self.x.size} abscissae"
             )
-        if self.x.size >= 2 and not np.all(np.diff(self.x) > 0):
+        if not np.all(np.diff(self.x) > 0):
             raise InvariantViolation("layer abscissae must be strictly increasing")
 
     @property
@@ -143,9 +143,7 @@ class PiecewiseGridFunction:
         return len(self.layers)
 
     def sup_norm(self):
-        return max(
-            float(np.max(np.abs(ls.values))) if ls.x.size else 0.0 for ls in self.layers
-        )
+        return max(float(np.max(np.abs(ls.values), initial=0.0)) for ls in self.layers)
 
     # --- traces -----------------------------------------------------------
 
@@ -194,7 +192,12 @@ class PiecewiseGridFunction:
         return sp
 
     def values_on(self, m, x):
-        """Values of layer m at abscissae x (exact evaluator if available)."""
+        """Values of layer m at abscissae x (exact evaluator if available).
+
+        Without an evaluator the samples of layer m must cover x: values
+        requested outside them, or in a layer with no samples, raise
+        InvariantViolation.  An empty x gives an empty (0, r) block.
+        """
         x = np.asarray(x, dtype=float)
         if x.size == 0:
             return np.zeros((0, self.r), dtype=complex)
@@ -202,7 +205,10 @@ class PiecewiseGridFunction:
             return np.asarray(self.evaluator(x, 0), dtype=complex).reshape(x.size, self.r)
         ls = self.layers[m]
         if ls.x.size == 0:
-            return np.zeros((x.size, self.r), dtype=complex)
+            raise InvariantViolation(
+                f"layer {m} has no samples but values requested on [{x.min()}, {x.max()}]; "
+                "sample the layer to cover the quadrature window"
+            )
         span = ls.x[-1] - ls.x[0] if ls.x.size > 1 else 1.0
         slack = 1e-9 * max(span, 1.0)
         if x.min() < ls.x[0] - slack or x.max() > ls.x[-1] + slack:
@@ -388,8 +394,7 @@ def read_function_csv(path, config):
     r = (nums.shape[1] - 1) // 2
     if r != config.r:
         raise DimensionMismatch(
-            f"{path}: file carries {r} components but the problem has r = {config.r}",
-            block="csv",
+            f"{path}: file carries {r} components but the problem has r = {config.r}"
         )
     _refuse_nonfinite(path, lines, nums, np.isfinite(nums).all(axis=1))
     values = np.ascontiguousarray(nums[:, 1:]).view(complex)

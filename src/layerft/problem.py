@@ -28,9 +28,7 @@ from .errors import DimensionMismatch, InvariantViolation, OutOfDomain
 def _block(m, r, name):
     a = np.asarray(m, dtype=complex)
     if a.shape != (r, r):
-        raise DimensionMismatch(
-            f"{name} has shape {a.shape}, expected ({r}, {r})", block=name
-        )
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected ({r}, {r})")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise InvariantViolation(f"{name} has non-finite entries")
     return a

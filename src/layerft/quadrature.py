@@ -98,8 +98,6 @@ def panel_gauss(edges, order):
 
 def composite_gauss(a, b, n_panels, order):
     """Nodes and weights of an n_panels-panel Gauss-Legendre rule on [a, b]."""
-    if b <= a or n_panels < 1:
-        return np.empty(0), np.empty(0)
     nodes, weights = panel_gauss(np.linspace(a, b, n_panels + 1), order)
     return nodes.ravel(), weights.ravel()
 

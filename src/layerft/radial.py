@@ -139,15 +139,11 @@ def _crossover(nu):
 def _gamma_terms(nu, count):
     """The first count of gamma_j = exp(-i phi) i^j prod_{k<=j} (4nu^2 - (2k-1)^2) / (8k).
 
-    phi = (nu/2 + 1/4) pi.  For half-integer nu the product vanishes from
-    j = nu + 1/2 on, and the list stops before that exact zero.
+    phi = (nu/2 + 1/4) pi.
     """
     gamma = [np.exp(-1j * (0.5 * nu + 0.25) * math.pi)]
     for j in range(1, count):
-        factor = 4.0 * nu * nu - (2 * j - 1) ** 2
-        if factor == 0.0:
-            break
-        gamma.append(gamma[-1] * 1j * factor / (8.0 * j))
+        gamma.append(gamma[-1] * 1j * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j))
     return gamma
 
 
@@ -384,7 +380,7 @@ def inverse_nd(image, spec):
     per spectral point.
     """
     if image.k != 1:
-        raise DimensionMismatch(f"radial image has {image.k} columns, not 1", block="image")
+        raise DimensionMismatch(f"radial image has {image.k} columns, not 1")
     if "weights" not in image.meta or "dimension" not in image.meta:
         raise InvariantViolation(
             "radial image records no quadrature weights or dimension; "
@@ -395,8 +391,7 @@ def inverse_nd(image, spec):
     weights = np.asarray(image.meta["weights"], dtype=float)
     if weights.shape != lams.shape:
         raise DimensionMismatch(
-            f"radial image has {weights.size} quadrature weights for {lams.size} spectral points",
-            block="image",
+            f"radial image has {weights.size} quadrature weights for {lams.size} spectral points"
         )
 
     damped = damping_matrix(spec, lams, weights * lams ** (0.5 * n)) @ image.values

@@ -256,9 +256,7 @@ def forward_transform(config, f, spec, lambdas=None):
     rows are NaN and meta["flagged"] records (index, lam, reason).
     """
     if f.r != config.r:
-        raise DimensionMismatch(
-            f"function has {f.r} components, problem has r = {config.r}", block="input"
-        )
+        raise DimensionMismatch(f"function has {f.r} components, problem has r = {config.r}")
 
     bnd = config.boundary
     if bnd is None:         # the full axis: no boundary term, only lam-free junctions
@@ -287,8 +285,7 @@ def _normalize_x_points(config, x_points, spec):
     if flat or len(x_points) != config.n_layers:
         raise DimensionMismatch(
             f"expected one array of evaluation points per layer, {config.n_layers} arrays; "
-            f"got {len(x_points)} {'single points' if flat else 'arrays'}",
-            block="x_points",
+            f"got {len(x_points)} {'single points' if flat else 'arrays'}"
         )
     per_layer = [np.asarray(p, dtype=float).ravel() for p in x_points]
     hi = spec.x_max * (1 + 1e-12)
@@ -325,8 +322,7 @@ def inverse_transform(config, image, x_points, spec):
     branches = bas.branch_count(config)
     if image.k != branches:
         raise DimensionMismatch(
-            f"image has {image.k} components, the kernels of this problem have {branches}",
-            block="image",
+            f"image has {image.k} components, the kernels of this problem have {branches}"
         )
     grid = quad.plan(config, spec, sum(map(np.size, x_points))).grid
     if image.lambdas.size != grid.nodes.size or not np.allclose(
@@ -413,22 +409,17 @@ def roundtrip_report(config, f, spec):
     l2s, sups = [], []
     l2_in_sq = 0.0
     for m, xs in enumerate(window):
-        ref = f.values_on(m, xs) if xs.size else np.zeros((0, config.r), dtype=complex)
+        ref = f.values_on(m, xs)
         diff = recon.layers[m].values - ref
-        if xs.size >= 2:
-            l2 = math.sqrt(float(np.trapezoid(np.sum(np.abs(diff) ** 2, axis=1), xs)))
-            l2_in_sq += float(np.trapezoid(np.sum(np.abs(ref) ** 2, axis=1), xs))
-        else:
-            l2 = 0.0
-        sup = float(np.max(np.abs(diff))) if xs.size else 0.0
-        l2s.append(l2)
-        sups.append(sup)
+        l2s.append(math.sqrt(float(np.trapezoid(np.sum(np.abs(diff) ** 2, axis=1), xs))))
+        l2_in_sq += float(np.trapezoid(np.sum(np.abs(ref) ** 2, axis=1), xs))
+        sups.append(float(np.max(np.abs(diff), initial=0.0)))
 
     return RoundtripReport(
         per_layer_l2=tuple(l2s),
         per_layer_sup=tuple(sups),
         l2_total=math.sqrt(sum(v**2 for v in l2s)),
-        sup_total=max(sups) if sups else 0.0,
+        sup_total=max(sups),
         l2_input=math.sqrt(l2_in_sq),
         tau_error_estimate=recon.meta["tau_error_estimate"],
         n_flagged=len(image.meta.get("flagged", ())),

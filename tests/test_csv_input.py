@@ -216,12 +216,13 @@ def test_image_and_function_csv_read_back_bit_exactly(tmp_path):
     assert back.lambdas.tobytes() == image.lambdas.tobytes()
     assert back.values.tobytes() == image.values.tobytes()
 
-    # twolayer at x_max 0.5 samples short of its junction at 1, where its trace rows sit
+    # twolayer at x_max 0.5 samples none of its second layer, past x_max; its trace
+    # rows still sit at the junction at 1
     two, _ = parse_config(config_path("twolayer"))
-    for config, x_max in ((cfg, spec.x_max), (two, 0.5)):
+    for config, x_max, sizes in ((cfg, spec.x_max, [41] * 3), (two, 0.5, [41, 0])):
         f = cat.to_grid_function(cat.make_profile("sine_packet"), config, x_max,
                                  samples_per_layer=41)
-        assert f.traces
+        assert f.traces and [ls.x.size for ls in f.layers] == sizes
         write_function_csv(f, tmp_path / "f.csv", config)
         g = read_function_csv(tmp_path / "f.csv", config)
         for a, b in zip(f.layers, g.layers, strict=True):
@@ -241,6 +242,22 @@ def test_inverse_output_transforms_forward_again(tmp_path, name):
     rc, _out, err = run(["forward", *argv, "--input", back, "--output", again])
     assert rc == 0, err
     assert np.isfinite(read_image_csv(again).values).all()
+
+
+def test_function_csv_with_an_empty_layer_is_refused(tmp_path):
+    # a twolayer reconstruction without the rows of its first layer: forward and
+    # roundtrip must not read that layer as zero data
+    argv = ["--config", CONFIG, "--lambda-max", "12", "--lambda-steps", "400"]
+    image, back, cut = (str(tmp_path / n) for n in ("image.csv", "back.csv", "cut.csv"))
+    assert run(["forward", *argv, "--input", "gauss_bump", "--output", image])[0] == 0
+    assert run(["inverse", *argv, "--input", image, "--output", back])[0] == 0
+    rows = read_rows(back)
+    first = read_function_csv(back, parse_config(CONFIG)[0]).layers[0].x.size
+    write_rows(cut, rows[:1] + rows[1 + first:])
+    for command in (["forward", "--output", str(tmp_path / "again.csv")], ["roundtrip"]):
+        rc, out, err = run([*command, *argv, "--input", cut])
+        assert (rc, out) == (3, ""), err
+        assert err.startswith("error: layer 0 has no samples but values requested on ["), err
 
 
 def test_lambda_junction_without_traces_names_the_missing_trace(tmp_path):

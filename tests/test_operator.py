@@ -17,7 +17,7 @@ from layerft.errors import (
     WrongMode,
 )
 from layerft.gridfn import LayerSamples, PiecewiseGridFunction
-from layerft.problem import Layer, ProblemConfig, dirichlet
+from layerft.problem import Boundary, Layer, ProblemConfig, dirichlet
 
 from conftest import odd_gaussian_function
 
@@ -60,10 +60,20 @@ def test_apply_b_exact_evaluator_path():
     assert np.max(np.abs(bf.values_on(0, xs)[:, 0] - expected[:])) <= 1e-12
 
 
-def test_apply_b_stencil_path_matches_exact():
+_T = np.linspace(0.0, 1.0, 481)
+# the uniform grid takes the five-point stencil, the others one stencil per node
+STENCIL_GRIDS = {
+    "uniform": np.linspace(0.0, 12.0, 481),
+    "graded": 12.0 * _T**1.5,
+    "jittered": 12.0 * _T + np.r_[0.0, np.random.default_rng(5).uniform(-0.01, 0.01, 479), 0.0],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(STENCIL_GRIDS))
+def test_apply_b_stencil_path_matches_exact(grid):
     cfg = g2_config(0.3)
     prof = cat.make_profile("sine_packet", center=4.0, width=1.2, wavenumber=2.0)
-    xs = np.linspace(0.0, 12.0, 481)
+    xs = STENCIL_GRIDS[grid]
     sampled = PiecewiseGridFunction(
         layers=[LayerSamples(x=xs, values=prof(xs).astype(complex)[:, None])],
     )
@@ -134,8 +144,16 @@ def test_identity_two_layer_bump(load):
     assert rep.n_flagged == 0
 
 
-def test_identity_boundary_brace_ablation(load):
+@pytest.mark.parametrize("lam_sq", [None, (0.1, 0.0), (0.0, 0.1), (0.2, 0.05)],
+                         ids=["dirichlet", "gamma0", "delta0", "gamma0_delta0"])
+def test_identity_boundary_brace_ablation(load, lam_sq):
+    # lam_sq = (gamma0, delta0) replaces the clamped end by beta0 = 1, alpha0 = 0.5 and
+    # these lam^2 blocks: the brace then carries the traces of f'' and f'''
     cfg, spec = load("sine")
+    if lam_sq is not None:
+        one = np.eye(1, dtype=complex)
+        cfg = dataclasses.replace(cfg, boundary=Boundary(
+            alpha0=0.5 * one, beta0=one, gamma0=lam_sq[0] * one, delta0=lam_sq[1] * one))
     f = cat.to_grid_function(cat.make_profile("gauss_bump", center=0.8, width=0.5), cfg, spec.x_max)
     assert op.verify_basic_identity(cfg, f, spec).max_residual(10.0) <= 1e-5
     rep = op.verify_basic_identity(cfg, f, spec, include_boundary_term=False)

@@ -232,8 +232,11 @@ def test_one_pair_and_one_builder_serve_every_geometry(load, name):
         assert ls.values.shape == (xs.size, cfg.r) and np.all(np.isfinite(ls.values))
     b = bas.build_basis(cfg, 1.3)
     assert type(b) is kind and b.flags == {} and b.lam == 1.3
-    u = bas.u_on_layer(b, 0, np.array([cfg.layers[0].window(spec.x_max)[1]]))
-    assert u.shape == (1, cfg.r, branches)
+    one = np.array([cfg.layers[0].window(spec.x_max)[1]])
+    assert bas.u_on_layer(b, 0, one).shape == (1, cfg.r, branches)
+    # no points is an ordinary size: each kernel gives its empty block
+    for kernel in (bas.u_on_layer, bas.u_star_on_layer, bas.w_on_layer):
+        assert kernel(b, 0, np.empty(0)).shape == (0, *kernel(b, 0, one).shape[1:])
 
 
 def test_component_count_mismatch_rejected(load):
@@ -241,6 +244,34 @@ def test_component_count_mismatch_rejected(load):
     f = cat.to_grid_function(cat.make_profile("gauss_bump"), load("twolayer")[0], spec.x_max)
     with pytest.raises(DimensionMismatch):
         tr.forward_transform(cfg, f, spec)
+
+
+@pytest.mark.parametrize("samples, message", [
+    (np.empty(0), "layer 0 has no samples but values requested on "),
+    (np.linspace(0.5, 1.0, 41), "layer 0 sampled on "),
+])
+def test_forward_refuses_samples_that_do_not_cover_a_layer(load, samples, message):
+    # without an evaluator the samples of a layer must cover its quadrature window:
+    # an empty layer is refused like a partly covered one, not read as zero data
+    cfg, spec = load("twolayer")
+    f = cat.to_grid_function(cat.make_profile("gauss_bump"), cfg, spec.x_max)
+    layers = [LayerSamples(x=samples, values=np.ones((samples.size, 1))), *f.layers[1:]]
+    with pytest.raises(InvariantViolation, match=message):
+        tr.forward_transform(cfg, PiecewiseGridFunction(layers=layers), spec)
+
+
+def test_a_layer_past_x_max_has_no_samples_no_panels_and_no_points(load):
+    # twolayer at x_max 0.5: its second layer, [1, inf), lies wholly past x_max
+    cfg, spec = load("twolayer")
+    spec = dataclasses.replace(spec, x_max=0.5, lambda_max=12.0, lambda_steps=400)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump", center=0.25, width=0.1), cfg,
+                             spec.x_max)
+    assert [ls.x.size for ls in f.layers] == [401, 0]
+    assert [c.size for c, _, _ in quad.plan(cfg, spec).panels][1] == 0
+    rep = tr.roundtrip_report(cfg, f, spec)
+    assert np.all(np.isfinite(rep.reconstruction.layers[0].values))
+    assert rep.reconstruction.layers[1].values.shape == (0, cfg.r)
+    assert rep.per_layer_l2[1] == rep.per_layer_sup[1] == 0.0
 
 
 def test_image_csv_roundtrip(tmp_path, load):
