@@ -33,13 +33,19 @@ forward_nd takes every lam at once.  The nodes increase along a row, so the
 entries lam rho < X_nu of a row are a prefix of it, its span, read off one
 searchsorted of X_nu / lam and corrected at its end by the product itself.
 The series runs once over the concatenated spans, in groups of whole rows
-within transform._CHUNK_BYTES, each row summed by reduceat.  On the uniform
-panels rho = c_q + h t_k, exp(i lam rho) = exp(i lam c_q) exp(i lam h t_k):
-in row chunks, this dense phase E, zero on each row's span, enters one real
-product B @ E with B[j] = base rho^(-nu-1/2-j), one row per term.  E leaves
-out the leading panels inside every span of its chunk, and only the columns
-below the chunk's widest span are zeroed.  Both come from the spans, so lam
-may come in any order.
+within transform._CHUNK_BYTES, each row summed by reduceat.  The asymptotic
+part runs in row chunks on the uniform panels rho = c_q + o_k of width H:
+exp(i lam rho) = exp(i lam c_p) z^(q - p) exp(i lam o_k) with z = exp(i lam H),
+where p is the first panel past the chunk's shortest span.  The power table
+P[q] = exp(i lam c_p) z^(q - p), one cumulative product down the panels q >= p,
+is zero on every panel up to each row's span end and enters one real product
+B @ P, B[(j, k), q] = base rho^(-nu-1/2-j) on node o_k of panel q, one row per
+term and offset.  The K offset phases multiply its result, which is summed over
+k, and each row adds the panel that holds its span end, over the offsets past
+the end.  Per lam that takes K + 3 exponentials and Q - p complex products,
+where a dense phase table took Q - p + K exponentials and (Q - p) K products.
+p and the panel ends come from the spans, so lam may come in any order; the
+chunking moves a value only by rounding, where the product restarts.
 
 poisson_halfspace integrates radial boundary data against the half-space
 kernel c_n x (|y - eta|^2 + x^2)^(-(n+1)/2), c_n = Gamma((n+1)/2)/pi^((n+1)/2).
@@ -92,11 +98,14 @@ _ASYMPTOTIC_TERMS = 6
 # this at the crossover (the first omitted term, |gamma_12| 12^-12)
 _EXPANSION_TOLERANCE = 2e-9
 _SERIES_GROWTH = 160.0      # the most _series_growth that forward_nd admits
-# Bytes of forward_nd work arrays per (lam, rho) entry.  A group of flat
-# series spans takes 32: the squared argument, its weight and the series'
-# term and sum (the node index they are gathered with, 8, is dropped
-# first).  A row chunk of the phase, built after the series and dropped
-# before the next chunk, takes 16 and its centre table 16 / 12 more.
+# Bytes of forward_nd work arrays per entry.  A group of flat series spans
+# takes 32 per (lam, rho) entry: the squared argument, its weight and the
+# series' term and sum (the node index they are gathered with, 8, is dropped
+# first).  A row chunk of the asymptotic part, built after the series, is
+# charged 32 per panel and 64 per (term, offset) pair of each row: the power
+# table takes 17 per panel with its zero mask, the product's result 16 per
+# pair, and while the panel of each span end is added, its columns take 24
+# more per pair and its phases 16 per offset.
 _ENTRY_BYTES = 32
 
 
@@ -325,33 +334,42 @@ def forward_nd(profile, lam):
     edges = np.linspace(0.0, profile.rho_max, n_panels + 1)
     nodes, weights = (a.ravel() for a in panel_gauss(edges, _RADIAL_ORDER))
     base = weights * nodes ** (n - 1) * profile(nodes)
+    width = profile.rho_max / n_panels
     centers = 0.5 * (edges[1:] + edges[:-1])
-    offsets = 0.5 * profile.rho_max / n_panels * _leggauss(_RADIAL_ORDER)[0]
+    offsets = 0.5 * width * _leggauss(_RADIAL_ORDER)[0]
     gamma = _asymptotic_coefficients(nu)
     # every span holds the first node, at lam rho < 0.03
     span = _series_spans(lam_arr, nodes, _crossover(nu))
     first = span.min()      # the nodes before it are on the series in every row
     cols = np.zeros((gamma.size, nodes.size))
     cols[:, first:] = base[first:] * nodes[first:] ** (-(nu + 0.5) - np.arange(gamma.size)[:, None])
+    # rows (term, offset) against columns (panel): the product contracts the panels
+    cols = cols.reshape(gamma.size, n_panels, _RADIAL_ORDER).transpose(0, 2, 1).copy()
     series = _span_sums(nu, lam_arr, span, nodes, base)
     moments = np.empty((gamma.size, lam_arr.size), dtype=complex)
-    step = max(1, _tr._CHUNK_BYTES // (_ENTRY_BYTES * nodes.size))
+    row_bytes = _ENTRY_BYTES * (n_panels + 2 * gamma.size * _RADIAL_ORDER)
+    step = max(1, _tr._CHUNK_BYTES // row_bytes)
+    k = np.arange(_RADIAL_ORDER)[:, None]       # the offset index of each phase row
     for lo in range(0, lam_arr.size, step):
         la, w = lam_arr[lo:lo + step], span[lo:lo + step]
-        # panels [0, p) are on the series in every row of the chunk; past
-        # them, only nodes below the widest span differ between rows
-        p = w.min() // _RADIAL_ORDER
-        across = np.exp(1j * np.multiply.outer(centers[p:], la))
-        within = np.exp(1j * np.multiply.outer(offsets, la))
-        phase = np.empty((n_panels - p, _RADIAL_ORDER, la.size), dtype=complex)
-        for k in range(_RADIAL_ORDER):      # contiguous rows: faster than one broadcast
-            np.multiply(across, within[k], out=phase[:, k])
-        phase = phase.reshape(-1, la.size)
-        mixed = np.arange(p * _RADIAL_ORDER, w.max())[:, None] < w
-        phase[:mixed.shape[0]][mixed] = 0.0
-        # cols is real: one real product over the (re, im) pairs of phase
-        moments[:, lo:lo + step] = (cols[:, p * _RADIAL_ORDER:] @ phase.view(float)).view(complex)
-        del phase
+        last = (w - 1) // _RADIAL_ORDER     # the panel of each row's last series node
+        p = last.min() + 1                  # the first panel past the shortest span
+        # exp(i lam c_q) = exp(i lam c_p) z^(q - p) with z = exp(i lam width) on
+        # the panels q >= p, zero up to each row's span end
+        power = np.empty((n_panels - p, la.size), dtype=complex)
+        power[:1] = np.exp(1j * np.multiply.outer(centers[p:p + 1], la))
+        power[1:] = np.exp(1j * width * la)
+        np.multiply.accumulate(power, out=power)
+        power[:last.max() + 1 - p][np.arange(p, last.max() + 1)[:, None] <= last] = 0.0
+        # cols is real: one real product over the (re, im) pairs of power
+        sums = (cols.reshape(-1, n_panels)[:, p:] @ power.view(float)).view(complex)
+        del power
+        sums = sums.reshape(gamma.size, _RADIAL_ORDER, la.size)
+        # each row's last series panel, over its offsets past the span end
+        tail = np.exp(1j * centers[last] * la) * (k >= w - last * _RADIAL_ORDER)
+        sums += cols[:, :, last] * tail
+        sums *= np.exp(1j * np.multiply.outer(offsets, la))
+        moments[:, lo:lo + step] = sums.sum(axis=1)
     asym = np.polynomial.polynomial.polyval(1.0 / lam_arr, moments * gamma[:, None], tensor=False)
     vals = lam_arr**nu * series + np.sqrt(2.0 / (math.pi * lam_arr)) * asym.real
     vals *= 2.0 ** (1.0 - 0.5 * n) / math.gamma(0.5 * n)

@@ -8,7 +8,8 @@ from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import cli
 from layerft import transform as tr
-from layerft.errors import ConfigError, DimensionMismatch
+from layerft.configio import parse_config
+from layerft.errors import ConfigError, DegenerateBoundary, DimensionMismatch
 from layerft.problem import Interface, Layer, ProblemConfig, dirichlet, ideal_contact
 from layerft.quadrature import QuadratureSpec, lambda_grid
 
@@ -282,6 +283,37 @@ def test_cli_singular_full_axis_pencil_exits_4(tmp_path):
     argv = ["forward", "--config", str(cfg), "--input", "gauss_bump",
             "--output", str(tmp_path / "img.csv"), "--lambda-steps", "50"]
     assert cli.main(argv) == 4
+    assert not (tmp_path / "img.csv").exists()
+
+
+def test_mirror_junction_degenerates_the_connection_at_every_point(tmp_path, capsys):
+    # F(0-) = F(0+), F'(0-) = -F'(0+) between equal media: exp(+-i lam x) on
+    # the right continues as exp(-+i lam x) on the left, so C00 = C11 = 0 at
+    # every lam
+    cfg_path = tmp_path / "mirror.cfg"
+    cfg_path.write_text(
+        "problem: {r: 1, mode: full-axis}\n"
+        "layers:\n"
+        "  - {left: -inf, right: 0.0, a2: 1.0}\n"
+        "  - {left: 0.0, right: inf, a2: 1.0}\n"
+        "interfaces:\n"
+        "  - {beta11: 1.0, beta12: 1.0, alpha21: 1.0, alpha22: -1.0}\n"
+    )
+    cfg, _ = parse_config(cfg_path)
+    lams = [0.3, 1.0, 7.5]
+    batch = bas.build_batch(cfg, lams)
+    assert sorted(batch.flags) == [0, 1, 2]
+    for j, lam in enumerate(lams):
+        assert isinstance(batch.flags[j], DegenerateBoundary)
+        assert str(batch.flags[j]).startswith(f"kernel connection degenerates at lam = {lam} ")
+    with pytest.raises(DegenerateBoundary, match="kernel connection degenerates at lam = 1.0 "):
+        bas.build_basis(cfg, 1.0)
+    argv = ["forward", "--config", str(cfg_path), "--input", "gauss_bump",
+            "--output", str(tmp_path / "img.csv"), "--lambda-steps", "50"]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: every spectral point is degenerate; first: DegenerateBoundary: "
+        "kernel connection degenerates at lam = ")
     assert not (tmp_path / "img.csv").exists()
 
 

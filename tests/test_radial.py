@@ -191,7 +191,7 @@ def per_lambda_forward(profile, lams, order=12):
     return np.array([const * la**nu * (base @ rad.bessel_ratio(nu, la * nodes)) for la in lams])
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
 def test_forward_matches_per_lambda_reference(n):
     prof = gaussian_profile(n, w=3.0)
     lams = rad.forward_nd_image(prof, QuadratureSpec(lambda_max=12.0, lambda_steps=400)).lambdas
@@ -199,14 +199,23 @@ def test_forward_matches_per_lambda_reference(n):
     assert np.max(np.abs(rad.forward_nd(prof, lams) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def chunk_budget(prof, lams, rows):
+    """The _CHUNK_BYTES at which forward_nd's asymptotic row chunks hold rows rows."""
+    n_panels = math.ceil(prof.rho_max * lams.max() / math.pi)
+    terms = rad._asymptotic_coefficients(0.5 * (prof.n - 2)).size
+    return rad._ENTRY_BYTES * (n_panels + 2 * terms * rad._RADIAL_ORDER) * rows
+
+
 @pytest.mark.parametrize("rows", [1, 7, None])
 def test_forward_independent_of_chunk_size(monkeypatch, rows):
-    prof = gaussian_profile(5, w=3.0)
     lams = np.linspace(0.05, 12.0, 101)
-    default = rad.forward_nd(prof, lams)
-    n_rho = 12 * math.ceil(prof.rho_max * lams.max() / math.pi)
-    monkeypatch.setattr(tr, "_CHUNK_BYTES", rad._ENTRY_BYTES * n_rho * (rows or lams.size))
-    assert np.max(np.abs(rad.forward_nd(prof, lams) - default)) <= 1e-14 * np.max(np.abs(default))
+    for n in (2, 3, 5):     # 12, 1 and 2 asymptotic terms
+        prof = gaussian_profile(n, w=3.0)
+        default = rad.forward_nd(prof, lams)
+        with monkeypatch.context() as m:
+            m.setattr(tr, "_CHUNK_BYTES", chunk_budget(prof, lams, rows or lams.size))
+            got = rad.forward_nd(prof, lams)
+        assert np.max(np.abs(got - default)) <= 1e-14 * np.max(np.abs(default))
 
 
 BENCH_SPEC = QuadratureSpec(lambda_max=12.0, lambda_steps=2000)
@@ -270,18 +279,20 @@ def test_forward_independent_of_lambda_order(n):
 
 @pytest.mark.parametrize("rows", [1, 7, None])
 def test_forward_independent_of_chunk_size_across_branches(monkeypatch, rows):
-    prof = gaussian_profile(2, w=3.0)
     lams = np.random.default_rng(8).permutation(MIXED_LAMS)
-    default = rad.forward_nd(prof, lams)
-    n_rho = 12 * math.ceil(prof.rho_max * lams.max() / math.pi)
-    monkeypatch.setattr(tr, "_CHUNK_BYTES", rad._ENTRY_BYTES * n_rho * (rows or lams.size))
-    assert np.max(np.abs(rad.forward_nd(prof, lams) - default)) <= 1e-14 * np.max(np.abs(default))
+    for n in (2, 3, 5):     # 12, 1 and 2 asymptotic terms
+        prof = gaussian_profile(n, w=3.0)
+        default = rad.forward_nd(prof, lams)
+        with monkeypatch.context() as m:
+            m.setattr(tr, "_CHUNK_BYTES", chunk_budget(prof, lams, rows or lams.size))
+            got = rad.forward_nd(prof, lams)
+        assert np.max(np.abs(got - default)) <= 1e-14 * np.max(np.abs(default))
 
 
 @pytest.mark.parametrize("n", [2, 5])
 def test_forward_work_arrays_stay_within_the_chunk_budget(monkeypatch, n):
     prof = gaussian_profile(n, w=3.0)
-    lams = np.linspace(0.05, 12.0, 101)
+    lams = np.linspace(0.05, 12.0, 1001)
     n_rho = 12 * math.ceil(prof.rho_max * lams.max() / math.pi)
     terms = rad._asymptotic_coefficients(0.5 * (n - 2)).size
     rad.forward_nd(prof, lams)      # caches of the Gauss rule
@@ -296,8 +307,8 @@ def test_forward_work_arrays_stay_within_the_chunk_budget(monkeypatch, n):
         finally:
             tracemalloc.stop()
 
-    # an unchunked forward of these 101 rows takes about 2.8 MiB: the budget
-    # must bind well below that
+    # an unchunked forward of these 1001 rows takes about 6.2 MiB for n = 2
+    # and 2.2 MiB for n = 5: the budget must bind well below that
     budget = 1 << 19
     # the (rho nodes x terms) and (lam x terms) arrays outside the chunks:
     # the asymptotic columns with their temporaries, the moments and the tail
