@@ -26,8 +26,10 @@ layer ends; sampled data gives 4th-order stencils on the samples and
 
 solve_heat realizes exp(t B) through the transform: decay the image by
 exp(-lam^2 t) and invert.  fd_reference provides an independent
-Crank-Nicolson oracle on per-layer grids with the junction and boundary
-conditions imposed as one-sided second-order constraint rows.
+Crank-Nicolson oracle on per-layer grids: the boundary and junction
+conditions, with one-sided second-order derivatives, give the endpoint
+values from their interior neighbours, and the scheme steps the interior
+unknowns FD_STEPS_PER_SOLVE steps per sparse solve.
 """
 
 import math
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from . import quadrature as quad
 from . import transform as tr
 from .errors import (
@@ -53,6 +56,8 @@ from .problem import SEMI_AXIS
 CONJUGATION_TOL = 1e-8
 # allowed boundary and junction residual of heat initial data, relative to max(1, sup|f0|)
 COMPAT_TOL = 1e-5
+# Crank-Nicolson steps per sparse solve of fd_reference (A^K w' = (2I - A)^K w)
+FD_STEPS_PER_SOLVE = 4
 
 
 def fd_weights(z, nodes, order):
@@ -312,18 +317,38 @@ def solve_heat(config, f0, t, x_points, spec):
 def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
     """Crank-Nicolson oracle for the heat flow on truncated per-layer grids.
 
-    Junction and boundary conditions replace the PDE rows at the joined
-    endpoints, with derivatives taken by one-sided second-order stencils;
-    the far end carries a homogeneous Dirichlet truncation at x_max.  Only
-    spectral-parameter-free conditions are meaningful here.  dt defaults
-    to 0.999 times the resolution bound dx^2 / (2 max-eig a2).
+    Every condition gives its endpoint values from their interior
+    neighbours: the boundary at l_0 and each junction, with derivatives
+    taken by one-sided second-order stencils, and the homogeneous
+    Dirichlet truncation at x_max.  Only spectral-parameter-free conditions
+    are meaningful here.  dt defaults to 0.999 times the resolution bound
+    dx^2 / (2 max-eig a2).
+
+    With the endpoint values u_e = link @ u_i eliminated, the scheme lives
+    on the interior unknowns: A = I - (dt/2) L, L the difference operator
+    with the links folded in, and a step after the first is
+    A w' = (2I - A) w.  Both sides are polynomials in A, so
+    FD_STEPS_PER_SOLVE steps take one sparse solve with A^K, factored once;
+    the leftover steps use A's own factor.  The first step reads f0's own
+    endpoint values, A w_1 = 2 u_0[interior] - (PDE rows) @ u_0, as the
+    full Crank-Nicolson system does.  The interior unknowns are ordered
+    node-major, so A and A^K are banded and their sparse LUs keep the
+    natural order.
 
     The steps run in real arithmetic when the coefficients, conditions and
     sampled f0 have no imaginary part, and in complex arithmetic otherwise;
-    the returned layer values are complex either way.  The unknowns are
-    ordered node-major, so the implicit matrix is banded and its sparse LU
-    keeps the natural order, which adds no fill.  Conditions that leave that
-    matrix singular (zero junction blocks) raise RegularityViolation.
+    the returned layer values are complex either way.  A condition block
+    (the r x r or 2r x 2r coefficient of the endpoint values) whose
+    smallest singular value falls below linalg.RCOND_FLOOR times the
+    largest of its condition rows raises RegularityViolation naming the
+    boundary or junction.  That gate is stricter than a solve of the full
+    system: a Robin boundary whose block beta0 - 3 alpha0 / (2 dx) is
+    singular is refused, though the PDE row next to it would still fix the
+    endpoint value.  A block that passes the gate but lies near it gives
+    large link coefficients, and A^K then amplifies rounding far more than
+    an LU of the full system would: with that Robin block 1e-3 away from
+    zero (dx 0.01, 2000 steps) the result is within 1.4e-6 of a dense solve
+    of the full system, 1e-7 away within 2e-2.
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("fd_reference serves the semi-axis problem")
@@ -366,10 +391,29 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
 
     grids = [np.linspace(a, b, int(n)) for (a, b), n in zip(ends, counts)]
     offsets = np.cumsum([0] + [g.size for g in grids])
-    total = offsets[-1] * r
+    n_nodes = offsets[-1]
+    # the endpoint nodes: l_0, both sides of every junction, and the truncation
+    inner = np.ones(n_nodes, dtype=bool)
+    inner[[0, *(offsets[1:-1] - 1), *offsets[1:-1], n_nodes - 1]] = False
+    pos = np.cumsum(inner) - 1          # interior index of each interior node
+    n_inner = int(pos[-1]) + 1
 
-    # COO triplets of the implicit (im) and explicit (ex) Crank-Nicolson matrices
-    im, ex = [], []
+    # real arithmetic whenever the problem and the data are real
+    bnd = config.boundary
+    free = [(iface.lambda_free_part(1), iface.lambda_free_part(2)) for iface in config.interfaces]
+    u = np.concatenate([f0.values_on(m, g).ravel() for m, g in enumerate(grids)])
+    blocks = [bnd.beta0, bnd.alpha0, u, *(b for pair in free for b in pair),
+              *(c for l in config.layers for c in (l.a2, l.g2))]
+    real = not any(np.imag(b).any() for b in blocks)
+
+    def cast(x):
+        return np.real(x) if real else np.asarray(x, dtype=complex)
+
+    u = cast(u)
+
+    # COO triplets of the PDE rows (interior rows, all nodes) and of the
+    # extension (all nodes, interior columns) that restores the endpoint values
+    pde, ext = [], []
     comp = np.arange(r)
     eye = np.eye(r)
 
@@ -379,75 +423,77 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
         cols = np.reshape(col_nodes, (-1, 1, 1)) * r + comp
         trip.append([a.ravel() for a in np.broadcast_arrays(rows, cols, mat)])
 
-    def one_sided(g, base, at_start):
-        """Nodes and weights of the second-order one-sided first derivative."""
-        w = np.array([-3.0, 4.0, -1.0]) / (2 * (g[1] - g[0]))
-        if at_start:
-            return base + np.arange(3), w[:, None, None]
-        return base + g.size - 1 - np.arange(3), -w[:, None, None]
-
-    # PDE rows on interior nodes; the endpoint rows carry the conditions below
     half = 0.5 * step
     for m, g in enumerate(grids):
-        a2h2 = np.asarray(config.layers[m].a2, dtype=complex) / (g[1] - g[0]) ** 2
-        g2 = np.asarray(config.layers[m].g2, dtype=complex)
+        a2h2 = cast(config.layers[m].a2) / (g[1] - g[0]) ** 2
+        g2 = cast(config.layers[m].g2)
         nodes = offsets[m] + np.arange(1, g.size - 1)
-        add(im, nodes, nodes, eye)
-        add(ex, nodes, nodes, eye)
+        add(pde, pos[nodes], nodes, eye)
         for off, blk in ((-1, a2h2), (0, g2 - 2.0 * a2h2), (1, a2h2)):
-            add(im, nodes, nodes + off, -half * blk)
-            add(ex, nodes, nodes + off, half * blk)
+            add(pde, pos[nodes], nodes + off, -half * blk)
+    add(ext, np.flatnonzero(inner), np.arange(n_inner), eye)
 
-    # boundary rows at l_0
-    bnd = config.boundary
-    add(im, 0, 0, bnd.beta0)
-    nodes, w = one_sided(grids[0], 0, True)
-    add(im, 0, nodes, w * bnd.alpha0)
+    def trace(m, at_start):
+        """Nodes at an end of layer m (end first) and the rows of (value; derivative) on them."""
+        g = grids[m]
+        w = np.array([-3.0, 4.0, -1.0]) / (2 * (g[1] - g[0]))
+        if at_start:
+            return offsets[m] + np.arange(3), np.kron([[1.0, 0.0, 0.0], w], eye)
+        return offsets[m + 1] - 1 - np.arange(3), np.kron([[1.0, 0.0, 0.0], -w], eye)
 
-    # junction rows: the left layer's last node and the right layer's first node
-    for k in range(1, config.n_layers):
-        iface = config.interfaces[k - 1]
-        b1, b2 = iface.lambda_free_part(1), iface.lambda_free_part(2)
-        left, right = offsets[k] - 1, offsets[k]
-        dl = one_sided(grids[k - 1], offsets[k - 1], False)
-        dr = one_sided(grids[k], offsets[k], True)
-        for target, rows in ((left, slice(0, r)), (right, slice(r, 2 * r))):
-            add(im, target, left, b1[rows, :r])
-            add(im, target, dl[0], dl[1] * b1[rows, r:])
-            add(im, target, right, -b2[rows, :r])
-            add(im, target, dr[0], -dr[1] * b2[rows, r:])
+    def link(where, rows, nodes, n_ends):
+        """Endpoint values from the condition rows on nodes, the n_ends endpoints first."""
+        rows = cast(rows)
+        block, rest = rows[:, : n_ends * r], rows[:, n_ends * r :]
+        # smallest singular value of the block against the rows' scale: a plain
+        # rcond of a 1 x 1 block is 1 however close to zero the block is
+        scale = np.linalg.norm(rows, 2)
+        rc = np.linalg.svd(block, compute_uv=False)[-1] / scale if scale else 0.0
+        if not rc >= linalg.RCOND_FLOOR:
+            raise RegularityViolation(
+                f"finite-difference oracle: the conditions of {where} do not determine their "
+                f"endpoint values (condition block rcond {rc:.3g} below {linalg.RCOND_FLOOR:.0e})"
+            )
+        coef = -np.linalg.solve(block, rest).reshape(n_ends, r, -1, r).swapaxes(1, 2)
+        add(ext, np.repeat(nodes[:n_ends], coef.shape[1]), np.tile(pos[nodes[n_ends:]], n_ends),
+            coef.reshape(-1, r, r))
 
-    # far-end truncation
-    add(im, offsets[-1] - 1, offsets[-1] - 1, eye)
+    nodes, rows = trace(0, True)
+    link(f"the boundary at l_0 = {config.left_end:g}",
+         np.hstack([bnd.beta0, bnd.alpha0]) @ rows, nodes, 1)
+    for k, (b1, b2) in enumerate(free, start=1):
+        (nl, left), (nr, right) = trace(k - 1, False), trace(k, True)
+        left, right = b1 @ left, -b2 @ right
+        link(f"junction {k} at x = {config.junction(k):g}",
+             np.hstack([left[:, :r], right[:, :r], left[:, r:], right[:, r:]]),
+             np.concatenate([nl[:1], nr[:1], nl[1:], nr[1:]]), 2)
+    # the truncation node keeps no entry of ext: its value is 0
 
-    # real arithmetic whenever the problem and the data are real
-    (i_im, j_im, v_im), (i_ex, j_ex, v_ex) = (
-        (np.concatenate(part) for part in zip(*trip)) for trip in (im, ex)
-    )
-    u = np.concatenate([f0.values_on(m, g).ravel() for m, g in enumerate(grids)])
-    if not (v_im.imag.any() or v_ex.imag.any() or u.imag.any()):
-        v_im, v_ex, u = v_im.real, v_ex.real, u.real
-
-    def assemble(i, j, v, fmt):
-        keep = v != 0
-        return fmt((v[keep], (i[keep], j[keep])), shape=(total, total))
-
-    from scipy.sparse import csc_matrix, csr_matrix
+    from scipy.sparse import csr_matrix, identity
     from scipy.sparse.linalg import splu
 
-    a_im = assemble(i_im, j_im, v_im, csc_matrix)
-    # node-major unknowns keep the matrix banded: natural order factors it without fill
-    try:
-        solver = splu(a_im, permc_spec="NATURAL")
-    except RuntimeError:            # SuperLU: "Factor is exactly singular"
-        raise RegularityViolation(
-            "finite-difference oracle: the Crank-Nicolson matrix is exactly singular; "
-            "the junction or boundary conditions do not determine the endpoint values"
-        ) from None
-    a_ex = assemble(i_ex, j_ex, v_ex, csr_matrix)
+    def assemble(trip, shape):
+        i, j, v = (np.concatenate(part) for part in zip(*trip))
+        return csr_matrix((v, (i, j)), shape=shape)
 
-    for _ in range(n_steps):
-        u = solver.solve(a_ex @ u)
+    pde = assemble(pde, (n_inner * r, n_nodes * r))
+    ext = assemble(ext, (n_nodes * r, n_inner * r))
+    a = (pde @ ext).tocsc()
+    explicit = 2.0 * identity(n_inner * r, format="csr") - a
+    # the powers as ((A A) A) A: squaring A^2 rounds further from one step at a time
+    a_k, explicit_k = a, explicit
+    for _ in range(FD_STEPS_PER_SOLVE - 1):
+        a_k, explicit_k = a_k @ a, explicit_k @ explicit
+    # node-major interior unknowns keep A and A^K banded: natural order factors them
+    solve, solve_k = (splu(m, permc_spec="NATURAL").solve for m in (a, a_k))
+
+    w = solve(2.0 * u[np.repeat(inner, r)] - pde @ u)
+    sweeps, rest = divmod(n_steps - 1, FD_STEPS_PER_SOLVE)
+    for _ in range(sweeps):
+        w = solve_k(explicit_k @ w)
+    for _ in range(rest):
+        w = solve(explicit @ w)
+    u = ext @ w
 
     layers = []
     for m, g in enumerate(grids):

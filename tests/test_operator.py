@@ -1,9 +1,12 @@
 import dataclasses
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from layerft import catalog as cat
 from layerft import operator as op
@@ -13,6 +16,7 @@ from layerft.errors import (
     GridTooCoarse,
     InvariantViolation,
     OutOfDomain,
+    RegularityViolation,
     UnstableStep,
     WrongMode,
 )
@@ -247,6 +251,16 @@ def test_fd_reference_gates(load):
     with pytest.raises(UnstableStep):
         op.fd_reference(cfg, f0, 0.05, 0.01, 1e-3, x_max=8.0)
 
+    # a Robin end whose one-sided block beta0 - 3 alpha0 / (2 dx) is zero at dx = 0.01,
+    # exactly or up to one ulp of beta0: the boundary row cannot give the endpoint
+    # value from its neighbours
+    one = np.eye(1, dtype=complex)
+    for beta0 in (150.0, np.nextafter(150.0, 200.0)):
+        cfg_robin = dataclasses.replace(cfg, boundary=Boundary(
+            alpha0=one, beta0=beta0 * one, gamma0=0 * one, delta0=0 * one))
+        with pytest.raises(RegularityViolation, match="boundary"):
+            op.fd_reference(cfg_robin, f0, 0.05, 0.01, 2.5e-5, x_max=8.0)
+
     cfg_lam, _ = load("lambda_interface")
     f1 = cat.to_grid_function(cat.make_profile("poly_cutoff"), cfg_lam, 12.0)
     with pytest.raises(InvariantViolation):
@@ -258,8 +272,12 @@ def test_fd_reference_gates(load):
         op.fd_reference(cfg_axis, f2, 0.05, 0.01, 2.5e-5, x_max=12.0)
 
 
-def entrywise_fd(config, f0, t, dx, dt, x_max):
-    """The Crank-Nicolson oracle assembled entry by entry into dense matrices."""
+def entrywise_fd(config, f0, t, dx, dt, x_max, sparse=False):
+    """The Crank-Nicolson oracle assembled entry by entry, one solve per step.
+
+    The matrices are stepped dense by default; sparse=True steps them by a
+    sparse LU in SciPy's default column order, for grids too large to hold dense.
+    """
     r = config.r
     n_steps = max(1, math.ceil(t / dt - 1e-12))
     half = 0.5 * t / n_steps
@@ -268,8 +286,8 @@ def entrywise_fd(config, f0, t, dx, dt, x_max):
         b = min(layer.right, x_max)
         grids.append(np.linspace(layer.left, b, max(4, int(round((b - layer.left) / dx)) + 1)))
     offsets = np.cumsum([0] + [g.size for g in grids])
-    im = np.zeros((offsets[-1] * r, offsets[-1] * r), dtype=complex)
-    ex = np.zeros_like(im)
+    # implicit (im) and explicit (ex) matrices as {(row, column): entry}
+    im, ex = defaultdict(complex), defaultdict(complex)
 
     def d1(m, at_start):
         """One-sided second-order first derivative at an end of layer m: (node, weight)."""
@@ -281,7 +299,8 @@ def entrywise_fd(config, f0, t, dx, dt, x_max):
         return [(end, 3.0 / (2 * h)), (end - 1, -4.0 / (2 * h)), (end - 2, 1.0 / (2 * h))]
 
     def put(row, node, vec):
-        im[row, node * r:(node + 1) * r] += vec
+        for b in range(r):
+            im[row, node * r + b] += vec[b]
 
     for m, layer in enumerate(config.layers):
         h = grids[m][1] - grids[m][0]
@@ -315,23 +334,45 @@ def entrywise_fd(config, f0, t, dx, dt, x_max):
     last = offsets[-1] - 1
     for i in range(r):
         im[last * r + i, last * r + i] = 1.0
-    lu = lu_factor(im)
+
+    n = offsets[-1] * r
+    im, ex = (csc_matrix((list(m.values()), tuple(zip(*m))), shape=(n, n)) for m in (im, ex))
+    if sparse:
+        solve = splu(im).solve
+    else:
+        lu = lu_factor(im.toarray())
+        solve, ex = (lambda v: lu_solve(lu, v)), ex.toarray()
     u = np.concatenate([f0.values_on(m, g).ravel() for m, g in enumerate(grids)])
     for _ in range(n_steps):
-        u = lu_solve(lu, ex @ u)
+        u = solve(ex @ u)
     return u
 
 
-@pytest.mark.parametrize("name", ["r2diag", "threelayer_r2"])
-def test_fd_reference_matches_entrywise_assembly(load, name):
+# (t, dx, dt, x_max) of the runs against the dense oracle: 1 to 5, 9 and 20
+# steps run the first step alone, every leftover of the multi-step solves
+# (fd_reference takes FD_STEPS_PER_SOLVE = 4 steps per solve), and one, two
+# and four multi-step solves
+SHORT_RUNS = [(steps * 5e-4, 0.05, 5e-4, 5.0) for steps in (1, 2, 3, 4, 5, 9, 20)]
+
+
+@pytest.mark.parametrize("name, runs", [
+    pytest.param("r2diag", SHORT_RUNS, id="r2diag"),
+    pytest.param("threelayer_r2", SHORT_RUNS, id="threelayer_r2"),
+    # the heat-evolution benchmark's setting: 2000 steps on the 1202-node grid
+    pytest.param("r2diag", [(0.05, 0.01, 2.5e-5, 12.0)], id="r2diag-2000-steps"),
+])
+def test_fd_reference_matches_entrywise_assembly(load, name, runs):
     cfg, _spec = load(name)
-    f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=2.0, width=0.5), cfg, 5.0,
-                              amplitudes=[1.0, 0.7])
-    args = (0.01, 0.05, 5e-4, 5.0)
-    fd = op.fd_reference(cfg, f0, *args)
-    got = np.concatenate([ls.values.ravel() for ls in fd.layers])
-    ref = entrywise_fd(cfg, f0, *args)
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for t, dx, dt, x_max in runs:
+        f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=2.0, width=0.5), cfg,
+                                  x_max, amplitudes=[1.0, 0.7])
+        fd = op.fd_reference(cfg, f0, t, dx, dt, x_max)
+        assert fd.meta["steps"] == round(t / dt)
+        got = np.concatenate([ls.values.ravel() for ls in fd.layers])
+        long_run = fd.meta["steps"] > 100
+        ref = entrywise_fd(cfg, f0, t, dx, dt, x_max, sparse=long_run)
+        bound = 1e-11 if long_run else 1e-12
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
 
 
 def test_fd_reference_default_step_is_just_under_the_bound(load):

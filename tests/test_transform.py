@@ -354,7 +354,7 @@ def test_empty_image_rejected(load):
 
 
 @pytest.mark.parametrize("geometry", ["semi-axis", "full-axis"])
-def test_inverse_reports_dropped_rows(load, geometry):
+def test_inverse_reports_dropped_rows(load, geometry, tmp_path):
     cfg, spec, f, (lo, hi) = geometry_case(load, geometry)
     spec = dataclasses.replace(spec, lambda_steps=150, lambda_max=12.0)
     img = tr.forward_transform(cfg, f, spec)
@@ -368,6 +368,13 @@ def test_inverse_reports_dropped_rows(load, geometry):
     clean = tr.inverse_transform(cfg, img, xs, spec)
     for a, b in zip(recon.layers, clean.layers):
         assert np.max(np.abs(a.values - b.values), initial=0.0) <= 1e-2
+    # the NaN-marked row survives the CSV codec: same dropped rows, same reconstruction
+    write_image_csv(marked, tmp_path / "marked.csv")
+    back = read_image_csv(tmp_path / "marked.csv")
+    from_csv = tr.inverse_transform(cfg, back, xs, spec)
+    assert from_csv.meta["dropped_rows"] == [7]
+    for a, b in zip(from_csv.layers, recon.layers):
+        assert np.array_equal(a.values, b.values)
 
 
 def neville_reference(taus, values):
