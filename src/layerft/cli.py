@@ -53,8 +53,6 @@ def _common_flags():
                    help="comma-separated decreasing damping schedule")
     p.add_argument("--xmax", dest="x_max", metavar="XMAX", type=float,
                    help="spatial truncation radius")
-    p.add_argument("--xi-order", dest="xi_quadrature_order", metavar="XI_ORDER", type=int,
-                   help="Gauss-Legendre order of the spatial panels")
     return p
 
 
@@ -145,21 +143,19 @@ def _load_problem(args):
 
 
 def _check_samples(config, spec, samples, inverted):
-    """Refuse --samples past quad.MAX_TRANSFORM_SIZE or MAX_SAMPLE_BYTES, before any sampling.
+    """Refuse --samples past MAX_SAMPLE_BYTES, or an inversion at them past quad.plan's size.
 
-    Arithmetic only, no wavenumbers: the size is n_layers x samples x r^2,
-    times lambda_steps where the samples are the inversion's points (a lower
-    bound of what quad.plan multiplies them by); the bytes are those of
-    a kernel table row per sample, the largest sampled array of any command:
-    the abscissa and the Re/Im cells of two r x r blocks.
+    Both before any sampling.  The bytes are those of a kernel table row per
+    sample, the largest sampled array of any command: the abscissa and the
+    Re/Im cells of two r x r blocks.  An inverting command's points are
+    n_layers x samples, checked by quad.plan.
     """
-    size = float(config.n_layers * samples * config.r**2) * (spec.lambda_steps if inverted else 1)
     nbytes = 8.0 * config.n_layers * samples * (1 + 4 * config.r**2)
-    for what, value, limit in (("size", size, quad.MAX_TRANSFORM_SIZE),
-                               ("bytes of samples", nbytes, MAX_SAMPLE_BYTES)):
-        if value > limit:
-            raise SizeLimitExceeded(f"--samples {samples}: {what} {value:.3g} exceeds the limit "
-                                    f"{limit:.3g}; lower --samples")
+    if nbytes > MAX_SAMPLE_BYTES:
+        raise SizeLimitExceeded(f"--samples {samples}: bytes of samples {nbytes:.3g} exceeds "
+                                f"the limit {MAX_SAMPLE_BYTES:.3g}; lower --samples")
+    if inverted:
+        quad.plan(config, spec, config.n_layers * samples)
 
 
 def _load_input(text, config, spec, samples, inverted=False):

@@ -24,10 +24,10 @@ ending in LF.  Complex values take two columns, re then im.  The tables:
 Function and image tables are read back by read_function_csv and
 read_image_csv.  Both function-table functions take the problem config,
 the one source of junction abscissae.  Bulk sample rows of a function leave
-the two trace columns empty; a trace row puts its junction's abscissa in x
-(config.left_end for junction 0, config.junction(k) for k >= 1),
-"left"/"right" in trace_side and the derivative order in trace_order.  An
-image row of a flagged spectral point reads nan,0 in every component.
+the two trace columns empty; a trace row puts its junction's abscissa
+config.junction(k) in x (l_0 for junction 0), "left"/"right" in trace_side
+and the derivative order in trace_order.  An image row of a flagged
+spectral point reads nan,0 in every component.
 """
 
 import csv
@@ -367,8 +367,7 @@ def write_function_csv(f, path, config):
     blocks = [(complex_rows(ls.x, ls.values), ",,") for ls in f.layers]
     for junction, side in sorted(f.traces):
         arr = f.traces[(junction, side)]
-        xj = config.junction(junction) if junction else config.left_end
-        rows = complex_rows(np.full(arr.shape[0], xj), arr)
+        rows = complex_rows(np.full(arr.shape[0], config.junction(junction)), arr)
         blocks += [(rows[order:order + 1], f",{side},{order}") for order in range(arr.shape[0])]
     write_table(path, header, blocks)
 
@@ -403,7 +402,7 @@ def read_function_csv(path, config):
     pieces = _split_layers(nums[bulk, 0], values[bulk], config)
     layers = [LayerSamples(x=x, values=v) for x, v in pieces]
 
-    junction_x = [config.left_end, *config.junctions]
+    junction_x = [config.junction(k) for k in range(config.n_layers)]
     traces = {}
     staged = {}
     for i in np.flatnonzero(~bulk):

@@ -58,6 +58,8 @@ CONJUGATION_TOL = 1e-8
 COMPAT_TOL = 1e-5
 # Crank-Nicolson steps per sparse solve of fd_reference (A^K w' = (2I - A)^K w)
 FD_STEPS_PER_SOLVE = 4
+# largest |link coefficient| fd_reference takes: beyond it A^K amplifies rounding
+FD_LINK_BOUND = 1e3
 
 
 def fd_weights(z, nodes, order):
@@ -132,7 +134,6 @@ def apply_B(config, f):
         )
     a2 = [np.asarray(l.a2, dtype=complex) for l in config.layers]
     g2 = [np.asarray(l.g2, dtype=complex) for l in config.layers]
-    junction_x = [config.left_end] + list(config.junctions)
 
     def b_of(m, lo, hi):
         """Rows a2_m hi + g2_m lo: B on layer m from the rows of f and f''."""
@@ -144,7 +145,7 @@ def apply_B(config, f):
 
         def stack(m, k):
             """Exact (B f; (B f)') of layer m at the abscissa of junction k."""
-            x = np.array([junction_x[k]])
+            x = np.array([config.junction(k)])
             return np.concatenate([b_of(m, exact(x, o), exact(x, o + 2)) for o in (0, 1)])
 
         def evaluator(x, order=0):
@@ -314,7 +315,7 @@ def solve_heat(config, f0, t, x_points, spec):
     return tr.inverse_transform(config, image.decayed(t), x_points, spec)
 
 
-def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
+def fd_reference(config, f0, t, dx, dt=None, *, x_max):
     """Crank-Nicolson oracle for the heat flow on truncated per-layer grids.
 
     Every condition gives its endpoint values from their interior
@@ -337,18 +338,17 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
 
     The steps run in real arithmetic when the coefficients, conditions and
     sampled f0 have no imaginary part, and in complex arithmetic otherwise;
-    the returned layer values are complex either way.  A condition block
-    (the r x r or 2r x 2r coefficient of the endpoint values) whose
-    smallest singular value falls below linalg.RCOND_FLOOR times the
-    largest of its condition rows raises RegularityViolation naming the
-    boundary or junction.  That gate is stricter than a solve of the full
-    system: a Robin boundary whose block beta0 - 3 alpha0 / (2 dx) is
-    singular is refused, though the PDE row next to it would still fix the
-    endpoint value.  A block that passes the gate but lies near it gives
-    large link coefficients, and A^K then amplifies rounding far more than
-    an LU of the full system would: with that Robin block 1e-3 away from
-    zero (dx 0.01, 2000 steps) the result is within 1.4e-6 of a dense solve
-    of the full system, 1e-7 away within 2e-2.
+    the returned layer values are complex either way.  The link
+    coefficients are -block^-1 rest, block the r x r or 2r x 2r coefficient
+    of a condition's endpoint values.  A condition whose block is singular,
+    or whose largest |link coefficient| exceeds FD_LINK_BOUND, raises
+    RegularityViolation naming the boundary or junction: large coefficients
+    make A ill-conditioned, and A^K amplifies its rounding far beyond an LU
+    of the full system.  Every bundled config links by coefficients of at
+    most 1.43 at dx 0.01 and 0.001; a Robin end beta0 f + f' links by up
+    to 2 / (dx |beta0 - 3 / (2 dx)|), so it is refused within 2e-3 / dx of
+    the singular block, though the PDE row next to it would still fix the
+    endpoint value.
     """
     if config.mode != SEMI_AXIS:
         raise WrongMode("fd_reference serves the semi-axis problem")
@@ -445,16 +445,16 @@ def fd_reference(config, f0, t, dx, dt=None, x_max=12.0):
         """Endpoint values from the condition rows on nodes, the n_ends endpoints first."""
         rows = cast(rows)
         block, rest = rows[:, : n_ends * r], rows[:, n_ends * r :]
-        # smallest singular value of the block against the rows' scale: a plain
-        # rcond of a 1 x 1 block is 1 however close to zero the block is
-        scale = np.linalg.norm(rows, 2)
-        rc = np.linalg.svd(block, compute_uv=False)[-1] / scale if scale else 0.0
-        if not rc >= linalg.RCOND_FLOOR:
+        inv = linalg.screened_rcond(block[None])[1]     # None: block exactly singular
+        coef = -cast(inv[0]) @ rest if inv is not None else np.inf
+        big = np.abs(coef).max()
+        if not big <= FD_LINK_BOUND:
             raise RegularityViolation(
                 f"finite-difference oracle: the conditions of {where} do not determine their "
-                f"endpoint values (condition block rcond {rc:.3g} below {linalg.RCOND_FLOOR:.0e})"
+                f"endpoint values stably (largest link coefficient {big:.3g} above "
+                f"{FD_LINK_BOUND:.0e})"
             )
-        coef = -np.linalg.solve(block, rest).reshape(n_ends, r, -1, r).swapaxes(1, 2)
+        coef = coef.reshape(n_ends, r, -1, r).swapaxes(1, 2)
         add(ext, np.repeat(nodes[:n_ends], coef.shape[1]), np.tile(pos[nodes[n_ends:]], n_ends),
             coef.reshape(-1, r, r))
 

@@ -265,8 +265,10 @@ class ProblemConfig:
         return self.layers[0].left
 
     def junction(self, k):
-        """Abscissa l_k of junction k (1-based)."""
-        return self.layers[k - 1].right
+        """Abscissa l_k of junction k = 0 .. n_layers - 1: l_0, then layer k's right end."""
+        if not 0 <= k < self.n_layers:
+            raise InvariantViolation(f"junction {k} outside 0 .. {self.n_layers - 1}")
+        return self.layers[k - 1].right if k else self.left_end
 
     @property
     def junctions(self):

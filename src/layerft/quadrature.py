@@ -13,12 +13,14 @@ order per panel keeps the rule in its convergent regime:
 plan derives both from one band_edge_rates pass (one wavenumber per
 distinct material) and checks the transform's size on the panel counts
 before it builds a node: each transform, and the CLI before it samples its
-input, calls it once.  lambda_grid and xi_rules are views of it.
+input, calls it once.  lambda_grid and xi_rules are views of it.  Every
+half-period panel rule, the xi panels of plan and the rho panels of
+radial.forward_nd, has the one Gauss-Legendre order PANEL_ORDER.
 
 The improper spectral integral of every inversion formula (semi-axis, full
 axis, radial) is damped by exp(-tau lam) on a decreasing schedule of tau
 values (damping_matrix) and extrapolated to tau = 0 with a Neville table
-(tau_limit).
+(tau_limit), behind the tail guard TAIL_TOLERANCE.
 """
 
 import math
@@ -31,36 +33,32 @@ import numpy as np
 from . import basis as _basis
 from .errors import InvariantViolation, NonConvergentTail, SizeLimitExceeded
 
+# Gauss-Legendre order of every half-period panel rule
+PANEL_ORDER = 12
+# tau_limit's tail guard: a catastrophe guard, not an accuracy target
+TAIL_TOLERANCE = 10.0
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Resolution knobs shared by the forward and inverse transforms.
-
-    tail_tolerance bounds how much two successive tau-damped inversion
-    integrals may disagree before the tail is declared non-convergent; it is
-    a catastrophe guard, not an accuracy target.
-    """
+    """Resolution knobs shared by the forward and inverse transforms."""
 
     lambda_min: float = 1e-4
     lambda_max: float = 40.0
     lambda_steps: int = 2000
     tau_schedule: tuple = (1e-2, 5e-3, 2.5e-3)
     x_max: float = 12.0
-    xi_quadrature_order: int = 12
-    tail_tolerance: float = 10.0
 
     def __post_init__(self):
         object.__setattr__(self, "tau_schedule", tuple(float(t) for t in self.tau_schedule))
         self.validate()
 
     def validate(self):
-        for name in ("lambda_min", "lambda_max", "x_max", "tail_tolerance"):
+        for name in ("lambda_min", "lambda_max", "x_max"):
             if not math.isfinite(getattr(self, name)):
                 raise InvariantViolation(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("lambda_steps", "xi_quadrature_order"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value == int(value)):
-                raise InvariantViolation(f"{name} must be an integer, got {value}")
+        if not (math.isfinite(self.lambda_steps) and self.lambda_steps == int(self.lambda_steps)):
+            raise InvariantViolation(f"lambda_steps must be an integer, got {self.lambda_steps}")
         if not 0 < self.lambda_min < self.lambda_max:
             raise InvariantViolation(
                 f"need 0 < lambda_min < lambda_max, got [{self.lambda_min}, {self.lambda_max}]"
@@ -69,8 +67,6 @@ class QuadratureSpec:
             raise InvariantViolation("lambda_steps must be at least 4")
         if self.x_max <= 0:
             raise InvariantViolation("x_max must be positive")
-        if self.xi_quadrature_order < 2:
-            raise InvariantViolation("xi_quadrature_order must be at least 2")
         taus = self.tau_schedule
         if len(taus) < 2:
             raise InvariantViolation("tau_schedule needs at least two entries")
@@ -78,8 +74,6 @@ class QuadratureSpec:
             raise InvariantViolation("tau_schedule entries must be finite")
         if any(t <= 0 for t in taus) or any(a <= b for a, b in zip(taus, taus[1:])):
             raise InvariantViolation("tau_schedule must be positive and strictly decreasing")
-        if self.tail_tolerance <= 0:
-            raise InvariantViolation("tail_tolerance must be positive")
 
 
 @lru_cache(maxsize=64)
@@ -185,7 +179,7 @@ def plan(config, spec, n_points=None):
     counts = [max(1, math.ceil((b - a) / (math.pi / max(rate, 1e-12)))) if b > a else 0
               for (a, b), rate in zip(windows, rates)]
     if n_points is None:
-        n_points = sum(counts) * spec.xi_quadrature_order
+        n_points = sum(counts) * PANEL_ORDER
     # either count may be a huge int
     n_lambda, n_points = float(max(spec.lambda_steps, n_panels * order)), float(n_points)
     size = n_lambda * n_points * config.r**2
@@ -197,7 +191,7 @@ def plan(config, spec, n_points=None):
         )
 
     grid = spectral_grid(spec, cap)
-    xr, wr = _leggauss(spec.xi_quadrature_order)
+    xr, wr = _leggauss(PANEL_ORDER)
     panels = []
     for (a, b), n in zip(windows, counts):
         half = 0.5 * (b - a) / n if n else 0.0
@@ -253,14 +247,14 @@ def damping_matrix(spec, lams, coeff):
 def tau_limit(spec, damped):
     """tau -> 0 limit of damped sums given at every level of spec.tau_schedule.
 
-    Two successive levels differing by more than spec.tail_tolerance anywhere
+    Two successive levels differing by more than TAIL_TOLERANCE anywhere
     raise NonConvergentTail.  Returns (limit, err) shaped like damped[0], with
     err the Neville estimate of neville_to_zero.
     """
     gap = float(np.abs(damped[1:] - damped[:-1]).max(initial=0.0))
-    if gap > spec.tail_tolerance:
+    if gap > TAIL_TOLERANCE:
         raise NonConvergentTail(
             f"successive tau-damped inversion integrals differ by {gap:.3g} "
-            f"(> {spec.tail_tolerance}); spectral tail not integrable at this resolution"
+            f"(> {TAIL_TOLERANCE}); spectral tail not integrable at this resolution"
         )
     return neville_to_zero(spec.tau_schedule, damped)

@@ -83,6 +83,7 @@ from .errors import (
 from .gridfn import SpectralImage
 from .quadrature import (
     MAX_TRANSFORM_SIZE,
+    PANEL_ORDER,
     _leggauss,
     damping_matrix,
     panel_gauss,
@@ -91,7 +92,6 @@ from .quadrature import (
 )
 
 BESSEL_CROSSOVER = 12.0     # the crossover of every order but the half-integers
-_RADIAL_ORDER = 12      # Gauss-Legendre order of every forward_nd panel
 _SERIES_TERMS = 40
 _ASYMPTOTIC_TERMS = 6
 # forward_nd refuses an order whose truncated expansion leaves out more than
@@ -325,18 +325,18 @@ def forward_nd(profile, lam):
     # capped before the ceiling: the float product may be inf, and the capped
     # count still fails the check below
     n_panels = max(1, math.ceil(min(profile.rho_max * rate / math.pi, MAX_TRANSFORM_SIZE)))
-    if lam_arr.size * n_panels * _RADIAL_ORDER > MAX_TRANSFORM_SIZE:
+    if lam_arr.size * n_panels * PANEL_ORDER > MAX_TRANSFORM_SIZE:
         raise SizeLimitExceeded(
-            f"radial transform of {lam_arr.size} lam nodes x {n_panels * _RADIAL_ORDER:.3g} "
+            f"radial transform of {lam_arr.size} lam nodes x {n_panels * PANEL_ORDER:.3g} "
             f"rho nodes exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_max, "
             "lambda_steps or rho_max"
         )
     edges = np.linspace(0.0, profile.rho_max, n_panels + 1)
-    nodes, weights = (a.ravel() for a in panel_gauss(edges, _RADIAL_ORDER))
+    nodes, weights = (a.ravel() for a in panel_gauss(edges, PANEL_ORDER))
     base = weights * nodes ** (n - 1) * profile(nodes)
     width = profile.rho_max / n_panels
     centers = 0.5 * (edges[1:] + edges[:-1])
-    offsets = 0.5 * width * _leggauss(_RADIAL_ORDER)[0]
+    offsets = 0.5 * width * _leggauss(PANEL_ORDER)[0]
     gamma = _asymptotic_coefficients(nu)
     # every span holds the first node, at lam rho < 0.03
     span = _series_spans(lam_arr, nodes, _crossover(nu))
@@ -344,15 +344,15 @@ def forward_nd(profile, lam):
     cols = np.zeros((gamma.size, nodes.size))
     cols[:, first:] = base[first:] * nodes[first:] ** (-(nu + 0.5) - np.arange(gamma.size)[:, None])
     # rows (term, offset) against columns (panel): the product contracts the panels
-    cols = cols.reshape(gamma.size, n_panels, _RADIAL_ORDER).transpose(0, 2, 1).copy()
+    cols = cols.reshape(gamma.size, n_panels, PANEL_ORDER).transpose(0, 2, 1).copy()
     series = _span_sums(nu, lam_arr, span, nodes, base)
     moments = np.empty((gamma.size, lam_arr.size), dtype=complex)
-    row_bytes = _ENTRY_BYTES * (n_panels + 2 * gamma.size * _RADIAL_ORDER)
+    row_bytes = _ENTRY_BYTES * (n_panels + 2 * gamma.size * PANEL_ORDER)
     step = max(1, _tr._CHUNK_BYTES // row_bytes)
-    k = np.arange(_RADIAL_ORDER)[:, None]       # the offset index of each phase row
+    k = np.arange(PANEL_ORDER)[:, None]       # the offset index of each phase row
     for lo in range(0, lam_arr.size, step):
         la, w = lam_arr[lo:lo + step], span[lo:lo + step]
-        last = (w - 1) // _RADIAL_ORDER     # the panel of each row's last series node
+        last = (w - 1) // PANEL_ORDER       # the panel of each row's last series node
         p = last.min() + 1                  # the first panel past the shortest span
         # exp(i lam c_q) = exp(i lam c_p) z^(q - p) with z = exp(i lam width) on
         # the panels q >= p, zero up to each row's span end
@@ -364,9 +364,9 @@ def forward_nd(profile, lam):
         # cols is real: one real product over the (re, im) pairs of power
         sums = (cols.reshape(-1, n_panels)[:, p:] @ power.view(float)).view(complex)
         del power
-        sums = sums.reshape(gamma.size, _RADIAL_ORDER, la.size)
+        sums = sums.reshape(gamma.size, PANEL_ORDER, la.size)
         # each row's last series panel, over its offsets past the span end
-        tail = np.exp(1j * centers[last] * la) * (k >= w - last * _RADIAL_ORDER)
+        tail = np.exp(1j * centers[last] * la) * (k >= w - last * PANEL_ORDER)
         sums += cols[:, :, last] * tail
         sums *= np.exp(1j * np.multiply.outer(offsets, la))
         moments[:, lo:lo + step] = sums.sum(axis=1)

@@ -141,7 +141,6 @@ boundary: {beta0: 0.0}
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("tail_tolerance", ".nan"),
         ("tau_schedule", "[1.0e-2, .nan]"),
         ("lambda_steps", ".nan"),
         ("lambda_steps", "100.5"),
@@ -475,7 +474,6 @@ def test_cli_roundtrip_writes_reconstruction(tmp_path, monkeypatch, name):
     ("--lambda-steps", "300", "lambda_steps", 300),
     ("--tau", "0.02,0.01", "tau_schedule", (0.02, 0.01)),
     ("--xmax", "7.5", "x_max", 7.5),
-    ("--xi-order", "9", "xi_quadrature_order", 9),
 ])
 def test_each_spec_flag_sets_its_own_field(tmp_path, flag, text, field, value):
     _, spec = parse_config(config_path("sine"))
@@ -485,10 +483,27 @@ def test_each_spec_flag_sets_its_own_field(tmp_path, flag, text, field, value):
     assert parse_config(str(out))[1] == dataclasses.replace(spec, **{field: value})
 
 
+# the xi panel order and the tail tolerance are the constants quadrature.PANEL_ORDER
+# and quadrature.TAIL_TOLERANCE: a document or a flag that still sets them is refused,
+# even at their old default values
+@pytest.mark.parametrize("key, value", [("xi_quadrature_order", "12"), ("tail_tolerance", "10.0")])
+def test_retired_quadrature_key_exits_3_naming_it(tmp_path, capsys, key, value):
+    old = tmp_path / "old.cfg"
+    old.write_text(SINE + f"  {key}: {value}\n")
+    assert cli.main(["emit", "--config", str(old)]) == 3
+    assert key in capsys.readouterr().err
+
+
+def test_retired_xi_order_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["emit", "--config", config_path("sine"), "--xi-order", "12"])
+    assert exc.value.code == 2
+    assert "--xi-order" in capsys.readouterr().err
+
+
 def test_every_quadrature_field_survives_parse_emit_parse():
     values = {"lambda_min": 0.003, "lambda_max": 17.5, "lambda_steps": 321,
-              "tau_schedule": [0.04, 0.02, 0.005], "x_max": 6.25, "xi_quadrature_order": 7,
-              "tail_tolerance": 2.5}
+              "tau_schedule": [0.04, 0.02, 0.005], "x_max": 6.25}
     assert list(values) == [f.name for f in dataclasses.fields(QuadratureSpec)]
     default = QuadratureSpec()
     assert all(getattr(default, k) != (tuple(v) if isinstance(v, list) else v)
@@ -497,7 +512,9 @@ def test_every_quadrature_field_survives_parse_emit_parse():
     doc["quadrature"] = values
     config, spec = parse_config(yaml.safe_dump(doc))
     assert spec == QuadratureSpec(**values)
-    assert parse_config(emit_config(config, spec))[1] == spec
+    text = emit_config(config, spec)
+    assert list(yaml.safe_load(text)["quadrature"]) == list(values)
+    assert parse_config(text)[1] == spec
 
 
 def test_cli_oversized_transform_exits_3(tmp_path):

@@ -192,6 +192,22 @@ def test_huge_samples_is_size_error_before_sampling(workdir, command, monkeypatc
             assert rc == 3 and "exceeds the limit" in err, (config, samples, err)
 
 
+@pytest.mark.parametrize("command", ["inverse", "roundtrip"])
+def test_inversion_past_the_size_limit_is_refused_before_sampling(workdir, command, monkeypatch):
+    # 2e6 samples per layer pass the bytes check (1.6e8 bytes on twolayer), but
+    # inverting at their 4e6 points on 2000 lambda nodes is past the size limit
+    real = np.linspace
+
+    def guarded(start, stop, num=50, *args, **kwargs):
+        if num > 10**6:
+            raise AssertionError(f"np.linspace asked for {num} points")
+        return real(start, stop, num, *args, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+    rc, err = run(argv_for(workdir, command, "--samples=2000000", "--lambda-steps=2000"))
+    assert rc == 3 and "transform size" in err and "exceeds the limit" in err, err
+
+
 @pytest.mark.parametrize("flag", [("--heights", "0"), ("--heights", "-1"), ("--dim", "1")])
 def test_out_of_range_poisson_flags_are_configuration_errors(workdir, flag):
     rc, err = run(argv_for(workdir, "poisson", *flag))

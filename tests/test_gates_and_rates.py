@@ -166,7 +166,7 @@ def test_grid_rules_and_size_check_keep_their_layout(load, monkeypatch, name):
         quad.plan(cfg, spec, n_ok)
         with pytest.raises(SizeLimitExceeded):
             quad.plan(cfg, spec, n_ok + 1)
-        default = n_lambda * sum(xi) * spec.xi_quadrature_order * cfg.r**2
+        default = n_lambda * sum(xi) * quad.PANEL_ORDER * cfg.r**2
         monkeypatch.setattr(quad, "MAX_TRANSFORM_SIZE", default)
         quad.plan(cfg, spec)
         monkeypatch.setattr(quad, "MAX_TRANSFORM_SIZE", default - 1)

@@ -140,6 +140,17 @@ def test_layer_index_vector_matches_scalar_rule(load):
             cfg.layer_index(bad)
 
 
+@pytest.mark.parametrize("name", ["twolayer", "fullaxis_twolayer"])
+def test_junction_zero_is_l0_and_no_other_index_is_read(load, name):
+    # the trace keys' numbering: junction 0 is l_0, junction k the right end of layer k
+    cfg, _spec = load(name)
+    assert [cfg.junction(k) for k in range(cfg.n_layers)] == [
+        cfg.layers[0].left, *(layer.right for layer in cfg.layers[:-1])]
+    for bad in (-1, cfg.n_layers, cfg.n_layers + 5):
+        with pytest.raises(InvariantViolation, match=f"junction {bad}"):
+            cfg.junction(bad)
+
+
 def test_identity_two_layer_bump(load):
     cfg, spec = load("twolayer")
     f = cat.to_grid_function(cat.make_profile("poly_cutoff"), cfg, spec.x_max)
@@ -251,15 +262,24 @@ def test_fd_reference_gates(load):
     with pytest.raises(UnstableStep):
         op.fd_reference(cfg, f0, 0.05, 0.01, 1e-3, x_max=8.0)
 
-    # a Robin end whose one-sided block beta0 - 3 alpha0 / (2 dx) is zero at dx = 0.01,
-    # exactly or up to one ulp of beta0: the boundary row cannot give the endpoint
-    # value from its neighbours
+    # a Robin end beta0 f + f' gives its endpoint value from its neighbours by link
+    # coefficients up to 200 / (beta0 - 150) at dx = 0.01: refused where the block
+    # beta0 - 150 is zero, exactly or up to one ulp of beta0, and where the largest
+    # coefficient passes FD_LINK_BOUND, at which four steps per solve lose 1.6e-10
+    # (150.01) to 1.1e-2 (150.0000001) against the entrywise oracle
     one = np.eye(1, dtype=complex)
-    for beta0 in (150.0, np.nextafter(150.0, 200.0)):
-        cfg_robin = dataclasses.replace(cfg, boundary=Boundary(
+
+    def robin(beta0):
+        return dataclasses.replace(cfg, boundary=Boundary(
             alpha0=one, beta0=beta0 * one, gamma0=0 * one, delta0=0 * one))
+
+    for beta0 in (150.0, np.nextafter(150.0, 200.0), 150.01, 150.0000001):
         with pytest.raises(RegularityViolation, match="boundary"):
-            op.fd_reference(cfg_robin, f0, 0.05, 0.01, 2.5e-5, x_max=8.0)
+            op.fd_reference(robin(beta0), f0, 0.05, 0.01, 2.5e-5, x_max=8.0)
+    fd = op.fd_reference(robin(151.0), f0, 0.05, 0.01, 2.5e-5, x_max=8.0)
+    got = np.concatenate([ls.values.ravel() for ls in fd.layers])
+    ref = entrywise_fd(robin(151.0), f0, 0.05, 0.01, 2.5e-5, 8.0, sparse=True)
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
     cfg_lam, _ = load("lambda_interface")
     f1 = cat.to_grid_function(cat.make_profile("poly_cutoff"), cfg_lam, 12.0)
@@ -366,7 +386,7 @@ def test_fd_reference_matches_entrywise_assembly(load, name, runs):
     for t, dx, dt, x_max in runs:
         f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=2.0, width=0.5), cfg,
                                   x_max, amplitudes=[1.0, 0.7])
-        fd = op.fd_reference(cfg, f0, t, dx, dt, x_max)
+        fd = op.fd_reference(cfg, f0, t, dx, dt, x_max=x_max)
         assert fd.meta["steps"] == round(t / dt)
         got = np.concatenate([ls.values.ravel() for ls in fd.layers])
         long_run = fd.meta["steps"] > 100
@@ -394,10 +414,10 @@ def test_fd_reference_complex_coefficients_match_entrywise_assembly(load):
                                            *cfg.layers[1:]))
     f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=2.0, width=0.5), cfg, 5.0,
                               amplitudes=[1.0, 0.7])
-    args = (0.01, 0.05, 5e-4, 5.0)
-    fd = op.fd_reference(cfg, f0, *args)
+    args = (0.01, 0.05, 5e-4)
+    fd = op.fd_reference(cfg, f0, *args, x_max=5.0)
     got = np.concatenate([ls.values.ravel() for ls in fd.layers])
-    ref = entrywise_fd(cfg, f0, *args)
+    ref = entrywise_fd(cfg, f0, *args, 5.0)
     assert np.max(np.abs(ref.imag)) > 1e-3 * np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -407,11 +427,11 @@ def test_fd_reference_is_linear_over_complex_data(load):
     cfg, _spec = load("r2diag")
     c = 1 + 0.5j
     bump = cat.make_profile("gauss_bump", center=2.0, width=0.5)
-    args = (0.01, 0.05, 5e-4, 5.0)
+    args = (0.01, 0.05, 5e-4)
     real = op.fd_reference(cfg, cat.to_grid_function(bump, cfg, 5.0, amplitudes=[1.0, 0.7]),
-                           *args)
+                           *args, x_max=5.0)
     scaled = op.fd_reference(cfg, cat.to_grid_function(bump, cfg, 5.0,
-                                                       amplitudes=[c, 0.7 * c]), *args)
+                                                       amplitudes=[c, 0.7 * c]), *args, x_max=5.0)
     ref = np.concatenate([c * ls.values.ravel() for ls in real.layers])
     got = np.concatenate([ls.values.ravel() for ls in scaled.layers])
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -420,5 +440,5 @@ def test_fd_reference_is_linear_over_complex_data(load):
 def test_fd_reference_returns_complex_values_on_a_real_problem(load):
     cfg, _spec = load("twolayer")
     f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=3.2, width=0.38), cfg, 5.0)
-    fd = op.fd_reference(cfg, f0, 0.01, 0.05, 5e-4, 5.0)
+    fd = op.fd_reference(cfg, f0, 0.01, 0.05, 5e-4, x_max=5.0)
     assert all(ls.values.dtype == complex for ls in fd.layers)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from layerft import quadrature as quad
 from layerft import radial as rad
 from layerft import transform as tr
 from layerft.errors import (
@@ -203,7 +204,7 @@ def chunk_budget(prof, lams, rows):
     """The _CHUNK_BYTES at which forward_nd's asymptotic row chunks hold rows rows."""
     n_panels = math.ceil(prof.rho_max * lams.max() / math.pi)
     terms = rad._asymptotic_coefficients(0.5 * (prof.n - 2)).size
-    return rad._ENTRY_BYTES * (n_panels + 2 * terms * rad._RADIAL_ORDER) * rows
+    return rad._ENTRY_BYTES * (n_panels + 2 * terms * quad.PANEL_ORDER) * rows
 
 
 @pytest.mark.parametrize("rows", [1, 7, None])
@@ -249,12 +250,12 @@ def test_forward_size_gate(monkeypatch):
     for rho_max, lam in ((1e300, 1.0), (1e300, 0.5), (1.7e308, 1.7e308)):
         with pytest.raises(SizeLimitExceeded):
             rad.forward_nd(gaussian_profile(3, rho_max=rho_max), lam)
-    panels = MAX_TRANSFORM_SIZE // rad._RADIAL_ORDER + 1        # ceil(rho_max 12 / pi)
+    panels = MAX_TRANSFORM_SIZE // quad.PANEL_ORDER + 1        # ceil(rho_max 12 / pi)
     with pytest.raises(SizeLimitExceeded):
         rad.forward_nd(gaussian_profile(3, rho_max=(panels - 0.5) * math.pi / 12.0), 12.0)
     # the limit is on lam nodes x rho nodes, inclusive
     lams = np.array([0.5, 2.0, 3.0])
-    size = lams.size * rad._RADIAL_ORDER * math.ceil(30.0 * 3.0 / math.pi)
+    size = lams.size * quad.PANEL_ORDER * math.ceil(30.0 * 3.0 / math.pi)
     monkeypatch.setattr(rad, "MAX_TRANSFORM_SIZE", size)
     assert np.all(np.isfinite(rad.forward_nd(prof, lams)))
     monkeypatch.setattr(rad, "MAX_TRANSFORM_SIZE", size - 1)
@@ -459,7 +460,7 @@ def test_series_spans_match_the_mask(n):
     nu = 0.5 * (n - 2)
     crossover = rad._crossover(nu)
     n_panels = math.ceil(30.0 * 12.0 / math.pi)
-    nodes = panel_gauss(np.linspace(0.0, 30.0, n_panels + 1), rad._RADIAL_ORDER)[0].ravel()
+    nodes = panel_gauss(np.linspace(0.0, 30.0, n_panels + 1), quad.PANEL_ORDER)[0].ravel()
     # lam = crossover / rho_i and its float neighbours: lam rho_i lands on,
     # under or over the crossover, and crossover / lam on either side of rho_i
     ties = crossover / nodes[::3]

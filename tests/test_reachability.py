@@ -14,11 +14,16 @@
 - Every string key src/ stores in a meta mapping (a meta= dict literal,
   meta = {...} or meta[key] = ...) is read by that code with meta[key] or
   meta.get(key).
+- Every QuadratureSpec field is set to a value other than its default by a
+  bundled config, a script or perfbench/workloads.py, or SETTABLE says why it
+  stays a setting.  A setting with one value in use is a constant.
 """
 
 import ast
 import math
 from pathlib import Path
+
+import yaml
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +46,14 @@ ALLOWED = {
     **{f"problem.Interface.{kind}{j}{s}": INTERFACE_BLOCK
        for kind in ("alpha", "beta", "gamma", "delta") for j in "12" for s in "12"},
     'meta["xi_tail_estimate"]': "ROADMAP item 2's xi-tail health number; test_axis.py reads it",
+}
+
+# the calls that make a spec from keywords
+SPEC_MAKERS = ("QuadratureSpec", "replace")
+
+SETTABLE = {
+    "lambda_min": "ROADMAP items 1, 5 and 6 measure at lambda_min 1e-6 to 1e-8",
+    "x_max": "the truncation radius of the caller's data",
 }
 
 
@@ -253,6 +266,53 @@ def unread_meta_keys(modules, readers):
     return [f'meta["{key}"]' for key in sorted(stored - read)]
 
 
+def field_defaults(source):
+    """{field: default} of the top-level class QuadratureSpec in source (literal defaults)."""
+    cls = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == "QuadratureSpec")
+    return {item.target.id: ast.literal_eval(item.value) for item in cls.body
+            if isinstance(item, ast.AnnAssign) and item.value is not None}
+
+
+def _differs(value, default):
+    """Whether a set value (a list read as a tuple) is not the default."""
+    return (tuple(value) if isinstance(value, list) else value) != default
+
+
+def _sets_other(node, default):
+    """Whether the value node is a literal other than default, or no literal (a computed value)."""
+    try:
+        return _differs(ast.literal_eval(node), default)
+    except ValueError:
+        return True
+
+
+def fields_set(defaults, configs, sources):
+    """The fields of defaults that a config or a source sets to a value other than the default.
+
+    A config (YAML text) sets the keys of its quadrature section.  A source
+    sets the keywords of every call of QuadratureSpec or replace and the
+    string keys of every dict literal (the spec's ** arguments): to another
+    value when that is a literal other than the default, or is not a literal.
+    """
+    found = set()
+    for text in configs:
+        section = yaml.safe_load(text).get("quadrature") or {}
+        found |= {k for k, v in section.items() if k in defaults and _differs(v, defaults[k])}
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "attr", getattr(node.func, "id", None)) in SPEC_MAKERS:
+                pairs = [(k.arg, k.value) for k in node.keywords]
+            elif isinstance(node, ast.Dict):
+                pairs = [(getattr(k, "value", None), v) for k, v in zip(node.keys, node.values)]
+            else:
+                continue
+            found |= {key for key, value in pairs
+                      if key in defaults and _sets_other(value, defaults[key])}
+    return found
+
+
 def test_the_check_finds_a_planted_unreachable_function():
     modules = {
         "a": "def used():\n    return helper()\n\ndef helper():\n    return 1\n\n"
@@ -306,6 +366,31 @@ def test_the_check_finds_a_planted_unread_meta_key():
     }
     assert unread_meta_keys(modules, ["print(image.meta['late'])\n"]) == ['meta["lost"]']
     assert unread_meta_keys(modules, []) == ['meta["late"]', 'meta["lost"]']
+
+
+def test_the_check_finds_a_planted_field_no_caller_sets():
+    source = ("@dataclass(frozen=True)\nclass QuadratureSpec:\n    a: float = 1.0\n"
+              "    b: int = 2\n    c: tuple = (1.0, 2.0)\n    d: float = 0.5\n    e: int = 3\n"
+              "    f: float = 4.0\n\n    def validate(self):\n        pass\n")
+    defaults = field_defaults(source)
+    assert defaults == {"a": 1.0, "b": 2, "c": (1.0, 2.0), "d": 0.5, "e": 3, "f": 4.0}
+    # a and b are set to their defaults only, f by nobody
+    configs = ["problem: {r: 1}\nquadrature: {a: 1.0e+0, c: [1.0, 3.0]}\n", "problem: {r: 1}\n"]
+    sources = ["spec = replace(spec, b=2, d=width / 2)\nsample(f, f=5.0)\n",
+               "SPEC = {'e': 4, 'b': 2}\n"]
+    assert fields_set(defaults, configs, sources) == {"c", "d", "e"}
+    assert fields_set(defaults, configs[:1], []) == {"c"}
+    assert fields_set(defaults, [], []) == set()
+
+
+def test_every_spec_field_is_set_by_a_caller_or_allowed():
+    defaults = field_defaults((ROOT / "src" / "layerft" / "quadrature.py").read_text())
+    configs = [p.read_text() for p in sorted((ROOT / "configs").glob("*.cfg"))]
+    sources = [p.read_text() for p in sorted((ROOT / "scripts").glob("*.py"))]
+    sources.append((ROOT / "perfbench" / "workloads.py").read_text())
+    unset = set(defaults) - fields_set(defaults, configs, sources)
+    assert sorted(unset - set(SETTABLE)) == [], "set by no caller and not allowed: a constant"
+    assert sorted(set(SETTABLE) - unset) == [], "allowed but set: drop the entry"
 
 
 def test_every_src_definition_is_reached_or_allowed():

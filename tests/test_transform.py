@@ -411,7 +411,7 @@ def test_neville_to_zero_matches_the_one_table_reference():
 
 
 @pytest.mark.parametrize("case", ["twolayer", "fullaxis_twolayer", "radial_n3"])
-def test_tail_guard_raises_nonconvergent_tail(load, case):
+def test_tail_guard_raises_nonconvergent_tail(load, monkeypatch, case):
     # at this resolution successive damping levels differ by about 1e-2; a
     # tail tolerance far below that must trip the guard in every geometry
     if case == "radial_n3":
@@ -431,8 +431,9 @@ def test_tail_guard_raises_nonconvergent_tail(load, case):
             return tr.inverse_transform(cfg, img, by_layer(cfg, np.linspace(0.0, 4.0, 9)), s)
 
     invert(spec)
+    monkeypatch.setattr(quad, "TAIL_TOLERANCE", 1e-12)
     with pytest.raises(NonConvergentTail):
-        invert(dataclasses.replace(spec, tail_tolerance=1e-12))
+        invert(spec)
 
 
 def _rel(a, b):
