@@ -99,12 +99,13 @@ The batch is what a forward image carries as its basis (transform.py):
 dual gives the stacked u* of every layer and primal the stacked u, each
 computed on first use and kept, so that every inversion of the image
 shares one batch and one set of primal families, and the dual diagnostics
-share the forward's dual families.
+share the forward's dual families.  Each primal family also keeps the phase
+tables of the last point set it was inverted on (Family.phases).
 """
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import ClassVar
 
@@ -244,6 +245,9 @@ class Family:
     mu (..., rho), lp and lm (..., a, rho), rp and rm (..., rho, b): one
     spectral point, or stacked over lam on axis 0.  Every kernel built today
     has real mu; at and the contractions of transform.py take complex mu too.
+    phases is the one slot in which transform.inverse_transform keeps the
+    phase tables of the last point split a stacked family was inverted on
+    (transform._kept_phases); replace and a new Family start it empty.
     """
 
     mu: np.ndarray
@@ -252,6 +256,7 @@ class Family:
     rp: np.ndarray
     lm: np.ndarray
     rm: np.ndarray
+    phases: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def at(self, xs, order=0):
         """d^order K / dx^order at each x of an (Nx,) xs, or per lam of a stacked K at one x.

@@ -32,14 +32,19 @@ inverse refuses images sampled elsewhere, because its quadrature weights
 are tied to that grid.  It evaluates at one increasing point array per
 layer, config.n_layers of them.
 
-The basis is built once per image.  The forward image carries its batch
+The basis is built once per image, and the inverse's phase tables once
+per image and point set.  The forward image carries its batch
 (SpectralImage.basis), and decayed passes it on.  An inversion takes the
 primal families from that batch when the batch was built for the same
 config object (is, not ==) on exactly the image's abscissae; otherwise,
 for an image read from CSV or an equal config parsed anew, it builds the
-batch as the forward does.  Either way it integrates over the image's
-whole grid, with weight and value 0 at a non-finite (dropped) row, so a
-reused and a rebuilt inversion agree bit for bit.
+batch as the forward does.  Each primal family of a carried batch keeps
+the phase tables of the last point split it was inverted on
+(_kept_phases), so the inversions of a heat flow on one grid exponentiate
+once; a batch built for one inversion keeps none.  Either way it
+integrates over the image's whole grid, with weight and value 0 at a
+non-finite (dropped) row, and kept tables hold the very phases a block
+would compute, so a reused and a rebuilt inversion agree bit for bit.
 
 There is no loop over spectral points: basis.build_batch builds the whole
 grid at once, and every kernel of either geometry is a basis.Family,
@@ -117,7 +122,48 @@ def _phase(mu, s):
     return bas.exp_pair(np.multiply.outer(mu, s)).reshape(2 * mu.size, s.size)
 
 
-def _phase_blocks(mu, centres, offsets, width):
+def _kept_phases(fam, centres, offsets):
+    """The phase tables of fam on the split (centres, offsets), kept on fam for its next inversion.
+
+    (e^{i mu centres}, e^{i mu offsets}), each (N, rho, S) for real mu, the
+    +mu half only, and for complex mu both signs by basis.exp_pair,
+    (2, N, rho, S).  fam.phases is one slot: it holds the tables of the
+    last split, N rho (Q + J) entries for real mu, and a new split
+    replaces them.  A dense split (offsets [0]) keeps none and returns
+    None, because its centre table would hold N rho entries per point.
+    """
+    if offsets.size == 1:
+        fam.phases = None
+        return None
+    key = (centres.tobytes(), offsets.tobytes())
+    if fam.phases is None or fam.phases[0] != key:
+        tables = []
+        for s in (centres, offsets):
+            t = np.multiply.outer(fam.mu, s)
+            if np.iscomplexobj(t):
+                tables.append(bas.exp_pair(t))
+            else:       # in place: at its peak a table is one complex array
+                z = 1j * t
+                tables.append(np.exp(z, out=z))
+        fam.phases = (key, *tables)
+    return fam.phases[1:]
+
+
+def _rows(table):
+    """A slice (..., R, rho, C) of a kept table as the (2 R rho, C) phases of _phase.
+
+    The +mu rows, then the -mu rows: for real mu the table holds the +mu
+    half and the -mu rows are its conjugates, basis.exp_pair's rule.
+    """
+    if table.ndim == 3:
+        pair = np.empty((2,) + table.shape, dtype=complex)
+        pair[0] = table
+        np.conjugate(table, out=pair[1])
+        table = pair
+    return table.reshape(-1, table.shape[-1])
+
+
+def _phase_blocks(mu, centres, offsets, width, tables=None):
     """Factored phases e^{+-i mu s} at s = centres[q] + offsets[j], block by block.
 
     mu (N, rho); centres (Q,) and offsets (J,) relative to the family's
@@ -127,9 +173,11 @@ def _phase_blocks(mu, centres, offsets, width):
     centres with p (2 R rho, C) = _phase(m, centres[cs]), so that
     e^{i m' s} = p[:, q] e[:, j] for m' = (m, -m).  For real mu the -m
     rows are conjugates, not exponentials.  Every factor is centred on its
-    own block.  Half of _CHUNK_BYTES bounds e with two (2 R rho, J * width)
-    right-hand sides of the caller, the other half p with its
-    (C, J * width) product.
+    own block.  Given the tables of _kept_phases, e and p are sliced from
+    them bit for bit; without, each block exponentiates its own.  Half of
+    _CHUNK_BYTES bounds e with two (2 R rho, J * width) right-hand sides
+    of the caller, the other half p with its (C, J * width) product; the
+    kept tables belong to the family and lie outside the budget.
     """
     n, rho = mu.shape
     half = _CHUNK_BYTES // (2 * _COMPLEX_BYTES)         # entries
@@ -138,9 +186,14 @@ def _phase_blocks(mu, centres, offsets, width):
         lams = slice(lo, lo + lam_step)
         m = mu[lams].ravel()
         step = max(1, half // (2 * m.size + offsets.size * width))
-        parts = ((slice(c, c + step), _phase(m, centres[c:c + step]))
-                 for c in range(0, centres.size, step))
-        yield lams, m, _phase(m, offsets), parts
+        cuts = (slice(c, c + step) for c in range(0, centres.size, step))
+        if tables is None:
+            parts = ((cs, _phase(m, centres[cs])) for cs in cuts)
+            yield lams, m, _phase(m, offsets), parts
+        else:
+            pc, po = tables
+            parts = ((cs, _rows(pc[..., lams, :, cs])) for cs in cuts)
+            yield lams, m, _rows(po[..., lams, :, :]), parts
 
 
 def _moments(fam, centres, offsets, g, ends=()):
@@ -169,19 +222,20 @@ def _moments(fam, centres, offsets, g, ends=()):
     return out
 
 
-def _damped_sums(fam, centres, offsets, fhat, damping):
+def _damped_sums(fam, centres, offsets, fhat, damping, tables=None):
     """sum over lam of damping[t, lam] K(s, lam) fhat(lam) for a stacked Family K.
 
     s = centres[q] + offsets[j] relative to fam.center, fhat (N, b), damping
     (T, N); returns (T, Q J, a), point q J + j at s.  With plus[lam, k, c] =
     lp[lam, c, k] (rp fhat)[lam, k] and minus alike, every damping level
     comes from one complex product per block: p.T over (lam, k) with the
-    right-hand sides e[:, j] damping[t] (plus | minus).
+    right-hand sides e[:, j] damping[t] (plus | minus).  tables, those of
+    _kept_phases on this split, spare the exponentials.
     """
     t = damping.shape[0]
     a = fam.lp.shape[-2]
     out = np.zeros((centres.size, offsets.size, t * a), dtype=complex)
-    for lams, m, e, parts in _phase_blocks(fam.mu, centres, offsets, t * a):
+    for lams, m, e, parts in _phase_blocks(fam.mu, centres, offsets, t * a, tables):
         f = fhat[lams, :, None]
         terms = np.stack([fam.lp[lams].swapaxes(-1, -2) * (fam.rp[lams] @ f),
                           fam.lm[lams].swapaxes(-1, -2) * (fam.rm[lams] @ f)])
@@ -316,8 +370,9 @@ def inverse_transform(config, image, x_points, spec):
     _spectral_forward); either way the whole grid's.  A NaN (flagged) row
     gets quadrature weight 0 and value 0, so its term is an exact zero, and
     is reported in meta["dropped_rows"]; a flag on a kept row is raised.
-    The quadrature and exp(-tau lam) weights fold into _damped_sums;
-    quad.tau_limit extrapolates.
+    The quadrature and exp(-tau lam) weights fold into _damped_sums, which
+    reads the phase tables the families of image.basis keep
+    (_kept_phases); quad.tau_limit extrapolates.
     """
     branches = bas.branch_count(config)
     if image.k != branches:
@@ -340,7 +395,9 @@ def inverse_transform(config, image, x_points, spec):
     per_layer = _normalize_x_points(config, x_points, spec)
     edges = np.cumsum([0] + [xs.size for xs in per_layer])
     basis = image.basis
-    if basis is None or basis.config is not config or not np.array_equal(basis.lam, image.lambdas):
+    reused = (basis is not None and basis.config is config
+              and np.array_equal(basis.lam, image.lambdas))
+    if not reused:
         basis = bas.build_batch(config, image.lambdas)
     flagged = [i for i in sorted(basis.flags) if keep[i]]
     if flagged:
@@ -349,10 +406,13 @@ def inverse_transform(config, image, x_points, spec):
     fhat = basis.inversion_constant * np.where(keep[:, None], image.values, 0.0)
     lams = image.lambdas
     damping = quad.damping_matrix(spec, lams, np.where(keep, grid.weights, 0.0) * lams)
-    damped = np.concatenate([
-        _damped_sums(fam, *_split(xs, fam.center), fhat, damping)[:, :xs.size]
-        for xs, fam in zip(per_layer, basis.primal)
-    ], axis=1)
+    damped = []
+    for xs, fam in zip(per_layer, basis.primal):
+        centres, offsets = _split(xs, fam.center)
+        # a batch built here dies with this call: tables kept on it would serve once
+        tables = _kept_phases(fam, centres, offsets) if reused else None
+        damped.append(_damped_sums(fam, centres, offsets, fhat, damping, tables)[:, :xs.size])
+    damped = np.concatenate(damped, axis=1)
     limit, err = quad.tau_limit(spec, damped)
 
     layers_out = [

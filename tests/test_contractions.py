@@ -14,6 +14,7 @@ import pytest
 
 from layerft import basis as bas
 from layerft import catalog as cat
+from layerft import operator as op
 from layerft import quadrature as quad
 from layerft import transform as tr
 
@@ -116,6 +117,10 @@ def test_contractions_match_direct_exponential_sums(kind):
     want = np.einsum("tn,xnab,nb->txa", damping, kernels, fhat)
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # kept tables give the per-block phases bit for bit
+    kept = tr._damped_sums(fam, centres, offsets, fhat, damping,
+                           tr._kept_phases(fam, centres, offsets))[:, :xs.size]
+    assert kept.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("kind", MU_KINDS)
@@ -141,9 +146,73 @@ def test_exponential_count_of_each_contraction(monkeypatch, kind):
     counted.clear()
     tr._damped_sums(fam, centres, offsets, np.ones((40, 2), dtype=complex), np.ones((3, 40)))
     assert sum(counted) == signs * fam.mu.size * (q + j)
+    # kept tables take the same count once, and a sum on them none
+    counted.clear()
+    tables = tr._kept_phases(fam, centres, offsets)
+    assert sum(counted) == signs * fam.mu.size * (q + j)
+    counted.clear()
+    tr._damped_sums(fam, centres, offsets, np.ones((40, 2), dtype=complex), np.ones((3, 40)),
+                    tables)
+    assert tr._kept_phases(fam, centres, offsets) is not None and not counted
 
 
-@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_decayed_inversions_exponentiate_once(load, monkeypatch):
+    # the heat flow of r2diag at lambda_max 12 / 400 steps on the points of
+    # its FD oracle (dx 0.01): N rho (Q + J) complex exponentials per layer
+    # for four inversions, not 4x that (the damping's are real)
+    cfg, spec = load("r2diag")
+    spec = dataclasses.replace(spec, lambda_max=12.0, lambda_steps=400)
+    f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=3.5, width=0.38), cfg,
+                              spec.x_max, amplitudes=[1.0, 0.7])
+    fd = op.fd_reference(cfg, f0, 2.5e-5, 0.01, 2.5e-5, x_max=spec.x_max)
+    pts = [ls.x for ls in fd.layers]
+    image = tr.forward_transform(cfg, f0, spec)
+    families = image.basis.primal
+    splits = [tr._split(xs, fam.center) for xs, fam in zip(pts, families)]
+    assert all(o.size > 1 for _, o in splits)
+    counted = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        out = exp(x, *args, **kwargs)
+        if np.iscomplexobj(out):
+            counted.append(out.size)
+        return out
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    for t in (0.01, 0.05, 0.2, 1.0):
+        tr.inverse_transform(cfg, op.heat_image(image, t), pts, spec)
+    assert sum(counted) == sum(fam.mu.size * (c.size + o.size)
+                               for fam, (c, o) in zip(families, splits))
+
+
+def test_kept_tables_are_one_slot_per_family(load):
+    cfg, spec = load("twolayer")
+    spec = dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
+    image = tr.forward_transform(cfg, f, spec)
+    families = image.basis.primal
+    assert all(fam.phases is None for fam in families)
+    grid = np.linspace(0.0, 6.0, 121)
+    for pts in (by_layer(cfg, grid), by_layer(cfg, grid[::2]), by_layer(cfg, grid)):
+        tr.inverse_transform(cfg, image, pts, spec)
+        for xs, fam in zip(pts, families):
+            centres, offsets = tr._split(xs, fam.center)
+            tables = fam.phases[1:]
+            # exactly N rho (Q + J) entries: the last split's tables, not added to the old
+            assert [t.shape for t in tables] == [fam.mu.shape + (centres.size,),
+                                                 fam.mu.shape + (offsets.size,)]
+            assert all(t.dtype == complex for t in tables)
+    # a point set that is no progression keeps no table
+    union = np.union1d(grid[::4], grid[::6])
+    tr.inverse_transform(cfg, image, by_layer(cfg, union), spec)
+    assert all(fam.phases is None for fam in families)
+    # nor does a batch an inversion builds for itself
+    tr.inverse_transform(cfg, dataclasses.replace(image, basis=None), by_layer(cfg, grid), spec)
+    assert all(fam.phases is None for fam in families)
+
+
+@pytest.mark.parametrize("direction", ["forward", "inverse", "inverse on kept tables"])
 def test_work_arrays_stay_within_the_chunk_budget(monkeypatch, direction):
     rng = np.random.default_rng(3)
     fam = random_family(rng, rng.uniform(0.0, 12.0, (300, 2)), center=1.0)
@@ -151,6 +220,7 @@ def test_work_arrays_stay_within_the_chunk_budget(monkeypatch, direction):
     g = rng.standard_normal((centres.size, offsets.size, 2)) + 0j
     fhat = rng.standard_normal((300, 2)) + 0j
     damping = rng.uniform(0.5, 1.0, (3, 300))
+    tables = tr._kept_phases(fam, centres, offsets) if direction.endswith("tables") else None
 
     def extra_memory(budget):
         """Peak bytes a contraction allocates besides its result, at a budget."""
@@ -160,13 +230,14 @@ def test_work_arrays_stay_within_the_chunk_budget(monkeypatch, direction):
             if direction == "forward":
                 out = tr._moments(fam, centres, offsets, g, ends=[0])
             else:
-                out = tr._damped_sums(fam, centres, offsets, fhat, damping)
+                out = tr._damped_sums(fam, centres, offsets, fhat, damping, tables)
             return tracemalloc.get_traced_memory()[1] - out.nbytes
         finally:
             tracemalloc.stop()
 
     budget = 1 << 15
-    # the arrays of a block total the budget, plus a few small ones
+    # the arrays of a block total the budget, plus a few small ones; kept
+    # tables, allocated before, are the family's and not counted
     assert extra_memory(budget) <= 2 * budget
     # and unblocked, the same contraction needs far more
     assert extra_memory(1 << 40) > 20 * budget

@@ -54,14 +54,21 @@ def assert_same(a, b):
 
 @pytest.mark.parametrize("name", SEMI_AXIS + FULL_AXIS)
 def test_reused_and_rebuilt_inversions_are_bit_identical(load, name):
+    # each image twice on its points (kept phase tables the second time), on
+    # every other point (new tables), and on its points again
     cfg, spec, f, pts = small(load, name)
     image = tr.forward_transform(cfg, f, spec)
     edited = dataclasses.replace(image, values=image.values.copy())
     edited.values[[0, 7, 150, -1]] = np.nan
+    halves = [xs[::2] for xs in pts]
     for img in (image, image.decayed(0.05), edited):
         assert img.basis is image.basis is not None
-        rebuilt = tr.inverse_transform(cfg, dataclasses.replace(img, basis=None), pts, spec)
-        assert_same(tr.inverse_transform(cfg, img, pts, spec), rebuilt)
+        point_sets = (pts, halves)
+        rebuilt = [tr.inverse_transform(cfg, dataclasses.replace(img, basis=None), p, spec)
+                   for p in point_sets]
+        for k in (0, 0, 1, 0):
+            assert_same(tr.inverse_transform(cfg, img, point_sets[k], spec), rebuilt[k])
+    assert all(fam.phases is not None for fam in image.basis.primal)
     dropped = tr.inverse_transform(cfg, edited, pts, spec).meta["dropped_rows"]
     assert dropped == [0, 7, 150, image.lambdas.size - 1]
 

@@ -452,8 +452,11 @@ def test_results_independent_of_chunk_size(load, monkeypatch, name):
     for budget in (1, 7 * phases_per_point, 1 << 62):
         monkeypatch.setattr(tr, "_CHUNK_BYTES", budget)
         img = tr.forward_transform(cfg, f, spec)
-        recon = tr.inverse_transform(cfg, img, window, spec)
-        results.append((img.values, np.concatenate([ls.values for ls in recon.layers])))
+        recons = [np.concatenate([ls.values for ls in tr.inverse_transform(
+            cfg, img, window, spec).layers]) for _ in range(2)]
+        # the second inversion runs on the phase tables the first one kept
+        assert recons[1].tobytes() == recons[0].tobytes()
+        results.append((img.values, recons[0]))
     for img, rec in results[:2]:
         assert _rel(results[2][0], img) <= 1e-13
         assert _rel(results[2][1], rec) <= 1e-13
