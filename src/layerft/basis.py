@@ -47,7 +47,9 @@ rm: u with lp = lm = V and rp, rm = V^{-1} (C+- Phi0^{-1} - D+- Psi0^{-1})
 (2 i mu)^{-1} V^{-1} a2^{-1} (dual_families), and w = (-u*' a2, u* a2); the
 full-axis branches (below) are Families too.  exp_pair is the one rule
 by which a kernel or a phase table evaluates e^{+-i t}: the conjugate for
-real t, both signs for complex t.  _wavenumber_eig is the one gate every
+real t, both signs for complex t (the inverse's tables keep the e^{it} half
+of real t and fold the signs into cos t and sin t, transform._damped_sums).
+_wavenumber_eig is the one gate every
 lam passes: it must be positive with a nonzero square and a finite scaled
 pencil.
 
@@ -146,7 +148,8 @@ def _matmul(a, b):
     the dual sweep and K = V^{-1} a2^{-1} / (2 i mu) of dual_families, the
     boundary functionals bnd_row @ Omega(l_0) and the primal coefficients
     coef @ Phi0^{-1}, coef @ Psi0^{-1} (the tail layer's coef is a broadcast
-    identity).
+    identity).  The inverse's contraction (transform._damped_sums) takes
+    the same rule for a lam-free V = lp = lm: V after its lam sum.
     """
     ca, cb = _const(a), _const(b)
     if ca is not None and cb is not None:

@@ -48,17 +48,25 @@ would compute, so a reused and a rebuilt inversion agree bit for bit.
 
 There is no loop over spectral points: basis.build_batch builds the whole
 grid at once, and every kernel of either geometry is a basis.Family,
-per-lam coefficients around e^{+-i mu s}.  Both directions are then complex
-matrix products with phases factored per block of points: for s = c_q + t_j,
+per-lam coefficients around e^{+-i mu s}.  Both directions are then matrix
+products with phases factored per block of points: for s = c_q + t_j,
 e^{i mu s} = e^{i mu c_q} e^{i mu t_j}, so a layer of Q blocks of J points
 costs N r (Q + J) complex exponentials, not 2 N r Q J: for real mu, the
 only kind the batches give today, e^{-i mu s} is the conjugate of
-e^{i mu s} (_phase, by the one rule basis.exp_pair), and complex mu
+e^{i mu s} bit for bit (the rule of basis.exp_pair), and complex mu
 (evanescent channels) exponentiates both signs, 2 N r (Q + J).  _moments
-sums a family against data over x (forward) and _damped_sums over
-(lam, k) with the exp(-tau lam) damping folded in (inverse), both over the
-blocks of _phase_blocks, whose work arrays stay within _CHUNK_BYTES.  The
-forward's blocks are the uniform xi panels of the plan; the inverse
+sums a family against data over x (forward) in complex products over both
+signs (_phase).  _damped_sums sums over lam with the exp(-tau lam) damping
+folded in (inverse), and folds the two signs into cos mu s and sin mu s
+instead: for real mu its products are real, cos and sin against the
+complex right-hand side viewed as floats, half the flops of one complex
+product over both signs; complex mu takes the same products with complex
+cosines and sines.  Where the left factor of a family is one lam-free V
+(the primal families of a material with one eigenbasis), the inverse
+applies V after the lam sum, channel by channel, as basis._matmul applies
+a lam-free factor.  Both contractions run over the blocks of
+_phase_blocks, whose work arrays stay within _CHUNK_BYTES.  The forward's
+blocks are the uniform xi panels of the plan; the inverse
 splits each layer's evaluation points with _split, which finds the arithmetic
 progressions every caller passes.  Any other point set is its own centres
 with the single offset 0: the dense sum, the same code.
@@ -114,7 +122,7 @@ def _split(xs, center):
 
 
 def _phase(mu, s):
-    """e^{i m s_k} for m = (mu, -mu): (2 mu.size, s.size), mu flat, by basis.exp_pair.
+    """e^{i m s_k} for m = (mu, -mu): (2 mu.size, s.size), mu of any shape, by basis.exp_pair.
 
     For real mu the -mu half is the conjugate of the +mu half, so only
     mu.size * s.size exponentials are taken.
@@ -122,78 +130,88 @@ def _phase(mu, s):
     return bas.exp_pair(np.multiply.outer(mu, s)).reshape(2 * mu.size, s.size)
 
 
+def _cos_sin_phase(mu, s):
+    """The phases of the inverse for mu (R, rho) at the points s, point first.
+
+    For real mu e^{i mu s}, (S, rho, R) complex, one exponential per entry:
+    its float view (_cos_sin) is cos mu s and sin mu s bit for bit.  For
+    complex mu (evanescent channels) the cosine and sine themselves,
+    (e^{i mu s} + e^{-i mu s}) / 2 and (e^{i mu s} - e^{-i mu s}) / 2i from
+    both signs of basis.exp_pair, (S, rho, R, 2).
+    """
+    t = np.multiply(s[:, None, None], mu.T, order="C")
+    if np.iscomplexobj(t):
+        ep, em = bas.exp_pair(t)
+        return np.stack([ep + em, (ep - em) / 1j], axis=-1) / 2
+    z = 1j * t              # in place: at its peak a table is one complex array
+    return np.exp(z, out=z)
+
+
+def _cos_sin(phases):
+    """A slice (..., rho, R) of _cos_sin_phase as (..., rho, 2 R), cos and sin interleaved.
+
+    Real for real mu, the float view of e^{i mu s}; complex for complex mu.
+    """
+    if phases.ndim == 3:
+        return phases.view(float)
+    return phases.reshape(phases.shape[:-2] + (-1,))
+
+
+def _real_product(a, z):
+    """a @ z for complex z: one real product on the float view of z where a is real."""
+    if np.iscomplexobj(a):
+        return a @ z
+    return (a @ z.view(float)).view(complex)
+
+
 def _kept_phases(fam, centres, offsets):
     """The phase tables of fam on the split (centres, offsets), kept on fam for its next inversion.
 
-    (e^{i mu centres}, e^{i mu offsets}), each (N, rho, S) for real mu, the
-    +mu half only, and for complex mu both signs by basis.exp_pair,
-    (2, N, rho, S).  fam.phases is one slot: it holds the tables of the
-    last split, N rho (Q + J) entries for real mu, and a new split
-    replaces them.  A dense split (offsets [0]) keeps none and returns
-    None, because its centre table would hold N rho entries per point.
+    _cos_sin_phase of all of fam.mu at the centres and at the offsets:
+    (Q, rho, N) and (J, rho, N) complex for real mu, N rho (Q + J)
+    entries, and (Q, rho, N, 2) and (J, rho, N, 2) for complex mu.
+    fam.phases is one slot: it holds the tables of the last split, and a
+    new split replaces them.  A dense split (offsets [0]) keeps none and
+    returns None, because its centre table would hold N rho entries per
+    point.
     """
     if offsets.size == 1:
         fam.phases = None
         return None
     key = (centres.tobytes(), offsets.tobytes())
     if fam.phases is None or fam.phases[0] != key:
-        tables = []
-        for s in (centres, offsets):
-            t = np.multiply.outer(fam.mu, s)
-            if np.iscomplexobj(t):
-                tables.append(bas.exp_pair(t))
-            else:       # in place: at its peak a table is one complex array
-                z = 1j * t
-                tables.append(np.exp(z, out=z))
-        fam.phases = (key, *tables)
+        fam.phases = (key, *(_cos_sin_phase(fam.mu, s) for s in (centres, offsets)))
     return fam.phases[1:]
 
 
-def _rows(table):
-    """A slice (..., R, rho, C) of a kept table as the (2 R rho, C) phases of _phase.
+def _phase_blocks(mu, centres, offsets, width, phase, tables=None):
+    """Factored phases of mu (N, rho) at s = centres[q] + offsets[j], block by block.
 
-    The +mu rows, then the -mu rows: for real mu the table holds the +mu
-    half and the -mu rows are its conjugates, basis.exp_pair's rule.
-    """
-    if table.ndim == 3:
-        pair = np.empty((2,) + table.shape, dtype=complex)
-        pair[0] = table
-        np.conjugate(table, out=pair[1])
-        table = pair
-    return table.reshape(-1, table.shape[-1])
-
-
-def _phase_blocks(mu, centres, offsets, width, tables=None):
-    """Factored phases e^{+-i mu s} at s = centres[q] + offsets[j], block by block.
-
-    mu (N, rho); centres (Q,) and offsets (J,) relative to the family's
-    center.  Yields (lams, m, e, parts) per slice lams of the spectral
-    points: m (R rho,) is mu of the slice flattened, e (2 R rho, J) =
-    _phase(m, offsets), and parts lazily gives (cs, p) per slice cs of the
-    centres with p (2 R rho, C) = _phase(m, centres[cs]), so that
-    e^{i m' s} = p[:, q] e[:, j] for m' = (m, -m).  For real mu the -m
-    rows are conjugates, not exponentials.  Every factor is centred on its
-    own block.  Given the tables of _kept_phases, e and p are sliced from
-    them bit for bit; without, each block exponentiates its own.  Half of
-    _CHUNK_BYTES bounds e with two (2 R rho, J * width) right-hand sides
-    of the caller, the other half p with its (C, J * width) product; the
-    kept tables belong to the family and lie outside the budget.
+    centres (Q,) and offsets (J,) relative to the family's center.  Yields
+    (lams, e, parts) per slice lams of the spectral points: e =
+    phase(mu[lams], offsets), and parts lazily gives (cs, p) per slice cs
+    of the centres with p = phase(mu[lams], centres[cs]); every factor is
+    centred on its own block.  phase is _phase (the forward) or
+    _cos_sin_phase (the inverse), whose tables of all of mu (_kept_phases)
+    the blocks then slice bit for bit instead of exponentiating their own.
+    Half of _CHUNK_BYTES bounds e with two (2 R rho, J * width) right-hand
+    sides of the caller (the inverse: its rotation of e and one), the other
+    half p with the caller's (C, J * width) products; the kept tables belong
+    to the family and lie outside the budget.
     """
     n, rho = mu.shape
     half = _CHUNK_BYTES // (2 * _COMPLEX_BYTES)         # entries
     lam_step = max(1, half // (2 * rho * offsets.size * (1 + 2 * width)))
     for lo in range(0, n, lam_step):
         lams = slice(lo, lo + lam_step)
-        m = mu[lams].ravel()
+        m = mu[lams]
         step = max(1, half // (2 * m.size + offsets.size * width))
         cuts = (slice(c, c + step) for c in range(0, centres.size, step))
         if tables is None:
-            parts = ((cs, _phase(m, centres[cs])) for cs in cuts)
-            yield lams, m, _phase(m, offsets), parts
+            yield lams, phase(m, offsets), ((cs, phase(m, centres[cs])) for cs in cuts)
         else:
             pc, po = tables
-            parts = ((cs, _rows(pc[..., lams, :, cs])) for cs in cuts)
-            yield lams, m, _rows(po[..., lams, :, :]), parts
+            yield lams, po[:, :, lams], ((cs, pc[cs, :, lams]) for cs in cuts)
 
 
 def _moments(fam, centres, offsets, g, ends=()):
@@ -209,11 +227,11 @@ def _moments(fam, centres, offsets, g, ends=()):
     q, j, b = g.shape
     rows = g.reshape(q, j * b)
     out = np.empty((1 + len(ends), n, fam.lp.shape[-2]), dtype=complex)
-    for lams, m, e, parts in _phase_blocks(fam.mu, centres, offsets, b):
-        whole = np.zeros((2 * m.size, j * b), dtype=complex)
+    for lams, e, parts in _phase_blocks(fam.mu, centres, offsets, b, _phase):
+        whole = np.zeros((e.shape[0], j * b), dtype=complex)
         for cs, p in parts:
             whole += p @ rows[cs]
-        ends_only = (_phase(m, centres[k:k + 1]) * rows[k] for k in ends)
+        ends_only = (_phase(fam.mu[lams], centres[k:k + 1]) * rows[k] for k in ends)
         for o, h in zip(out, itertools.chain([whole], ends_only)):
             fp, fm = np.einsum("rj,rjb->rb", e, h.reshape(-1, j, b)).reshape(2, -1, rho, b)
             yp = (fam.rp[lams] * fp).sum(axis=-1)[..., None]
@@ -226,24 +244,62 @@ def _damped_sums(fam, centres, offsets, fhat, damping, tables=None):
     """sum over lam of damping[t, lam] K(s, lam) fhat(lam) for a stacked Family K.
 
     s = centres[q] + offsets[j] relative to fam.center, fhat (N, b), damping
-    (T, N); returns (T, Q J, a), point q J + j at s.  With plus[lam, k, c] =
-    lp[lam, c, k] (rp fhat)[lam, k] and minus alike, every damping level
-    comes from one complex product per block: p.T over (lam, k) with the
-    right-hand sides e[:, j] damping[t] (plus | minus).  tables, those of
-    _kept_phases on this split, spare the exponentials.
+    (T, N); returns (T, Q J, a), point q J + j at s.  With P[lam, k] =
+    lp[lam, :, k] (rp fhat)[lam, k], M alike with lm and rm, and the two
+    signs' terms A = e^{i mu s} P and B = e^{-i mu s} M, their sum is
+    C (A + B) + S i (A - B), C = cos mu c_q and S = sin mu c_q: one real
+    product per block and channel k over (lam, cos | sin), the complex
+    right-hand side viewed as floats, half the flops of a complex product
+    over both signs.  The right-hand side is (P + M, i (P - M)) rotated by
+    each offset's cos mu t_j and sin mu t_j.  Complex mu takes the same
+    products with complex C and S (_cos_sin_phase).
+
+    Where lp and lm are one lam-free matrix V (basis._const: the primal V of
+    every material _wavenumber_eig diagonalises in one eigenbasis), V is
+    applied after the lam sum instead of before, the rule basis._matmul
+    applies to a lam-free left factor: each channel sums (rp fhat, rm fhat)
+    alone, and the products lose the factor a of their columns.  tables,
+    those of _kept_phases on this split, spare the exponentials.
     """
     t = damping.shape[0]
+    rho = fam.mu.shape[-1]
     a = fam.lp.shape[-2]
-    out = np.zeros((centres.size, offsets.size, t * a), dtype=complex)
-    for lams, m, e, parts in _phase_blocks(fam.mu, centres, offsets, t * a, tables):
+    j = offsets.size
+    lp, lm = bas._const(fam.lp), bas._const(fam.lm)
+    after = lp if lp is not None and lm is not None and np.array_equal(lp, lm) else None
+    # out (A, Q, J t X): a rows A of V after the lam sum, or a columns X before it
+    rows, per = (1, a) if after is None else (a, 1)
+    cols = t * per
+    out = np.zeros((rows, centres.size, j * cols), dtype=complex)
+    for lams, e, parts in _phase_blocks(fam.mu, centres, offsets, cols, _cos_sin_phase,
+                                        tables):
         f = fhat[lams, :, None]
-        terms = np.stack([fam.lp[lams].swapaxes(-1, -2) * (fam.rp[lams] @ f),
-                          fam.lm[lams].swapaxes(-1, -2) * (fam.rm[lams] @ f)])
-        rhs = np.einsum("tl,slkc->slktc", damping[:, lams], terms).reshape(2 * m.size, 1, -1)
-        rhs = (e[:, :, None] * rhs).reshape(2 * m.size, -1)
-        for cs, p in parts:
-            out[cs] += (p.T @ rhs).reshape(-1, offsets.size, t * a)
-    return out.reshape(-1, t, a).transpose(1, 0, 2)
+        yp, ym = fam.rp[lams] @ f, fam.rm[lams] @ f                  # (R, rho, 1)
+        if after is None:
+            yp = fam.lp[lams].swapaxes(-1, -2) * yp                  # (R, rho, a)
+            ym = fam.lm[lams].swapaxes(-1, -2) * ym
+        # (P + M, i (P - M)) at each damping level: (rho, R, 2, cols)
+        pm = np.stack([yp + ym, 1j * (yp - ym)]).transpose(2, 1, 0, 3)
+        pm = np.multiply(pm[:, :, :, None, :], damping[:, lams].T[:, None, :, None],
+                         order="C").reshape(rho, -1, 2, cols)
+        # rows (cos, sin) and (-sin, cos) of each offset: (rho, R, 2, J, 2)
+        cs = _cos_sin(e).reshape(j, rho, -1, 2).transpose(1, 2, 0, 3)
+        rot = np.empty(cs.shape[:2] + (2,) + cs.shape[2:], dtype=cs.dtype)
+        rot[:, :, 0] = cs
+        rot[:, :, 1, :, 0] = -cs[..., 1]
+        rot[:, :, 1, :, 1] = cs[..., 0]
+        rhs = _real_product(rot.reshape(rho, -1, 2 * j, 2), pm).reshape(rho, -1, j * cols)
+        for cut, p in parts:
+            p = _cos_sin(p)
+            for k in range(rho):
+                y = _real_product(p[:, k], rhs[k])
+                if after is None:
+                    out[0, cut] += y
+                else:
+                    for c in range(a):
+                        out[c, cut] += after[c, k] * y
+    # (A, Q J, t, X) as (t, Q J, a): a view, since A or X is 1
+    return out.reshape(rows, -1, t, per).transpose(2, 1, 0, 3).reshape(t, -1, a)
 
 
 def _spectral_forward(config, f, spec, lambdas):

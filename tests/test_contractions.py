@@ -78,12 +78,16 @@ def test_non_progressions_take_the_dense_path(load):
         assert np.max(np.abs(got - on_grid[idx])) <= 1e-13 * np.max(np.abs(on_grid))
 
 
-def random_family(rng, mu, center, a=2, b=2):
+def random_family(rng, mu, center, a=2, b=2, lam_free=False):
+    """A Family of random coefficients; lam_free makes lp = lm one broadcast matrix."""
     n, rho = mu.shape
 
     def c(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    if lam_free:
+        left = np.broadcast_to(c(a, rho), (n, a, rho))
+        return bas.Family(mu, center, left, c(n, rho, b), left, c(n, rho, b))
     return bas.Family(mu, center, c(n, a, rho), c(n, rho, b), c(n, a, rho), c(n, rho, b))
 
 
@@ -93,34 +97,52 @@ MU_KINDS = {"real": 1.0, "complex": 1j}
 
 
 @pytest.mark.parametrize("kind", MU_KINDS)
-def test_contractions_match_direct_exponential_sums(kind):
-    rng = np.random.default_rng(11)
-    fam = random_family(rng, MU_KINDS[kind] * rng.uniform(0.5, 6.0, (9, 2)), center=0.5)
-    xs = np.linspace(-1.0, 2.0, 61)
-    centres, offsets = tr._split(xs, fam.center)
-    assert offsets.size > 1
-    ep = np.exp(1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
-    em = np.exp(-1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
-    kernels = (fam.lp * ep) @ fam.rp + (fam.lm * em) @ fam.rm     # (Nx, N, a, b)
+def test_contractions_match_direct_exponential_sums(monkeypatch, kind):
+    widths = []
+    product = tr._real_product
 
-    g = rng.standard_normal((xs.size, 2)) + 0j
-    padded = np.zeros((centres.size * offsets.size, 2), dtype=complex)
-    padded[:xs.size] = g
-    got = tr._moments(fam, centres, offsets, padded.reshape(centres.size, offsets.size, 2))[0]
-    want = np.einsum("xnab,xb->na", kernels, g)
-    assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    def recording(a, z):
+        if a.ndim == 2:             # a block of centres against one channel
+            widths.append(z.shape[-1])
+        return product(a, z)
 
-    fhat = rng.standard_normal((9, 2)) + 0j
-    damping = rng.uniform(0.5, 1.0, (3, 9))
-    got = tr._damped_sums(fam, centres, offsets, fhat, damping)[:, :xs.size]
-    want = np.einsum("tn,xnab,nb->txa", damping, kernels, fhat)
-    assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # kept tables give the per-block phases bit for bit
-    kept = tr._damped_sums(fam, centres, offsets, fhat, damping,
-                           tr._kept_phases(fam, centres, offsets))[:, :xs.size]
-    assert kept.tobytes() == got.tobytes()
+    monkeypatch.setattr(tr, "_real_product", recording)
+    # lp != lm stacked over lam (the left factor before the lam sum), and lp = lm
+    # one lam-free matrix (after it: the channel sums)
+    for lam_free in (False, True):
+        rng = np.random.default_rng(11)
+        fam = random_family(rng, MU_KINDS[kind] * rng.uniform(0.5, 6.0, (9, 2)), center=0.5,
+                            lam_free=lam_free)
+        xs = np.linspace(-1.0, 2.0, 61)
+        centres, offsets = tr._split(xs, fam.center)
+        assert offsets.size > 1
+        ep = np.exp(1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
+        em = np.exp(-1j * np.multiply.outer(xs - fam.center, fam.mu))[..., None, :]
+        kernels = (fam.lp * ep) @ fam.rp + (fam.lm * em) @ fam.rm     # (Nx, N, a, b)
+
+        g = rng.standard_normal((xs.size, 2)) + 0j
+        padded = np.zeros((centres.size * offsets.size, 2), dtype=complex)
+        padded[:xs.size] = g
+        got = tr._moments(fam, centres, offsets,
+                          padded.reshape(centres.size, offsets.size, 2))[0]
+        want = np.einsum("xnab,xb->na", kernels, g)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        fhat = rng.standard_normal((9, 2)) + 0j
+        damping = rng.uniform(0.5, 1.0, (3, 9))
+        widths.clear()
+        got = tr._damped_sums(fam, centres, offsets, fhat, damping)[:, :xs.size]
+        want = np.einsum("tn,xnab,nb->txa", damping, kernels, fhat)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # a lam-free V leaves each channel's products its three damping levels
+        # per offset, not a = 2 times that
+        assert widths and set(widths) == {offsets.size * (3 if lam_free else 3 * 2)}
+        # kept tables give the per-block phases bit for bit
+        kept = tr._damped_sums(fam, centres, offsets, fhat, damping,
+                               tr._kept_phases(fam, centres, offsets))[:, :xs.size]
+        assert kept.tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("kind", MU_KINDS)
@@ -186,6 +208,30 @@ def test_decayed_inversions_exponentiate_once(load, monkeypatch):
                                for fam, (c, o) in zip(families, splits))
 
 
+def test_complex_data_reconstruct_as_their_real_and_imaginary_parts(load):
+    # the real products view complex right-hand sides as floats: the inverse of
+    # data (1, 0.7j) is the inverse of its real part plus i times that of its
+    # imaginary part, and a reused inversion equals a rebuilt one bit for bit
+    cfg, spec = load("r2diag")
+    spec = dataclasses.replace(spec, lambda_max=12.0, lambda_steps=400)
+    pts = by_layer(cfg, np.linspace(0.0, 8.0, 401))
+    bump = cat.make_profile("gauss_bump", center=3.5, width=0.38)
+
+    def recon(amplitudes, rebuilt=False):
+        f = cat.to_grid_function(bump, cfg, spec.x_max, amplitudes=amplitudes)
+        image = tr.forward_transform(cfg, f, spec)
+        if rebuilt:
+            image = dataclasses.replace(image, basis=None)
+        return np.concatenate([ls.values for ls in tr.inverse_transform(cfg, image, pts,
+                                                                       spec).layers])
+
+    whole = recon([1.0, 0.7j])
+    parts = recon([1.0, 0.0]) + 1j * recon([0.0, 0.7])
+    assert np.max(np.abs(whole - parts)) <= 1e-14 * np.max(np.abs(whole))
+    assert np.max(np.abs(whole.imag)) > 0.1 * np.max(np.abs(whole))
+    assert recon([1.0, 0.7j], rebuilt=True).tobytes() == whole.tobytes()
+
+
 def test_kept_tables_are_one_slot_per_family(load):
     cfg, spec = load("twolayer")
     spec = dataclasses.replace(spec, lambda_max=10.0, lambda_steps=200)
@@ -199,9 +245,10 @@ def test_kept_tables_are_one_slot_per_family(load):
         for xs, fam in zip(pts, families):
             centres, offsets = tr._split(xs, fam.center)
             tables = fam.phases[1:]
-            # exactly N rho (Q + J) entries: the last split's tables, not added to the old
-            assert [t.shape for t in tables] == [fam.mu.shape + (centres.size,),
-                                                 fam.mu.shape + (offsets.size,)]
+            # exactly N rho (Q + J) entries, point first: the last split's tables,
+            # not added to the old
+            assert [t.shape for t in tables] == [(centres.size,) + fam.mu.shape[::-1],
+                                                 (offsets.size,) + fam.mu.shape[::-1]]
             assert all(t.dtype == complex for t in tables)
     # a point set that is no progression keeps no table
     union = np.union1d(grid[::4], grid[::6])
@@ -212,10 +259,12 @@ def test_kept_tables_are_one_slot_per_family(load):
     assert all(fam.phases is None for fam in families)
 
 
-@pytest.mark.parametrize("direction", ["forward", "inverse", "inverse on kept tables"])
+@pytest.mark.parametrize("direction", ["forward", "inverse", "inverse on kept tables",
+                                       "inverse with a lam-free left factor"])
 def test_work_arrays_stay_within_the_chunk_budget(monkeypatch, direction):
     rng = np.random.default_rng(3)
-    fam = random_family(rng, rng.uniform(0.0, 12.0, (300, 2)), center=1.0)
+    fam = random_family(rng, rng.uniform(0.0, 12.0, (300, 2)), center=1.0,
+                        lam_free=direction.endswith("factor"))
     centres, offsets = tr._split(np.linspace(0.0, 12.0, 1101), fam.center)
     g = rng.standard_normal((centres.size, offsets.size, 2)) + 0j
     fhat = rng.standard_normal((300, 2)) + 0j

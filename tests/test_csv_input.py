@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from layerft import catalog as cat
 from layerft import cli
+from layerft import transform as tr
 from layerft.configio import parse_config
 from layerft import gridfn
 from layerft.gridfn import (
@@ -230,6 +232,34 @@ def test_image_and_function_csv_read_back_bit_exactly(tmp_path):
         assert sorted(g.traces) == sorted(f.traces)
         for key, arr in f.traces.items():
             assert np.asarray(arr, dtype=complex).tobytes() == g.traces[key].tobytes()
+
+
+def test_cli_inverse_drops_the_nan_rows_of_a_full_axis_image(tmp_path):
+    # a fullaxis_twolayer image with NaN rows, through the CSV codec and the CLI
+    # inverse (a batch built for the call, no kept tables), against the
+    # in-process inversion of the same image on the same points
+    name = config_path("fullaxis_twolayer")
+    cfg, spec = parse_config(name)
+    argv = ["--config", name, "--lambda-max", "12", "--lambda-steps", "400", "--samples", "101"]
+    spec = dataclasses.replace(spec, lambda_max=12.0, lambda_steps=400)
+    f = cat.to_grid_function(cat.make_profile("gauss_bump", center=1.5), cfg, spec.x_max)
+    image = tr.forward_transform(cfg, f, spec)
+    dropped = [0, 7, 150, image.lambdas.size - 1]
+    image.values[dropped] = np.nan
+    write_image_csv(image, tmp_path / "image.csv")
+    rc, out, err = run(["inverse", *argv, "--input", str(tmp_path / "image.csv"),
+                        "--output", str(tmp_path / "back.csv")])
+    assert rc == 0, err
+    assert f"({len(dropped)} non-finite image rows dropped)" in out
+    back = read_function_csv(tmp_path / "back.csv", cfg)
+    pts = [ls.x for ls in back.layers]
+    assert [xs.size for xs in pts] == [101] * cfg.n_layers
+    recon = tr.inverse_transform(cfg, image, pts, spec)
+    assert recon.meta["dropped_rows"] == dropped
+    got = np.concatenate([ls.values for ls in back.layers])
+    want = np.concatenate([ls.values for ls in recon.layers])
+    assert np.isfinite(want).all()
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("name", ["sine", "twolayer", "r2diag", "threelayer_r2"])
