@@ -230,18 +230,22 @@ class SpectralImage:
     AxisBatch): an inversion under the same config object reuses it, and
     decayed passes it on.  Besides its kernel data the batch keeps, per
     layer, the phase tables of the last evaluation points it was inverted
-    on (basis.Family.phases): N rho (Q + J) complex entries for a layer
-    whose points split into Q blocks of J (twice that for complex
+    on (basis.Family.phases): for a layer whose points split into Q blocks
+    of J, the N rho Q complex phases of the block centres and the 4 N rho J
+    cosines and sines of the offsets' rotation rows (complex for complex
     wavenumbers), none for points that are no arithmetic progression.
-    That is about 1.1 MB in all for r2diag at lambda_max 12 / 400 steps
-    on a 1202-point grid.  A new point set replaces them.  It is not
-    written to CSV.
+    That is about 1.7 MB in all for r2diag at lambda_max 12 / 400 steps
+    on a 1202-point grid.  A new point set replaces them.  plan, set with
+    basis, is the pair (spec, quadrature.Plan) the forward sampled on: an
+    inversion that reuses basis under an equal spec reuses its grid too.
+    An image without a basis has no plan.  Neither is written to CSV.
     """
 
     lambdas: np.ndarray
     values: np.ndarray
     meta: dict = field(default_factory=dict)
     basis: object = field(default=None, repr=False, compare=False)
+    plan: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.lambdas = np.asarray(self.lambdas, dtype=float)
@@ -255,6 +259,8 @@ class SpectralImage:
             )
         if self.lambdas.size == 0:
             raise EmptyImage("spectral image has no grid points")
+        if self.basis is None:
+            self.plan = None
 
     @property
     def k(self):
@@ -266,7 +272,7 @@ class SpectralImage:
             raise InvariantViolation(f"time must be finite and nonnegative, got {t}")
         factor = np.exp(-self.lambdas**2 * t)
         values = self.values * factor[:, None]
-        return SpectralImage(self.lambdas, values, dict(self.meta), self.basis)
+        return SpectralImage(self.lambdas, values, dict(self.meta), self.basis, self.plan)
 
 
 # --- CSV ------------------------------------------------------------------

@@ -12,10 +12,12 @@ order per panel keeps the rule in its convergent regime:
 
 plan derives both from one band_edge_rates pass (one wavenumber per
 distinct material) and checks the transform's size on the panel counts
-before it builds a node: each transform, and the CLI before it samples its
-input, calls it once.  lambda_grid and xi_rules are views of it.  Every
-half-period panel rule, the xi panels of plan and the rho panels of
-radial.forward_nd, has the one Gauss-Legendre order PANEL_ORDER.
+before it builds a node (check_size): each forward, and the CLI before it
+samples its input, calls it once, and an inversion once unless it reuses
+the plan its image was sampled on, when it runs check_size alone.
+lambda_grid and xi_rules are views of it.  Every half-period panel rule,
+the xi panels of plan and the rho panels of radial.forward_nd, has the
+one Gauss-Legendre order PANEL_ORDER.
 
 The improper spectral integral of every inversion formula (semi-axis, full
 axis, radial) is damped by exp(-tau lam) on a decreasing schedule of tau
@@ -161,6 +163,24 @@ class Plan(NamedTuple):
     panels: list
 
 
+def check_size(config, spec, n_nodes, n_points):
+    """Refuse a transform past MAX_TRANSFORM_SIZE with SizeLimitExceeded.
+
+    Its size is max(lambda_steps, n_nodes) x n_points x r^2 for a grid of
+    n_nodes lambda nodes: the one rule of plan, and of an inversion that
+    reuses the plan its image was sampled on.
+    """
+    # either count may be a huge int
+    n_lambda, n_points = float(max(spec.lambda_steps, n_nodes)), float(n_points)
+    size = n_lambda * n_points * config.r**2
+    if size > MAX_TRANSFORM_SIZE:
+        raise SizeLimitExceeded(
+            f"transform size {n_lambda:.3g} lambda nodes x {n_points:.3g} points x r^2 = "
+            f"{size:.3g} exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_steps, "
+            "x_max or the number of evaluation points"
+        )
+
+
 def plan(config, spec, n_points=None):
     """The Plan of (config, spec), refusing a transform past MAX_TRANSFORM_SIZE first.
 
@@ -168,8 +188,8 @@ def plan(config, spec, n_points=None):
     exp(i lam s_rate x_max) and each layer's xi panels, clipped to
     |x| <= x_max, at half a period of its fastest oscillation.  The size is
     max(lambda_steps, canonical lambda nodes) x n_points x r^2, n_points
-    defaulting to the xi nodes; it is checked on the layouts alone
-    (SizeLimitExceeded), before any node is allocated.
+    defaulting to the xi nodes; check_size checks it on the layouts alone,
+    before any node is allocated.
     """
     rates = band_edge_rates(config, spec)
     s_rate = max(rates) / spec.lambda_max
@@ -180,15 +200,7 @@ def plan(config, spec, n_points=None):
               for (a, b), rate in zip(windows, rates)]
     if n_points is None:
         n_points = sum(counts) * PANEL_ORDER
-    # either count may be a huge int
-    n_lambda, n_points = float(max(spec.lambda_steps, n_panels * order)), float(n_points)
-    size = n_lambda * n_points * config.r**2
-    if size > MAX_TRANSFORM_SIZE:
-        raise SizeLimitExceeded(
-            f"transform size {n_lambda:.3g} lambda nodes x {n_points:.3g} points x r^2 = "
-            f"{size:.3g} exceeds the limit {MAX_TRANSFORM_SIZE:.0e}; lower lambda_steps, "
-            "x_max or the number of evaluation points"
-        )
+    check_size(config, spec, n_panels * order, n_points)
 
     grid = spectral_grid(spec, cap)
     xr, wr = _leggauss(PANEL_ORDER)

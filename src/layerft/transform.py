@@ -25,26 +25,31 @@ the batch's inversion_constant c: -1/(pi i), or +1/(pi i) on the full axis.
 The improper integral is computed with exp(-tau lam) damping on the
 QuadratureSpec tau schedule and Neville-extrapolated to tau = 0.
 
-Both directions take their quadrature from one quad.plan call: the
-canonical composite Gauss-Legendre grid of the (config, spec) pair and the
+Both directions take their quadrature from one quad.plan: the canonical
+composite Gauss-Legendre grid of the (config, spec) pair and the
 forward's per-layer xi panels, after the transform's size check.  The
 inverse refuses images sampled elsewhere, because its quadrature weights
 are tied to that grid.  It evaluates at one increasing point array per
 layer, config.n_layers of them.
 
-The basis is built once per image, and the inverse's phase tables once
-per image and point set.  The forward image carries its batch
-(SpectralImage.basis), and decayed passes it on.  An inversion takes the
-primal families from that batch when the batch was built for the same
-config object (is, not ==) on exactly the image's abscissae; otherwise,
-for an image read from CSV or an equal config parsed anew, it builds the
-batch as the forward does.  Each primal family of a carried batch keeps
-the phase tables of the last point split it was inverted on
-(_kept_phases), so the inversions of a heat flow on one grid exponentiate
-once; a batch built for one inversion keeps none.  Either way it
-integrates over the image's whole grid, with weight and value 0 at a
-non-finite (dropped) row, and kept tables hold the very phases a block
-would compute, so a reused and a rebuilt inversion agree bit for bit.
+The basis and the plan are built once per image, and the inverse's phase
+tables once per image and point set.  The forward image carries its batch
+(SpectralImage.basis) and its (spec, plan) (SpectralImage.plan), and
+decayed passes both on.  An inversion takes the primal families from that
+batch when the batch was built for the same config object (is, not ==)
+on exactly the image's abscissae; otherwise, for an image read from CSV
+or an equal config parsed anew, it builds the batch as the forward does.
+With the batch it takes the plan's grid when its spec equals the
+forward's, and then runs quad.check_size, the plan's size rule, on its
+own point count alone: no second band-edge pass.  Otherwise it calls
+quad.plan itself.  Each primal family of a carried batch keeps the phase
+tables of the last point split it was inverted on (_kept_phases): the
+block centres' phases and the offsets' rotation rows, so the inversions
+of a heat flow on one grid exponentiate and lay out their rows once; a
+batch built for one inversion keeps none.  Either way it integrates over
+the image's whole grid, with weight and value 0 at a non-finite (dropped)
+row, and kept tables hold the very rows a block would compute, so a
+reused and a rebuilt inversion agree bit for bit.
 
 There is no loop over spectral points: basis.build_batch builds the whole
 grid at once, and every kernel of either geometry is a basis.Family,
@@ -157,6 +162,31 @@ def _cos_sin(phases):
     return phases.reshape(phases.shape[:-2] + (-1,))
 
 
+def _offset_rows(mu, s):
+    """The rotation rows of the inverse for mu (R, rho) at the offsets s: (rho, R, 2 J, 2).
+
+    Row j is (cos mu s_j, sin mu s_j) and row J + j is (-sin mu s_j,
+    cos mu s_j), the values of _cos_sin_phase: real for real mu, complex
+    for complex mu.  They rotate _damped_sums' right-hand side to each
+    offset.  For real mu the first rows are e^{i mu s_j} viewed as floats,
+    exponentiated in place: no other table of the offsets is allocated.
+    """
+    j, (n, rho) = s.size, mu.shape
+    rot = np.empty((rho, n, 2, j, 2), dtype=mu.dtype)
+    if np.iscomplexobj(mu):
+        rot[:, :, 0] = _cos_sin_phase(mu, s).transpose(1, 2, 0, 3)
+    else:
+        z = rot[:, :, 0].view(complex)[..., 0]
+        np.exp(np.multiply(1j * mu.T[:, :, None], s, out=z), out=z)
+    rot[:, :, 1, :, 0] = -rot[:, :, 0, :, 1]
+    rot[:, :, 1, :, 1] = rot[:, :, 0, :, 0]
+    return rot.reshape(rho, n, 2 * j, 2)
+
+
+# the (centre, offset) phase functions of the inverse's blocks
+_INVERSE_PHASES = (_cos_sin_phase, _offset_rows)
+
+
 def _real_product(a, z):
     """a @ z for complex z: one real product on the float view of z where a is real."""
     if np.iscomplexobj(a):
@@ -167,51 +197,57 @@ def _real_product(a, z):
 def _kept_phases(fam, centres, offsets):
     """The phase tables of fam on the split (centres, offsets), kept on fam for its next inversion.
 
-    _cos_sin_phase of all of fam.mu at the centres and at the offsets:
-    (Q, rho, N) and (J, rho, N) complex for real mu, N rho (Q + J)
-    entries, and (Q, rho, N, 2) and (J, rho, N, 2) for complex mu.
-    fam.phases is one slot: it holds the tables of the last split, and a
-    new split replaces them.  A dense split (offsets [0]) keeps none and
-    returns None, because its centre table would hold N rho entries per
-    point.
+    _INVERSE_PHASES of all of fam.mu: _cos_sin_phase at the centres,
+    (Q, rho, N) complex for real mu and (Q, rho, N, 2) for complex mu, and
+    the offsets' rotation rows of _offset_rows, (rho, N, 2 J, 2), real for
+    real mu and complex for complex mu.  Real mu thus keeps
+    16 N rho (Q + 2 J) bytes, about 1.7 MB for both layers of r2diag at
+    lambda_max 12 / 400 steps on a 1202-point grid.  fam.phases is one
+    slot: it holds the tables of the last split, and a new split replaces
+    them.  A dense split (offsets [0]) keeps none and returns None, because
+    its centre table would hold N rho entries per point.
     """
     if offsets.size == 1:
         fam.phases = None
         return None
     key = (centres.tobytes(), offsets.tobytes())
     if fam.phases is None or fam.phases[0] != key:
-        fam.phases = (key, *(_cos_sin_phase(fam.mu, s) for s in (centres, offsets)))
+        fam.phases = (key, *(f(fam.mu, s) for f, s in zip(_INVERSE_PHASES, (centres, offsets))))
     return fam.phases[1:]
 
 
-def _phase_blocks(mu, centres, offsets, width, phase, tables=None):
+def _phase_blocks(mu, centres, offsets, width, phases, tables=None):
     """Factored phases of mu (N, rho) at s = centres[q] + offsets[j], block by block.
 
-    centres (Q,) and offsets (J,) relative to the family's center.  Yields
-    (lams, e, parts) per slice lams of the spectral points: e =
-    phase(mu[lams], offsets), and parts lazily gives (cs, p) per slice cs
-    of the centres with p = phase(mu[lams], centres[cs]); every factor is
-    centred on its own block.  phase is _phase (the forward) or
-    _cos_sin_phase (the inverse), whose tables of all of mu (_kept_phases)
-    the blocks then slice bit for bit instead of exponentiating their own.
-    Half of _CHUNK_BYTES bounds e with two (2 R rho, J * width) right-hand
-    sides of the caller (the inverse: its rotation of e and one), the other
-    half p with the caller's (C, J * width) products; the kept tables belong
-    to the family and lie outside the budget.
+    centres (Q,) and offsets (J,) relative to the family's center, and
+    phases the pair (centre_phase, offset_phase).  Yields (lams, e, parts)
+    per slice lams of the spectral points: e = offset_phase(mu[lams],
+    offsets), and parts lazily gives (cs, p) per slice cs of the centres
+    with p = centre_phase(mu[lams], centres[cs]); every factor is centred
+    on its own block.  phases is (_phase, _phase) for the forward and
+    _INVERSE_PHASES for the inverse, whose tables of all of mu
+    (_kept_phases) the blocks then slice bit for bit instead of computing
+    their own.  Half of _CHUNK_BYTES bounds e with two (2 R rho, J * width)
+    right-hand sides of the caller (the inverse: its rotation rows and one
+    right-hand side), the other half p with the caller's (C, J * width)
+    products; the kept tables belong to the family and lie outside the
+    budget.
     """
     n, rho = mu.shape
     half = _CHUNK_BYTES // (2 * _COMPLEX_BYTES)         # entries
     lam_step = max(1, half // (2 * rho * offsets.size * (1 + 2 * width)))
+    centre_phase, offset_phase = phases
     for lo in range(0, n, lam_step):
         lams = slice(lo, lo + lam_step)
         m = mu[lams]
         step = max(1, half // (2 * m.size + offsets.size * width))
         cuts = (slice(c, c + step) for c in range(0, centres.size, step))
         if tables is None:
-            yield lams, phase(m, offsets), ((cs, phase(m, centres[cs])) for cs in cuts)
+            yield lams, offset_phase(m, offsets), ((cs, centre_phase(m, centres[cs]))
+                                                   for cs in cuts)
         else:
-            pc, po = tables
-            yield lams, po[:, :, lams], ((cs, pc[cs, :, lams]) for cs in cuts)
+            pc, rot = tables
+            yield lams, rot[:, lams], ((cs, pc[cs, :, lams]) for cs in cuts)
 
 
 def _moments(fam, centres, offsets, g, ends=()):
@@ -227,7 +263,7 @@ def _moments(fam, centres, offsets, g, ends=()):
     q, j, b = g.shape
     rows = g.reshape(q, j * b)
     out = np.empty((1 + len(ends), n, fam.lp.shape[-2]), dtype=complex)
-    for lams, e, parts in _phase_blocks(fam.mu, centres, offsets, b, _phase):
+    for lams, e, parts in _phase_blocks(fam.mu, centres, offsets, b, (_phase, _phase)):
         whole = np.zeros((e.shape[0], j * b), dtype=complex)
         for cs, p in parts:
             whole += p @ rows[cs]
@@ -251,8 +287,8 @@ def _damped_sums(fam, centres, offsets, fhat, damping, tables=None):
     product per block and channel k over (lam, cos | sin), the complex
     right-hand side viewed as floats, half the flops of a complex product
     over both signs.  The right-hand side is (P + M, i (P - M)) rotated by
-    each offset's cos mu t_j and sin mu t_j.  Complex mu takes the same
-    products with complex C and S (_cos_sin_phase).
+    each offset's cos mu t_j and sin mu t_j (_offset_rows).  Complex mu
+    takes the same products with complex C and S (_cos_sin_phase).
 
     Where lp and lm are one lam-free matrix V (basis._const: the primal V of
     every material _wavenumber_eig diagonalises in one eigenbasis), V is
@@ -271,8 +307,8 @@ def _damped_sums(fam, centres, offsets, fhat, damping, tables=None):
     rows, per = (1, a) if after is None else (a, 1)
     cols = t * per
     out = np.zeros((rows, centres.size, j * cols), dtype=complex)
-    for lams, e, parts in _phase_blocks(fam.mu, centres, offsets, cols, _cos_sin_phase,
-                                        tables):
+    for lams, rot, parts in _phase_blocks(fam.mu, centres, offsets, cols, _INVERSE_PHASES,
+                                          tables):
         f = fhat[lams, :, None]
         yp, ym = fam.rp[lams] @ f, fam.rm[lams] @ f                  # (R, rho, 1)
         if after is None:
@@ -282,13 +318,7 @@ def _damped_sums(fam, centres, offsets, fhat, damping, tables=None):
         pm = np.stack([yp + ym, 1j * (yp - ym)]).transpose(2, 1, 0, 3)
         pm = np.multiply(pm[:, :, :, None, :], damping[:, lams].T[:, None, :, None],
                          order="C").reshape(rho, -1, 2, cols)
-        # rows (cos, sin) and (-sin, cos) of each offset: (rho, R, 2, J, 2)
-        cs = _cos_sin(e).reshape(j, rho, -1, 2).transpose(1, 2, 0, 3)
-        rot = np.empty(cs.shape[:2] + (2,) + cs.shape[2:], dtype=cs.dtype)
-        rot[:, :, 0] = cs
-        rot[:, :, 1, :, 0] = -cs[..., 1]
-        rot[:, :, 1, :, 1] = cs[..., 0]
-        rhs = _real_product(rot.reshape(rho, -1, 2 * j, 2), pm).reshape(rho, -1, j * cols)
+        rhs = _real_product(rot, pm).reshape(rho, -1, j * cols)
         for cut, p in parts:
             p = _cos_sin(p)
             for k in range(rho):
@@ -313,10 +343,11 @@ def _spectral_forward(config, f, spec, lambdas):
     is set to NaN and meta["flagged"] records (index, lam, reason); if
     every row is flagged the first RegularityViolation is re-raised.
     meta["xi_tail_estimate"] is the largest contribution of the outermost
-    xi panel at a truncated end.  The image carries the batch as its basis,
-    for inverse_transform to reuse.
+    xi panel at a truncated end.  The image carries the batch as its basis
+    and (spec, plan) as its plan, for inverse_transform to reuse.
     """
-    grid, panels = quad.plan(config, spec)
+    plan = quad.plan(config, spec)
+    grid, panels = plan
     if lambdas is None:
         lams = grid.nodes
     else:
@@ -354,7 +385,8 @@ def _spectral_forward(config, f, spec, lambdas):
 
     meta = {"flagged": flagged}
     meta["xi_tail_estimate"] = float(np.nanmax(np.delete(tails, sorted(flags), axis=1)))
-    return SpectralImage(lambdas=lams, values=values, meta=meta, basis=basis)
+    return SpectralImage(lambdas=lams, values=values, meta=meta, basis=basis,
+                         plan=(spec, plan))
 
 
 def forward_transform(config, f, spec, lambdas=None):
@@ -423,19 +455,32 @@ def inverse_transform(config, image, x_points, spec):
     config.layer_index, junction abscissae to the right layer.  The kernels
     are the primal families of image.basis when that is the batch of this
     config object on the image's grid, else of basis.build_batch (as in
-    _spectral_forward); either way the whole grid's.  A NaN (flagged) row
-    gets quadrature weight 0 and value 0, so its term is an exact zero, and
-    is reported in meta["dropped_rows"]; a flag on a kept row is raised.
-    The quadrature and exp(-tau lam) weights fold into _damped_sums, which
-    reads the phase tables the families of image.basis keep
-    (_kept_phases); quad.tau_limit extrapolates.
+    _spectral_forward); either way the whole grid's.  The grid is that of
+    image.plan when the basis is reused and spec equals the forward's, with
+    quad.check_size on the points; else quad.plan(config, spec, points)
+    builds it after the same check.  Either way the size is refused before
+    anything is allocated.  A NaN (flagged) row gets quadrature weight 0
+    and value 0, so its term is an exact zero, and is reported in
+    meta["dropped_rows"]; a flag on a kept row is raised.  The quadrature
+    and exp(-tau lam) weights fold into _damped_sums, which reads the
+    phase tables the families of image.basis keep (_kept_phases);
+    quad.tau_limit extrapolates.
     """
     branches = bas.branch_count(config)
     if image.k != branches:
         raise DimensionMismatch(
             f"image has {image.k} components, the kernels of this problem have {branches}"
         )
-    grid = quad.plan(config, spec, sum(map(np.size, x_points))).grid
+    n_points = sum(map(np.size, x_points))
+    basis = image.basis
+    reused = (basis is not None and basis.config is config
+              and np.array_equal(basis.lam, image.lambdas))
+    # the forward's plan, under the spec it was made for, serves the image's basis
+    if reused and image.plan is not None and image.plan[0] == spec:
+        grid = image.plan[1].grid
+        quad.check_size(config, spec, grid.nodes.size, n_points)
+    else:
+        grid = quad.plan(config, spec, n_points).grid
     if image.lambdas.size != grid.nodes.size or not np.allclose(
         image.lambdas, grid.nodes, rtol=1e-9, atol=0.0
     ):
@@ -450,9 +495,6 @@ def inverse_transform(config, image, x_points, spec):
 
     per_layer = _normalize_x_points(config, x_points, spec)
     edges = np.cumsum([0] + [xs.size for xs in per_layer])
-    basis = image.basis
-    reused = (basis is not None and basis.config is config
-              and np.array_equal(basis.lam, image.lambdas))
     if not reused:
         basis = bas.build_batch(config, image.lambdas)
     flagged = [i for i in sorted(basis.flags) if keep[i]]

@@ -245,11 +245,13 @@ def test_kept_tables_are_one_slot_per_family(load):
         for xs, fam in zip(pts, families):
             centres, offsets = tr._split(xs, fam.center)
             tables = fam.phases[1:]
-            # exactly N rho (Q + J) entries, point first: the last split's tables,
-            # not added to the old
-            assert [t.shape for t in tables] == [(centres.size,) + fam.mu.shape[::-1],
-                                                 (offsets.size,) + fam.mu.shape[::-1]]
-            assert all(t.dtype == complex for t in tables)
+            # exactly N rho Q complex centre phases, point first, and the offsets'
+            # rotation rows, 4 N rho J floats: the last split's tables, not added
+            # to the old
+            n, rho = fam.mu.shape
+            assert [t.shape for t in tables] == [(centres.size, rho, n),
+                                                 (rho, n, 2 * offsets.size, 2)]
+            assert [t.dtype for t in tables] == [complex, float]
     # a point set that is no progression keeps no table
     union = np.union1d(grid[::4], grid[::6])
     tr.inverse_transform(cfg, image, by_layer(cfg, union), spec)

@@ -4,6 +4,7 @@ gave it.  Each gated block is inverted once, by its gate, and every product with
 uses that one: nothing solves."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from layerft import basis as bas
 from layerft import catalog as cat
 from layerft import cli
 from layerft import linalg as la
+from layerft import operator as op
 from layerft import quadrature as quad
 from layerft import transform as tr
-from layerft.errors import RegularityViolation, SizeLimitExceeded
+from layerft.errors import InvariantViolation, RegularityViolation, SizeLimitExceeded
 
-from conftest import config_path, run_cli
+from conftest import by_layer, config_path, run_cli
 from test_transform import singular_at_two
 
 PERFBENCH_SPEC = {"lambda_max": 12.0, "lambda_steps": 400}
@@ -130,10 +132,76 @@ def test_a_transform_computes_each_band_edge_wavenumber_once(load, monkeypatch):
         assert calls[0] == materials
         image = tr.forward_transform(cfg, f, spec)
         assert calls[0] == 2 * materials
+        # the inversion reuses the plan the image was sampled on, with its basis
         tr.inverse_transform(cfg, image, pts, spec)
-        assert calls[0] == 3 * materials
+        assert calls[0] == 2 * materials
         tr.inverse_transform(cfg, dataclasses.replace(image, basis=None), pts, spec)
-        assert calls[0] == 4 * materials
+        assert calls[0] == 3 * materials
+
+
+def test_a_heat_flow_and_a_roundtrip_compute_each_band_edge_wavenumber_once(load, monkeypatch):
+    cfg, spec = load("r2diag")                            # heat-compatible data
+    spec = dataclasses.replace(spec, **PERFBENCH_SPEC)
+    f0 = cat.to_grid_function(cat.make_profile("gauss_bump", center=3.5, width=0.38), cfg,
+                              spec.x_max, amplitudes=[1.0, 0.7])
+    pts = by_layer(cfg, np.linspace(0.0, 8.0, 401))
+    calls = counter(monkeypatch, bas, "compute_wavenumber")
+    image = tr.forward_transform(cfg, f0, spec)
+    for t in (0.01, 0.05, 0.2, 1.0):
+        tr.inverse_transform(cfg, op.heat_image(image, t), pts, spec)
+    assert calls[0] == 2                                  # one per material, both layers'
+    calls[0] = 0
+    op.solve_heat(cfg, f0, 0.05, pts, spec)
+    assert calls[0] == 2
+    calls[0] = 0
+    tr.roundtrip_report(cfg, f0, spec)
+    assert calls[0] == 2
+
+
+@pytest.mark.parametrize("command, plans", [("roundtrip", 3), ("heat", 4)])
+def test_a_cli_inversion_builds_no_plan_of_its_own(monkeypatch, tmp_path, command, plans):
+    built = counter(monkeypatch, quad, "plan")
+    time = ["--time", "0.05"] if command == "heat" else []
+    assert cli.main([command, "--config", config_path("twolayer"), "--input",
+                     "gauss_bump:center=3.2,width=0.38", "--output", str(tmp_path / "u.csv"),
+                     "--lambda-max", "12", "--lambda-steps", "400", *time]) == 0
+    # the size checks of the inversion's points and of the input (and, for heat, of
+    # the points it writes), then the forward's plan, which the inversion reuses
+    assert built[0] == plans
+
+
+def test_a_reused_plan_keeps_the_size_check(load, monkeypatch):
+    cfg, spec, f, pts = perfbench_case(load)
+    image = tr.forward_transform(cfg, f, spec)
+    built = counter(monkeypatch, quad, "plan")
+    n_points = sum(xs.size for xs in pts)
+    limit = max(spec.lambda_steps, image.lambdas.size) * n_points * cfg.r**2
+    monkeypatch.setattr(quad, "MAX_TRANSFORM_SIZE", limit)
+    tr.inverse_transform(cfg, image, pts, spec)
+    # one point more is refused before anything is allocated: the check runs before
+    # the points are read, and the inversion allocates megabytes past it
+    grown = pts[:-1] + [np.append(pts[-1], spec.x_max)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded):
+            tr.inverse_transform(cfg, image, grown, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 14
+    assert built[0] == 0
+
+
+@pytest.mark.parametrize("changed", [{"lambda_max": 13.0}, {"lambda_steps": 600}])
+def test_an_inversion_under_another_spec_builds_its_own_plan(load, monkeypatch, changed):
+    cfg, spec, f, pts = perfbench_case(load)
+    image = tr.forward_transform(cfg, f, spec)
+    built = counter(monkeypatch, quad, "plan")
+    tr.inverse_transform(cfg, image, pts, dataclasses.replace(spec))    # equal: reused
+    assert built[0] == 0
+    with pytest.raises(InvariantViolation, match="not sampled on the canonical spectral grid"):
+        tr.inverse_transform(cfg, image, pts, dataclasses.replace(spec, **changed))
+    assert built[0] == 1
 
 
 def test_cli_forward_computes_the_band_edge_twice(load, monkeypatch, tmp_path):
